@@ -40,7 +40,7 @@ RULES: Dict[str, str] = {
     ),
     "PERF001": (
         "per-page device-visible mutation inside a loop instead of a "
-        "batched op (block_write_many / trim_many / ranged trim)"
+        "batched op (write_pages / trim_many / ranged trim)"
     ),
 }
 

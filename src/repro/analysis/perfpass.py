@@ -6,17 +6,21 @@ time pays a thousand crossings of the host/device boundary (stats,
 fault-site checks, firmware dispatch) where one ranged call pays a
 handful.  The batched entry points exist for exactly this reason:
 
-* ``Firmware.block_write_many(pages, kind)`` instead of per-page
-  ``block_write`` in a loop,
+* ``MSSD.write_pages(pages, kind)`` — which carries one run through
+  ``Firmware.block_write_many`` and ``FTL.write_pages`` — instead of
+  single-page ``write_blocks`` / ``block_write`` / ``write_page`` in a
+  loop, and ``ExtFS._writeback_pages(batch, ...)`` instead of a
+  page-at-a-time ``_writeback_page``,
 * ``trim_many`` / ranged ``device.trim(lba, n_blocks)`` instead of
   per-block ``trim(b)`` in a loop.
 
 **PERF001** flags a call to a per-page mutation primitive —
-``block_write``, ``write_page``, ``program_page``, ``byte_write``,
-``erase_block``, or single-argument ``trim`` — lexically inside a
-``for``/``while`` loop or a comprehension.  Ranged ``trim(lba, n)``
-calls are not flagged, so run-batching loops (which emit one ranged
-call per contiguous run) pass clean.
+``write_blocks``, ``_writeback_page``, ``block_write``, ``write_page``,
+``program_page``, ``byte_write``, ``erase_block``, or single-argument
+``trim`` — lexically inside a ``for``/``while`` loop or a
+comprehension.  Ranged ``trim(lba, n)`` calls are not flagged, so
+run-batching loops (which emit one ranged call per contiguous run) pass
+clean.
 
 Some per-page loops are inherent — GC migration rebinds each page to a
 different physical address, and the batched implementations themselves
@@ -33,6 +37,8 @@ from repro.analysis.findings import Finding
 
 #: Per-page mutation primitives that have (or feed) a batched sibling.
 PER_PAGE_MUTATIONS = {
+    "write_blocks",
+    "_writeback_page",
     "block_write",
     "write_page",
     "program_page",
@@ -42,8 +48,9 @@ PER_PAGE_MUTATIONS = {
 
 _MESSAGE = (
     "per-page {name}() inside a loop; use a batched device op "
-    "(block_write_many / trim_many / ranged trim(lba, n)) or annotate "
-    "with `# repro: allow[PERF001]` if per-page work is inherent"
+    "(write_pages / _writeback_pages / trim_many / ranged trim(lba, n)) "
+    "or annotate with `# repro: allow[PERF001]` if per-page work is "
+    "inherent"
 )
 
 

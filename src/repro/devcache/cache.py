@@ -5,7 +5,7 @@ three-tier hierarchy with prefetch-on-predicted-access).
 :class:`DeviceCache` interposes between the firmware and the FTL: it
 exposes the exact FTL surface the firmware variants consume
 (``geometry``/``channels``/``read_page``/``read_pages``/``write_page``/
-``trim``/``trim_many``/``drain_write_buffer``), so
+``write_pages``/``trim``/``trim_many``/``drain_write_buffer``), so
 :class:`~repro.ssd.device.MSSD` can slide it under either firmware
 without the firmware knowing.  Reads hit device DRAM when the frame is
 resident (one ``dram_access_ns`` instead of a flash read); writes are
@@ -33,7 +33,7 @@ byte-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.faults.injector import NULL_INJECTOR
 from repro.ftl.ftl import FTL
@@ -296,20 +296,32 @@ class DeviceCache:
         kind: StructKind = _OTHER,
         background: bool = True,
     ) -> None:
-        frame = self._frames.get(lpa)
-        if frame is not None:
-            self._hit(lpa, frame)
-            frame.data[:] = data
-            if not frame.dirty:
-                self._dirty[lpa] = None
-            frame.valid = self._full_mask
-            frame.dirty = self._full_mask
-        else:
-            self.misses += 1
-            self._install(lpa, data, dirty=True, prefetched=False)
-        if not background:
-            self._dram(1)
-        self._writeback_if_needed()
+        self.write_pages(((lpa, data),), kind, background)
+
+    def write_pages(
+        self,
+        pages: Iterable[Tuple[int, bytes]],
+        kind: StructKind = _OTHER,
+        background: bool = True,
+    ) -> None:
+        """Absorb a run of page writes as dirty frames, pulling ``pages``
+        one at a time like :meth:`FTL.write_pages` does."""
+        frames = self._frames
+        for lpa, data in pages:
+            frame = frames.get(lpa)
+            if frame is not None:
+                self._hit(lpa, frame)
+                frame.data[:] = data
+                if not frame.dirty:
+                    self._dirty[lpa] = None
+                frame.valid = self._full_mask
+                frame.dirty = self._full_mask
+            else:
+                self.misses += 1
+                self._install(lpa, data, dirty=True, prefetched=False)
+            if not background:
+                self._dram(1)
+            self._writeback_if_needed()
 
     def trim(self, lpa: int) -> None:
         self._discard(lpa)

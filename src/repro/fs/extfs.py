@@ -24,7 +24,8 @@ Everything is really serialized to the device (see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from itertools import groupby
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.fs import layout
 from repro.fs.errors import (
@@ -45,7 +46,13 @@ from repro.fs.layout import (
     SuperblockLayout,
 )
 from repro.fs.vfs import BaseFileSystem, Stat
-from repro.host.page_cache import CACHELINE, CachedPage, PageCache
+from repro.host.page_cache import (
+    CACHELINE,
+    CachedPage,
+    PageCache,
+    dirty_lines,
+    line_runs,
+)
 from repro.ssd.device import MSSD
 from repro.stats.traffic import StructKind
 from repro.trace import tracer as trace
@@ -142,6 +149,8 @@ class ExtFS(BaseFileSystem):
         self._sb: Optional[SuperblockLayout] = None
         self._ibmap = bytearray()
         self._bbmap = bytearray()
+        #: no ino below this one is free (search start of _alloc_ino)
+        self._ino_hint = 2
         self._itable: Dict[int, bytearray] = {}
         self._inodes: Dict[int, Inode] = {}
         self._extent_raw: Dict[int, bytearray] = {}
@@ -175,6 +184,7 @@ class ExtFS(BaseFileSystem):
         self._sb = sb
         self._ibmap = bytearray(sb.inode_bitmap_blocks * self.P)
         self._bbmap = bytearray(sb.block_bitmap_blocks * self.P)
+        self._ino_hint = 2
         # Reserve metadata region and the out-of-range tail of the bitmap.
         for b in range(sb.data_start):
             self._bbmap[b // 8] |= 1 << (b % 8)
@@ -201,6 +211,12 @@ class ExtFS(BaseFileSystem):
         raw = self.device.read_blocks(0, 1, StructKind.SUPERBLOCK)
         sb = SuperblockLayout.decode(raw)
         self._sb = sb
+        self._read_bitmaps()
+        self._alloc_cursor = sb.data_start
+        self.jbd2 = JBD2(self, sb.journal_start, sb.journal_blocks)
+
+    def _read_bitmaps(self) -> None:
+        sb = self._sb
         self._ibmap = bytearray(
             self.device.read_blocks(
                 sb.inode_bitmap_start, sb.inode_bitmap_blocks, StructKind.BITMAP
@@ -211,8 +227,7 @@ class ExtFS(BaseFileSystem):
                 sb.block_bitmap_start, sb.block_bitmap_blocks, StructKind.BITMAP
             )
         )
-        self._alloc_cursor = sb.data_start
-        self.jbd2 = JBD2(self, sb.journal_start, sb.journal_blocks)
+        self._ino_hint = 2
 
     # ------------------------------------------------------------------ #
     # transaction plumbing
@@ -433,16 +448,27 @@ class ExtFS(BaseFileSystem):
             )
 
     def _alloc_ino(self) -> int:
-        sb = self._sb
-        for ino in range(2, sb.n_inodes):
-            if not self._ibmap[ino // 8] & (1 << (ino % 8)):
-                self._ibmap[ino // 8] |= 1 << (ino % 8)
+        """Allocate the lowest free inode number."""
+        ibmap = self._ibmap
+        n_inodes = self._sb.n_inodes
+        ino = self._ino_hint
+        while ino < n_inodes:
+            byte = ibmap[ino >> 3]
+            if byte == 0xFF:
+                ino = (ino | 7) + 1  # eight inodes in use: next byte
+            elif byte & (1 << (ino & 7)):
+                ino += 1
+            else:
+                ibmap[ino >> 3] = byte | (1 << (ino & 7))
+                self._ino_hint = ino + 1
                 self._persist_bitmap_bit(True, ino)
                 return ino
         raise NoSpace("out of inodes")
 
     def _free_ino(self, ino: int) -> None:
         self._ibmap[ino // 8] &= ~(1 << (ino % 8))
+        if ino < self._ino_hint:
+            self._ino_hint = ino
         self._persist_bitmap_bit(True, ino)
         self._inodes.pop(ino, None)
 
@@ -921,21 +947,30 @@ class ExtFS(BaseFileSystem):
         i = 0
         nbytes = len(data)
         P = self.P
+        ino = inode.ino
         cache = self.page_cache
         cow = self.cfg.data_byte_policy
         while i < nbytes:
             pidx = pos // P
             poff = pos % P
             n = min(P - poff, nbytes - i)
-            page = cache.lookup(inode.ino, pidx)
+            if n == P:
+                # The whole-page middle of a write enters the cache a
+                # run at a time; 0 means this page is cached already.
+                took = cache.install_dirty_run(
+                    ino, pidx, data, i, cow, self._evict_writeback
+                )
+                if took:
+                    i += took * P
+                    pos += took * P
+                    continue
+            page = cache.lookup(ino, pidx)
             if page is None:
                 if n < P and pos < inode.size:
                     base = self._read_page_from_device(inode, pidx)
                 else:
                     base = bytes(P)
-                page = cache.install(
-                    inode.ino, pidx, base, self._evict_writeback
-                )
+                page = cache.install(ino, pidx, base, self._evict_writeback)
             cache.mark_page_dirty(page, cow)
             page.data[poff : poff + n] = data[i : i + n]
             i += n
@@ -964,6 +999,16 @@ class ExtFS(BaseFileSystem):
                 poff = offset % self.P
                 cached.data[poff : poff + len(data)] = data
             return len(data)
+        self.device.write_pages(
+            self._direct_pages(inode, offset, data), StructKind.DATA
+        )
+        return len(data)
+
+    def _direct_pages(
+        self, inode: Inode, offset: int, data: bytes
+    ) -> Iterator[Tuple[int, bytes]]:
+        """Page images of a block-interface O_DIRECT write, as the
+        device pulls them: a partial page reads its base first."""
         pos = offset
         i = 0
         while i < len(data):
@@ -977,101 +1022,180 @@ class ExtFS(BaseFileSystem):
                 image = bytes(base)
             else:
                 image = bytes(data[i : i + n])
-            self.device.write_blocks(blk, image, StructKind.DATA)
+            yield blk, image
             # Keep the page cache coherent with the direct write.
             cached = self.page_cache.lookup(inode.ino, pidx)
             if cached is not None:
                 cached.data[poff : poff + n] = data[i : i + n]
             i += n
             pos += n
-        return len(data)
 
     # ------------------------------------------------------------------ #
     # writeback and the interface-selection policy (§4.6)
     # ------------------------------------------------------------------ #
 
-    def _writeback_page(
+    def _writeback_pages(
         self,
-        ino: int,
-        pidx: int,
-        page: CachedPage,
+        batch: Sequence[Tuple[int, int, CachedPage]],
         txid: Optional[int],
         journal_ok: bool = True,
     ) -> None:
-        if not trace.ENABLED:
-            self._writeback_page_inner(ino, pidx, page, txid, journal_ok)
-            return
-        _sp = trace.begin("pagecache", "writeback", ino=ino, pidx=pidx)
-        try:
-            policy = self._writeback_page_inner(
-                ino, pidx, page, txid, journal_ok
-            )
-            _sp.attrs = dict(_sp.attrs or {}, policy=policy)
-        finally:
-            trace.end(_sp)
+        """§4.6 write-back of an ordered run of dirty ``(ino, pidx, page)``.
 
-    def _writeback_page_inner(
+        The CoW pages of the run are XOR-diffed in one stacked pass; each
+        page then leaves, in order, through the interface its modified
+        ratio selects.  Consecutive block-interface pages share one
+        scatter write; simulated time is charged page by page, exactly
+        as if every page were written back on its own.
+        """
+        if not batch:
+            return
+        journal = (
+            self.cfg.data_journal and self.jbd2 is not None and journal_ok
+        )
+        get_inode = self._get_inode
+        block_of = self._block_of
+        blks = [block_of(get_inode(ino), pidx) for ino, pidx, _page in batch]
+        byte_chunks = (
+            self._byte_policy_chunks(batch, blks)
+            if self.cfg.data_byte_policy else {}
+        )
+        n = len(batch)
+        i = 0
+        while i < n:
+            j = i
+            if not journal:
+                while j < n and blks[j] is not None and j not in byte_chunks:
+                    j += 1
+            if j > i:
+                self.device.write_pages(
+                    self._block_writebacks(batch, blks, i, j), StructKind.DATA
+                )
+                i = j
+                continue
+            ino, pidx, page = batch[i]
+            _sp = trace.begin("pagecache", "writeback", ino=ino, pidx=pidx) \
+                if trace.ENABLED else None
+            try:
+                policy = self._writeback_unbatched(
+                    page, blks[i], byte_chunks.get(i), txid
+                )
+                if _sp is not None:
+                    _sp.attrs = dict(_sp.attrs or {}, policy=policy)
+            finally:
+                if _sp is not None:
+                    trace.end(_sp)
+            i += 1
+
+    def _byte_policy_chunks(
         self,
-        ino: int,
-        pidx: int,
+        batch: Sequence[Tuple[int, int, CachedPage]],
+        blks: List[Optional[int]],
+    ) -> Dict[int, List[Tuple[int, int]]]:
+        """Positions in ``batch`` whose page goes out through the byte
+        interface (R < threshold), with their dirty chunk runs."""
+        at = [
+            i for i, (_ino, _pidx, page) in enumerate(batch)
+            if page.original is not None and blks[i] is not None
+        ]
+        if not at:
+            return {}
+        # One diff serves both the ratios (a row sum each) and the chunk
+        # lists, which only rows under the threshold need.
+        lines = dirty_lines([batch[i][2] for i in at])
+        total = self.P // CACHELINE
+        threshold = self.cfg.byte_ratio_threshold
+        return {
+            at[row]: line_runs(lines[row].nonzero()[0].tolist())
+            for row, count in enumerate(lines.sum(axis=1).tolist())
+            if count / total < threshold
+        }
+
+    def _block_writebacks(
+        self,
+        batch: Sequence[Tuple[int, int, CachedPage]],
+        blks: List[Optional[int]],
+        start: int,
+        stop: int,
+    ) -> Iterator[Tuple[int, bytes]]:
+        """``batch[start:stop]`` as the page stream of one scatter write:
+        each page's host-side work happens as the device pulls it."""
+        advance = self.clock.advance
+        xor_page_ns = self.timing.xor_page_ns
+        cow = self.cfg.data_byte_policy
+        bump = self.stats.bump
+        for i in range(start, stop):
+            ino, pidx, page = batch[i]
+            _sp = trace.begin("pagecache", "writeback", ino=ino, pidx=pidx) \
+                if trace.ENABLED else None
+            if cow and page.original is not None:
+                advance(xor_page_ns)  # the XOR pass over this page
+            yield blks[i], bytes(page.data)
+            page.clean()
+            bump("block_writebacks")
+            if _sp is not None:
+                _sp.attrs = dict(_sp.attrs or {}, policy="block")
+                trace.end(_sp)
+
+    def _writeback_unbatched(
+        self,
         page: CachedPage,
+        blk: Optional[int],
+        chunks: Optional[List[Tuple[int, int]]],
         txid: Optional[int],
-        journal_ok: bool = True,
     ) -> str:
-        """§4.6 interface selection; returns the policy taken."""
-        inode = self._get_inode(ino)
-        blk = self._block_of(inode, pidx)
+        """Write back a page that is not part of a block run (unmapped,
+        byte interface, or journaled); returns the policy taken."""
         if blk is None:
             page.clean()
             return "none"
         if self.cfg.data_byte_policy and page.original is not None:
-            # XOR the duplicate against the page to find dirty lines.
-            # One diff serves both the ratio and the chunk list (the
-            # page cannot change between the two uses).
             self.clock.advance(self.timing.xor_page_ns)
-            chunks = page.dirty_chunks()
-            ratio = sum(
-                -(-length // CACHELINE) for _off, length in chunks
-            ) / (len(page.data) // CACHELINE)
-            if ratio < self.cfg.byte_ratio_threshold:
-                view = memoryview(page.data)
-                for off, length in chunks:
-                    self.device.store(
-                        blk * self.P + off,
-                        bytes(view[off : off + length]),
-                        StructKind.DATA,
-                        txid=txid,
-                    )
-                page.clean()
-                self.stats.bump("bytefs_byte_writebacks")
-                return "byte"
-        if self.cfg.data_journal and self.jbd2 is not None and journal_ok:
-            # Data journaling: the image goes to the journal at commit and
-            # in place only at checkpoint (double write, §4.6).
-            self.jbd2.mark_dirty_data(blk, bytes(page.data))
+        if chunks is not None:
+            view = memoryview(page.data)
+            for off, length in chunks:
+                self.device.store(
+                    blk * self.P + off,
+                    bytes(view[off : off + length]),
+                    StructKind.DATA,
+                    txid=txid,
+                )
             page.clean()
-            self.stats.bump("journaled_data_writebacks")
-            return "journal"
-        self.device.write_blocks(blk, bytes(page.data), StructKind.DATA)
+            self.stats.bump("bytefs_byte_writebacks")
+            return "byte"
+        # Data journaling: the image goes to the journal at commit and
+        # in place only at checkpoint (double write, §4.6).
+        self.jbd2.mark_dirty_data(blk, bytes(page.data))
         page.clean()
-        self.stats.bump("block_writebacks")
-        return "block"
+        self.stats.bump("journaled_data_writebacks")
+        return "journal"
 
-    def _evict_writeback(self, ino: int, pidx: int, page: CachedPage) -> None:
+    def _evict_writeback(
+        self, batch: List[Tuple[int, int, CachedPage]]
+    ) -> None:
         # Evictions bypass the data journal: the page may be re-read from
         # the device before the next commit, so it must be in place now.
-        self._writeback_page(ino, pidx, page, txid=None, journal_ok=False)
+        self._writeback_pages(batch, txid=None, journal_ok=False)
 
     def _flush_inode_pages(self, ino: int, txid: Optional[int]) -> None:
-        for pidx, page in self.page_cache.dirty_pages(ino):
-            self._writeback_page(ino, pidx, page, txid)
+        self._writeback_pages(
+            [(ino, pidx, page)
+             for pidx, page in self.page_cache.dirty_pages(ino)],
+            txid,
+        )
 
     def _flush_ordered(self) -> None:
         """Ordered mode: write all transaction-ordered data before the
         journal commit."""
-        for ino in sorted(self._ordered):
-            self._flush_inode_pages(ino, txid=None)
-        self._ordered.clear()
+        if self._ordered:
+            dirty_pages = self.page_cache.dirty_pages
+            self._writeback_pages(
+                [(ino, pidx, page)
+                 for ino in sorted(self._ordered)
+                 for pidx, page in dirty_pages(ino)],
+                txid=None,
+            )
+            self._ordered.clear()
 
     # ------------------------------------------------------------------ #
     # sync / fsync
@@ -1102,11 +1226,14 @@ class ExtFS(BaseFileSystem):
         self._op_barrier()
 
     def _sync(self) -> None:
-        for ino, pidx, page in self.page_cache.all_dirty():
-            self._writeback_page(
-                ino, pidx, page,
-                self._ino_tx.get(ino) if self.cfg.fw_tx else None,
-            )
+        if self.cfg.fw_tx:
+            # Each inode's pages ride that inode's running transaction.
+            for ino, pages in groupby(
+                self.page_cache.all_dirty(), key=lambda entry: entry[0]
+            ):
+                self._writeback_pages(list(pages), self._ino_tx.get(ino))
+        else:
+            self._writeback_pages(self.page_cache.all_dirty(), None)
         self._ordered.clear()
         if self.cfg.fw_tx:
             if (
@@ -1227,20 +1354,6 @@ class ExtFS(BaseFileSystem):
         if not self.cfg.metadata_byte or self.cfg.data_journal:
             replayed = self.jbd2.replay()
             # The bitmaps may have been rewritten by replay; reload them.
-            sb = self._sb
-            self._ibmap = bytearray(
-                self.device.read_blocks(
-                    sb.inode_bitmap_start,
-                    sb.inode_bitmap_blocks,
-                    StructKind.BITMAP,
-                )
-            )
-            self._bbmap = bytearray(
-                self.device.read_blocks(
-                    sb.block_bitmap_start,
-                    sb.block_bitmap_blocks,
-                    StructKind.BITMAP,
-                )
-            )
+            self._read_bitmaps()
         fw_stats["journal_txs_replayed"] = replayed
         return fw_stats

@@ -21,6 +21,7 @@ transactions have been checkpointed.
 from __future__ import annotations
 
 import struct
+from itertools import groupby
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.stats.traffic import StructKind
@@ -42,7 +43,7 @@ class JournalFullError(Exception):
 class JBD2:
     """The journaling layer.  ``fs`` must provide:
 
-    * ``device`` with ``read_blocks``/``write_blocks``;
+    * ``device`` with ``read_blocks``/``write_blocks``/``write_pages``;
     * ``_snapshot_block(blkno) -> bytes`` returning the current image of a
       managed metadata block;
     * ``_flush_ordered()`` writing back dirty data pages of inodes touched
@@ -143,9 +144,15 @@ class JBD2:
                           n_blocks=len(self.pending)) \
             if trace.ENABLED else None
         try:
-            for blkno in sorted(self.pending):
-                image, kind = self.pending[blkno]
-                self.fs.device.write_blocks(blkno, image, kind)
+            # One scatter write per run of blocks of one kind (the
+            # traffic accounting is per kind), in block order.
+            pending = self.pending
+            for kind, blknos in groupby(
+                sorted(pending), key=lambda blkno: pending[blkno][1]
+            ):
+                self.fs.device.write_pages(
+                    [(blkno, pending[blkno][0]) for blkno in blknos], kind
+                )
             self.pending.clear()
             self.checkpoint_seq = self.seq - 1
             self._write_header()
@@ -220,8 +227,10 @@ class JBD2:
         for seq, images, _kinds in sorted(txs, key=lambda t: t[0]):
             if seq <= checkpoint_seq:
                 continue
-            for blkno in sorted(images):
-                device.write_blocks(blkno, images[blkno], StructKind.JOURNAL)
+            device.write_pages(
+                [(blkno, images[blkno]) for blkno in sorted(images)],
+                StructKind.JOURNAL,
+            )
             replayed += 1
         self.seq = max([t[0] for t in txs], default=0) + 1
         self.checkpoint_seq = self.seq - 1

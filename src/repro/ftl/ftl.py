@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis import fssan
 from repro.ftl.mapping import PageMap
@@ -173,46 +173,66 @@ class FTL:
         kind: StructKind = StructKind.OTHER,
         background: bool = True,
     ) -> None:
-        """Write one page out of place.
+        """Write one page out of place: a run of one."""
+        self.write_pages(((lpa, data),), kind, background)
+
+    def write_pages(
+        self,
+        pages: Iterable[Tuple[int, bytes]],
+        kind: StructKind = StructKind.OTHER,
+        background: bool = True,
+    ) -> None:
+        """Write a run of ``(lpa, data)`` pages out of place, in order.
 
         By default the program itself happens in the background through the
         write buffer (the foreground stalls only if the buffer is full),
         matching how both firmware variants hide flash program latency.
-        """
-        _sp = trace.begin("ftl", "write_page", lpa=lpa) \
-            if trace.ENABLED else None
-        try:
-            self._write_page(lpa, data, kind, background)
-        finally:
-            if _sp is not None:
-                trace.end(_sp)
 
-    def _write_page(
-        self, lpa: int, data: bytes, kind: StructKind, background: bool
-    ) -> None:
-        self._reserve_buffer_slot()
-        ppa, ch = self._allocate_ppa()
+        ``pages`` is pulled one page at a time, after the previous page
+        is bound, so a generator may do the caller's per-page work (and
+        charge its simulated time) between two programs.
+        """
+        clock = self.clock
+        inflight = self._inflight
+        capacity = self._wb_capacity
         write_ns = self._flash_write_ns
-        end = self._ch_occupy(ch, self.clock.now, write_ns)
-        if trace.ENABLED:
-            trace.span_at(
-                "nand", "flash_program", end - write_ns, end,
-                background=background, ch=ch,
-            )
-        heappush(self._inflight, end)
-        if end > self._inflight_max:
-            self._inflight_max = end
-        if not background:
-            self.clock.advance_to(end)
-        # Local binding keeps the call spelled by its real name (the
+        page_size = self._page_size
+        # Local bindings keep the calls spelled by their real names (the
         # crash-site lint resolves callers by bare name).
+        occupy = self._ch_occupy
         program_page = self._program_page
-        program_page(ppa, data)
-        old = self._pm_bind(lpa, ppa)
-        if old is not None:
-            self._invalidate_ppa(old)
-        self._blocks[self._block_id_of(ppa)].valid += 1
-        self._record_flash(kind, Direction.WRITE, self._page_size)
+        bind = self._pm_bind
+        block_id_of = self._block_id_of
+        blocks = self._blocks
+        record_flash = self._record_flash
+        for lpa, data in pages:
+            _sp = trace.begin("ftl", "write_page", lpa=lpa) \
+                if trace.ENABLED else None
+            try:
+                if len(inflight) >= capacity:
+                    self._reserve_buffer_slot()
+                ppa, ch = self._allocate_ppa()
+                end = occupy(ch, clock.now, write_ns)
+                if trace.ENABLED:
+                    trace.span_at(
+                        "nand", "flash_program", end - write_ns, end,
+                        background=background, ch=ch,
+                    )
+                heappush(inflight, end)
+                if end > self._inflight_max:
+                    self._inflight_max = end
+                if not background:
+                    clock.advance_to(end)
+                # One program per page is what a run of pages is.
+                program_page(ppa, data)  # repro: allow[PERF001]
+                old = bind(lpa, ppa)
+                if old is not None:
+                    self._invalidate_ppa(old)
+                blocks[block_id_of(ppa)].valid += 1
+                record_flash(kind, Direction.WRITE, page_size)
+            finally:
+                if _sp is not None:
+                    trace.end(_sp)
 
     def trim(self, lpa: int) -> None:
         """Drop the mapping for ``lpa`` (file system freed the block)."""
@@ -400,10 +420,9 @@ class FTL:
     # ------------------------------------------------------------------ #
 
     def _reserve_buffer_slot(self) -> None:
-        """Stall the foreground thread if the write buffer is full."""
+        """The write buffer looks full: retire drained programs, then
+        stall the foreground thread until a slot frees up."""
         inflight = self._inflight
-        if len(inflight) < self._wb_capacity:
-            return
         # Drop entries that have already drained at this thread's time.
         now = self.clock.now
         while inflight and inflight[0] <= now:

@@ -16,15 +16,46 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from heapq import heappop, heappush
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-try:  # declared project dependency; the fallback keeps minimal envs alive
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as np
 
 CACHELINE = 64
-_ZERO_LINE = bytes(CACHELINE)
+
+
+def dirty_lines(pages: Sequence["CachedPage"]) -> "np.ndarray":
+    """XOR-diff CoW pages against their duplicates, all at once.
+
+    Row ``i`` of the returned boolean array marks the modified 64 B
+    cachelines of ``pages[i]``.  This is the one definition of "dirty
+    line": the pages of a write-back run are stacked into two 2-D
+    arrays and compared word-wide in a single pass, because on one 4 KB
+    page numpy's call overhead costs several times the vector work.
+    Every page must hold a duplicate and be a whole number of lines.
+    """
+    cur = b"".join([p.data for p in pages])
+    old = b"".join([p.original for p in pages])
+    neq = np.not_equal(
+        np.frombuffer(cur, dtype=np.int64), np.frombuffer(old, dtype=np.int64)
+    )
+    # A line is eight words, so its eight comparison flags read as one
+    # uint64: non-zero means some word of the line differs.
+    return (neq.view(np.uint64) != 0).reshape(len(pages), -1)
+
+
+def line_runs(lines: List[int]) -> List[Tuple[int, int]]:
+    """Coalesce ascending dirty line indices into (offset, length) runs."""
+    if not lines:
+        return []
+    runs: List[Tuple[int, int]] = []
+    start = prev = lines[0]
+    for i in lines[1:]:
+        if i != prev + 1:
+            runs.append((start * CACHELINE, (prev + 1 - start) * CACHELINE))
+            start = i
+        prev = i
+    runs.append((start * CACHELINE, (prev + 1 - start) * CACHELINE))
+    return runs
 
 
 class CachedPage:
@@ -60,70 +91,14 @@ class CachedPage:
         """
         if self.original is None:
             return [(0, len(self.data))]
-        n = len(self.data)
-        if _np is not None:
-            # Vectorized per-cacheline diff (word-wide compare), then
-            # runs are rebuilt from the dirty line index groups.
-            if n % 8 == 0:
-                neq = _np.not_equal(
-                    _np.frombuffer(self.data, dtype=_np.int64),
-                    _np.frombuffer(self.original, dtype=_np.int64),
-                )
-                per_line = CACHELINE // 8
-            else:
-                neq = _np.not_equal(
-                    _np.frombuffer(self.data, dtype=_np.uint8),
-                    _np.frombuffer(self.original, dtype=_np.uint8),
-                )
-                per_line = CACHELINE
-            m = n // CACHELINE
-            full = m * per_line
-            line_dirty = neq[:full].reshape(m, per_line).any(axis=1)
-            if n % CACHELINE:
-                line_dirty = _np.append(line_dirty, neq[full:].any())
-            lines = line_dirty.nonzero()[0].tolist()
-            if not lines:
-                return []
-            runs: List[Tuple[int, int]] = []
-            start = prev = lines[0]
-            for i in lines[1:]:
-                if i != prev + 1:
-                    runs.append(
-                        (start * CACHELINE, (prev + 1 - start) * CACHELINE)
-                    )
-                    start = i
-                prev = i
-            hi = (prev + 1) * CACHELINE
-            runs.append(
-                (start * CACHELINE, (hi if hi < n else n) - start * CACHELINE)
-            )
-            return runs
-        if self.data == self.original:
-            return []
-        cur = memoryview(self.data)
-        old = memoryview(self.original)
-        runs = []
-        run_start = -1
-        for off in range(0, n, CACHELINE):
-            chunk_dirty = (
-                cur[off : off + CACHELINE] != old[off : off + CACHELINE]
-            )
-            if chunk_dirty and run_start < 0:
-                run_start = off
-            elif not chunk_dirty and run_start >= 0:
-                runs.append((run_start, off - run_start))
-                run_start = -1
-        if run_start >= 0:
-            runs.append((run_start, n - run_start))
-        return runs
+        return line_runs(dirty_lines([self])[0].nonzero()[0].tolist())
 
     def modified_ratio(self) -> float:
         """R = modified cachelines / total cachelines (§4.6)."""
         total = len(self.data) // CACHELINE
-        dirty_lines = sum(
-            -(-length // CACHELINE) for _off, length in self.dirty_chunks()
-        )
-        return dirty_lines / total
+        if self.original is None:
+            return 1.0
+        return int(dirty_lines([self])[0].sum()) / total
 
     def clean(self) -> None:
         self.dirty = False
@@ -166,19 +141,19 @@ class AddressSpace:
                 and self._on_drop is not None:
             self._on_drop(self.ino, index)
 
-    def dirty_pages(self) -> Iterator[Tuple[int, CachedPage]]:
-        for index in sorted(self.pages):
-            page = self.pages[index]
-            if page.dirty:
-                yield index, page
+    def dirty_pages(self) -> List[Tuple[int, CachedPage]]:
+        """The dirty ``(index, page)`` pairs, in index order."""
+        return sorted(
+            [(index, page) for index, page in self.pages.items() if page.dirty]
+        )
 
     def __len__(self) -> int:
         return len(self.pages)
 
 
-#: writeback callback: (ino, page_index, page) -> None.  Must leave the
-#: page clean.
-WritebackFn = Callable[[int, int, CachedPage], None]
+#: writeback callback: an ordered run of dirty (ino, page_index, page)
+#: victims -> None.  Must leave every page clean.
+WritebackFn = Callable[[List[Tuple[int, int, CachedPage]]], None]
 
 
 class PageCache:
@@ -191,6 +166,8 @@ class PageCache:
     def __init__(self, capacity_pages: int, page_size: int) -> None:
         if capacity_pages < 1:
             raise ValueError("capacity must be >= 1")
+        if page_size % CACHELINE:
+            raise ValueError("page size must be a whole number of cachelines")
         self.capacity_pages = capacity_pages
         self.page_size = page_size
         self._spaces: Dict[int, AddressSpace] = {}
@@ -255,8 +232,63 @@ class PageCache:
     def install(
         self, ino: int, index: int, data: bytes, writeback: WritebackFn
     ) -> CachedPage:
-        self._make_room(writeback)
+        self._make_room(1, writeback)
+        return self._insert(self.space(ino), ino, index, data)
+
+    def install_dirty_run(
+        self,
+        ino: int,
+        start: int,
+        data: bytes,
+        offset: int,
+        cow: bool,
+        writeback: WritebackFn,
+    ) -> int:
+        """Cache the whole-page writes ``data[offset:]`` holds for the
+        consecutive pages ``start``.. that are not cached yet; returns
+        how many pages it took.
+
+        Page for page this is a ``lookup`` miss, an ``install`` of a
+        zero page (a whole-page write needs no base from the device), a
+        ``mark_page_dirty`` and the copy — but room for the whole run is
+        made in one go and its dirty victims reach ``writeback`` as one
+        ordered batch.  The run stops at the first page that is cached
+        (``lookup`` it instead: 0 is returned when that is page
+        ``start``) or whose key still holds an LRU slot, and at
+        ``capacity_pages``, so that no page of the run is its victim.
+        """
+        P = self.page_size
         space = self.space(ino)
+        present = space.pages
+        slots = self._pos
+        limit = min((len(data) - offset) // P, self.capacity_pages)
+        n = 0
+        while (
+            n < limit
+            and start + n not in present
+            and (ino, start + n) not in slots
+        ):
+            n += 1
+        if n == 0:
+            return 0
+        self.misses += n
+        self._make_room(n, writeback)
+        for index in range(start, start + n):
+            page = self._insert(space, ino, index, data[offset : offset + P])
+            if cow:
+                # The duplicate of the zero page installed first.  (One
+                # per page: sharing it moves peak RSS by several percent
+                # through the allocator's heap layout.)
+                page.original = bytes(P)
+            page.dirty = True
+            offset += P
+        if cow:
+            self.cow_copies += n
+        return n
+
+    def _insert(
+        self, space: AddressSpace, ino: int, index: int, data: bytes
+    ) -> CachedPage:
         page = space.install(index, data)
         key = (ino, index)
         page._key = key
@@ -289,42 +321,58 @@ class PageCache:
             self.cow_copies += 1
         page.dirty = True
 
-    def _make_room(self, writeback: WritebackFn) -> None:
-        while len(self._lru) >= self.capacity_pages:
+    def _make_room(self, n: int, writeback: WritebackFn) -> None:
+        """Evict until ``n`` more pages fit, LRU clean-or-stale pages
+        first; the dirty victims go to ``writeback`` as one ordered run.
+
+        The victims are those ``n`` successive single-page calls would
+        pick, as long as the caller dirties each page it then installs
+        (the write path): such pages are neither clean candidates nor,
+        while a pre-existing entry remains, at the LRU front.
+        """
+        lru = self._lru
+        n_evict = len(lru) + n - self.capacity_pages
+        if n_evict <= 0:
+            return
+        stale = self._stale_keys
+        cand = self._cand
+        pos_map = self._pos
+        spaces = self._spaces
+        dirty: List[Tuple[int, int, CachedPage]] = []
+        for _ in range(n_evict):
             # Prefer the least-recently-used clean (or stale) page: pop
             # candidates until one still matches its stamp and is still
             # clean or stale.  Every clean-or-stale key has at least one
             # current-stamp entry (pushed on install, on clean(), on
             # drop-behind-our-back, and on restamp of a clean page), so
             # an empty/exhausted heap means every cached page is dirty.
-            stale = self._stale_keys
-            cand = self._cand
-            pos_map = self._pos
             victim_key = None
-            victim_page = None
             while cand:
                 pos, key = cand[0]
                 if pos_map.get(key) != pos:
                     heappop(cand)  # restamped or evicted since pushed
                     continue
-                page = self._lru[key]
-                if page.dirty and key not in stale:
+                victim_page = lru[key]
+                if victim_page.dirty and key not in stale:
                     heappop(cand)  # dirtied since pushed
                     continue
                 victim_key = key
-                victim_page = page
                 break
             if victim_key is None:
-                victim_key, victim_page = next(iter(self._lru.items()))
+                victim_key, victim_page = next(iter(lru.items()))
             ino, index = victim_key
-            if victim_page.dirty and victim_key not in stale:
-                writeback(ino, index, victim_page)
-            space = self._spaces.get(ino)
-            if space is not None:
-                space.drop(index)
-            stale.discard(victim_key)
-            del self._pos[victim_key]
-            del self._lru[victim_key]
+            if victim_key in stale:
+                stale.discard(victim_key)
+            else:
+                if victim_page.dirty:
+                    dirty.append((ino, index, victim_page))
+                space = spaces.get(ino)
+                if space is not None:
+                    space.pages.pop(index, None)
+            del pos_map[victim_key]
+            del lru[victim_key]
+        if dirty:
+            writeback(dirty)
 
     # ------------------------------------------------------------------ #
 
@@ -332,7 +380,7 @@ class PageCache:
         space = self._spaces.get(ino)
         if space is None:
             return []
-        return list(space.dirty_pages())
+        return space.dirty_pages()
 
     def all_dirty(self) -> List[Tuple[int, int, CachedPage]]:
         out = []

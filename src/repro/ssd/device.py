@@ -16,7 +16,7 @@ the data-structure tag supplied by the file system.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.devcache.cache import DevCacheConfig, DeviceCache
 from repro.faults.injector import NULL_INJECTOR, FaultInjector
@@ -318,45 +318,101 @@ class MSSD:
             # Local binding keeps the call spelled by its real name (the
             # crash-site lint resolves callers by bare name).
             block_write_many = self._fw_block_write_many
-            pending: List = []
+            if n_blocks == 1:
+                pending = [(lba, data)]
+            else:
+                pending = [
+                    (lba + i, data[i * page_size : (i + 1) * page_size])
+                    for i in range(n_blocks)
+                ]
+            if self.faults is NULL_INJECTOR:
+                block_write_many(pending, kind, n_blocks)
+                return
+            arrived, pending = pending, []
             try:
-                if self.faults is NULL_INJECTOR:
-                    if n_blocks == 1:
-                        pending.append((lba, data))
-                    else:
-                        for i in range(n_blocks):
-                            pending.append(
-                                (
-                                    lba + i,
-                                    data[i * page_size : (i + 1) * page_size],
-                                )
-                            )
-                else:
-                    for i in range(n_blocks):
-                        page = data[i * page_size : (i + 1) * page_size]
-
-                        def _apply(k: int, lba=lba + i, page=page) -> None:
-                            if k == 0:
-                                return
-                            if k < len(page):
-                                # Torn DMA: leading sectors are new, the
-                                # rest keep whatever the device held
-                                # before.
-                                old = self.firmware.block_read(lba)
-                                page = page[:k] + old[k:]
-                            pending.append((lba, page))
-
-                        self.faults.site(
-                            "mssd.write_block", _apply, page_size, atom=512
-                        )
+                for page_lba, page in arrived:
+                    self.faults.site(
+                        "mssd.write_block",
+                        self._landing(pending, page_lba, page),
+                        page_size, atom=512,
+                    )
             finally:
-                # The DMA already landed the applied pages in device DRAM;
-                # on a mid-batch CrashPoint they must still reach the
-                # firmware before the crash propagates (matching the old
-                # page-at-a-time behavior).
+                # The DMA already landed the applied pages in device
+                # DRAM; on a mid-batch CrashPoint they must still reach
+                # the firmware before the crash propagates.
                 if pending:
-                    block_write_many(pending, kind)
+                    block_write_many(pending, kind, len(pending))
         finally:
+            if _sp is not None:
+                trace.end(_sp)
+
+    def _landing(self, landed: List, lba: int, page: bytes):
+        """Crash-site callback of one DMA'd page: ``landed`` receives the
+        page as far as it reached device DRAM."""
+
+        def _apply(k: int) -> None:
+            if k == 0:
+                return
+            if k < len(page):
+                # Torn DMA: leading sectors are new, the rest keep
+                # whatever the device held before.
+                old = self.firmware.block_read(lba)
+                landed.append((lba, page[:k] + old[k:]))
+            else:
+                landed.append((lba, page))
+
+        return _apply
+
+    def write_pages(
+        self, pages: Iterable[Tuple[int, bytes]], kind: StructKind
+    ) -> None:
+        """Scatter write: one single-page NVMe write per ``(lba, page)``,
+        back to back, in one call.
+
+        Simulated time, traffic, trace spans and crash sites are those of
+        ``write_blocks(lba, page, kind)`` called once per page.  Each
+        layer below runs one loop over the run and pulls its pages from
+        the layer above, so a page's DMA, firmware admission and flash
+        program still happen in that order before the next page's DMA:
+        ``pages`` may be a generator that charges host-side time between
+        pages.  Every page passes its ``mssd.write_block`` crash site in
+        :meth:`_page_commands` on its way to the firmware.
+        """
+        block_write_many = self._fw_block_write_many
+        block_write_many(self._page_commands(pages, kind), kind)
+
+    def _page_commands(
+        self, pages: Iterable[Tuple[int, bytes]], kind: StructKind
+    ) -> Iterator[Tuple[int, bytes]]:
+        """The host-side half of each single-page write of a run."""
+        page_size = self.page_size
+        capacity = self._capacity_blocks
+        record_host_ssd = self._record_host_ssd
+        dma = self._dma_xfer
+        faults = self.faults
+        for lba, page in pages:
+            if len(page) != page_size:
+                raise ValueError("block writes must be page aligned")
+            if lba < 0 or lba >= capacity:
+                self._check_range(lba * page_size, page_size)  # raises
+            _sp = trace.begin("device", "write_blocks", nbytes=page_size,
+                              kind=kind.value) if trace.ENABLED else None
+            record_host_ssd(kind, _WRITE, _BLOCK, page_size)
+            dma(page_size, write=True)
+            if faults is NULL_INJECTOR:
+                yield lba, page
+            else:
+                landed: List = []
+                try:
+                    faults.site(
+                        "mssd.write_block",
+                        self._landing(landed, lba, page),
+                        page_size, atom=512,
+                    )
+                finally:
+                    # As in write_blocks: a page torn by the crash still
+                    # reaches the firmware before the crash propagates.
+                    yield from landed
             if _sp is not None:
                 trace.end(_sp)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.faults.injector import NULL_INJECTOR
 from repro.ftl.ftl import FTL
@@ -243,54 +243,59 @@ class BaselineFirmware:
             out.append(bytes(page.data))
         return out
 
-    def block_write(self, lpa: int, data: bytes, kind: StructKind) -> None:
-        """NVMe write: through the FTL write buffer to flash (FEMU-style).
+    def block_write_many(
+        self,
+        pages: Iterable[Tuple[int, bytes]],
+        kind: StructKind,
+        n_pages: int = 1,
+    ) -> None:
+        """NVMe block writes: through the FTL write buffer to flash
+        (FEMU-style).
 
         The foreground pays DMA plus write-buffer admission; sustained
         write streams therefore throttle at flash program bandwidth,
         which is what makes block-interface write amplification expensive
         (and what ByteFS's in-device log avoids).  The cached copy, if
         any, is updated for read coherence.
+
+        One firmware entry for the whole run: ``pages`` is pulled one
+        ``(lpa, data)`` at a time and handed on to the FTL's loop the
+        same way, so the per-page sequence (DRAM charge, cache update,
+        write-buffer admission) is preserved exactly.  ``n_pages`` > 1
+        marks the pages of one multi-page command (one trace span);
+        otherwise each page is a command of its own (see the ByteFS
+        firmware counterpart).
         """
-        _sp = trace.begin("firmware", "block_write", lpa=lpa) \
-            if trace.ENABLED else None
+        _sp = trace.begin("firmware", "block_write", n_pages=n_pages) \
+            if n_pages > 1 and trace.ENABLED else None
         try:
-            self._block_write(lpa, data, kind)
+            self.ftl.write_pages(self._refreshing(pages, _sp is None), kind)
         finally:
             if _sp is not None:
                 trace.end(_sp)
 
-    def block_write_many(
-        self, pages: List[Tuple[int, bytes]], kind: StructKind
-    ) -> None:
-        """Batched NVMe write (one firmware entry per request).
-
-        The per-page sequence (DRAM charge, cache update, write-buffer
-        admission) is preserved exactly — buffer stalls interleave with
-        the per-page charges (see the ByteFS firmware counterpart).
-        """
-        if len(pages) == 1:
-            lpa, data = pages[0]
-            self.block_write(lpa, data, kind)
-            return
-        _sp = trace.begin("firmware", "block_write", n_pages=len(pages)) \
-            if trace.ENABLED else None
-        try:
-            for lpa, data in pages:
-                self._block_write(lpa, data, kind)
-        finally:
+    def _refreshing(
+        self, pages: Iterable[Tuple[int, bytes]], span_each: bool
+    ) -> Iterator[Tuple[int, bytes]]:
+        """The firmware's share of each block write, ahead of the FTL's."""
+        clock = self.clock
+        serve = self.fw_core.serve
+        dram_access_ns = self.timing.dram_access_ns
+        cache = self._cache
+        for lpa, data in pages:
+            _sp = trace.begin("firmware", "block_write", lpa=lpa) \
+                if span_each and trace.ENABLED else None
+            clock.advance_to(serve(clock.now, dram_access_ns))
+            cached = cache.get(lpa)
+            if cached is not None:
+                cache.move_to_end(lpa)
+                if cached.dirty:
+                    self._dirty_count -= 1
+                cached.data = bytearray(data)
+                cached.dirty = False
+            yield lpa, data
             if _sp is not None:
                 trace.end(_sp)
-
-    def _block_write(self, lpa: int, data: bytes, kind: StructKind) -> None:
-        self._fw(self.timing.dram_access_ns)
-        cached = self._touch(lpa)
-        if cached is not None:
-            if cached.dirty:
-                self._dirty_count -= 1
-            cached.data = bytearray(data)
-            cached.dirty = False
-        self.ftl.write_page(lpa, data, kind, background=True)
 
     def trim(self, lpa: int) -> None:
         page = self._cache.pop(lpa, None)

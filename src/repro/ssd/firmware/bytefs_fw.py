@@ -18,7 +18,7 @@ Responsibilities:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.analysis import fssan
 from repro.faults.injector import NULL_INJECTOR
@@ -278,51 +278,55 @@ class ByteFSFirmware:
             if _sp is not None:
                 trace.end(_sp)
 
-    def block_write(self, lpa: int, data: bytes, kind: StructKind) -> None:
-        """NVMe write: invalidate logged chunks, then write through the FTL
-        write buffer (host page-cache writebacks are always up to date,
-        §4.4)."""
-        _sp = trace.begin("firmware", "block_write", lpa=lpa) \
-            if trace.ENABLED else None
-        try:
-            self._block_write(lpa, data, kind)
-        finally:
-            if _sp is not None:
-                trace.end(_sp)
-
     def block_write_many(
-        self, pages: List[Tuple[int, bytes]], kind: StructKind
+        self,
+        pages: Iterable[Tuple[int, bytes]],
+        kind: StructKind,
+        n_pages: int = 1,
     ) -> None:
-        """Batched NVMe write: one firmware entry per multi-page request.
+        """NVMe block writes: invalidate logged chunks, then write through
+        the FTL write buffer (host page-cache writebacks are always up to
+        date, §4.4).
 
-        The per-page sequence (fw-core charge, log invalidation, FTL
-        write-buffer admission) is preserved exactly: write-buffer
-        stalls interleave with the fw-core charges, so collapsing the
-        charges into one would change simulated timing.
+        One firmware entry for the whole run.  ``pages`` is pulled one
+        ``(lpa, data)`` at a time and handed on to the FTL's loop the
+        same way, so the per-page sequence (the caller's DMA, fw-core
+        charge, log invalidation, write-buffer admission) is preserved
+        exactly: buffer stalls interleave with the charges, so collapsing
+        them would change simulated timing.  ``n_pages`` > 1 marks the
+        pages of one multi-page command (one trace span); otherwise each
+        page is a command of its own.
         """
-        if len(pages) == 1:
-            lpa, data = pages[0]
-            self.block_write(lpa, data, kind)
-            return
-        _sp = trace.begin("firmware", "block_write", n_pages=len(pages)) \
-            if trace.ENABLED else None
+        _sp = trace.begin("firmware", "block_write", n_pages=n_pages) \
+            if n_pages > 1 and trace.ENABLED else None
         try:
-            for lpa, data in pages:
-                self._block_write(lpa, data, kind)
+            self.ftl.write_pages(self._invalidating(pages, _sp is None), kind)
         finally:
             if _sp is not None:
                 trace.end(_sp)
 
-    def _block_write(self, lpa: int, data: bytes, kind: StructKind) -> None:
-        self._fw(self.timing.fw_op_ns)
-        for region in self.regions:
-            node = region.index.remove_page(lpa)
-            if node is not None:
-                self._drop_refs(node.chunks)
-                self.stats.bump(
-                    "fw_log_invalidations", len(node.chunks)
-                )
-        self.ftl.write_page(lpa, data, kind, background=True)
+    def _invalidating(
+        self, pages: Iterable[Tuple[int, bytes]], span_each: bool
+    ) -> Iterator[Tuple[int, bytes]]:
+        """The firmware's share of each block write, ahead of the FTL's."""
+        clock = self.clock
+        serve = self.fw_core.serve
+        fw_op_ns = self.timing.fw_op_ns
+        indexes = [region.index for region in self.regions]
+        for lpa, data in pages:
+            _sp = trace.begin("firmware", "block_write", lpa=lpa) \
+                if span_each and trace.ENABLED else None
+            clock.advance_to(serve(clock.now, fw_op_ns))
+            for index in indexes:
+                node = index.remove_page(lpa)
+                if node is not None:
+                    self._drop_refs(node.chunks)
+                    self.stats.bump(
+                        "fw_log_invalidations", len(node.chunks)
+                    )
+            yield lpa, data
+            if _sp is not None:
+                trace.end(_sp)
 
     def trim(self, lpa: int) -> None:
         for region in self.regions:

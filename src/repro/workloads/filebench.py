@@ -17,7 +17,7 @@ Operation mixes follow the standard Filebench personality definitions:
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Set
 
 from repro.fs.vfs import BaseFileSystem, O_APPEND, O_CREAT, O_RDONLY, O_RDWR
 from repro.workloads.base import Workload
@@ -53,8 +53,12 @@ class Varmail(Workload):
         self.file_size = file_size
         self.n_threads = n_threads
         self.ops_per_thread = ops_per_thread
+        #: ids of messages some thread is between creating and its last
+        #: read of: no other thread may delete those
+        self._in_flight: Set[int] = set()
 
     def setup(self, fs: BaseFileSystem) -> None:
+        self._in_flight = set()
         fs.mkdir("/mail")
         payload = b"m" * self.file_size
         for i in range(self.n_files // 2):
@@ -71,9 +75,11 @@ class Varmail(Workload):
             # delete-of-oldest / create / fsync / read / append cycle,
             # the Varmail flowlet structure.
             victim = rng.randrange(max(1, next_new))
-            if fs.exists(f"/mail/msg{victim}"):
+            if victim not in self._in_flight \
+                    and fs.exists(f"/mail/msg{victim}"):
                 fs.unlink(f"/mail/msg{victim}")
                 yield "delete"
+            self._in_flight.add(next_new)
             fd = fs.open(f"/mail/msg{next_new}", O_CREAT | O_RDWR)
             fs.write(fd, payload)
             fs.fsync(fd)
@@ -89,6 +95,7 @@ class Varmail(Workload):
             yield "append+fsync"
             _whole_read(fs, target)
             yield "read"
+            self._in_flight.discard(next_new)
             next_new += 1
 
 

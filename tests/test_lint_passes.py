@@ -215,6 +215,23 @@ def test_perf001_flags_per_page_loop(tmp_path):
     assert _rule_ids(res) == ["PERF001", "PERF001"]
 
 
+def test_perf001_flags_single_page_writes_in_a_loop(tmp_path):
+    res = _lint(tmp_path, "repro/fs/t.py", """\
+        def checkpoint(dev, pending, kind):
+            for blkno, image in pending:
+                dev.write_blocks(blkno, image, kind)
+        def flush(fs, pages, txid):
+            for ino, pidx, page in pages:
+                fs._writeback_page(ino, pidx, page, txid)
+        def in_runs(dev, fs, pages, batches, kind, txid):
+            dev.write_blocks(0, b"", kind)
+            for batch in batches:
+                dev.write_pages(pages, kind)
+                fs._writeback_pages(batch, txid)
+    """)
+    assert _rule_ids(res) == ["PERF001", "PERF001"]
+
+
 def test_perf001_allows_ranged_trim_and_straightline_calls(tmp_path):
     res = _lint(tmp_path, "repro/fs/t.py", """\
         def flush(dev, runs):

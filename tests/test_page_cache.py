@@ -69,9 +69,10 @@ def test_cache_evicts_clean_first():
     pc = PageCache(2, 4096)
     written = []
 
-    def wb(ino, idx, page):
-        written.append((ino, idx))
-        page.clean()
+    def wb(batch):
+        for ino, idx, page in batch:
+            written.append((ino, idx))
+            page.clean()
 
     pc.install(1, 0, b"a", wb)
     pc.install(1, 1, b"b", wb)
@@ -86,9 +87,10 @@ def test_cache_writeback_on_dirty_eviction():
     pc = PageCache(2, 4096)
     written = []
 
-    def wb(ino, idx, page):
-        written.append((ino, idx))
-        page.clean()
+    def wb(batch):
+        for ino, idx, page in batch:
+            written.append((ino, idx))
+            page.clean()
 
     pc.install(1, 0, b"a", wb)
     pc.mark_dirty(1, 0, cow=False)
