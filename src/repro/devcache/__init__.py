@@ -7,7 +7,7 @@ the cache itself is device-internal (the layering lint fences off the
 rest of this package from host modules).
 """
 
-from repro.devcache.cache import DevCacheConfig, DeviceCache, LINE_BYTES
+from repro.devcache.cache import DevCacheConfig, DeviceCache
 from repro.devcache.policy import (
     ClockPolicy,
     EvictionPolicy,
@@ -21,7 +21,6 @@ from repro.devcache.prefetch import StridePrefetcher
 __all__ = [
     "DevCacheConfig",
     "DeviceCache",
-    "LINE_BYTES",
     "EvictionPolicy",
     "EVICTION_POLICY_NAMES",
     "LRUPolicy",

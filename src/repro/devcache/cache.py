@@ -1,6 +1,7 @@
-"""Tiered device-DRAM page-frame cache on the CXL.mem path (ROADMAP
-item 2; SNIPPETS Snippet 1's ``CxlSSD`` valid/dirty frames, Snippet 3's
-three-tier hierarchy with prefetch-on-predicted-access).
+"""Tiered device-DRAM page-frame cache on the CXL.mem path (the
+device-DRAM cache tier; SNIPPETS Snippet 1's ``CxlSSD`` frames — a tag
+plus one valid and one dirty flag per page — and Snippet 3's three-tier
+hierarchy with prefetch-on-predicted-access).
 
 :class:`DeviceCache` interposes between the firmware and the FTL: it
 exposes the exact FTL surface the firmware variants consume
@@ -13,6 +14,13 @@ absorbed as dirty frames and reach NAND only on eviction, watermark
 write-back, or a drain barrier — repeated writes to the same page cost
 one flash program instead of many (the write-amplification win the
 bench cases measure).
+
+A frame is the page itself: ``lpa -> bytes``, the immutable object the
+cache was handed (the flash array's own page on a fill, the host's page
+image on a write), so installing a frame and hitting it are a dict
+store and a dict load with no 4 KB copy.  Residency is the valid flag,
+membership in the insertion-ordered ``_dirty`` dict the dirty flag, and
+``_prefetched`` holds the frames no demand access has touched yet.
 
 Durability model: like the firmware write log and the FTL write buffer,
 the cache lives in the SSD's battery-backed DRAM — frames survive
@@ -33,7 +41,7 @@ byte-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.faults.injector import NULL_INJECTOR
 from repro.ftl.ftl import FTL
@@ -45,11 +53,6 @@ from repro.devcache.policy import EvictionPolicy, make_policy
 from repro.devcache.prefetch import StridePrefetcher
 
 _OTHER = StructKind.OTHER
-
-#: Valid/dirty bitmap granularity: one bit per 64 B cacheline, matching
-#: the byte-interface transfer unit (Snippet 1 tracks the same pair of
-#: flags per frame).
-LINE_BYTES = 64
 
 
 @dataclass(frozen=True)
@@ -76,20 +79,6 @@ class DevCacheConfig:
     hot_distance: int = 16
 
 
-class _Frame:
-    """One resident page frame with per-cacheline valid/dirty bitmaps."""
-
-    __slots__ = ("data", "valid", "dirty", "prefetched")
-
-    def __init__(
-        self, data: bytes, valid: int, dirty: int, prefetched: bool
-    ) -> None:
-        self.data = bytearray(data)
-        self.valid = valid
-        self.dirty = dirty
-        self.prefetched = prefetched
-
-
 class DeviceCache:
     """Write-back page-frame cache wrapping the FTL read/write surface."""
 
@@ -111,10 +100,9 @@ class DeviceCache:
         self.channels = ftl.channels
         self.page_size = ftl.geometry.page_size
         self.capacity_frames = max(1, config.cache_bytes // self.page_size)
-        self._lines_per_page = max(1, self.page_size // LINE_BYTES)
-        self._full_mask = (1 << self._lines_per_page) - 1
-        self._frames: Dict[int, _Frame] = {}
+        self._frames: Dict[int, bytes] = {}  # resident LPA -> its page
         self._dirty: Dict[int, None] = {}  # insertion-ordered dirty LPAs
+        self._prefetched: Set[int] = set()  # prefetched, not yet demanded
         self._policy: EvictionPolicy = make_policy(
             config.policy,
             self.capacity_frames,
@@ -133,6 +121,7 @@ class DeviceCache:
         )
         self._high_frames = config.dirty_high_watermark * self.capacity_frames
         self._low_frames = config.dirty_low_watermark * self.capacity_frames
+        self._dram_ns = timing.dram_access_ns
         # Crash-site hooks; MSSD overwrites this with its own injector.
         self.faults = NULL_INJECTOR
         self.hits = 0
@@ -149,50 +138,41 @@ class DeviceCache:
     # small helpers
     # ------------------------------------------------------------------ #
 
-    def _dram(self, n_accesses: int) -> None:
-        """Charge the foreground for ``n_accesses`` device-DRAM hits."""
-        self.clock.advance_to(
-            self.clock.now + n_accesses * self.timing.dram_access_ns
-        )
+    def _dram(self) -> None:
+        """Charge the foreground for one device-DRAM access."""
+        clock = self.clock
+        clock.advance_to(clock.now + self._dram_ns)
 
-    def _hit(self, lpa: int, frame: _Frame) -> None:
+    def _hit(self, lpa: int) -> None:
         self.hits += 1
-        if frame.prefetched:
-            frame.prefetched = False
+        if lpa in self._prefetched:
+            self._prefetched.remove(lpa)
             self.prefetch_hits += 1
         self._policy.touch(lpa)
 
-    def _install(
-        self, lpa: int, data: bytes, dirty: bool, prefetched: bool
-    ) -> None:
-        self._evict_if_needed()
-        self._frames[lpa] = _Frame(
-            data,
-            self._full_mask,
-            self._full_mask if dirty else 0,
-            prefetched,
-        )
-        self._policy.admit(lpa)
-        if dirty:
-            self._dirty[lpa] = None
-
-    def _evict_if_needed(self) -> None:
+    def _install(self, lpa: int, data: bytes) -> None:
+        """Make ``lpa`` resident.  ``bytes(data)`` is ``data`` itself for
+        an immutable page and a private copy of a mutable buffer, so a
+        frame never aliases memory its caller can still write."""
         while len(self._frames) >= self.capacity_frames:
             self._evict_one()
+        self._frames[lpa] = bytes(data)
+        self._policy.admit(lpa)
 
     def _evict_one(self) -> None:
         lpa = self._policy.victim()
-        frame = self._frames.pop(lpa)
-        if frame.prefetched:
+        data = self._frames.pop(lpa)
+        if lpa in self._prefetched:
+            self._prefetched.remove(lpa)
             self.prefetch_wasted += 1
-        if frame.dirty:
+        if lpa in self._dirty:
             del self._dirty[lpa]
             self.faults.point("devcache.evict")
             self.evictions_dirty += 1
             # Evictions are one-page-at-a-time by design (like the
             # baseline firmware's page cache).
             self.ftl.write_page(  # repro: allow[PERF001]
-                lpa, bytes(frame.data), _OTHER, background=True)
+                lpa, data, _OTHER, background=True)
         else:
             self.evictions_clean += 1
 
@@ -203,34 +183,41 @@ class DeviceCache:
         while len(self._dirty) > self._low_frames:
             lpa = next(iter(self._dirty))
             del self._dirty[lpa]
-            frame = self._frames[lpa]
             self.faults.point("devcache.writeback")
             self.writebacks += 1
             self.ftl.write_page(  # repro: allow[PERF001]
-                lpa, bytes(frame.data), _OTHER, background=True)
-            frame.dirty = 0
+                lpa, self._frames[lpa], _OTHER, background=True)
 
     def _maybe_prefetch(self, lpa: int, kind: StructKind) -> None:
+        """Feed the demand read of ``lpa`` to the prefetcher and fetch
+        what it predicts, as far as that is mapped and not resident.
+
+        Non-blocking: the flash reads occupy channels (later demand
+        reads queue behind them — mispredictions have a real cost) but
+        the demand op does not wait for them.
+        """
         prefetcher = self._prefetcher
         if prefetcher is None:
             return
         predicted = prefetcher.observe(lpa)
         if not predicted:
             return
-        wanted = [
-            p
-            for p in predicted
-            if p >= 0 and p not in self._frames and self.ftl.is_mapped(p)
-        ]
+        frames = self._frames
+        ftl = self.ftl
+        wanted = []
+        for p in predicted:
+            if p >= 0 and p not in frames and ftl.is_mapped(p):
+                wanted.append(p)
         if not wanted:
             return
-        # Non-blocking: the flash reads occupy channels (later demand
-        # reads queue behind them — mispredictions have a real cost) but
-        # the demand op does not wait for them.
-        datas = self.ftl.read_pages(wanted, kind, background=True)
+        if len(wanted) == 1:
+            datas = [ftl.read_page(wanted[0], kind, True, True)]
+        else:
+            datas = ftl.read_pages(wanted, kind, background=True)
         self.prefetch_issued += len(wanted)
+        self._prefetched.update(wanted)
         for p, data in zip(wanted, datas):
-            self._install(p, data, dirty=False, prefetched=True)
+            self._install(p, data)
 
     # ------------------------------------------------------------------ #
     # the FTL surface the firmware consumes
@@ -241,17 +228,17 @@ class DeviceCache:
         lpa: int,
         kind: StructKind = _OTHER,
         background: bool = False,
+        as_run: bool = False,
     ) -> bytes:
-        frame = self._frames.get(lpa)
-        if frame is not None:
-            self._hit(lpa, frame)
+        data = self._frames.get(lpa)
+        if data is not None:
+            self._hit(lpa)
             if not background:
-                self._dram(1)
-            data = bytes(frame.data)
+                self._dram()
         else:
             self.misses += 1
-            data = self.ftl.read_page(lpa, kind, background)
-            self._install(lpa, data, dirty=False, prefetched=False)
+            data = self.ftl.read_page(lpa, kind, background, as_run)
+            self._install(lpa, data)
         self._maybe_prefetch(lpa, kind)
         return data
 
@@ -261,20 +248,19 @@ class DeviceCache:
         kind: StructKind = _OTHER,
         background: bool = False,
     ) -> List[bytes]:
-        out: List[Optional[bytes]] = [None] * len(lpas)
+        frames = self._frames
+        out: List[Optional[bytes]] = []
         miss_at: List[int] = []
         miss_lpas: List[int] = []
-        n_hits = 0
         for i, lpa in enumerate(lpas):
-            frame = self._frames.get(lpa)
-            if frame is not None:
-                self._hit(lpa, frame)
-                out[i] = bytes(frame.data)
-                n_hits += 1
+            data = frames.get(lpa)
+            if data is not None:
+                self._hit(lpa)
             else:
                 self.misses += 1
                 miss_at.append(i)
                 miss_lpas.append(lpa)
+            out.append(data)
         if miss_lpas:
             # Misses keep the FTL's channel striping; the caller waits
             # only for the slowest flash read, and the DRAM hits pipeline
@@ -282,9 +268,9 @@ class DeviceCache:
             datas = self.ftl.read_pages(miss_lpas, kind, background)
             for i, lpa, data in zip(miss_at, miss_lpas, datas):
                 out[i] = data
-                self._install(lpa, data, dirty=False, prefetched=False)
-        elif n_hits and not background:
-            self._dram(1)
+                self._install(lpa, data)
+        elif lpas and not background:
+            self._dram()
         for lpa in lpas:
             self._maybe_prefetch(lpa, kind)
         return out  # type: ignore[return-value]
@@ -307,20 +293,18 @@ class DeviceCache:
         """Absorb a run of page writes as dirty frames, pulling ``pages``
         one at a time like :meth:`FTL.write_pages` does."""
         frames = self._frames
+        dirty = self._dirty
         for lpa, data in pages:
-            frame = frames.get(lpa)
-            if frame is not None:
-                self._hit(lpa, frame)
-                frame.data[:] = data
-                if not frame.dirty:
-                    self._dirty[lpa] = None
-                frame.valid = self._full_mask
-                frame.dirty = self._full_mask
+            if lpa in frames:
+                self._hit(lpa)
+                frames[lpa] = bytes(data)
             else:
                 self.misses += 1
-                self._install(lpa, data, dirty=True, prefetched=False)
+                self._install(lpa, data)
+            # An already-dirty frame keeps its place in write-back order.
+            dirty[lpa] = None
             if not background:
-                self._dram(1)
+                self._dram()
             self._writeback_if_needed()
 
     def trim(self, lpa: int) -> None:
@@ -334,14 +318,13 @@ class DeviceCache:
 
     def _discard(self, lpa: int) -> None:
         """Drop a frame without write-back (the page was trimmed dead)."""
-        frame = self._frames.pop(lpa, None)
-        if frame is None:
+        if self._frames.pop(lpa, None) is None:
             return
         self._policy.forget(lpa)
-        if frame.prefetched:
+        if lpa in self._prefetched:
+            self._prefetched.remove(lpa)
             self.prefetch_wasted += 1
-        if frame.dirty:
-            del self._dirty[lpa]
+        self._dirty.pop(lpa, None)
 
     def drain_write_buffer(self) -> None:
         """Barrier: flush every dirty frame, then drain the FTL buffer.
@@ -353,12 +336,10 @@ class DeviceCache:
         """
         while self._dirty:
             lpa = next(iter(self._dirty))
-            frame = self._frames[lpa]
             self.faults.point("devcache.flush")
             self.flushes += 1
             self.ftl.write_page(  # repro: allow[PERF001]
-                lpa, bytes(frame.data), _OTHER, background=True)
-            frame.dirty = 0
+                lpa, self._frames[lpa], _OTHER, background=True)
             del self._dirty[lpa]
         self.ftl.drain_write_buffer()
 
@@ -391,13 +372,22 @@ class DeviceCache:
 
     def check_invariants(self) -> None:
         """Structural invariants (exercised by tests and FSSan-style
-        debugging): dirty ⊆ valid per frame, the dirty set matches the
-        frames' dirty masks, and the policy tracks exactly the resident
-        set."""
-        for lpa, frame in self._frames.items():
-            if frame.dirty & ~frame.valid:
-                raise AssertionError(f"frame {lpa}: dirty lines not valid")
-            if bool(frame.dirty) != (lpa in self._dirty):
-                raise AssertionError(f"frame {lpa}: dirty-set mismatch")
-        if len(self._policy) != len(self._frames):
+        debugging): every dirty or prefetched LPA is resident and none is
+        both, residency stays within capacity, and the policy tracks
+        exactly the resident set."""
+        frames = self._frames
+        for lpa in self._dirty:
+            if lpa not in frames:
+                raise AssertionError(f"dirty lpa {lpa} is not resident")
+            if lpa in self._prefetched:
+                raise AssertionError(f"frame {lpa}: dirty and prefetched")
+        for lpa in self._prefetched:
+            if lpa not in frames:
+                raise AssertionError(f"prefetched lpa {lpa} is not resident")
+        if len(frames) > self.capacity_frames:
+            raise AssertionError(
+                f"{len(frames)} frames resident, capacity "
+                f"{self.capacity_frames}"
+            )
+        if len(self._policy) != len(frames):
             raise AssertionError("policy tracks a different resident set")

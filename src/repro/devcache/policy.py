@@ -1,8 +1,8 @@
 """Pluggable eviction policies for the device-DRAM page-frame cache.
 
-Three policies behind one interface (ROADMAP item 2; SNIPPETS Snippet 1's
-``EvictStrategy`` is the shape, Snippet 3's hot/cold classification the
-third variant):
+Three policies behind one interface (part of the device-DRAM cache
+tier; SNIPPETS Snippet 1's ``EvictStrategy`` is the shape, Snippet 3's
+hot/cold classification the third variant):
 
 * ``lru``     — exact recency order;
 * ``clock``   — one-bit second-chance approximation of LRU;

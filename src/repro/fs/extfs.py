@@ -866,30 +866,42 @@ class ExtFS(BaseFileSystem):
         length = min(length, inode.size - offset)
         if direct:
             return self._read_direct(inode, offset, length)
-        out = bytearray()
+        P = self.P
+        lookup = self.page_cache.lookup
+        advance = self.clock.advance
+        hit_ns = self.timing.host_cache_hit_ns
+        pieces = []
         pos = offset
-        while pos < offset + length:
-            pidx = pos // self.P
-            poff = pos % self.P
-            n = min(self.P - poff, offset + length - pos)
-            page = self.page_cache.lookup(ino, pidx)
+        end = offset + length
+        while pos < end:
+            pidx = pos // P
+            poff = pos % P
+            n = min(P - poff, end - pos)
+            page = lookup(ino, pidx)
             if page is None:
-                data = self._read_page_from_device(inode, pidx)
-                page = self.page_cache.install(
-                    ino, pidx, data, self._evict_writeback
-                )
+                page = self._fill_page(inode, pidx)
             else:
-                self.clock.advance(self.timing.host_cache_hit_ns)
-            out += page.data[poff : poff + n]
+                advance(hit_ns)
+            pieces.append(page.data[poff : poff + n])
             pos += n
-        self.clock.advance(self.timing.host_memcpy_ns(length))
-        return bytes(out)
+        advance(self.timing.host_memcpy_ns(length))
+        return b"".join(pieces)
 
     def _read_page_from_device(self, inode: Inode, pidx: int) -> bytes:
         blk = self._block_of(inode, pidx)
         if blk is None:
             return bytes(self.P)
         return self.device.read_blocks(blk, 1, StructKind.DATA)
+
+    def _fill_page(self, inode: Inode, pidx: int) -> CachedPage:
+        """The page-cache miss of every buffered path: read the page
+        from the device and cache it."""
+        return self.page_cache.install(
+            inode.ino,
+            pidx,
+            self._read_page_from_device(inode, pidx),
+            self._evict_writeback,
+        )
 
     def _read_direct(self, inode: Inode, offset: int, length: int) -> bytes:
         """O_DIRECT read: byte interface for small requests (§4.6)."""
@@ -967,10 +979,11 @@ class ExtFS(BaseFileSystem):
             page = cache.lookup(ino, pidx)
             if page is None:
                 if n < P and pos < inode.size:
-                    base = self._read_page_from_device(inode, pidx)
+                    page = self._fill_page(inode, pidx)
                 else:
-                    base = bytes(P)
-                page = cache.install(ino, pidx, base, self._evict_writeback)
+                    page = cache.install(
+                        ino, pidx, bytes(P), self._evict_writeback
+                    )
             cache.mark_page_dirty(page, cow)
             page.data[poff : poff + n] = data[i : i + n]
             i += n
@@ -1293,10 +1306,7 @@ class ExtFS(BaseFileSystem):
             return
         page = self.page_cache.lookup(inode.ino, pidx)
         if page is None:
-            data = self._read_page_from_device(inode, pidx)
-            page = self.page_cache.install(
-                inode.ino, pidx, data, self._evict_writeback
-            )
+            page = self._fill_page(inode, pidx)
         self.page_cache.mark_page_dirty(page, cow=self.cfg.data_byte_policy)
         page.data[poff:] = bytes(self.P - poff)
 

@@ -16,6 +16,9 @@ from repro.sim.resources import ChannelArray
 from repro.stats.traffic import Direction, StructKind, TrafficStats
 from repro.trace import tracer as trace
 
+_OTHER = StructKind.OTHER
+_READ = Direction.READ
+
 
 @dataclass(frozen=True)
 class FTLConfig:
@@ -78,7 +81,10 @@ class FTL:
         self._n_channels = len(channels)
         self._in_gc = False
         # Hot-path bindings: geometry/timing are frozen and the
-        # collaborators are never replaced after construction.
+        # collaborators are never replaced after construction.  (Bind
+        # sparingly: past 29 instance attributes CPython 3.11 stops
+        # sharing the class's attribute keys and every ``self.x`` on
+        # this object gets slower, which oltp_gc measures.)
         self._flash_write_ns = timing.flash_write_ns
         self._flash_read_ns = timing.flash_read_ns
         self._page_size = geometry.page_size
@@ -86,7 +92,9 @@ class FTL:
         self._ch_occupy = channels.occupy
         self._record_flash = stats.record_flash
         self._pm_bind = self.page_map.bind
+        self._pm_lookup = self.page_map.lookup
         self._program_page = flash.program_page
+        self._flash_read_page = flash.read_page
         self._wb_capacity = self.config.write_buffer_pages
 
         self.gc_runs = 0
@@ -99,29 +107,38 @@ class FTL:
     def read_page(
         self,
         lpa: int,
-        kind: StructKind = StructKind.OTHER,
+        kind: StructKind = _OTHER,
         background: bool = False,
+        as_run: bool = False,
     ) -> bytes:
-        """Read the flash page backing ``lpa`` (zeros if never written)."""
-        _sp = trace.begin("ftl", "read_page", lpa=lpa) \
-            if trace.ENABLED else None
+        """Read the flash page backing ``lpa`` (zeros if never written).
+
+        ``as_run`` marks the page as a whole one-page read command (an
+        NVMe block read, a prefetch): it is traced as the ``read_pages``
+        run of one it is, so one histogram holds every command read.
+        """
+        _sp = None
+        if trace.ENABLED:
+            _sp = trace.begin("ftl", "read_pages", n_pages=1) if as_run \
+                else trace.begin("ftl", "read_page", lpa=lpa)
         try:
-            ppa = self.page_map.lookup(lpa)
-            self._record_flash(kind, Direction.READ, self._page_size)
+            ppa = self._pm_lookup(lpa)
+            self._record_flash(kind, _READ, self._page_size)
             if ppa is None:
                 # Unwritten logical page: no flash op needed, data is zeros.
                 return bytes(self._page_size)
             ch = self.geometry.channel_of(ppa)
             read_ns = self._flash_read_ns
-            end = self.channels.serve(ch, self.clock.now, read_ns)
+            clock = self.clock
+            end = self.channels.serve(ch, clock.now, read_ns)
             if trace.ENABLED:
                 trace.span_at(
                     "nand", "flash_read", end - read_ns, end,
                     background=background, ch=ch,
                 )
             if not background:
-                self.clock.advance_to(end)
-            return self.flash.read_page(ppa)
+                clock.advance_to(end)
+            return self._flash_read_page(ppa)
         finally:
             if _sp is not None:
                 trace.end(_sp)
@@ -129,7 +146,7 @@ class FTL:
     def read_pages(
         self,
         lpas: List[int],
-        kind: StructKind = StructKind.OTHER,
+        kind: StructKind = _OTHER,
         background: bool = False,
     ) -> List[bytes]:
         """Read several pages in parallel: all flash reads are issued from
@@ -138,29 +155,35 @@ class FTL:
         _sp = trace.begin("ftl", "read_pages", n_pages=len(lpas)) \
             if trace.ENABLED else None
         try:
-            start = self.clock.now
+            clock = self.clock
+            start = clock.now
+            page_size = self._page_size
+            read_ns = self._flash_read_ns
+            record_flash = self._record_flash
+            lookup = self._pm_lookup
+            channel_of = self.geometry.channel_of
+            serve = self.channels.serve
+            flash_read_page = self._flash_read_page
             datas: List[bytes] = []
             max_end = start
             for lpa in lpas:
-                self.stats.record_flash(
-                    kind, Direction.READ, self.geometry.page_size
-                )
-                ppa = self.page_map.lookup(lpa)
+                record_flash(kind, _READ, page_size)
+                ppa = lookup(lpa)
                 if ppa is None:
-                    datas.append(bytes(self.geometry.page_size))
+                    datas.append(bytes(page_size))
                     continue
-                ch = self.geometry.channel_of(ppa)
-                end = self.channels.serve(ch, start, self.timing.flash_read_ns)
+                ch = channel_of(ppa)
+                end = serve(ch, start, read_ns)
                 if trace.ENABLED:
                     trace.span_at(
-                        "nand", "flash_read",
-                        end - self.timing.flash_read_ns, end,
+                        "nand", "flash_read", end - read_ns, end,
                         background=background, ch=ch,
                     )
-                max_end = max(max_end, end)
-                datas.append(self.flash.read_page(ppa))
+                if end > max_end:
+                    max_end = end
+                datas.append(flash_read_page(ppa))
             if not background:
-                self.clock.advance_to(max_end)
+                clock.advance_to(max_end)
             return datas
         finally:
             if _sp is not None:

@@ -57,41 +57,51 @@ class MappedRegion:
     def load(self, off: int, n: int) -> bytes:
         """Read ``n`` bytes at mapping offset ``off`` (plain loads)."""
         self._check(off, n)
-        out = bytearray()
+        fs = self.fs
+        P = fs.P
+        fault = self._fault_page
         pos = self.offset + off
         end = pos + n
-        while pos < end:
-            pidx = pos // self.fs.P
-            poff = pos % self.fs.P
-            take = min(self.fs.P - poff, end - pos)
-            page = self._fault_page(pidx)
-            out += page.data[poff : poff + take]
-            pos += take
-        self.fs.clock.advance(self.fs.timing.host_memcpy_ns(n))
-        return bytes(out)
+        poff = pos % P
+        if 0 < n <= P - poff:
+            # The load stays inside one page: one copy out of it.
+            data = fault(pos // P).data
+            out = bytes(data) if n == P else bytes(data[poff : poff + n])
+        else:
+            pieces = []
+            while pos < end:
+                poff = pos % P
+                take = min(P - poff, end - pos)
+                pieces.append(fault(pos // P).data[poff : poff + take])
+                pos += take
+            out = b"".join(pieces)
+        fs.clock.advance(fs.timing.host_memcpy_ns(n))
+        return out
 
     def store(self, off: int, data: bytes) -> None:
         """Write ``data`` at mapping offset ``off`` (plain stores; CoW
         tracks the dirty cachelines for the msync policy)."""
         self._check(off, len(data))
+        fs = self.fs
+        P = fs.P
+        mark_page_dirty = fs.page_cache.mark_page_dirty
+        cow = fs.cfg.data_byte_policy
+        nbytes = len(data)
         pos = self.offset + off
         i = 0
-        while i < len(data):
-            pidx = pos // self.fs.P
-            poff = pos % self.fs.P
-            take = min(self.fs.P - poff, len(data) - i)
-            page = self._fault_page(pidx)
-            self.fs.page_cache.mark_dirty(
-                self.ino, pidx, cow=self.fs.cfg.data_byte_policy
-            )
+        while i < nbytes:
+            poff = pos % P
+            take = min(P - poff, nbytes - i)
+            page = self._fault_page(pos // P)
+            mark_page_dirty(page, cow)
             page.data[poff : poff + take] = data[i : i + take]
             pos += take
             i += take
-        inode = self.fs._get_inode(self.ino)
-        end_off = self.offset + off + len(data)
+        inode = fs._get_inode(self.ino)
+        end_off = self.offset + off + nbytes
         if end_off > inode.size:
             inode.size = end_off
-        self.fs.clock.advance(self.fs.timing.host_memcpy_ns(len(data)))
+        fs.clock.advance(fs.timing.host_memcpy_ns(nbytes))
 
     def msync(self) -> None:
         """Flush the mapping durably (same policy path as fsync)."""

@@ -143,6 +143,7 @@ class MSSD:
         self._dma_xfer = self.link.dma
         self._fw_byte_read = self.firmware.byte_read
         self._fw_byte_write = self.firmware.byte_write
+        self._fw_block_read = self.firmware.block_read
         self._fw_block_write_many = self.firmware.block_write_many
 
     # ------------------------------------------------------------------ #
@@ -278,7 +279,11 @@ class MSSD:
     # ------------------------------------------------------------------ #
 
     def read_blocks(self, lba: int, n_blocks: int, kind: StructKind) -> bytes:
-        """NVMe read of ``n_blocks`` pages starting at ``lba``."""
+        """NVMe read of ``n_blocks`` pages starting at ``lba``.
+
+        One page comes back as the object the firmware returned (for an
+        unlogged page the flash array's own), uncopied.
+        """
         if n_blocks <= 0:
             return b""
         self._check_range(lba * self.page_size, n_blocks * self.page_size)
@@ -287,18 +292,16 @@ class MSSD:
                           kind=kind.value) if trace.ENABLED else None
         try:
             self._record_host_ssd(kind, _READ, _BLOCK, nbytes)
-            out = bytearray()
             if n_blocks == 1:
-                out += self.firmware.block_read(lba)
+                out = self._fw_block_read(lba)
             else:
                 # Multi-page reads exploit channel parallelism inside the
                 # firmware (all flash reads issued from the same start time).
-                for data in self.firmware.block_read_many(
+                out = b"".join(self.firmware.block_read_many(
                     list(range(lba, lba + n_blocks))
-                ):
-                    out += data
+                ))
             self._dma_xfer(nbytes, write=False)
-            return bytes(out)
+            return out
         finally:
             if _sp is not None:
                 trace.end(_sp)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.faults.injector import NULL_INJECTOR
 from repro.ftl.ftl import FTL
@@ -33,9 +33,12 @@ class BaselineFirmwareConfig:
 
 
 class _CachedPage:
+    """One cached page: the immutable ``bytes`` it was filled or block-
+    written with, a private ``bytearray`` once a byte write lands."""
+
     __slots__ = ("data", "dirty")
 
-    def __init__(self, data: bytearray, dirty: bool) -> None:
+    def __init__(self, data: Union[bytes, bytearray], dirty: bool) -> None:
         self.data = data
         self.dirty = dirty
 
@@ -78,7 +81,7 @@ class BaselineFirmware:
             self._cache.move_to_end(lpa)
         return page
 
-    def _install(self, lpa: int, data: bytearray, dirty: bool) -> _CachedPage:
+    def _install(self, lpa: int, data: bytes, dirty: bool) -> _CachedPage:
         existing = self._cache.get(lpa)
         if existing is not None:
             if dirty and not existing.dirty:
@@ -147,8 +150,8 @@ class BaselineFirmware:
         self.stats.bump("devcache_misses")
         if trace.ENABLED:
             trace.event("firmware", "devcache_miss", lpa=lpa)
-        data = bytearray(
-            self.ftl.read_page(lpa, StructKind.OTHER, background=not foreground)
+        data = self.ftl.read_page(
+            lpa, StructKind.OTHER, background=not foreground
         )
         return self._install(lpa, data, dirty=False)
 
@@ -186,6 +189,8 @@ class BaselineFirmware:
                 if k == 0:
                     return
                 page = self._load_page(lpa)
+                if type(page.data) is bytes:
+                    page.data = bytearray(page.data)
                 page.data[offset : offset + k] = data[:k]
                 if not page.dirty:
                     page.dirty = True
@@ -231,7 +236,7 @@ class BaselineFirmware:
                 missing, StructKind.OTHER, background=False
             )
             for lpa, data in zip(missing, datas):
-                self._install(lpa, bytearray(data), dirty=False)
+                self._install(lpa, data, dirty=False)
         out = []
         for lpa in lpas:
             page = self._touch(lpa)
@@ -291,7 +296,7 @@ class BaselineFirmware:
                 cache.move_to_end(lpa)
                 if cached.dirty:
                     self._dirty_count -= 1
-                cached.data = bytearray(data)
+                cached.data = bytes(data)
                 cached.dirty = False
             yield lpa, data
             if _sp is not None:

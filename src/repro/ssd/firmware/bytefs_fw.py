@@ -18,6 +18,7 @@ Responsibilities:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.analysis import fssan
@@ -36,6 +37,9 @@ from repro.ssd.firmware.write_log import (
 )
 from repro.stats.traffic import Direction, StructKind, TrafficStats
 from repro.trace import tracer as trace
+
+_OTHER = StructKind.OTHER
+_by_seq = attrgetter("seq")
 
 
 @dataclass(frozen=True)
@@ -79,6 +83,9 @@ class ByteFSFirmware:
             )
             for i in range(2)
         ]
+        # Regions are reset in place, never replaced: their two indexes
+        # are probed on every read.
+        self._indexes = tuple(region.index for region in self.regions)
         self.active = 0
         self.txlog = TxLog(self.config.txlog_bytes)
         self.fw_core = Resource("fw-core")
@@ -103,13 +110,21 @@ class ByteFSFirmware:
         return self._seq
 
     def _chunks_for(self, lpa: int) -> List[ChunkEntry]:
-        """All logged chunks of a page across both regions, seq-ordered."""
+        """All logged chunks of a page across both regions, seq-ordered.
+
+        Both indexes are probed first: most pages read have nothing in
+        the log, and then no list is built or sorted.
+        """
+        first, second = self._indexes
+        a = first.lookup(lpa)
+        b = second.lookup(lpa)
+        if a is None and b is None:
+            return []
         chunks: List[ChunkEntry] = []
-        for region in self.regions:
-            node = region.index.lookup(lpa)
+        for node in (a, b):
             if node is not None:
                 chunks.extend(node.chunks)
-        chunks.sort(key=lambda c: c.seq)
+        chunks.sort(key=_by_seq)
         return chunks
 
     def _merge(self, base: bytes, chunks: List[ChunkEntry]) -> bytes:
@@ -255,8 +270,23 @@ class ByteFSFirmware:
     # ------------------------------------------------------------------ #
 
     def block_read(self, lpa: int) -> bytes:
-        """NVMe read: flash page merged with any logged dirty chunks."""
-        return self.block_read_many([lpa])[0]
+        """NVMe read: flash page merged with any logged dirty chunks.
+
+        An unlogged page is handed back as the object the FTL returned.
+        """
+        _sp = trace.begin("firmware", "block_read", n_pages=1) \
+            if trace.ENABLED else None
+        try:
+            self._fw(self.timing.fw_op_ns)
+            base = self.ftl.read_page(lpa, _OTHER, False, True)
+            chunks = self._chunks_for(lpa)
+            if not chunks:
+                return base
+            self.stats.bump("fw_block_read_merges")
+            return self._merge(base, chunks)
+        finally:
+            if _sp is not None:
+                trace.end(_sp)
 
     def block_read_many(self, lpas: List[int]) -> List[bytes]:
         """NVMe multi-page read: flash reads stripe across channels."""
@@ -312,7 +342,7 @@ class ByteFSFirmware:
         clock = self.clock
         serve = self.fw_core.serve
         fw_op_ns = self.timing.fw_op_ns
-        indexes = [region.index for region in self.regions]
+        indexes = self._indexes
         for lpa, data in pages:
             _sp = trace.begin("firmware", "block_write", lpa=lpa) \
                 if span_each and trace.ENABLED else None

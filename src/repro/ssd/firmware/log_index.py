@@ -140,7 +140,7 @@ class LogIndex:
         self._n_chunks += 1
 
     def lookup(self, lpa: int) -> Optional[PageNode]:
-        sl = self._skiplist(lpa)
+        sl = self._partitions.get(lpa // self.pages_per_partition)
         if sl is None:
             return None
         return sl.get(lpa)
