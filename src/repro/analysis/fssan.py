@@ -196,20 +196,21 @@ def check_skiplist(head, level: int, length: int) -> None:
 # FSSAN-FTL — mapping consistency and GC liveness
 # ---------------------------------------------------------------------- #
 
-def check_map_bind(l2p: dict, p2l: dict, lpa: int, ppa: int) -> None:
-    """After a bind, the two maps agree on the bound pair."""
-    if l2p.get(lpa) != ppa or p2l.get(ppa) != lpa:
+def check_map_bind(l2p: dict, p2l: list, lpa: int, ppa: int) -> None:
+    """After a bind, the two maps agree on the bound pair (``p2l`` is
+    the PPA-indexed reverse list; the caller range-checked ``ppa``)."""
+    if l2p.get(lpa) != ppa or p2l[ppa] != lpa:
         _trip(
             FTL,
             f"L2P/P2L disagree after bind({lpa} -> {ppa}): "
-            f"l2p={l2p.get(lpa)} p2l={p2l.get(ppa)}",
+            f"l2p={l2p.get(lpa)} p2l={p2l[ppa]}",
         )
     _ok(FTL)
 
 
-def check_map_steal(p2l: dict, lpa: int, ppa: int) -> None:
+def check_map_steal(p2l: list, lpa: int, ppa: int) -> None:
     """A bind must never silently steal a PPA live under another LPA."""
-    owner = p2l.get(ppa)
+    owner = p2l[ppa]
     if owner is not None and owner != lpa:
         _trip(
             FTL,
@@ -219,10 +220,13 @@ def check_map_steal(p2l: dict, lpa: int, ppa: int) -> None:
     _ok(FTL)
 
 
-def check_gc_victim_clear(reverse, base_ppa: int, n_pages: int, block_id: int) -> None:
-    """Before erase, no page of the victim block may still be mapped."""
-    for ppa in range(base_ppa, base_ppa + n_pages):
-        lpa = reverse(ppa)
+def check_gc_victim_clear(owners: list, base_ppa: int, block_id: int) -> None:
+    """Before erase, no page of the victim block may still be mapped.
+
+    ``owners`` is the victim's slice of the reverse map, one LPA or
+    ``None`` per page from ``base_ppa`` up.
+    """
+    for ppa, lpa in enumerate(owners, base_ppa):
         if lpa is not None:
             _trip(
                 FTL,

@@ -31,6 +31,7 @@ JMAGIC = 0x1BD20001
 _DESC_FMT = "<IIQI"
 _COMMIT_FMT = "<IIQ"
 _HEADER_FMT = "<IIQ"
+_DESC_SIZE = struct.calcsize(_DESC_FMT)
 TYPE_DESC = 1
 TYPE_COMMIT = 2
 TYPE_HEADER = 3
@@ -112,20 +113,27 @@ class JBD2:
         self.running_data.clear()
         blknos = sorted(images)
         needed = 1 + len(blknos) + 1
-        if needed > self.nblocks - 1:
+        if (
+            needed > self.nblocks - 1
+            or _DESC_SIZE + 8 * len(blknos) > self.page_size
+        ):
             raise JournalFullError(
-                f"transaction of {len(blknos)} blocks exceeds journal size"
+                f"transaction of {len(blknos)} blocks exceeds the journal "
+                f"area or one descriptor block"
             )
         if self.head + needed > self.nblocks:
             # Wrap: everything live must be checkpointed before reuse.
             self.checkpoint()
             self.head = 1
-        desc = struct.pack(_DESC_FMT, JMAGIC, TYPE_DESC, self.seq, len(blknos))
-        desc += b"".join(struct.pack("<Q", b) for b in blknos)
-        desc += bytes(self.page_size - len(desc))
-        commit = struct.pack(_COMMIT_FMT, JMAGIC, TYPE_COMMIT, self.seq)
-        commit += bytes(self.page_size - len(commit))
-        record = desc + b"".join(images[b] for b in blknos) + commit
+        page_size = self.page_size
+        desc = struct.pack(
+            f"{_DESC_FMT}{len(blknos)}Q",
+            JMAGIC, TYPE_DESC, self.seq, len(blknos), *blknos,
+        ).ljust(page_size, b"\0")
+        commit = struct.pack(
+            _COMMIT_FMT, JMAGIC, TYPE_COMMIT, self.seq
+        ).ljust(page_size, b"\0")
+        record = desc + b"".join([images[b] for b in blknos]) + commit
         self.fs.device.write_blocks(
             self.start + self.head, record, StructKind.JOURNAL
         )
@@ -197,13 +205,13 @@ class JBD2:
             block = device.read_blocks(self.start + off, 1, StructKind.JOURNAL)
             magic, btype, seq, count = (
                 struct.unpack_from(_DESC_FMT, block)
-                if len(block) >= struct.calcsize(_DESC_FMT)
+                if len(block) >= _DESC_SIZE
                 else (0, 0, 0, 0)
             )
             if magic != JMAGIC or btype != TYPE_DESC:
                 break
             blknos = [
-                struct.unpack_from("<Q", block, struct.calcsize(_DESC_FMT) + 8 * i)[0]
+                struct.unpack_from("<Q", block, _DESC_SIZE + 8 * i)[0]
                 for i in range(count)
             ]
             if off + 1 + count + 1 > self.nblocks:

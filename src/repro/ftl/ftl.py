@@ -30,12 +30,13 @@ class FTLConfig:
 
 
 class _BlockState:
-    """Per-block bookkeeping: write pointer and valid-page count."""
+    """Per-block bookkeeping: first PPA, write pointer, valid-page count."""
 
-    __slots__ = ("block_id", "next_page", "valid")
+    __slots__ = ("block_id", "base", "next_page", "valid")
 
-    def __init__(self, block_id: int) -> None:
+    def __init__(self, block_id: int, base: int) -> None:
         self.block_id = block_id
+        self.base = base
         self.next_page = 0
         self.valid = 0
 
@@ -60,12 +61,20 @@ class FTL:
         self.clock = clock
         self.stats = stats
         self.config = config or FTLConfig()
-        self.page_map = PageMap()
+        self.page_map = PageMap(geometry.total_pages)
 
         # Per-channel free block lists and active (partially written) blocks.
         self._free_blocks: List[List[int]] = [[] for _ in range(len(channels))]
         self._active: List[Optional[_BlockState]] = [None] * len(channels)
-        self._blocks: Dict[int, _BlockState] = {}
+        # Every written, not yet erased block: by block id (None = free),
+        # and per channel in the order the blocks were opened, which is
+        # the order greedy GC breaks valid-count ties in.
+        self._blocks: List[Optional[_BlockState]] = (
+            [None] * geometry.total_blocks
+        )
+        self._ch_blocks: List[Dict[int, _BlockState]] = [
+            {} for _ in range(len(channels))
+        ]
         self._next_channel = 0
 
         for block_id in range(geometry.total_blocks):
@@ -78,18 +87,19 @@ class FTL:
         # be popped once every entry is poppable).
         self._inflight: List[float] = []
         self._inflight_max = 0.0
-        self._n_channels = len(channels)
         self._in_gc = False
         # Hot-path bindings: geometry/timing are frozen and the
         # collaborators are never replaced after construction.  (Bind
         # sparingly: past 29 instance attributes CPython 3.11 stops
         # sharing the class's attribute keys and every ``self.x`` on
-        # this object gets slower, which oltp_gc measures.)
+        # this object gets slower, which oltp_gc measures;
+        # tests/test_ftl_arrays.py pins the count.)
         self._flash_write_ns = timing.flash_write_ns
         self._flash_read_ns = timing.flash_read_ns
         self._page_size = geometry.page_size
-        self._block_id_of = geometry.block_id_of
-        self._ch_occupy = channels.occupy
+        # One bound Resource.serve per channel (occupy is the same
+        # queueing rule): a flash op is one call into the timeline.
+        self._ch_serve = [res.serve for res in channels.channels]
         self._record_flash = stats.record_flash
         self._pm_bind = self.page_map.bind
         self._pm_lookup = self.page_map.lookup
@@ -130,7 +140,7 @@ class FTL:
             ch = self.geometry.channel_of(ppa)
             read_ns = self._flash_read_ns
             clock = self.clock
-            end = self.channels.serve(ch, clock.now, read_ns)
+            end = self._ch_serve[ch](clock.now, read_ns)
             if trace.ENABLED:
                 trace.span_at(
                     "nand", "flash_read", end - read_ns, end,
@@ -162,7 +172,7 @@ class FTL:
             record_flash = self._record_flash
             lookup = self._pm_lookup
             channel_of = self.geometry.channel_of
-            serve = self.channels.serve
+            serves = self._ch_serve
             flash_read_page = self._flash_read_page
             datas: List[bytes] = []
             max_end = start
@@ -173,7 +183,7 @@ class FTL:
                     datas.append(bytes(page_size))
                     continue
                 ch = channel_of(ppa)
-                end = serve(ch, start, read_ns)
+                end = serves[ch](start, read_ns)
                 if trace.ENABLED:
                     trace.span_at(
                         "nand", "flash_read", end - read_ns, end,
@@ -220,12 +230,14 @@ class FTL:
         capacity = self._wb_capacity
         write_ns = self._flash_write_ns
         page_size = self._page_size
+        pages_per_block = self.geometry.pages_per_block
+        actives = self._active
+        n_channels = len(actives)
+        serves = self._ch_serve
         # Local bindings keep the calls spelled by their real names (the
         # crash-site lint resolves callers by bare name).
-        occupy = self._ch_occupy
         program_page = self._program_page
         bind = self._pm_bind
-        block_id_of = self._block_id_of
         blocks = self._blocks
         record_flash = self._record_flash
         for lpa, data in pages:
@@ -234,8 +246,18 @@ class FTL:
             try:
                 if len(inflight) >= capacity:
                     self._reserve_buffer_slot()
-                ppa, ch = self._allocate_ppa()
-                end = occupy(ch, clock.now, write_ns)
+                # _allocate's common case, inline: the open block of
+                # the channel whose turn it is has room; opening a block
+                # (and GC) happens once per block.
+                ch = self._next_channel
+                block = actives[ch]
+                if block is not None and block.next_page < pages_per_block:
+                    self._next_channel = (ch + 1) % n_channels
+                    ppa = block.base + block.next_page
+                    block.next_page += 1
+                else:
+                    ppa, ch, block = self._allocate()
+                end = serves[ch](clock.now, write_ns)
                 if trace.ENABLED:
                     trace.span_at(
                         "nand", "flash_program", end - write_ns, end,
@@ -250,8 +272,10 @@ class FTL:
                 program_page(ppa, data)  # repro: allow[PERF001]
                 old = bind(lpa, ppa)
                 if old is not None:
-                    self._invalidate_ppa(old)
-                blocks[block_id_of(ppa)].valid += 1
+                    state = blocks[old // pages_per_block]
+                    if state is not None and state.valid > 0:
+                        state.valid -= 1
+                block.valid += 1
                 record_flash(kind, Direction.WRITE, page_size)
             finally:
                 if _sp is not None:
@@ -305,39 +329,45 @@ class FTL:
     # allocation and GC
     # ------------------------------------------------------------------ #
 
-    def _allocate_ppa(self) -> Tuple[int, int]:
-        """Pick the next PPA, round-robining channels for parallelism."""
-        n_channels = self._n_channels
+    def _allocate(self) -> Tuple[int, int, _BlockState]:
+        """Pick the next PPA, round-robining channels for parallelism;
+        returns it with its channel and its block's state."""
+        actives = self._active
+        n_channels = len(actives)
+        pages_per_block = self.geometry.pages_per_block
         for _ in range(n_channels):
             ch = self._next_channel
-            self._next_channel = (self._next_channel + 1) % n_channels
-            ppa = self._alloc_on_channel(ch)
-            if ppa is not None:
-                return ppa, ch
+            self._next_channel = (ch + 1) % n_channels
+            block = actives[ch]
+            if block is None or block.next_page >= pages_per_block:
+                block = self._open_block(ch)
+                if block is None:
+                    continue
+            ppa = block.base + block.next_page
+            block.next_page += 1
+            return ppa, ch, block
         raise FlashError("device out of space: GC could not free any block")
 
-    def _alloc_on_channel(self, ch: int) -> Optional[int]:
-        active = self._active[ch]
-        if active is None or active.next_page >= self.geometry.pages_per_block:
-            if (
-                not self._in_gc
-                and len(self._free_blocks[ch]) <= self.config.gc_free_block_low
-            ):
-                self._garbage_collect(ch)
-            if not self._free_blocks[ch]:
-                return None
-            block_id = self._free_blocks[ch].pop(0)
-            active = _BlockState(block_id)
-            self._active[ch] = active
-            self._blocks[block_id] = active
-        base = self.geometry.block_base_ppa(active.block_id)
-        ppa = base + active.next_page
-        active.next_page += 1
-        return ppa
+    def _open_block(self, ch: int) -> Optional[_BlockState]:
+        """Channel ``ch`` has no open block with room: collect garbage
+        if its free blocks run low, then open the next free one (None
+        when there is none left)."""
+        free = self._free_blocks[ch]
+        if not self._in_gc and len(free) <= self.config.gc_free_block_low:
+            self._garbage_collect(ch)
+        if not free:
+            return None
+        block_id = free.pop(0)
+        block = _BlockState(
+            block_id, block_id * self.geometry.pages_per_block
+        )
+        self._active[ch] = block
+        self._blocks[block_id] = block
+        self._ch_blocks[ch][block_id] = block
+        return block
 
     def _invalidate_ppa(self, ppa: int) -> None:
-        block_id = self._block_id_of(ppa)
-        state = self._blocks.get(block_id)
+        state = self._blocks[ppa // self.geometry.pages_per_block]
         if state is not None and state.valid > 0:
             state.valid -= 1
 
@@ -363,77 +393,87 @@ class FTL:
 
     def _collect_block_inner(self, ch: int, victim: "_BlockState") -> None:
         self.gc_runs += 1
-        base = self.geometry.block_base_ppa(victim.block_id)
-        # Migrate still-valid pages (background reads + writes).
-        for ppa in range(base, base + self.geometry.pages_per_block):
-            lpa = self.page_map.reverse(ppa)
+        base = victim.base
+        clock = self.clock
+        read_ns = self._flash_read_ns
+        write_ns = self._flash_write_ns
+        page_size = self._page_size
+        pages_per_block = self.geometry.pages_per_block
+        actives = self._active
+        n_channels = len(actives)
+        serves = self._ch_serve
+        serve_victim = serves[ch]
+        flash_read_page = self._flash_read_page
+        program_page = self._program_page
+        bind = self._pm_bind
+        record_flash = self._record_flash
+        bump = self.stats.bump
+        # Migrate still-valid pages (background reads + writes).  The
+        # owners are read up front: a migration rebinds only the page
+        # it moves, to a PPA outside the victim.
+        owners = self.page_map.reverse_range(base, base + pages_per_block)
+        for ppa, lpa in enumerate(owners, base):
             if lpa is None:
                 continue
-            end = self.channels.occupy(
-                ch, self.clock.now, self.timing.flash_read_ns
-            )
+            end = serve_victim(clock.now, read_ns)
             if trace.ENABLED:
                 trace.span_at(
-                    "nand", "flash_read",
-                    end - self.timing.flash_read_ns, end,
+                    "nand", "flash_read", end - read_ns, end,
                     background=True, ch=ch,
                 )
-            data = self.flash.read_page(ppa)
-            self.stats.record_flash(
-                StructKind.OTHER, Direction.READ, self.geometry.page_size
-            )
-            self.stats.bump("gc_page_migrations")
+            data = flash_read_page(ppa)
+            record_flash(_OTHER, _READ, page_size)
+            bump("gc_page_migrations")
             self.gc_migrated_pages += 1
-            # Re-write through normal allocation on any channel but the
-            # victim's being-erased block.
-            new_ppa, new_ch = self._allocate_ppa()
-            end = self.channels.occupy(
-                new_ch, self.clock.now, self.timing.flash_write_ns
-            )
+            # Re-write through normal allocation (as in write_pages) on
+            # any channel but the victim's being-erased block.
+            new_ch = self._next_channel
+            block = actives[new_ch]
+            if block is not None and block.next_page < pages_per_block:
+                self._next_channel = (new_ch + 1) % n_channels
+                new_ppa = block.base + block.next_page
+                block.next_page += 1
+            else:
+                new_ppa, new_ch, block = self._allocate()
+            end = serves[new_ch](clock.now, write_ns)
             if trace.ENABLED:
                 trace.span_at(
-                    "nand", "flash_program",
-                    end - self.timing.flash_write_ns, end,
+                    "nand", "flash_program", end - write_ns, end,
                     background=True, ch=new_ch,
                 )
             # GC migration rebinds each page to a fresh ppa chosen one
             # step at a time; relocation has no batched form.
-            self.flash.program_page(new_ppa, data)  # repro: allow[PERF001]
-            self.page_map.bind(lpa, new_ppa)
-            self._blocks[self.geometry.block_id_of(new_ppa)].valid += 1
-            self.stats.record_flash(
-                StructKind.OTHER, Direction.WRITE, self.geometry.page_size
-            )
+            program_page(new_ppa, data)  # repro: allow[PERF001]
+            bind(lpa, new_ppa)
+            block.valid += 1
+            record_flash(_OTHER, Direction.WRITE, page_size)
         if fssan.ENABLED:
             fssan.check_gc_victim_clear(
-                self.page_map.reverse,
+                self.page_map.reverse_range(base, base + pages_per_block),
                 base,
-                self.geometry.pages_per_block,
                 victim.block_id,
             )
-        end = self.channels.occupy(
-            ch, self.clock.now, self.timing.flash_erase_ns
-        )
+        erase_ns = self.timing.flash_erase_ns
+        end = serve_victim(clock.now, erase_ns)
         if trace.ENABLED:
             trace.span_at(
-                "nand", "erase",
-                end - self.timing.flash_erase_ns, end,
+                "nand", "erase", end - erase_ns, end,
                 background=True, ch=ch,
             )
         self.flash.erase_block(victim.block_id)
-        self._blocks.pop(victim.block_id, None)
+        self._blocks[victim.block_id] = None
+        del self._ch_blocks[ch][victim.block_id]
         self._free_blocks[ch].append(victim.block_id)
-        self.stats.bump("gc_runs")
+        bump("gc_runs")
 
     def _pick_victim(self, ch: int) -> Optional[_BlockState]:
+        """The first block with the fewest valid pages, in block-open
+        order, among the channel's written blocks but its open one."""
+        active = self._active[ch]
         best: Optional[_BlockState] = None
-        for block_id, state in self._blocks.items():
-            if self.geometry.channel_of_block(block_id) != ch:
-                continue
-            if self._active[ch] is state:
+        for state in self._ch_blocks[ch].values():
+            if state is active:
                 continue  # never collect the open block
-            if state.next_page == 0:
-                continue
             if best is None or state.valid < best.valid:
                 best = state
         return best

@@ -64,7 +64,9 @@ class CachedPage:
     ``_key``/``_notify`` are set by the owning :class:`PageCache` so that
     :meth:`clean` can report dirty->clean transitions (file systems call
     it directly on writeback); the cache uses them to keep its eviction
-    candidate index exact.
+    candidate index and the inode's dirty index exact; for the same
+    reason a page that is in a cache is dirtied through
+    :meth:`PageCache.mark_page_dirty` and :meth:`mark_dirty` refuses it.
     """
 
     __slots__ = ("data", "dirty", "original", "_key", "_notify")
@@ -76,9 +78,13 @@ class CachedPage:
         self.dirty = False
         self.original: Optional[bytes] = None  # CoW duplicate page
         self._key: Optional[Tuple[int, int]] = None
-        self._notify: Optional[Callable[[Tuple[int, int]], None]] = None
+        self._notify: Optional[Callable[["CachedPage"], None]] = None
 
     def mark_dirty(self, cow: bool) -> None:
+        if self._notify is not None:
+            raise RuntimeError(
+                "page is in a cache: dirty it with PageCache.mark_page_dirty"
+            )
         if cow and self.original is None:
             # First modification: duplicate the pristine page (§4.6).
             self.original = bytes(self.data)
@@ -105,7 +111,7 @@ class CachedPage:
         self.original = None
         notify = self._notify
         if notify is not None:
-            notify(self._key)
+            notify(self)
 
 
 class AddressSpace:
@@ -115,6 +121,12 @@ class AddressSpace:
     present page is dropped, so the cache can track keys whose LRU entry
     went stale behind its back (file systems truncate by calling
     :meth:`drop` directly).
+
+    ``dirty`` indexes the dirty pages of ``pages``.  It is kept where a
+    page changes state — the cache's ``mark_page_dirty`` and
+    ``install_dirty_run``, ``CachedPage.clean``, eviction, and
+    :meth:`install`/:meth:`drop` here — so that an fsync touches the
+    pages it writes and not every cached page of the file.
     """
 
     def __init__(
@@ -126,6 +138,7 @@ class AddressSpace:
         self.ino = ino
         self.page_size = page_size
         self.pages: Dict[int, CachedPage] = {}
+        self.dirty: Dict[int, CachedPage] = {}
         self._on_drop = on_drop
 
     def get(self, index: int) -> Optional[CachedPage]:
@@ -134,18 +147,18 @@ class AddressSpace:
     def install(self, index: int, data: bytes) -> CachedPage:
         page = CachedPage(data, self.page_size)
         self.pages[index] = page
+        self.dirty.pop(index, None)  # whatever page it replaces is gone
         return page
 
     def drop(self, index: int) -> None:
-        if self.pages.pop(index, None) is not None \
-                and self._on_drop is not None:
-            self._on_drop(self.ino, index)
+        if self.pages.pop(index, None) is not None:
+            self.dirty.pop(index, None)
+            if self._on_drop is not None:
+                self._on_drop(self.ino, index)
 
     def dirty_pages(self) -> List[Tuple[int, CachedPage]]:
         """The dirty ``(index, page)`` pairs, in index order."""
-        return sorted(
-            [(index, page) for index, page in self.pages.items() if page.dirty]
-        )
+        return sorted(self.dirty.items())
 
     def __len__(self) -> int:
         return len(self.pages)
@@ -208,7 +221,13 @@ class PageCache:
             self._stale_keys.add(key)
             heappush(self._cand, (pos, key))
 
-    def _note_clean(self, key: Tuple[int, int]) -> None:
+    def _note_clean(self, page: CachedPage) -> None:
+        key = page._key
+        space = self._spaces.get(key[0])
+        # (Only the page the index holds: a page cleaned after it was
+        # dropped must not unlist the one installed in its place.)
+        if space is not None and space.dirty.get(key[1]) is page:
+            del space.dirty[key[1]]
         pos = self._pos.get(key)
         if pos is not None:
             heappush(self._cand, (pos, key))
@@ -260,6 +279,7 @@ class PageCache:
         P = self.page_size
         space = self.space(ino)
         present = space.pages
+        dirty_index = space.dirty
         slots = self._pos
         limit = min((len(data) - offset) // P, self.capacity_pages)
         n = 0
@@ -281,6 +301,7 @@ class PageCache:
                 # through the allocator's heap layout.)
                 page.original = bytes(P)
             page.dirty = True
+            dirty_index[index] = page
             offset += P
         if cow:
             self.cow_copies += n
@@ -315,11 +336,15 @@ class PageCache:
 
     def mark_page_dirty(self, page: CachedPage, cow: bool) -> None:
         """Like :meth:`mark_dirty` when the caller already holds the page
-        (skips the two-level index lookup on the buffered-write path)."""
+        (skips the two-level index lookup on the buffered-write path).
+        ``page`` must be the one this cache holds under its key."""
         if cow and page.original is None:
             page.original = bytes(page.data)
             self.cow_copies += 1
-        page.dirty = True
+        if not page.dirty:
+            page.dirty = True
+            ino, index = page._key
+            self._spaces[ino].dirty[index] = page
 
     def _make_room(self, n: int, writeback: WritebackFn) -> None:
         """Evict until ``n`` more pages fit, LRU clean-or-stale pages
@@ -364,11 +389,13 @@ class PageCache:
             if victim_key in stale:
                 stale.discard(victim_key)
             else:
-                if victim_page.dirty:
-                    dirty.append((ino, index, victim_page))
                 space = spaces.get(ino)
                 if space is not None:
                     space.pages.pop(index, None)
+                if victim_page.dirty:
+                    dirty.append((ino, index, victim_page))
+                    if space is not None:
+                        del space.dirty[index]
             del pos_map[victim_key]
             del lru[victim_key]
         if dirty:

@@ -11,7 +11,7 @@ shared :class:`~repro.sim.resources.ChannelArray` so that background work
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.nand.geometry import FlashGeometry
 
@@ -23,16 +23,18 @@ class FlashError(Exception):
 class FlashArray:
     """Backing store for the simulated device.
 
-    Data is kept sparsely: only programmed pages occupy memory, so a
-    "32 GB" device costs only what the workload touches.
+    One slot per physical page, indexed by PPA: ``None`` is an erased
+    page, anything else is the programmed image.  A slot is a pointer,
+    so a "32 GB" device still costs only what the workload programs.
+    Range checks are explicit everywhere a PPA or block id comes in: a
+    list would quietly take a negative index from its far end.
     """
 
     def __init__(self, geometry: FlashGeometry) -> None:
         self.geometry = geometry
         self._total_pages = geometry.total_pages
         self._page_size = geometry.page_size
-        self._pages: Dict[int, bytes] = {}
-        self._programmed: set = set()
+        self._pages: List[Optional[bytes]] = [None] * geometry.total_pages
         self.erase_counts: Dict[int, int] = {}
         self.reads = 0
         self.writes = 0
@@ -43,7 +45,7 @@ class FlashArray:
         if not 0 <= ppa < self._total_pages:
             self._check_ppa(ppa)
         self.reads += 1
-        data = self._pages.get(ppa)
+        data = self._pages[ppa]
         if data is None:
             return bytes(self._page_size)
         return data
@@ -52,7 +54,8 @@ class FlashArray:
         """Program one page; re-programming without erase is an error."""
         if not 0 <= ppa < self._total_pages:
             self._check_ppa(ppa)
-        if ppa in self._programmed:
+        pages = self._pages
+        if pages[ppa] is not None:
             raise FlashError(
                 f"page {ppa} already programmed; erase block first"
             )
@@ -66,26 +69,26 @@ class FlashArray:
             data = data + bytes(page_size - n)
         # Skip the defensive copy when the caller already handed over an
         # immutable page image (the common case on the write path).
-        self._pages[ppa] = data if type(data) is bytes else bytes(data)
-        self._programmed.add(ppa)
+        pages[ppa] = data if type(data) is bytes else bytes(data)
         self.writes += 1
 
     def erase_block(self, block_id: int) -> None:
         """Erase every page in a block."""
-        base = self.geometry.block_base_ppa(block_id)
-        for ppa in range(base, base + self.geometry.pages_per_block):
-            self._pages.pop(ppa, None)
-            self._programmed.discard(ppa)
+        if not 0 <= block_id < self.geometry.total_blocks:
+            raise FlashError(f"block id {block_id} out of range")
+        n = self.geometry.pages_per_block
+        base = block_id * n
+        self._pages[base : base + n] = [None] * n
         self.erase_counts[block_id] = self.erase_counts.get(block_id, 0) + 1
         self.erases += 1
 
     def is_programmed(self, ppa: int) -> bool:
         self._check_ppa(ppa)
-        return ppa in self._programmed
+        return self._pages[ppa] is not None
 
     def wear(self, block_id: int) -> int:
         return self.erase_counts.get(block_id, 0)
 
     def _check_ppa(self, ppa: int) -> None:
-        if not 0 <= ppa < self.geometry.total_pages:
+        if not 0 <= ppa < self._total_pages:
             raise FlashError(f"ppa {ppa} out of range")

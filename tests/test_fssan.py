@@ -44,7 +44,7 @@ def _chunk(offset: int, length: int, seq: int = 0) -> ChunkEntry:
 
 def test_checks_are_noops_when_disabled():
     fssan.disable()
-    pm = PageMap()
+    pm = PageMap(256)
     pm.bind(1, 50)
     pm.bind(2, 50)          # steals PPA 50: would trip when enabled
     log = TxLog()
@@ -98,7 +98,7 @@ def test_trip_skiplist_corrupted_order():
 
 
 def test_trip_ftl_double_bind_steals_live_page():
-    pm = PageMap()
+    pm = PageMap(256)
     with fssan.sanitized():
         pm.bind(1, 50)
         with pytest.raises(fssan.SanitizerError) as exc:
@@ -204,7 +204,7 @@ def test_queue_accounting_trips_on_negative_lost_to_crash():
 
 
 def test_counts_attribute_checks_to_the_right_class():
-    pm = PageMap()
+    pm = PageMap(256)
     with fssan.sanitized():
         pm.bind(1, 50)
     assert fssan.COUNTS.get(fssan.FTL, 0) >= 1

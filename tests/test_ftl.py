@@ -35,7 +35,7 @@ def make_ftl(blocks_per_way=8, pages_per_block=8, channels=2):
 
 
 def test_pagemap_bind_and_reverse():
-    pm = PageMap()
+    pm = PageMap(256)
     assert pm.bind(10, 100) is None
     assert pm.lookup(10) == 100
     assert pm.reverse(100) == 10

@@ -36,6 +36,7 @@ from repro.telemetry import (
     write_series,
 )
 from repro.telemetry import sampler as telem
+from repro.trace import tracer as trace
 from repro.trace.metrics import (
     LogHistogram,
     MetricsRegistry,
@@ -73,7 +74,13 @@ def _faulted_run(**kw):
 
 @pytest.fixture(scope="module")
 def faulted():
-    return _faulted_run()
+    # The golden series was recorded without tracing: REPRO_TRACE=1 in
+    # the environment (the CI ``trace`` job) would auto-attach a tracer
+    # and append scope == "layer" rows.  Those rows have their own test
+    # (test_traced_run_bridges_layer_quantiles).
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trace, "AUTO", False)
+        return _faulted_run()
 
 
 # ---------------------------------------------------------------------- #
