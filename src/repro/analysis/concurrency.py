@@ -1,12 +1,12 @@
-"""CONC001/002/003: concurrency-readiness checks for the sharded-serving
-refactor (ROADMAP item 1).
+"""CONC001/002/003: concurrency-readiness checks for sharded serving
+(ROADMAP "One serving path").
 
-Splitting the single simulation loop across worker processes breaks
+Running the shard routine in several worker processes breaks
 byte-identical replay whenever state silently spans the shard boundary.
 These passes run on the :class:`repro.analysis.project.ProjectIndex`
 import closure of the serve path (``repro.cluster`` and everything it
-transitively imports) and flag the three classic hazards *before* the
-refactor lands:
+transitively imports) and flag the three classic hazards in whatever
+the shard routine comes to reach:
 
 * **CONC001** — module-level mutable containers that the code actually
   mutates.  Each worker process gets its own copy of module globals, so

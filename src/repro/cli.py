@@ -112,11 +112,7 @@ def _cmd_run(args) -> int:
     if devcache is not None:
         # Echoed only when enabled so cache-off documents stay
         # byte-identical to pre-devcache ones.
-        config_echo["devcache"] = {
-            "cache_bytes": devcache.cache_bytes,
-            "policy": devcache.policy,
-            "prefetch": devcache.prefetch,
-        }
+        config_echo["devcache"] = devcache.echo()
     result = run_workload(
         args.fs, wl,
         log_bytes=args.log_bytes,
@@ -152,8 +148,24 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_serve(args) -> int:
+    if args.listen is None:
+        return _serve(args, None)
+    from repro.telemetry import make_server
+
+    # Bind before the run: a busy port fails in milliseconds, not after
+    # a multi-second run in a traceback.
+    try:
+        srv = make_server(lambda: "", port=args.listen)
+    except OSError as exc:
+        print(f"repro serve: cannot listen on {args.listen}: {exc}",
+              file=sys.stderr)
+        return 2
+    with srv:
+        return _serve(args, srv)
+
+
+def _serve(args, srv) -> int:
     from repro.cluster import (
-        ALL_OPS,
         default_tenants,
         serve_cluster,
         validate_cluster_run,
@@ -180,8 +192,8 @@ def _cmd_serve(args) -> int:
             workers=args.workers,
         )
     except ValueError as exc:
-        # bad --fault spec / fault plan (device out of range, duplicate
-        # device, unmirrorable workload): a usage error, not a crash
+        # a bad --fault spec or anything serve.validate rejects: a usage
+        # error for every --workers, not a crash
         print(f"repro serve: {exc}", file=sys.stderr)
         return 2
     doc = result.to_json()
@@ -209,9 +221,19 @@ def _cmd_serve(args) -> int:
         )
     if args.format == "json":
         print(json.dumps(doc, sort_keys=True, indent=2))
-        if args.listen is not None:
-            _serve_metrics(result, args.listen)
-        return 1 if dirty else 0
+    else:
+        _print_serve_report(args, doc, result)
+    if srv is not None:
+        from repro.telemetry import render_prometheus
+
+        srv.render_metrics = lambda: render_prometheus(result.telemetry)
+        srv.serve_until_interrupt()
+    return 1 if dirty else 0
+
+
+def _print_serve_report(args, doc: Dict, result) -> None:
+    from repro.cluster import ALL_OPS
+
     rows = []
     for t in doc["tenants"]:
         lat = t["latency"].get(ALL_OPS) or {}
@@ -261,30 +283,6 @@ def _cmd_serve(args) -> int:
             f"wall {rec['wall_s'] * 1e3:.1f} ms), "
             f"oracle {verdict} over {len(oc['checked'])} tenant(s)"
         )
-    if args.listen is not None:
-        _serve_metrics(result, args.listen)
-    return 1 if dirty else 0
-
-
-def _serve_metrics(result, port: int) -> None:
-    """Block on a /metrics + /healthz endpoint over the run's telemetry."""
-    from repro.telemetry import make_server, render_prometheus
-
-    srv = make_server(
-        lambda: render_prometheus(result.telemetry), port=port
-    )
-    host, bound = srv.server_address[:2]
-    print(
-        f"telemetry: http://{host}:{bound}/metrics and /healthz "
-        "(Ctrl-C to stop)",
-        file=sys.stderr,
-    )
-    try:
-        srv.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive path
-        pass
-    finally:
-        srv.server_close()
 
 
 def _cmd_top(args) -> int:
@@ -577,14 +575,13 @@ def main(argv: Optional[list] = None) -> int:
     )
     serve_p.add_argument(
         "--workers", type=int, default=0, metavar="N",
-        help="serve device shards in N worker processes and merge the "
-        "fragments deterministically (byte-identical to the serial "
-        "run); 0 (default) = in-process serial",
+        help="run the device shards in N worker processes instead of one "
+        "in-process shard (0, the default); documents are byte-identical",
     )
     serve_p.add_argument(
         "--listen", type=int, default=None, metavar="PORT",
-        help="after the run, serve Prometheus /metrics (+ /healthz) on "
-        "127.0.0.1:PORT until interrupted (0 = ephemeral port)",
+        help="bind 127.0.0.1:PORT (0 = ephemeral) before the run and serve "
+        "Prometheus /metrics (+ /healthz) there after it, until interrupted",
     )
 
     top_p = sub.add_parser(

@@ -6,7 +6,8 @@ namespaces, striped across K simulated M-SSDs, arbitrated by a pluggable
 I/O scheduler (FIFO / weighted-fair DRR / token-bucket rate limiting)
 with admission control and per-tenant SLO accounting.
 
-Entry points: :func:`serve_cluster` (library), ``repro serve`` (CLI).
+Entry points: :func:`serve_cluster` (library; its keywords are the
+fields of :class:`ServeConfig`), ``repro serve`` (CLI).
 """
 
 from repro.cluster.result import (
@@ -25,7 +26,7 @@ from repro.cluster.sched import (
     TokenBucketScheduler,
     make_scheduler,
 )
-from repro.cluster.serve import serve_cluster
+from repro.cluster.serve import ServeConfig, serve_cluster
 from repro.cluster.shard import ShardedBackend, place_tenant
 from repro.cluster.tenant import (
     DEFAULT_PROFILE_CYCLE,
@@ -49,6 +50,7 @@ __all__ = [
     "FIFOScheduler",
     "NamespacedFS",
     "Scheduler",
+    "ServeConfig",
     "ShardedBackend",
     "SyntheticTenantWorkload",
     "TenantResult",

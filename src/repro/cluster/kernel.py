@@ -1,12 +1,11 @@
 """The per-shard dispatch kernel of the serving layer.
 
 One :func:`serve_device` call drains one device shard's tenants to
-completion on the shared virtual clock — the self-contained unit that
-:func:`repro.cluster.serve.serve_cluster` runs in-process for every
-shard (``--workers 0``) and that :mod:`repro.cluster.worker` runs in
-one OS process per shard group (``--workers N``).  The dispatch
-semantics are documented on :mod:`repro.cluster.serve`; this module is
-the mechanism.
+completion on the shared virtual clock.  It has one caller, the shard
+routine (:func:`repro.cluster.worker.run_shard`), which runs in this
+process for ``--workers 0`` and in one OS process per shard group for
+``--workers N``.  The dispatch semantics are documented on
+:mod:`repro.cluster.serve`; this module is the mechanism.
 
 **O(1) idle-time skip.**  The kernel never scans tenants to find the
 next decision instant.  Two lazy min-heaps bound the next event:
@@ -28,9 +27,12 @@ arrival far in the future — costs one heap peek instead of a scan per
 tenant, and each heap holds at most one entry per tenant.
 
 The kernel also owns the runtime state the loop mutates
-(:class:`TenantRT`, :class:`DeviceFault`) and the crash/recovery
-protocol (:func:`crash_and_recover`), so a worker process can import
-everything it executes without pulling in the cluster orchestration.
+(:class:`TenantRT`, :class:`DeviceFault`), the crash/recovery protocol
+(:func:`crash_and_recover`) and the building blocks the shard routine
+strings together (:func:`setup_tenant`, :func:`gen_arrivals`,
+:func:`run_device_drain`, :func:`run_orphan_crash`).  Input validation
+is not here: :func:`repro.cluster.serve.validate` has rejected every
+bad parameter before the first of them is called.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import heapq
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analysis import fssan
 from repro.faults.injector import FaultInjector
@@ -545,7 +547,7 @@ def serve_device(
 
 
 # ---------------------------------------------------------------------- #
-# shared setup / drain building blocks (serial path and shard workers)
+# setup / drain building blocks of the shard routine
 # ---------------------------------------------------------------------- #
 
 def setup_tenant(
@@ -569,13 +571,6 @@ def setup_tenant(
     workload = make_tenant_workload(spec, seed)
     oracle: Optional[OracleFS] = None
     if faulted:
-        if not hasattr(workload, "attach_oracle"):
-            raise ValueError(
-                f"tenant {spec.name!r} runs workload "
-                f"{spec.workload!r} on faulted device {device}; only "
-                "profile/'synthetic' workloads can be oracle-"
-                "mirrored through a crash"
-            )
         oracle = OracleFS()
         workload.attach_oracle(oracle)
     workload.setup(ns)
@@ -590,13 +585,35 @@ def gen_arrivals(tn: TenantRT, seed: int, t0: float) -> None:
     rng = make_rng(seed, f"arrivals:{tn.spec.name}")
     t = t0
     rate = tn.spec.rate_ops_s
-    if rate <= 0:
-        raise ValueError(
-            f"tenant {tn.spec.name!r} needs a positive rate_ops_s"
-        )
     for _ in range(tn.spec.n_ops):
         t += rng.expovariate(rate) * SEC
         tn.arrivals.append(t)
+
+
+def _under_tracing(
+    clock: VirtualClock,
+    span_tracer: Optional[Tracer],
+    auto_trace: bool,
+    body: Callable[[Optional[Tracer]], None],
+):
+    """Run ``body(tracer)`` under the run's tracing regime.
+
+    ``span_tracer`` (``traced=True`` runs) is the one span-keeping
+    tracer the shard routine created and activated.  Otherwise, when
+    ``auto_trace`` is set, ``body`` runs under its own metrics-only
+    tracer and that tracer's registry is returned — one registry per
+    device, merged by the reducer in device-index order, is why layer
+    aggregates are bit-identical for every worker count.  With both off
+    ``body`` gets ``None`` and nothing is traced.
+    """
+    if span_tracer is not None or not auto_trace:
+        body(span_tracer)
+        return None
+    tr = Tracer(clock, keep_spans=False)
+    with trace.activated(tr):
+        body(tr)
+    tr.close_all()
+    return tr.metrics
 
 
 def run_device_drain(
@@ -617,39 +634,16 @@ def run_device_drain(
     span_tracer: Optional[Tracer],
     auto_trace: bool,
 ):
-    """Drain one device, under the right tracing regime.
-
-    ``span_tracer`` (``traced=True`` runs) is a single span-keeping
-    tracer already activated by the caller.  Otherwise, when
-    ``auto_trace`` is set, the drain runs under its own metrics-only
-    tracer and its registry is returned — per-device registries merged
-    in device-index order are how the serial path and the sharded path
-    produce bit-identical layer aggregates.
-    """
-    kwargs = dict(
-        device_obj=device_obj, fs=fs, fault=fault,
-        outage_policy=outage_policy, fault_seed=fault_seed,
-    )
-    if span_tracer is not None:
-        serve_device(
+    """Drain one device (tracing regimes: :func:`_under_tracing`)."""
+    return _under_tracing(
+        clock, span_tracer, auto_trace,
+        lambda tr: serve_device(
             clock, device, tenants, sched, queue, stats, max_queue,
-            cluster_latency, dispatch_log, span_tracer, **kwargs,
-        )
-        return None
-    if auto_trace:
-        tr = Tracer(clock, keep_spans=False)
-        with trace.activated(tr):
-            serve_device(
-                clock, device, tenants, sched, queue, stats, max_queue,
-                cluster_latency, dispatch_log, tr, **kwargs,
-            )
-        tr.close_all()
-        return tr.metrics
-    serve_device(
-        clock, device, tenants, sched, queue, stats, max_queue,
-        cluster_latency, dispatch_log, None, **kwargs,
+            cluster_latency, dispatch_log, tr, device_obj=device_obj,
+            fs=fs, fault=fault, outage_policy=outage_policy,
+            fault_seed=fault_seed,
+        ),
     )
-    return None
 
 
 def run_orphan_crash(
@@ -667,30 +661,16 @@ def run_orphan_crash(
     """Power-cycle a faulted device that served no tenants.
 
     Runs on thread 0 after the populated shards drained, so its
-    recovery work never delays a tenant's timeline.  Same tracing
-    regimes as :func:`run_device_drain`.
+    recovery work never delays a tenant's timeline.
     """
     clock.switch(0)
-    if span_tracer is not None:
-        crash_and_recover(
+    return _under_tracing(
+        clock, span_tracer, auto_trace,
+        lambda tr: crash_and_recover(
             clock, device, device_obj, fs, [], queue, None, stats,
-            fault, outage_policy, span_tracer,
-        )
-        return None
-    if auto_trace:
-        tr = Tracer(clock, keep_spans=False)
-        with trace.activated(tr):
-            crash_and_recover(
-                clock, device, device_obj, fs, [], queue, None, stats,
-                fault, outage_policy, tr,
-            )
-        tr.close_all()
-        return tr.metrics
-    crash_and_recover(
-        clock, device, device_obj, fs, [], queue, None, stats,
-        fault, outage_policy, None,
+            fault, outage_policy, tr,
+        ),
     )
-    return None
 
 
 def device_call_snapshot(device_obj) -> Dict[str, int]:

@@ -113,7 +113,10 @@ class ClusterRunResult:
     tenants: List[TenantResult]
     devices: List[Dict]              # ShardedBackend.device_summary()
     latency: LatencyRecorder         # cluster-wide, keyed like per-tenant
-    #: the tracer used for the measured phase, when tracing was on
+    #: live-only: the span-keeping Tracer of a ``traced=True`` run, else
+    #: None — for every worker count.  Metrics-only auto tracing
+    #: (REPRO_TRACE=1) keeps no tracer: its per-device registries end up
+    #: in the telemetry series' layer rows
     trace: Optional[object] = None
     #: optional per-dispatch log: (device, tenant, op, arrival, begin, end)
     dispatch_log: Optional[List] = None
@@ -132,7 +135,10 @@ class ClusterRunResult:
     #: set (serialize via repro.telemetry.series, never into this doc)
     telemetry: Optional[object] = None
     #: live-only: measured host wall-clock of the drain phase (the bench
-    #: harness reads it; never serialized — the doc stays deterministic)
+    #: harnesses read it; never serialized — the doc stays deterministic).
+    #: workers=0: the shard's own drain, first ``run_device_drain`` entry
+    #: to the last drain / orphan-crash return; workers>0: the parent's
+    #: t0 broadcast to the last shard's "ran"
     wall_s: Optional[float] = None
     #: live-only: per-layer device call-count deltas of the drain phase,
     #: summed over shards (same keys as the bench probe's layer_calls)

@@ -119,7 +119,7 @@ class ShardedBackend:
         for stats in self.stats:
             stats.reset()
 
-    def device_summary(self, device: int, elapsed_s: float) -> Dict:
+    def device_summary(self, device: int) -> Dict:
         """Per-shard aggregates for the run result."""
         stats = self.stats[device]
         host_w = stats.host_ssd_bytes(direction=Direction.WRITE)

@@ -1,32 +1,35 @@
-"""Process-parallel shard workers for the serving layer.
+"""The shard routine of the serving layer, and its two transports.
 
-``serve_cluster(..., workers=N)`` splits the cluster's device shards
-over ``min(N, n_devices)`` OS processes.  Each :class:`ShardWorker`
-process owns a disjoint set of devices end to end: it builds the full
-backend (so the shared-clock setup offset of device construction
-replays bit-exactly), sets up and drains only the tenants placed on its
-devices, samples its devices' telemetry, and ships a picklable
-:class:`ShardResult` fragment back over a pipe.  Workers never share
-memory; the only cross-shard couplings of the serial semantics are two
-scalar barriers, exchanged explicitly:
+A cluster run is ``W`` shards, each owning a disjoint set of devices end
+to end.  :func:`run_shard` is the only code that serves: it builds the
+backend, sets up and drains the tenants placed on its devices, samples
+their telemetry and returns a picklable :class:`ShardResult` fragment
+for the reducer (:mod:`repro.cluster.merge`).  ``workers=0`` is one
+shard that owns every device, called directly in the caller's process;
+``workers=N`` is ``min(N, n_devices)`` shards, one spawned OS process
+each (:func:`run_shard_workers`).  The routine cannot tell the two
+apart.
 
-1. **setup barrier** — each worker reports its local post-setup clock
-   maximum; the parent broadcasts the global maximum ``t0`` and every
-   worker adopts it via :meth:`~repro.sim.clock.VirtualClock.sync_to`,
-   reproducing the serial ``sync_all()`` epoch exactly;
-2. **end barrier** — each worker reports its local post-drain elapsed
-   time; the parent broadcasts the global maximum ``t_end`` so every
-   worker closes its telemetry series at the same instant the serial
-   run would.
+Shards never share memory.  Tenants never span devices, so the only
+cross-shard couplings are two scalar barriers, and the routine reaches
+both through the ``exchange(tag, local) -> global`` callable it is
+handed — the identity in-process, a pipe round trip through the parent's
+``max()`` in a worker:
 
-Tenants never span devices, so between those barriers the per-shard
-event streams are causally independent (the property the CONC001–003
-lint passes certify); a faulted-but-tenant-less device is reassigned to
-the worker that owns tenant 0's device, because its drain-end power
-cycle runs on clock thread 0.  The deterministic reducer
-(:mod:`repro.cluster.merge`) reassembles the fragments into documents
-byte-identical to ``workers=0``, regardless of worker count or
-completion order.
+1. **setup barrier** (``"setup"``) — the shard's post-setup clock
+   maximum out, the cluster-wide epoch ``t0`` back, adopted via
+   :meth:`~repro.sim.clock.VirtualClock.sync_to`;
+2. **end barrier** (``"ran"``) — the shard's post-drain elapsed time
+   out, the cluster-wide run end ``t_end`` back, at which every shard
+   closes its telemetry series.
+
+Between the barriers the per-shard event streams are causally
+independent (the property the CONC001–003 lint passes certify).  Every
+shard builds *every* device stack, owned or not: mkfs advances clock
+thread 0 by float accumulation (23637.0, 47274.00000000001, 70911.0,
+94547.99999999997 after one to four devices), so a shard that skipped
+un-owned devices could not reproduce ``t0`` bit-exactly — and there is
+nothing to win, a stack costs 1–2 ms of host time to build.
 """
 
 from __future__ import annotations
@@ -34,16 +37,17 @@ from __future__ import annotations
 import multiprocessing as mp
 import time
 import traceback
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.analysis import fssan
-from repro.faults.plan import DeviceCrash, plan_by_device
-from repro.nand.geometry import FlashGeometry
-from repro.nand.timing import TimingModel
+from repro.faults.plan import plan_by_device
 from repro.sim.clock import SEC, VirtualClock
 from repro.stats.traffic import LatencyRecorder
 from repro.telemetry import sampler as telem
+from repro.trace import tracer as trace
+from repro.trace.tracer import Tracer
 
 from repro.cluster.kernel import (
     DeviceFault,
@@ -58,53 +62,38 @@ from repro.cluster.kernel import (
 from repro.cluster.result import TenantResult
 from repro.cluster.sched import make_scheduler
 from repro.cluster.shard import ShardedBackend
-from repro.cluster.tenant import TenantSpec
-from repro.devcache import DevCacheConfig
+
+if TYPE_CHECKING:
+    from repro.cluster.serve import ServeConfig
 
 
 @dataclass(frozen=True)
 class ShardTask:
-    """Everything one worker process needs, picklable for spawn."""
+    """One shard's assignment, picklable for spawn."""
 
+    config: "ServeConfig"
     worker_id: int
-    fs_name: str
-    n_devices: int
-    n_tenants: int
-    #: (global index, spec, device) for every tenant in the cluster;
-    #: the worker sets up and serves only those on its owned devices
-    tenants: Tuple[Tuple[int, TenantSpec, int], ...]
     owned_devices: Tuple[int, ...]
-    sched: str
-    seed: int
-    queue_depth: int
-    max_queue: int
-    quantum_ns: Optional[float]
-    geometry: Optional[FlashGeometry]
-    timing: Optional[TimingModel]
-    log_bytes: int
-    device_cache_bytes: int
-    page_cache_pages: int
-    #: optional device-DRAM cache tier config (repro.devcache); frozen
-    #: and picklable, so it crosses the spawn boundary verbatim
-    devcache: Optional["DevCacheConfig"]
-    #: the full fault plan — every worker builds an identical backend
-    #: (injector wiring included) so device construction replays exactly
-    faults: Tuple[DeviceCrash, ...]
-    outage_policy: str
-    sample_every_ns: Optional[float]
-    keep_dispatch_log: bool
-    unmount: bool
-    #: the parent's trace.AUTO decision; the worker must not re-read the
-    #: environment (the parent's flag may have been toggled in-process)
+    #: the device of every tenant of the cluster, by global index; the
+    #: shard sets up and serves only those on its owned devices
+    placement: Tuple[int, ...]
+    #: the caller's trace.AUTO decision; a worker must not re-read the
+    #: environment (the caller's flag may have been toggled in-process)
     auto_trace: bool
 
 
 @dataclass
 class ShardResult:
-    """One worker's fragment of the cluster run, picklable."""
+    """One shard's fragment of the cluster run, picklable."""
 
     worker_id: int
-    #: (global index, result) for every tenant this worker served
+    #: the two barrier values, identical in every fragment of a run
+    t0: float
+    t_end: float
+    #: host wall-clock of this shard's drain: first ``run_device_drain``
+    #: entry to the last drain / orphan-crash return
+    wall_s: float
+    #: (global index, result) for every tenant this shard served
     tenants: List[Tuple[int, TenantResult]] = field(default_factory=list)
     device_summaries: Dict[int, Dict] = field(default_factory=dict)
     #: recovery records of owned faulted devices (live wall_s included)
@@ -114,84 +103,73 @@ class ShardResult:
     telemetry_outages: Optional[List[Dict]] = None
     #: per-device metrics registries (auto-trace runs only)
     metrics: Dict[int, object] = field(default_factory=dict)
+    #: the span-keeping tracer of a ``traced=True`` run; such a run is
+    #: one in-process shard, so this never crosses a pipe
+    tracer: Optional[Tracer] = None
     #: per-device dispatch-log fragments (None unless kept)
     dispatch_log: Optional[Dict[int, List[Dict]]] = None
     latency: LatencyRecorder = field(default_factory=LatencyRecorder)
     layer_calls: Dict[str, int] = field(default_factory=dict)
 
 
-def shard_worker_main(conn, task: ShardTask) -> None:
-    """Child-process entry: run the shard protocol, ship the fragment."""
-    try:
-        result = _run_shard(conn, task)
-        conn.send(("result", result))
-    except BaseException:
-        try:
-            conn.send(("error", traceback.format_exc()))
-        except (BrokenPipeError, OSError):
-            pass
-    finally:
-        conn.close()
-
-
-def _run_shard(conn, task: ShardTask) -> ShardResult:
-    fault_for = plan_by_device(task.faults)
-    clock = VirtualClock(task.n_tenants)
+def run_shard(
+    task: ShardTask, exchange: Callable[[str, float], float]
+) -> ShardResult:
+    """Serve the tenants on ``task.owned_devices`` (see module docstring)."""
+    cfg = task.config
+    fault_for = plan_by_device(cfg.faults)
+    clock = VirtualClock(len(cfg.tenants))
     backend = ShardedBackend(
-        task.fs_name,
-        task.n_devices,
+        cfg.fs_name,
+        cfg.n_devices,
         clock,
-        geometry=task.geometry,
-        timing=task.timing,
-        log_bytes=task.log_bytes,
-        device_cache_bytes=task.device_cache_bytes,
-        page_cache_pages=task.page_cache_pages,
-        devcache=task.devcache,
-        queue_depth=task.queue_depth,
+        geometry=cfg.geometry,
+        timing=cfg.timing,
+        log_bytes=cfg.log_bytes,
+        device_cache_bytes=cfg.device_cache_bytes,
+        page_cache_pages=cfg.page_cache_pages,
+        devcache=cfg.devcache,
+        queue_depth=cfg.queue_depth,
         fault_devices=fault_for,
     )
     owned = sorted(task.owned_devices)
-    owned_set = set(owned)
-    # ------------------ setup phase (global index order) ------------------ #
-    runtime: Dict[int, TenantRT] = {}
-    device_of: Dict[int, int] = {}
-    for index, spec, dev in task.tenants:
-        device_of[index] = dev
-        if dev in owned_set:
-            runtime[index] = setup_tenant(
-                backend, clock, index, spec, dev, dev in fault_for,
-                task.seed,
+    # ---------- setup phase (un-measured, global index order) ---------- #
+    runtime: List[TenantRT] = []
+    by_device: Dict[int, List[TenantRT]] = {dev: [] for dev in owned}
+    for index, (spec, dev) in enumerate(zip(cfg.tenants, task.placement)):
+        if dev in by_device:
+            tn = setup_tenant(
+                backend, clock, index, spec, dev, dev in fault_for, cfg.seed,
             )
-    # Setup barrier: local maximum out, global epoch t0 back.
-    conn.send(("setup", clock.elapsed_ns))
-    t0 = conn.recv()
+            runtime.append(tn)
+            by_device[dev].append(tn)
+    # Setup barrier — the measurement epoch: every timeline of every
+    # shard jumps to t0 and every shard's traffic stats restart at zero.
+    t0 = exchange("setup", clock.elapsed_ns)
     clock.sync_to(t0)
     backend.reset_epoch()
     fault_rt: Dict[int, DeviceFault] = {}
     for dev in owned:
         fspec = fault_for.get(dev)
-        if fspec is None:
-            continue
-        frt = DeviceFault(spec=fspec, injector=backend.injectors[dev])
-        if fspec.at_s is not None:
-            frt.t_crash = t0 + fspec.at_s * SEC
-        fault_rt[dev] = frt
-    for index in sorted(runtime):
-        gen_arrivals(runtime[index], task.seed, t0)
-    by_device: Dict[int, List[TenantRT]] = {dev: [] for dev in owned}
-    for index in sorted(runtime):
-        by_device[device_of[index]].append(runtime[index])
+        if fspec is not None:
+            frt = DeviceFault(spec=fspec, injector=backend.injectors[dev])
+            if fspec.at_s is not None:
+                frt.t_crash = t0 + fspec.at_s * SEC
+            fault_rt[dev] = frt
+    # Open-loop Poisson arrivals, one independent stream per tenant.
+    for tn in runtime:
+        gen_arrivals(tn, cfg.seed, t0)
     scheds = {
-        dev: make_scheduler(task.sched, by_device[dev], task.quantum_ns)
+        dev: make_scheduler(cfg.sched, by_device[dev], cfg.quantum_ns)
         for dev in owned
     }
     cluster_latency = LatencyRecorder()
     dispatch_log: Optional[Dict[int, List[Dict]]] = (
-        {dev: [] for dev in owned} if task.keep_dispatch_log else None
+        {dev: [] for dev in owned} if cfg.keep_dispatch_log else None
     )
     sampler: Optional[telem.TelemetrySampler] = None
-    if task.sample_every_ns is not None:
-        sampler = telem.TelemetrySampler(t0, task.sample_every_ns)
+    if cfg.sample_every_ns is not None:
+        sampler = telem.TelemetrySampler(t0, cfg.sample_every_ns)
         for dev in owned:
             sampler.add_device(
                 dev,
@@ -201,117 +179,147 @@ def _run_shard(conn, task: ShardTask) -> ShardResult:
                 stats=backend.stats[dev],
                 time_of=clock.time_of,
             )
-    calls0 = {dev: device_call_snapshot(backend.devices[dev]) for dev in owned}
+    tracer = Tracer(clock, keep_spans=True) if cfg.traced else None
+    #: per-device registries of an auto-trace run; the reducer merges
+    #: them in device order so float accumulation never depends on W
     metrics_by_device: Dict[int, object] = {}
+    calls0 = {dev: device_call_snapshot(backend.devices[dev]) for dev in owned}
     # ------------------------- measured phase ------------------------- #
+    wall0 = time.perf_counter()
     if sampler is not None:
         telem.activate(sampler)
     try:
-        for dev in owned:
-            if by_device[dev]:
-                reg = run_device_drain(
-                    clock, dev, by_device[dev], scheds[dev],
-                    backend.queues[dev], backend.stats[dev],
-                    task.max_queue, cluster_latency,
-                    dispatch_log[dev] if dispatch_log is not None else None,
-                    backend.devices[dev], backend.filesystems[dev],
-                    fault_rt.get(dev), task.outage_policy, task.seed,
-                    None, task.auto_trace,
-                )
-                if reg is not None:
-                    metrics_by_device[dev] = reg
-        # Owned faulted devices with no tenants power-cycle after the
-        # populated shards drained (on thread 0, whose post-drain time
-        # is exact here: orphan devices are owned by tenant 0's worker).
-        for dev in owned:
-            frt = fault_rt.get(dev)
-            if frt is not None and not frt.done and not by_device[dev]:
-                reg = run_orphan_crash(
-                    clock, dev, backend.devices[dev],
-                    backend.filesystems[dev], backend.queues[dev],
-                    backend.stats[dev], frt, task.outage_policy,
-                    None, task.auto_trace,
-                )
-                if reg is not None:
-                    metrics_by_device[dev] = reg
+        with trace.activated(tracer) if tracer is not None else nullcontext():
+            # Tenants never span devices, so a shard's devices drain one
+            # after another on its clock.
+            for dev in owned:
+                if by_device[dev]:
+                    reg = run_device_drain(
+                        clock, dev, by_device[dev], scheds[dev],
+                        backend.queues[dev], backend.stats[dev],
+                        cfg.max_queue, cluster_latency,
+                        dispatch_log[dev] if dispatch_log is not None else None,
+                        backend.devices[dev], backend.filesystems[dev],
+                        fault_rt.get(dev), cfg.outage_policy, cfg.seed,
+                        tracer, task.auto_trace,
+                    )
+                    if reg is not None:
+                        metrics_by_device[dev] = reg
+            # A faulted device with no tenants still power-cycles, after
+            # the populated devices drained (so its recovery work never
+            # delays a tenant's timeline) and on thread 0, whose
+            # post-drain time is exact here: the plan gives such devices
+            # to the shard that serves tenant 0.
+            for dev in owned:
+                if dev in fault_rt and not by_device[dev]:
+                    reg = run_orphan_crash(
+                        clock, dev, backend.devices[dev],
+                        backend.filesystems[dev], backend.queues[dev],
+                        backend.stats[dev], fault_rt[dev],
+                        cfg.outage_policy, tracer, task.auto_trace,
+                    )
+                    if reg is not None:
+                        metrics_by_device[dev] = reg
+        if tracer is not None:
+            tracer.close_all()
     finally:
         if sampler is not None:
             telem.deactivate()
-    # End barrier: local elapsed out, global run end t_end back.
-    conn.send(("ran", clock.elapsed_ns))
-    t_end = conn.recv()
+    wall_s = time.perf_counter() - wall0
+    # End barrier: every shard closes its series at the cluster's t_end
+    # (equal-length series per device).
+    t_end = exchange("ran", clock.elapsed_ns)
     if sampler is not None:
         for dev in owned:
             sampler.advance(dev, t_end)
     # Final queue-accounting audit, sanitizer or not: a broken invariant
     # here means the result's counters are lies.
-    for index in sorted(runtime):
+    for tn in runtime:
         with fssan.sanitized():
-            sanity(runtime[index])
-    elapsed_s = (t_end - t0) / SEC
+            sanity(tn)
     layer_calls: Dict[str, int] = {}
     for dev in owned:
         snap = device_call_snapshot(backend.devices[dev])
         for key, v in snap.items():
-            layer_calls[key] = layer_calls.get(key, 0) + (v - calls0[dev][key])
-    result = ShardResult(
+            layer_calls[key] = layer_calls.get(key, 0) + v - calls0[dev][key]
+    if cfg.unmount:
+        # Before the summaries, which then count the final flush.
+        backend.unmount()
+    return ShardResult(
         worker_id=task.worker_id,
+        t0=t0,
+        t_end=t_end,
+        wall_s=wall_s,
         tenants=[
-            (index, _tenant_result(runtime[index], device_of[index]))
-            for index in sorted(runtime)
+            (
+                tn.index,
+                TenantResult(
+                    spec=tn.spec.to_json(),
+                    device=task.placement[tn.index],
+                    ops=tn.served,
+                    submitted=tn.submitted(),
+                    rejected=tn.rejected,
+                    dropped=tn.dropped,
+                    slo_violations=tn.slo_violations,
+                    latency=tn.latency,
+                    traffic=dict(tn.traffic),
+                    lost_to_crash=tn.lost_to_crash,
+                    outage_rejected=tn.outage_rejected,
+                    slo_violations_outage=tn.slo_violations_outage,
+                ),
+            )
+            for tn in runtime
         ],
         device_summaries={
-            dev: backend.device_summary(dev, elapsed_s) for dev in owned
+            dev: backend.device_summary(dev) for dev in owned
         },
         recovery={
             dev: frt.record
             for dev, frt in sorted(fault_rt.items())
             if frt.record is not None
         },
-        telemetry_rows=list(sampler.rows) if sampler is not None else None,
-        telemetry_outages=(
-            sampler.outages if sampler is not None else None
-        ),
+        telemetry_rows=sampler.rows if sampler is not None else None,
+        telemetry_outages=sampler.outages if sampler is not None else None,
         metrics=metrics_by_device,
+        tracer=tracer,
         dispatch_log=dispatch_log,
         latency=cluster_latency,
         layer_calls=layer_calls,
     )
-    if task.unmount:
-        backend.unmount()
-    return result
-
-
-def _tenant_result(tn: TenantRT, device: int) -> TenantResult:
-    return TenantResult(
-        spec=tn.spec.to_json(),
-        device=device,
-        ops=tn.served,
-        submitted=tn.submitted(),
-        rejected=tn.rejected,
-        dropped=tn.dropped,
-        slo_violations=tn.slo_violations,
-        latency=tn.latency,
-        traffic=dict(tn.traffic),
-        lost_to_crash=tn.lost_to_crash,
-        outage_rejected=tn.outage_rejected,
-        slo_violations_outage=tn.slo_violations_outage,
-    )
 
 
 # ---------------------------------------------------------------------- #
-# parent-side orchestration
+# the process transport
 # ---------------------------------------------------------------------- #
+
+def shard_worker_main(conn, task: ShardTask) -> None:
+    """Child-process entry: run the shard, ship the fragment."""
+
+    def exchange(tag: str, local: float) -> float:
+        conn.send((tag, local))
+        return conn.recv()
+
+    try:
+        conn.send(("result", run_shard(task, exchange)))
+    except BaseException:
+        try:
+            conn.send(("error", traceback.format_exc()))
+        except (BrokenPipeError, OSError):
+            pass
+    finally:
+        conn.close()
+
 
 def run_shard_workers(
     tasks: List[ShardTask],
-) -> Tuple[float, float, float, List[ShardResult]]:
-    """Run one process per task through the three-phase shard protocol.
+) -> Tuple[float, List[ShardResult]]:
+    """Run one process per task; the parent is the ``max()`` of both
+    barriers.
 
-    Returns ``(t0, t_end, wall_s, results)`` where ``wall_s`` measures
-    only the parallel drain (t0 broadcast to the last "ran" ack) —
-    process spawn, device construction and tenant setup are excluded,
-    like the bench harness excludes setup from measured walls.
+    Returns ``(wall_s, results)`` where ``wall_s`` measures only the
+    parallel drain (t0 broadcast to the last "ran") — process spawn,
+    device construction and tenant setup are excluded, like the bench
+    harness excludes setup from measured walls.
     """
     ctx = mp.get_context("spawn")
     procs: List = []
@@ -345,7 +353,7 @@ def run_shard_workers(
         ]
         for proc in procs:
             proc.join(timeout=30)
-        return t0, t_end, wall_s, results
+        return wall_s, results
     finally:
         for conn in conns:
             try:
@@ -362,6 +370,7 @@ def _recv(conn, proc, expect: str):
     try:
         tag, payload = conn.recv()
     except EOFError:
+        proc.join(timeout=5)  # reap it, so the exit code is known
         raise RuntimeError(
             f"shard worker pid={proc.pid} died before sending "
             f"{expect!r} (exit code {proc.exitcode})"

@@ -60,7 +60,7 @@ class DevCacheConfig:
     """Device-DRAM cache tunables (CLI: ``--devcache/--evict/--prefetch``).
 
     Frozen and picklable: the config crosses the process boundary inside
-    :class:`~repro.cluster.worker.ShardTask` for ``repro serve
+    :class:`~repro.cluster.serve.ServeConfig` for ``repro serve
     --workers N``.
     """
 
@@ -77,6 +77,14 @@ class DevCacheConfig:
     #: hotcold policy: hot-queue share of frames / promotion reuse distance
     hot_fraction: float = 0.5
     hot_distance: int = 16
+
+    def echo(self) -> Dict:
+        """The CLI-settable fields, as result documents echo them."""
+        return {
+            "cache_bytes": self.cache_bytes,
+            "policy": self.policy,
+            "prefetch": self.prefetch,
+        }
 
 
 class DeviceCache:

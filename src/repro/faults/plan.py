@@ -124,8 +124,8 @@ def plan_by_device(
 ) -> Dict[int, DeviceCrash]:
     """Index a (checked) fault plan by target device.
 
-    The serving layer and the shard workers both key runtime fault
-    state this way; :func:`check_fault_plan` guarantees at most one
-    crash per device, so the mapping is lossless.
+    The shard routine keys runtime fault state this way;
+    :func:`check_fault_plan` guarantees at most one crash per device,
+    so the mapping is lossless.
     """
     return {f.device: f for f in faults}

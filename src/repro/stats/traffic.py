@@ -271,8 +271,8 @@ class LatencyRecorder:
         quantity (:meth:`summary`, :meth:`percentile`) is computed over
         the *sorted* samples — so any grouping of per-shard recorders
         merges to bit-identical summaries, which is what lets the
-        process-parallel serving path reduce per-worker fragments into
-        the same document the serial path writes.
+        serving layer's reducer write the same document from one
+        shard's fragment as from several workers'.
         """
         for op in sorted(other._samples):
             samples = other._samples[op]

@@ -1,4 +1,4 @@
-"""Live telemetry for the serving stack (ROADMAP item 5).
+"""Live telemetry for the serving stack.
 
 ``repro.telemetry`` is the observability layer over :mod:`repro.cluster`
 runs: a deterministic virtual-time sampler

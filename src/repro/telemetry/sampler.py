@@ -76,7 +76,7 @@ class _DeviceProbe:
         device: int,
         gauges: Callable[[], Dict[str, float]],
         queue,                      # cluster.sched.AdmissionQueue
-        tenants: List,              # cluster.serve._TenantRT runtime states
+        tenants: List,              # cluster.kernel.TenantRT runtime states
         stats: TrafficStats,
         time_of: Callable[[int], float],
     ) -> None:
@@ -124,14 +124,14 @@ class TelemetrySampler:
     ) -> "TelemetrySampler":
         """Reassemble a sampler from per-shard fragments.
 
-        The process-parallel serving path samples each device in the
-        worker that owns it; the reducer concatenates the per-worker
-        ``rows`` and ``outages`` (each device's series produced by
-        exactly one worker) and rebuilds a sampler equivalent to the
-        serial run's.  Row order does not matter — every exported view
-        goes through :meth:`sorted_rows` — but the caller must pass
-        ``outages`` in the serial emission order (populated faulted
-        devices by index, then tenant-less ones).  Call
+        Each device is sampled in the shard that owns it; the reducer
+        (:mod:`repro.cluster.merge`) concatenates the per-shard ``rows``
+        and ``outages`` (each device's series produced by exactly one
+        shard) into the run's sampler, for one shard as for several.
+        Row order does not matter — every exported view goes through
+        :meth:`sorted_rows` — but the caller must pass ``outages`` in
+        the order one shard owning every device emits them (populated
+        faulted devices by index, then tenant-less ones).  Call
         :meth:`finalize` afterwards to close the series at the global
         run end.
         """

@@ -2,7 +2,10 @@
 
 ``repro serve --listen PORT`` exposes the run's telemetry snapshot in
 Prometheus text format the way a long-running daemon would — the
-serve-side face of ROADMAP item 5.  Zero dependencies: this is
+serve-side face of the live telemetry that ROADMAP "One instrumentation
+seam per layer boundary" still wants served *during* the drain.  The
+port is bound before the run (a busy one is a usage error in
+milliseconds) and served after it.  Zero dependencies: this is
 ``http.server`` with two routes.
 
 The server is **host-side plumbing outside the simulation**: it never
@@ -18,6 +21,7 @@ series depends on it.  Programmatic use::
 from __future__ import annotations
 
 import json
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
@@ -64,6 +68,19 @@ class TelemetryServer(ThreadingHTTPServer):
     def __init__(self, addr, render_metrics: Callable[[], str]) -> None:
         super().__init__(addr, _Handler)
         self.render_metrics = render_metrics
+
+    def serve_until_interrupt(self) -> None:
+        """Announce the endpoints on stderr and block until Ctrl-C."""
+        host, port = self.server_address[:2]
+        print(
+            f"telemetry: http://{host}:{port}/metrics and /healthz "
+            "(Ctrl-C to stop)",
+            file=sys.stderr,
+        )
+        try:
+            self.serve_forever()
+        except KeyboardInterrupt:  # pragma: no cover - interactive path
+            pass
 
 
 def make_server(

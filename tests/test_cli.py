@@ -131,3 +131,48 @@ def test_serve_bad_fault_spec_is_a_usage_error(capsys):
     assert "bad fault spec" in capsys.readouterr().err
     assert main(_SERVE + ["--fault", "crash:dev9@t=0.1"]) == 2
     assert "device 9" in capsys.readouterr().err
+
+
+def test_serve_bad_parameter_is_a_usage_error_under_workers(capsys):
+    # rejected before any worker process exists: one line, not a child
+    # traceback wrapped in a RuntimeError
+    assert main(_SERVE + ["--workers", "2", "--queue-depth", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err == "repro serve: queue depth must be >= 1\n"
+
+
+def test_serve_listen_on_a_busy_port_fails_before_the_run(
+    capsys, monkeypatch
+):
+    import socket
+
+    import repro.cluster
+
+    def ran(*_a, **_k):
+        raise AssertionError("the run started before the port was bound")
+    monkeypatch.setattr(repro.cluster, "serve_cluster", ran)
+    with socket.socket() as holder:
+        holder.bind(("127.0.0.1", 0))
+        holder.listen()
+        port = holder.getsockname()[1]
+        assert main(_SERVE + ["--listen", str(port)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"repro serve: cannot listen on {port}: ")
+    assert len(err.splitlines()) == 1
+
+
+def test_serve_listen_serves_the_finished_runs_telemetry(
+    capsys, monkeypatch
+):
+    from repro.telemetry import parse_exposition
+    from repro.telemetry.server import TelemetryServer
+
+    served = []
+    monkeypatch.setattr(
+        TelemetryServer, "serve_forever",
+        lambda self: served.append(self.render_metrics()),
+    )
+    assert main(_SERVE + ["--listen", "0"]) == 0
+    assert "/metrics and /healthz" in capsys.readouterr().err
+    assert "repro_tenant_submitted_total" in served[0]
+    assert not parse_exposition(served[0])

@@ -1,0 +1,338 @@
+"""One serving path: every worker count runs the same shard routine.
+
+``workers=0`` is one in-process shard through the routine the worker
+processes run, reduced by the same reducer — so "serial == workers"
+compares one routine with itself and proves nothing on its own.  The
+reference is therefore the parent commit: (a) pins sha256 digests of the
+result document, the telemetry series, the dispatch log and the trace
+JSONL, taken with the hand-assembled serial path that this routine
+replaced, for every worker count.  (b) pins the error contract (one
+validation, before anything is built or spawned), (c) the process edge
+(a killed or a raising worker), (d) the structure itself.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import multiprocessing
+import os
+import signal
+import threading
+import time
+from pathlib import Path
+
+import pytest
+
+import repro.cluster
+from repro.cluster import TenantSpec, serve_cluster
+from repro.devcache import DevCacheConfig
+from repro.faults.plan import DeviceCrash
+from repro.telemetry.series import to_lines
+from repro.trace import tracer as trace
+from repro.trace.export import to_jsonl
+from tests.conftest import SMALL_GEOMETRY
+
+# ---------------------------------------------------------------------- #
+# (a) documents, series, logs and traces: goldens of the parent commit
+# ---------------------------------------------------------------------- #
+
+#: one tenant-less faulted device (2) and one crashing under load (0):
+#: both recovery paths, and the outage order the reducer has to restore
+FAULTS = [DeviceCrash(device=0, after_ops=9),
+          DeviceCrash(device=2, at_s=0.0001)]
+
+#: name -> serve_cluster keywords on top of :func:`serve_shape`'s base;
+#: ``auto_trace`` is not a keyword but the value ``trace.AUTO`` is
+#: pinned to (the digests must not depend on REPRO_TRACE in the
+#: environment)
+SHAPES = {
+    "plain": {},
+    "faulted": dict(n_devices=3, faults=FAULTS, keep_dispatch_log=True),
+    "reject": dict(n_devices=3, faults=FAULTS, outage_policy="reject"),
+    "token-bucket": dict(sched="token-bucket"),
+    "devcache": dict(devcache=DevCacheConfig(
+        cache_bytes=64 * 4096, policy="clock", prefetch=True,
+    )),
+    "unmount": dict(unmount=True),
+    "auto-trace": dict(auto_trace=True),
+    "traced": dict(n_devices=3, faults=FAULTS, traced=True),
+}
+
+
+def serve_shape(name: str, workers: int):
+    kw = dict(SHAPES[name])
+    auto_trace = kw.pop("auto_trace", False)
+    tenants = [
+        TenantSpec(
+            name=f"t{i}", workload="synthetic", n_ops=40,
+            rate_ops_s=200_000.0, device=i % 2,
+            # caps only the token-bucket scheduler reads
+            limit_ops_s=(20_000.0, None, 60_000.0, 40_000.0)[i],
+            burst_ops=4,
+        )
+        for i in range(4)
+    ]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trace, "AUTO", auto_trace)
+        return serve_cluster(tenants, **{
+            "fs_name": "bytefs", "n_devices": 2, "sched": "drr",
+            "seed": 42, "queue_depth": 2, "max_queue": 256,
+            "geometry": SMALL_GEOMETRY, "sample_every_ns": 500_000.0,
+            "workers": workers, **kw,
+        })
+
+
+def digests(name: str, workers: int) -> dict:
+    """sha256 of every artefact the shape produces."""
+    res = serve_shape(name, workers)
+    texts = {
+        "doc": json.dumps(res.to_json(), sort_keys=True),
+        "series": "\n".join(to_lines(res.telemetry)),
+    }
+    if res.dispatch_log is not None:
+        texts["dispatch_log"] = json.dumps(res.dispatch_log, sort_keys=True)
+    if SHAPES[name].get("traced"):
+        texts["trace"] = to_jsonl(res.trace, {"shape": name})
+    return {
+        key: hashlib.sha256(text.encode()).hexdigest()
+        for key, text in texts.items()
+    }
+
+
+#: taken on 0156570, the commit before the serial path was deleted, by
+#: calling ``digests(name, 0)`` with that tree on ``sys.path``.  (There
+#: ``unmount=True`` summarised the devices before unmounting under
+#: workers and after it serially; the serial order is the one kept.)
+PARENT_SHA256 = {
+    "auto-trace": {
+        "doc":
+            "0f56a7224bc02c406efa72772b7fcb013b7b1407b632113907ac90d4fc3c6c1c",
+        "series":
+            "dc7454803af4586d60d14f05504ba2b4cddeb84a41d9946645c715f07247d2d2",
+    },
+    "devcache": {
+        "doc":
+            "b0b1b379af9cb802b2a2155ac2b48fb791b8eaf935ba066f7d248ce2c8da884a",
+        "series":
+            "024d7e44be4d71fcd05d37aba97432fc04f03ff1b44a2227b9df4a60dca7f26c",
+    },
+    "faulted": {
+        "dispatch_log":
+            "8862ac45eab1bf2e87f01842eb542dfdf2e82ba2579365bbf6ae940135b77ab0",
+        "doc":
+            "63e47b4be8cd0aad4a9d579c25cd21031df34071fda6e87816fefbb35b848fe5",
+        "series":
+            "94842ab2d2585083171d8af5d8baf2a4ed70e8cf0ad0d52543c256d567376265",
+    },
+    "plain": {
+        "doc":
+            "0f56a7224bc02c406efa72772b7fcb013b7b1407b632113907ac90d4fc3c6c1c",
+        "series":
+            "39f900bc969807ca7b17792223ac6c790033b73753cfa2f3ec331756a91bc5bd",
+    },
+    "reject": {
+        "doc":
+            "4c42e700f54f532729093ca8f66fce1b7027b4b7a7fa797ee66d34f5c89bce1c",
+        "series":
+            "fa33b307718f60f7a0907f9e59d6bbe89f53f8b18d4ba27b5e70b048692848c8",
+    },
+    "token-bucket": {
+        "doc":
+            "09db0cfc5a8056e6ae40a2314b3dfbabac3c56bee41ab47c3ef5443022f6ee53",
+        "series":
+            "590aa2e9bc6657eb9cd8a64cd56265e2caa4c93ecce4a6cb48ec4ae3a880d062",
+    },
+    "traced": {
+        "doc":
+            "63e47b4be8cd0aad4a9d579c25cd21031df34071fda6e87816fefbb35b848fe5",
+        "series":
+            "0c00cabe84f2c276fec8fbea4a9bea2612811d0953a70c034f86193f17b6b6ea",
+        "trace":
+            "ddd32ffdc9db528e0712b3485796d46dc37140b11e1a7a2ed41af9ceb54b673f",
+    },
+    "unmount": {
+        "doc":
+            "fea16b4bff87190e17d8579ee9d1442e70fb0f762415ae360aca57f472a49bce",
+        "series":
+            "39f900bc969807ca7b17792223ac6c790033b73753cfa2f3ec331756a91bc5bd",
+    },
+}
+
+
+@pytest.mark.parametrize("name,workers", [
+    (name, workers) for name in sorted(SHAPES) for workers in (0, 1, 2, 4)
+    if not (workers and SHAPES[name].get("traced"))  # one in-process shard
+])
+def test_artefacts_match_parent_commit(name, workers):
+    assert digests(name, workers) == PARENT_SHA256[name]
+
+
+# ---------------------------------------------------------------------- #
+# (b) the error contract: one validation, before anything runs
+# ---------------------------------------------------------------------- #
+
+def _specs(**kw):
+    base = dict(workload="synthetic", n_ops=5, rate_ops_s=200_000.0)
+    return [TenantSpec(name=f"t{i}", device=i, **{**base, **kw})
+            for i in range(2)]
+
+
+#: name -> (tenants, serve_cluster keywords, a fragment of the message)
+BAD_CONFIGS = {
+    "no tenants": ([], {}, "at least one tenant"),
+    "duplicate tenants": (_specs() + _specs(), {}, "must be unique"),
+    "outage policy": (_specs(), dict(outage_policy="panic"),
+                      "unknown outage policy"),
+    "fault on a missing device": (
+        _specs(), dict(faults=[DeviceCrash(7, after_ops=1)]), "device 7"),
+    "two faults on one device": (
+        _specs(),
+        dict(faults=[DeviceCrash(0, after_ops=1), DeviceCrash(0, at_s=0.1)]),
+        "more than one planned crash"),
+    "scheduler name": (_specs(), dict(sched="deadline"), "unknown scheduler"),
+    "scheduler quantum": (_specs(), dict(quantum_ns=0.0), "quantum"),
+    "placement pin": (_specs() + [TenantSpec(name="far", device=5)], {},
+                      "pinned to device 5"),
+    "no devices": (_specs(), dict(n_devices=0), "at least one device"),
+    "queue depth": (_specs(), dict(queue_depth=0), "queue depth"),
+    "file system": (_specs(), dict(fs_name="zfs"), "unknown file system"),
+    "tenant workload": (_specs(workload="nope"), {},
+                        "unknown tenant workload"),
+    "unmirrorable workload on a faulted device": (
+        _specs(workload="varmail"),
+        dict(faults=[DeviceCrash(1, after_ops=1)]), "oracle"),
+    "arrival rate": (_specs(rate_ops_s=0.0), {}, "positive rate_ops_s"),
+    "sampling interval": (_specs(), dict(sample_every_ns=0.0),
+                          "sample_every_ns must be positive"),
+}
+
+
+@pytest.fixture
+def nothing_runs(monkeypatch):
+    """Fail the test if a shard is run, in this process or another."""
+    def ran(*_a, **_k):
+        raise AssertionError("a rejected configuration reached a shard")
+    monkeypatch.setattr(repro.cluster.serve, "run_shard", ran)
+    monkeypatch.setattr(repro.cluster.serve, "run_shard_workers", ran)
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
+def test_bad_config_is_one_valueerror_for_every_worker_count(
+    name, nothing_runs
+):
+    tenants, kw, fragment = BAD_CONFIGS[name]
+    seen = set()
+    for workers in (0, 2):
+        with pytest.raises(ValueError, match=fragment) as exc:
+            serve_cluster(tenants, **{
+                "n_devices": 2, "geometry": SMALL_GEOMETRY, **kw,
+                "workers": workers,
+            })
+        seen.add((type(exc.value), str(exc.value).splitlines()[0]))
+    assert len(seen) == 1, seen
+
+
+def test_negative_workers_rejected(nothing_runs):
+    with pytest.raises(ValueError, match="workers must be >= 0"):
+        serve_cluster(_specs(), n_devices=2, workers=-1)
+
+
+# ---------------------------------------------------------------------- #
+# (c) the process edge: a worker that dies, a worker that raises
+# ---------------------------------------------------------------------- #
+
+def test_killed_worker_is_a_bounded_runtime_error():
+    """SIGKILL one shard worker mid-run: ``serve_cluster`` names the pid
+    and exit code, promptly, and leaves no live child behind."""
+    assert not multiprocessing.active_children()
+    killed = []
+
+    def kill_one():
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline:
+            children = multiprocessing.active_children()
+            if len(children) == 2:
+                # Worker 0 (spawned first): the parent is blocked on its
+                # pipe, so the death is seen at once rather than after
+                # worker 1's whole drain.
+                victim = min(
+                    children, key=lambda p: int(p.name.rsplit("-", 1)[1])
+                )
+                time.sleep(1.0)  # well past spawn, into setup/drain
+                os.kill(victim.pid, signal.SIGKILL)
+                killed.append(victim.pid)
+                return
+            time.sleep(0.01)
+
+    killer = threading.Thread(target=kill_one)
+    killer.start()
+    long_run = [
+        TenantSpec(name=f"t{i}", workload="mixed", n_ops=20_000,
+                   rate_ops_s=200_000.0, device=i % 2)
+        for i in range(4)
+    ]
+    t_start = time.monotonic()
+    with pytest.raises(RuntimeError) as exc:
+        serve_cluster(long_run, n_devices=2, workers=2)
+    elapsed = time.monotonic() - t_start
+    killer.join(timeout=30)
+    assert not killer.is_alive() and killed
+    assert f"pid={killed[0]}" in str(exc.value)
+    assert f"exit code {-signal.SIGKILL}" in str(exc.value)
+    assert elapsed < 30, f"took {elapsed:.1f} s to notice a dead worker"
+    assert not multiprocessing.active_children()
+
+
+def test_raising_worker_surfaces_its_traceback():
+    # Valid parameters, but the tenants' file sets do not fit a 1 MB
+    # device: setup raises NoSpace inside the shard.
+    from repro.fs.errors import NoSpace
+    from repro.nand.geometry import FlashGeometry
+
+    tiny = FlashGeometry(n_channels=2, ways_per_channel=1, blocks_per_way=8,
+                         pages_per_block=16, page_size=4096)
+    tenants = [TenantSpec(name=f"t{i}", workload="heavy", n_ops=5, device=i)
+               for i in range(2)]
+    with pytest.raises(NoSpace):
+        serve_cluster(tenants, n_devices=2, geometry=tiny)
+    with pytest.raises(RuntimeError, match="shard worker failed") as exc:
+        serve_cluster(tenants, n_devices=2, geometry=tiny, workers=2)
+    text = str(exc.value)
+    assert "Traceback (most recent call last)" in text
+    assert "NoSpace" in text and "run_shard" in text
+    assert not multiprocessing.active_children()
+
+
+# ---------------------------------------------------------------------- #
+# (d) live-only fields, and the structure itself
+# ---------------------------------------------------------------------- #
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_auto_trace_result_trace_is_none_for_every_worker_count(workers):
+    res = serve_shape("auto-trace", workers)
+    assert res.trace is None
+    # ... the registries went into the series' layer rows instead
+    assert any(row["scope"] == "layer" for row in res.telemetry.rows)
+    assert res.wall_s > 0 and "wall_s" not in res.to_json()
+
+
+def test_one_call_site_per_serving_step():
+    """One shard routine and one reducer, shown structurally: each step
+    of the serving sequence is called from exactly one place in
+    ``repro.cluster``."""
+    import ast
+
+    steps = ("ShardedBackend", "setup_tenant", "gen_arrivals",
+             "run_device_drain", "run_orphan_crash", "TenantResult",
+             "ClusterRunResult")
+    sites = {name: [] for name in steps}
+    for path in sorted(Path(repro.cluster.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                if node.func.id in sites:
+                    sites[node.func.id].append(path.name)
+    assert sites == {
+        **{name: ["worker.py"] for name in steps},
+        "ClusterRunResult": ["merge.py"],
+    }
