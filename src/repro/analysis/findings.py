@@ -42,6 +42,10 @@ RULES: Dict[str, str] = {
         "per-page device-visible mutation inside a loop instead of a "
         "batched op (write_pages / trim_many / ranged trim)"
     ),
+    "PERF002": (
+        "import statement inside a function body of a stack-layer "
+        "module (executed on every call)"
+    ),
 }
 
 

@@ -40,7 +40,10 @@ from repro.analysis.determinism import (
 )
 from repro.analysis.findings import RULES, Finding
 from repro.analysis.layering import check_layering
-from repro.analysis.perfpass import check_per_page_loops
+from repro.analysis.perfpass import (
+    check_function_imports,
+    check_per_page_loops,
+)
 from repro.analysis.project import ProjectIndex, build_index
 from repro.analysis.schema_drift import check_schema_drift
 from repro.analysis.suppress import is_suppressed, suppression_map
@@ -161,6 +164,7 @@ _MODULE_PASSES = (
     ("DET003", check_set_iteration),
     ("LAY001", check_layering),
     ("PERF001", check_per_page_loops),
+    ("PERF002", check_function_imports),
 )
 
 #: Whole-program passes taking the ProjectIndex (CS001/CS002 are run

@@ -1,4 +1,5 @@
-"""Performance lint pass (PERF001): per-page device ops inside loops.
+"""Performance lint passes: per-page device ops inside loops (PERF001)
+and imports inside function bodies of the stack layers (PERF002).
 
 The simulator's hot path is dominated by call volume, not arithmetic:
 a filesystem that TRIMs a thousand blocks one ``device.trim(b)`` at a
@@ -26,6 +27,16 @@ Some per-page loops are inherent — GC migration rebinds each page to a
 different physical address, and the batched implementations themselves
 bottom out in per-page loops.  Annotate those with
 ``# repro: allow[PERF001]`` on the call line (or the line above).
+
+**PERF002** flags an ``import`` / ``from … import`` statement inside a
+function body of a stack-layer module (:data:`STACK_PREFIXES`: every
+module a simulated operation passes through).  The statement runs on
+every call — a ``sys.modules`` probe, an attribute fetch and a local
+bind per name — and ``BaseFileSystem.open`` paid it 50 000 times per
+serve run before this rule existed.  Import at module level; an import
+that must stay local (a genuine cycle, an optional dependency) takes
+``# repro: allow[PERF002]``.  ``if TYPE_CHECKING:`` blocks never run
+and are not flagged.
 """
 
 from __future__ import annotations
@@ -91,6 +102,55 @@ class _LoopCallVisitor(ast.NodeVisitor):
                     _MESSAGE.format(name=attr),
                 ))
         self.generic_visit(node)
+
+
+#: Modules on the path of a simulated operation.
+STACK_PREFIXES = (
+    "repro.fs",
+    "repro.host",
+    "repro.ssd",
+    "repro.ftl",
+    "repro.nand",
+    "repro.interconnect",
+    "repro.sim",
+    "repro.devcache",
+    "repro.cluster.kernel",
+    "repro.cluster.tenant",
+    "repro.cluster.sched",
+)
+
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def check_function_imports(module) -> List[Finding]:
+    """PERF002: import statement inside a stack-layer function body."""
+    out: List[Finding] = []
+
+    def visit(node: ast.AST, in_function: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Import, ast.ImportFrom)):
+                if in_function:
+                    out.append(Finding(
+                        "PERF002", module.display, child.lineno,
+                        child.col_offset,
+                        "import statement inside a function body of a "
+                        "stack-layer module runs on every call; import at "
+                        "module level or annotate with `# repro: "
+                        "allow[PERF002]` if it must stay local",
+                    ))
+            elif not (
+                isinstance(child, ast.If)
+                and "TYPE_CHECKING" in ast.unparse(child.test)
+            ):
+                visit(child, in_function or isinstance(child, _FUNCTIONS))
+
+    if any(
+        module.name == p or module.name.startswith(p + ".")
+        for p in STACK_PREFIXES
+    ):
+        visit(module.tree, False)
+    return out
 
 
 def check_per_page_loops(module) -> List[Finding]:

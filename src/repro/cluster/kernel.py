@@ -26,6 +26,15 @@ place on pop.  An idle stretch of virtual time — every tenant's next
 arrival far in the future — costs one heap peek instead of a scan per
 tenant, and each heap holds at most one entry per tenant.
 
+**Once-per-op traffic totals.**  A tenant is billed the bytes its op
+moved: the device's six traffic totals after the op minus the totals
+before it.  The totals are taken once per op — the *after* of one op is
+the *before* of the next — and re-taken wherever the device is touched
+between ops, so that traffic is billed to nobody: after
+:func:`crash_and_recover` (recovery reads and replays) and after a
+generator that did I/O past its last ``yield`` raised ``StopIteration``.
+That is the one attribution rule; there is no slower exact variant.
+
 The kernel also owns the runtime state the loop mutates
 (:class:`TenantRT`, :class:`DeviceFault`), the crash/recovery protocol
 (:func:`crash_and_recover`) and the building blocks the shard routine
@@ -60,6 +69,11 @@ from repro.cluster.tenant import CRASHED, TenantSpec, make_tenant_workload
 
 _INF = float("inf")
 
+_TRAFFIC_KEYS = (
+    "host_write", "host_read", "flash_write", "flash_read",
+    "app_write", "app_read",
+)
+
 
 @dataclass
 class TenantRT:
@@ -81,7 +95,8 @@ class TenantRT:
     slo_violations_outage: int = 0   # violations overlapping the outage
     done: bool = False               # workload generator exhausted
     latency: LatencyRecorder = field(default_factory=LatencyRecorder)
-    traffic: Dict[str, int] = field(default_factory=dict)
+    #: bytes this tenant's ops moved, in ``_TRAFFIC_KEYS`` order
+    moved: List[int] = field(default_factory=lambda: [0] * len(_TRAFFIC_KEYS))
     #: namespace view and oracle mirror (faulted shards only)
     ns: Optional[object] = None
     oracle: Optional[OracleFS] = None
@@ -89,12 +104,14 @@ class TenantRT:
     reject_from: float = _INF
     reject_to: float = -_INF
 
-    @property
-    def tid(self) -> int:
-        return self.index
-
     def submitted(self) -> int:
         return self.next_i
+
+    def traffic(self) -> Dict[str, int]:
+        """``moved`` by key; empty until an op of this tenant ran."""
+        if not (self.served or self.lost_to_crash):
+            return {}
+        return dict(zip(_TRAFFIC_KEYS, self.moved))
 
     def pump(self, t: float, max_queue: int) -> None:
         """Move arrivals up to ``t`` into the queue (admission control)."""
@@ -122,12 +139,6 @@ class TenantRT:
         del self.arrivals[self.next_i:]
 
 
-_TRAFFIC_KEYS = (
-    "host_write", "host_read", "flash_write", "flash_read",
-    "app_write", "app_read",
-)
-
-
 def _traffic_totals(stats: TrafficStats) -> Tuple[float, ...]:
     hw = hr = 0
     for (_k, d, _i), n in stats.host_ssd.items():
@@ -149,8 +160,13 @@ def _traffic_totals(stats: TrafficStats) -> Tuple[float, ...]:
 
 
 def _attribute(tn: TenantRT, before: Tuple, after: Tuple) -> None:
-    for key, b, a in zip(_TRAFFIC_KEYS, before, after):
-        tn.traffic[key] = tn.traffic.get(key, 0) + (a - b)
+    moved = tn.moved
+    moved[0] += after[0] - before[0]
+    moved[1] += after[1] - before[1]
+    moved[2] += after[2] - before[2]
+    moved[3] += after[3] - before[3]
+    moved[4] += after[4] - before[4]
+    moved[5] += after[5] - before[5]
 
 
 def sanity(tn: TenantRT) -> None:
@@ -278,19 +294,6 @@ def crash_and_recover(
     }
 
 
-def _live_ready(tn: TenantRT, time_of) -> Optional[float]:
-    """The earliest instant ``tn`` could dispatch, or None if it never
-    will again (no backlog, no future arrivals)."""
-    if tn.queue:
-        r = tn.queue[0]
-    elif tn.next_i < len(tn.arrivals):
-        r = tn.arrivals[tn.next_i]
-    else:
-        return None
-    avail = time_of(tn.tid)
-    return avail if avail > r else r
-
-
 def serve_device(
     clock: VirtualClock,
     device: int,
@@ -310,42 +313,51 @@ def serve_device(
 ) -> None:
     """Drain one device's tenants to completion (see module docstring)."""
     time_of = clock.time_of
+    heapreplace = heapq.heapreplace
+    heappop = heapq.heappop
     smp = telem.active() if telem.ENABLED else None
     by_index = {tn.index: tn for tn in tenants}
     #: tenants with a non-empty queue, keyed by global index
     backlog: Dict[int, TenantRT] = {
         tn.index: tn for tn in tenants if tn.queue
     }
-    ready: List[Tuple[float, int]] = []
-    arrivals_heap: List[Tuple[float, int]] = []
-    for tn in tenants:
-        r = _live_ready(tn, time_of)
-        if r is not None:
-            ready.append((r, tn.index))
-        if tn.next_i < len(tn.arrivals):
-            arrivals_heap.append((tn.arrivals[tn.next_i], tn.index))
+    #: no arrival later than this has been pumped; while it is <= the
+    #: decision instant, every backlogged head request has arrived
+    pumped_to = -_INF
+    # Any under-estimate is a valid lazy-heap entry; virtual time is >= 0.
+    ready: List[Tuple[float, int]] = [(0.0, tn.index) for tn in tenants]
+    arrivals_heap: List[Tuple[float, int]] = [
+        (tn.arrivals[tn.next_i], tn.index)
+        for tn in tenants if tn.next_i < len(tn.arrivals)
+    ]
     heapq.heapify(ready)
     heapq.heapify(arrivals_heap)
 
     def _peek_ready() -> float:
         """Exact ``min(live r)`` over candidate tenants, or inf.
 
-        Lazy revalidation: a top entry matching its tenant's live value
-        is the true minimum because every other entry underestimates.
+        A tenant's live ``r`` is the later of its head-of-queue (or next
+        unpumped) arrival and its client thread's time; a tenant with
+        neither will never dispatch again and leaves the heap.  Lazy
+        revalidation: a top entry matching its tenant's live value is
+        the true minimum because every other entry underestimates.
         """
         while ready:
             r, idx = ready[0]
             tn = by_index[idx]
-            if tn.done:
-                heapq.heappop(ready)
+            if tn.queue:
+                live = tn.queue[0]
+            elif tn.next_i < len(tn.arrivals):
+                live = tn.arrivals[tn.next_i]
+            else:
+                heappop(ready)
                 continue
-            live = _live_ready(tn, time_of)
-            if live is None:
-                heapq.heappop(ready)
-                continue
+            avail = time_of(idx)
+            if avail > live:
+                live = avail
             if live == r:
                 return r
-            heapq.heapreplace(ready, (live, idx))
+            heapreplace(ready, (live, idx))
         return _INF
 
     def _next_arrival() -> float:
@@ -353,14 +365,13 @@ def serve_device(
         while arrivals_heap:
             a, idx = arrivals_heap[0]
             tn = by_index[idx]
-            if tn.done or tn.next_i >= len(tn.arrivals):
-                heapq.heappop(arrivals_heap)
+            if tn.next_i >= len(tn.arrivals):
+                heappop(arrivals_heap)
                 continue
             live = tn.arrivals[tn.next_i]
-            if live != a:
-                heapq.heapreplace(arrivals_heap, (live, idx))
-                continue
-            return a
+            if live == a:
+                return a
+            heapreplace(arrivals_heap, (live, idx))
         return _INF
 
     def _pump_until(t: float) -> None:
@@ -370,28 +381,21 @@ def serve_device(
         the tenant's own queue and reject window), so pumping in global
         arrival order leaves the same state as a pump-every-tenant scan.
         """
-        while arrivals_heap:
-            a, idx = arrivals_heap[0]
+        nonlocal pumped_to
+        if t > pumped_to:
+            pumped_to = t
+        while _next_arrival() <= t:
+            idx = arrivals_heap[0][1]
             tn = by_index[idx]
-            if tn.done or tn.next_i >= len(tn.arrivals):
-                heapq.heappop(arrivals_heap)
-                continue
-            live = tn.arrivals[tn.next_i]
-            if live != a:
-                heapq.heapreplace(arrivals_heap, (live, idx))
-                continue
-            if a > t:
-                break
             tn.pump(t, max_queue)
-            if tn.queue and idx not in backlog:
+            if tn.queue:
                 backlog[idx] = tn
             if tn.next_i < len(tn.arrivals):
-                heapq.heapreplace(
-                    arrivals_heap, (tn.arrivals[tn.next_i], idx)
-                )
+                heapreplace(arrivals_heap, (tn.arrivals[tn.next_i], idx))
             else:
-                heapq.heappop(arrivals_heap)
+                heappop(arrivals_heap)
 
+    totals = _traffic_totals(stats)
     while True:
         # 1. The earliest dispatchable request across tenants: arrived
         # AND the tenant's (single-threaded) client is free again.  One
@@ -415,10 +419,9 @@ def serve_device(
                 fault.armed = True
         # 2. Pump arrivals (admission control) up to the decision instant.
         _pump_until(t_dec)
-        eligible = [
-            backlog[i] for i in sorted(backlog)
-            if backlog[i].queue[0] <= t_dec
-        ]
+        eligible = backlog if pumped_to <= t_dec else {
+            i: tn for i, tn in backlog.items() if tn.queue[0] <= t_dec
+        }
         if not eligible:
             # The min-r tenant's arrival was rejected at the full queue;
             # recompute from the new state.
@@ -430,8 +433,9 @@ def serve_device(
         # exactly head-of-line blocking: later arrivals from everyone
         # else wait behind a backlogged tenant's older requests.
         tn = sched.pick(eligible, t_dec)
+        index = tn.index
         start = t_dec
-        avail = time_of(tn.tid)
+        avail = time_of(index)
         if avail > start:
             start = avail
         rel = sched.release(tn, t_dec)
@@ -446,11 +450,11 @@ def serve_device(
             start = rel
         arrival = tn.queue.popleft()
         if not tn.queue:
-            del backlog[tn.index]
+            del backlog[index]
         slot, grant = queue.admit(start)
         if fault is not None:
             fault.dispatched += 1
-        clock.switch(tn.tid)
+        clock.switch(index)
         clock.advance_to(grant)
         root = (
             trace.begin("cluster", "op", tenant=tn.spec.name, device=device)
@@ -458,7 +462,6 @@ def serve_device(
         )
         if root is not None and grant > arrival:
             trace.note_wait(queue.group, grant - arrival, 0.0)
-        before = _traffic_totals(stats)
         try:
             op_name = next(tn.gen)
         except StopIteration:
@@ -467,7 +470,9 @@ def serve_device(
                 trace.end(root)
             tn.dropped += 1
             tn.finish()
-            backlog.pop(tn.index, None)
+            backlog.pop(index, None)
+            # What the generator did after its last yield is nobody's op.
+            totals = _traffic_totals(stats)
             if fssan.ENABLED:
                 sanity(tn)
             continue
@@ -476,43 +481,8 @@ def serve_device(
             root.op = op_name
             trace.end(root)
         queue.complete(slot, grant, end)
-        _attribute(tn, before, _traffic_totals(stats))
-        if op_name == CRASHED:
-            # The dispatched op was in flight when the shard lost power:
-            # it was submitted but never served (lost to crash), and the
-            # recovery protocol runs right here, at t_down = `end`.
-            tn.lost_to_crash += 1
-            if dispatch_log is not None:
-                dispatch_log.append({
-                    "device": device,
-                    "tenant": tn.spec.name,
-                    "op": op_name,
-                    "arrival": arrival,
-                    "begin": grant,
-                    "end": end,
-                })
-            crash_and_recover(
-                clock, device, device_obj, fs, tenants, queue, sched,
-                stats, fault, outage_policy, tracer,
-            )
-            if fssan.ENABLED:
-                sanity(tn)
-            continue
-        sched.on_dispatch(tn, grant)
-        sched.charge(tn, end - grant)
-        lat = end - arrival
-        tn.served += 1
-        tn.latency.record(op_name, lat)
-        tn.latency.record(ALL_OPS, lat)
-        cluster_latency.record(op_name, lat)
-        cluster_latency.record(ALL_OPS, lat)
-        if lat > tn.spec.slo_ms * MSEC:
-            tn.slo_violations += 1
-            if (
-                fault is not None and fault.done
-                and arrival < fault.t_up and end > fault.t_down
-            ):
-                tn.slo_violations_outage += 1
+        before, totals = totals, _traffic_totals(stats)
+        _attribute(tn, before, totals)
         if dispatch_log is not None:
             dispatch_log.append({
                 "device": device,
@@ -522,28 +492,56 @@ def serve_device(
                 "begin": grant,
                 "end": end,
             })
+        if op_name == CRASHED:
+            # The dispatched op was in flight when the shard lost power:
+            # it was submitted but never served (lost to crash).
+            tn.lost_to_crash += 1
+        else:
+            sched.on_dispatch(tn, grant)
+            sched.charge(tn, end - grant)
+            lat = end - arrival
+            tn.served += 1
+            tn.latency.record(op_name, lat)
+            tn.latency.record(ALL_OPS, lat)
+            if lat > tn.spec.slo_ms * MSEC:
+                tn.slo_violations += 1
+                if (
+                    fault is not None and fault.done
+                    and arrival < fault.t_up and end > fault.t_down
+                ):
+                    tn.slo_violations_outage += 1
         if fssan.ENABLED:
             sanity(tn)
-        if fault is not None and fault.armed and not fault.done:
-            # The crash op completed without reaching a device-visible
-            # mutation (e.g. a cache-hit read): power drops at the op
-            # boundary instead, with nothing in flight.
+        if op_name == CRASHED or (
+            fault is not None and fault.armed and not fault.done
+        ):
+            # The recovery protocol runs right here, at t_down = `end`.
+            # An armed crash op that completed without reaching a
+            # device-visible mutation (e.g. a cache-hit read) drops power
+            # at the op boundary instead, with nothing in flight.
             crash_and_recover(
                 clock, device, device_obj, fs, tenants, queue, sched,
                 stats, fault, outage_policy, tracer,
             )
+            # Recovery traffic is nobody's op either.
+            totals = _traffic_totals(stats)
     if fault is not None and not fault.done:
         # The drain finished before the trigger was reached (or the
         # armed crash never saw another dispatch): the planned fault
         # still executes, as a between-ops power-off at drain end, so a
         # matrix cell always exercises the recovery path.
-        tmax = max(time_of(tn.tid) for tn in tenants)
-        clock.switch(tenants[0].tid)
+        tmax = max(time_of(tn.index) for tn in tenants)
+        clock.switch(tenants[0].index)
         clock.advance_to(tmax)
         crash_and_recover(
             clock, device, device_obj, fs, tenants, queue, sched,
             stats, fault, outage_policy, tracer,
         )
+    # The cluster-wide distribution is the union of the tenants': summaries
+    # are computed over sorted samples, so folding once here gives the same
+    # document as recording every op twice.
+    for tn in tenants:
+        cluster_latency.merge(tn.latency)
 
 
 # ---------------------------------------------------------------------- #

@@ -55,24 +55,35 @@ class AdmissionQueue:
             Resource(f"dev{device}.nvmeq{i}", group=self.group)
             for i in range(depth)
         ]
+        #: the earliest-free slot, until a slot's timeline next moves
+        self._earliest: Optional[Resource] = None
 
     @property
     def depth(self) -> int:
         return len(self.slots)
 
+    def _earliest_slot(self) -> Resource:
+        """The slot that frees up first (the lowest-numbered on a tie):
+        one scan serves a decision's :meth:`earliest_free` and the
+        :meth:`admit` that follows it."""
+        slot = self._earliest
+        if slot is None:
+            slot = self.slots[0]
+            for cand in self.slots:
+                if cand.busy_until < slot.busy_until:
+                    slot = cand
+            self._earliest = slot
+        return slot
+
     def earliest_free(self) -> float:
         """The earliest virtual time a slot frees up."""
-        return min(s.busy_until for s in self.slots)
+        return self._earliest_slot().busy_until
 
     def admit(self, t_request: float) -> Tuple[Resource, float]:
         """Pick the earliest-free slot for a request available at
         ``t_request``; returns (slot, grant time)."""
-        slot = self.slots[0]
+        slot = self._earliest_slot()
         best = slot.busy_until
-        for cand in self.slots:
-            if cand.busy_until < best:
-                slot = cand
-                best = cand.busy_until
         begin = t_request if t_request > best else best
         if trace.ENABLED and begin > t_request:
             trace.note_wait(self.group, begin - t_request, 0.0)
@@ -82,6 +93,7 @@ class AdmissionQueue:
         """Occupy ``slot`` for the request's whole [begin, end) service."""
         slot.busy_until = end
         slot.total_busy_ns += end - begin
+        self._earliest = None
 
     def outage_until(self, t_up: float) -> None:
         """The submission queue did not survive a power cycle: no grant
@@ -91,10 +103,12 @@ class AdmissionQueue:
         for slot in self.slots:
             if slot.busy_until < t_up:
                 slot.busy_until = t_up
+        self._earliest = None
 
     def reset(self) -> None:
         for slot in self.slots:
             slot.reset()
+        self._earliest = None
 
 
 class Scheduler:
@@ -102,7 +116,9 @@ class Scheduler:
 
     ``tenants`` are the runtime tenant states of this device (objects
     with ``index``, ``spec``, ``queue`` — a deque of arrival times —
-    and a mutable ``deficit`` float the DRR policy uses).
+    and a mutable ``deficit`` float the DRR policy uses).  ``pick`` is
+    handed the schedulable ones keyed by ``index`` and must not mutate
+    the mapping (it may be the kernel's own backlog).
     """
 
     name = "base"
@@ -110,7 +126,7 @@ class Scheduler:
     def __init__(self, tenants: List) -> None:
         self.tenants = list(tenants)
 
-    def pick(self, queued: List, t_dec: float):
+    def pick(self, queued: Dict[int, object], t_dec: float):
         """Choose which backlogged tenant's head request to grant next."""
         raise NotImplementedError
 
@@ -141,8 +157,8 @@ class FIFOScheduler(Scheduler):
 
     name = "fifo"
 
-    def pick(self, queued: List, t_dec: float):
-        return min(queued, key=lambda t: (t.queue[0], t.index))
+    def pick(self, queued: Dict[int, object], t_dec: float):
+        return min(queued.values(), key=lambda t: (t.queue[0], t.index))
 
 
 class DRRScheduler(Scheduler):
@@ -166,28 +182,23 @@ class DRRScheduler(Scheduler):
         self._ptr = 0
         self._holder = None  # tenant currently spending its deficit
 
-    def pick(self, queued: List, t_dec: float):
-        backlogged = {t.index for t in queued}
-        if (
-            self._holder is not None
-            and self._holder.index in backlogged
-            and self._holder.deficit > 0
-        ):
-            return self._holder
+    def pick(self, queued: Dict[int, object], t_dec: float):
+        holder = self._holder
+        if holder is not None:
+            if holder.index not in queued:
+                holder.deficit = 0.0  # forfeit on queue drain
+            elif holder.deficit > 0:
+                return holder
         # The holder is done (deficit spent or queue drained): walk the
         # ring for the next backlogged tenant, granting each visited
         # tenant a fresh turn.  Bounded: some tenant in `queued` is in
         # the ring, and a visit always yields a positive deficit.
-        if self._holder is not None and not (
-            self._holder.index in backlogged
-        ):
-            self._holder.deficit = 0.0  # forfeit on queue drain
         self._holder = None
         n = len(self._ring)
         for _ in range(n + 1):
             self._ptr = (self._ptr + 1) % n
             cand = self._ring[self._ptr]
-            if cand.index not in backlogged:
+            if cand.index not in queued:
                 cand.deficit = 0.0
                 continue
             if cand.deficit <= 0:
@@ -250,9 +261,9 @@ class TokenBucketScheduler(Scheduler):
             return t_dec
         return t_dec + (1.0 - tokens) / (limit / 1e9)
 
-    def pick(self, queued: List, t_dec: float):
+    def pick(self, queued: Dict[int, object], t_dec: float):
         return min(
-            queued,
+            queued.values(),
             key=lambda t: (
                 max(self.release(t, t_dec), t.queue[0]),
                 t.queue[0],

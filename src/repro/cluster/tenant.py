@@ -29,6 +29,8 @@ from typing import Dict, Iterator, Optional
 from repro.faults.injector import CrashPoint
 from repro.faults.oracle import OracleFS
 from repro.fs.vfs import O_CREAT, O_RDWR, BaseFileSystem
+from repro.sim.rng import make_rng
+from repro.workloads import MACRO_WORKLOADS, MICRO_WORKLOADS
 from repro.workloads.base import Workload
 from repro.workloads.zipfian import ZipfianGenerator
 
@@ -128,12 +130,16 @@ class NamespacedFS:
     ``mkdir("/data")`` without colliding.
     """
 
-    _PATH_1 = ("open", "mkdir", "rmdir", "unlink", "stat", "exists",
-               "listdir")
+    #: the fd calls of a tenant request, bound once instead of forwarded
+    #: through ``__getattr__`` on every call (looked up on ``fs``, so a
+    #: wrapper installed on its class beforehand is what gets bound)
+    _FD_CALLS = ("read", "write", "pread", "pwrite", "fsync", "close")
 
     def __init__(self, fs: BaseFileSystem, root: str) -> None:
         self._fs = fs
         self._root = "/" + root.strip("/")
+        for name in self._FD_CALLS:
+            setattr(self, name, getattr(fs, name))
 
     @property
     def root(self) -> str:
@@ -302,10 +308,6 @@ def make_tenant_workload(spec: TenantSpec, seed: int) -> Workload:
     namespace.  The tenant's RNG stream is derived from the run seed and
     the tenant name, so tenants never perturb each other's streams.
     """
-    from repro.workloads import MACRO_WORKLOADS, MICRO_WORKLOADS
-
-    from repro.sim.rng import make_rng
-
     tenant_seed = make_rng(seed, f"tenant:{spec.name}").randrange(1 << 30)
     if spec.workload in PROFILES:
         params = PROFILES[spec.workload]

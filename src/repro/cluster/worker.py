@@ -262,7 +262,7 @@ def run_shard(
                     dropped=tn.dropped,
                     slo_violations=tn.slo_violations,
                     latency=tn.latency,
-                    traffic=dict(tn.traffic),
+                    traffic=tn.traffic(),
                     lost_to_crash=tn.lost_to_crash,
                     outage_rejected=tn.outage_rejected,
                     slo_violations_outage=tn.slo_violations_outage,

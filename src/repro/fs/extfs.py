@@ -46,6 +46,7 @@ from repro.fs.layout import (
     SuperblockLayout,
 )
 from repro.fs.vfs import BaseFileSystem, Stat
+from repro.host.mmap import MappedRegion
 from repro.host.page_cache import (
     CACHELINE,
     CachedPage,
@@ -175,6 +176,7 @@ class ExtFS(BaseFileSystem):
 
     def mkfs(self) -> None:
         """Format the device and mount."""
+        self._walk_cache.clear()
         sb = SuperblockLayout.compute(
             self.device.capacity_blocks,
             self.P,
@@ -196,7 +198,8 @@ class ExtFS(BaseFileSystem):
         self._inodes[1] = root
         blk = self._inode_blkno(1)
         self._itable[blk] = bytearray(self.P)
-        self._encode_inode_into_raw(root)
+        off = self._inode_offset(1)
+        self._itable[blk][off : off + INODE_SIZE] = root.encode()
         self._dirs[1] = _DirCache()
         self._alloc_cursor = sb.data_start
         # Write the initial images to the device.
@@ -208,6 +211,7 @@ class ExtFS(BaseFileSystem):
 
     def mount(self) -> None:
         """Read the superblock and bitmaps from the device."""
+        self._walk_cache.clear()
         raw = self.device.read_blocks(0, 1, StructKind.SUPERBLOCK)
         sb = SuperblockLayout.decode(raw)
         self._sb = sb
@@ -420,31 +424,32 @@ class ExtFS(BaseFileSystem):
         self._inodes[ino] = inode
         return inode
 
-    def _encode_inode_into_raw(self, inode: Inode) -> Tuple[int, int]:
-        blkno = self._inode_blkno(inode.ino)
-        raw = self._itable.setdefault(blkno, bytearray(self.P))
-        off = self._inode_offset(inode.ino)
-        raw[off : off + INODE_SIZE] = inode.encode()
-        return blkno, off
-
     def _persist_inode(
         self, inode: Inode, lower: bool = True, upper: bool = False
     ) -> None:
-        """Persist one or both 64 B inode halves (§4.5)."""
-        blkno, off = self._encode_inode_into_raw(inode)
+        """Persist one or both 64 B inode halves (§4.5).
+
+        Only the halves persisted are encoded and patched into the
+        itable image.  The image stays equal to ``inode.encode()``
+        because every change to an upper-half field (``extents``,
+        ``extent_block``) is followed by an ``upper=True`` persist
+        before anything reads the image (``_snapshot_block`` for jbd2);
+        all other fields live in the lower half.
+        """
+        blkno = self._inode_blkno(inode.ino)
+        off = self._inode_offset(inode.ino)
+        raw = self._itable.get(blkno)
+        if raw is None:
+            raw = self._itable[blkno] = bytearray(self.P)
         if lower:
-            self._persist_meta(
-                blkno,
-                off,
-                self._itable[blkno][off : off + INODE_HALF],
-                StructKind.INODE,
-            )
+            half = inode.encode_lower()
+            raw[off : off + INODE_HALF] = half
+            self._persist_meta(blkno, off, half, StructKind.INODE)
         if upper:
+            half = inode.encode_upper()
+            raw[off + INODE_HALF : off + INODE_SIZE] = half
             self._persist_meta(
-                blkno,
-                off + INODE_HALF,
-                self._itable[blkno][off + INODE_HALF : off + INODE_SIZE],
-                StructKind.INODE,
+                blkno, off + INODE_HALF, half, StructKind.INODE
             )
 
     def _alloc_ino(self) -> int:
@@ -1317,8 +1322,6 @@ class ExtFS(BaseFileSystem):
     def mmap(self, fd: int, offset: int = 0, length: Optional[int] = None):
         """Map a file region; loads/stores hit cached DRAM pages and
         msync applies the byte/block writeback policy."""
-        from repro.host.mmap import MappedRegion
-
         self._syscall()
         handle = self._handle(fd)
         inode = self._get_inode(handle.ino)

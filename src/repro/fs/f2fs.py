@@ -146,6 +146,7 @@ class F2FS(BaseFileSystem):
         self._cleaning = False
 
     def mkfs(self) -> None:
+        self._walk_cache.clear()
         total = self.device.capacity_blocks
         nat_blocks = max(1, total // (self.P // _PTR_BYTES) // 4)
         n_segments = (total - 3 - 2 * nat_blocks - 8) // _SEGMENT_BLOCKS
@@ -185,6 +186,7 @@ class F2FS(BaseFileSystem):
         self.checkpoint()
 
     def mount(self) -> None:
+        self._walk_cache.clear()
         raw = self.device.read_blocks(0, 1, StructKind.SUPERBLOCK)
         fields = struct.unpack_from(_SB_FMT, raw)
         if fields[0] != _SB_MAGIC:
@@ -984,4 +986,5 @@ class F2FS(BaseFileSystem):
         self._nodes.clear()
         self._dirs.clear()
         self._block_owner.clear()
+        self._walk_cache.clear()
         return recovered

@@ -36,6 +36,10 @@ _SB_FMT = "<IIQQQQQQQQQQB"
 _LOWER_FMT = "<QddHHI"          # size, mtime, ctime, links, mode, flags
 _EXTENT_FMT = "<QII"            # logical page, start block, length
 _UPPER_HDR_FMT = "<HHI"         # extent count, pad, extent block
+#: the lower half packed straight to its 64 B, zero padding included
+_LOWER_HALF = struct.Struct(
+    f"{_LOWER_FMT}{INODE_HALF - struct.calcsize(_LOWER_FMT)}x"
+)
 
 
 @dataclass(frozen=True)
@@ -197,8 +201,7 @@ class Inode:
     # -- lower half: size, times, links, mode --------------------------- #
 
     def encode_lower(self) -> bytes:
-        packed = struct.pack(
-            _LOWER_FMT,
+        return _LOWER_HALF.pack(
             self.size,
             self.mtime,
             self.ctime,
@@ -206,7 +209,6 @@ class Inode:
             self.mode,
             self.flags,
         )
-        return packed + bytes(INODE_HALF - len(packed))
 
     def decode_lower(self, data: bytes) -> None:
         (

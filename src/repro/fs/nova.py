@@ -117,6 +117,7 @@ class NovaFS(BaseFileSystem):
     # ------------------------------------------------------------------ #
 
     def mkfs(self) -> None:
+        self._walk_cache.clear()
         sb = struct.pack(
             _SB_FMT, _SB_MAGIC, 1, self.n_inodes,
             self._itable_start, self._data_start,
@@ -137,6 +138,7 @@ class NovaFS(BaseFileSystem):
         self._persist_inode_entry(root)
 
     def mount(self) -> None:
+        self._walk_cache.clear()
         raw = self.device.read_blocks(0, 1, StructKind.SUPERBLOCK)
         magic, _v, n_inodes, itable, data_start = struct.unpack_from(
             _SB_FMT, raw

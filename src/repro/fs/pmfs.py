@@ -111,6 +111,7 @@ class PMFS(BaseFileSystem):
     # ------------------------------------------------------------------ #
 
     def mkfs(self) -> None:
+        self._walk_cache.clear()
         sb = struct.pack(
             _SB_FMT, _SB_MAGIC, 1, self.n_inodes,
             self._journal_start, self._itable_start, self._data_start,
@@ -136,6 +137,7 @@ class PMFS(BaseFileSystem):
         self._persist_inode(root)
 
     def mount(self) -> None:
+        self._walk_cache.clear()
         raw = self.device.read_blocks(0, 1, StructKind.SUPERBLOCK)
         magic, _v, n_inodes, jstart, itable, data_start = struct.unpack_from(
             _SB_FMT, raw

@@ -5,6 +5,23 @@ and implements the inode-level hooks; the base class provides open flags,
 descriptor management, path resolution, application-traffic recording (the
 denominator of the paper's amplification factors), and the per-syscall CPU
 cost.
+
+**The walk cache.**  Path resolution is generic and sits above the
+per-fs directory operations, so one cache serves all five file systems:
+``_walk_cache`` maps the *spelling* of a parent directory (everything up
+to and including the last ``/`` of a path, exactly as the caller wrote
+it) to that directory's inode number.  It is filled only by a successful
+full walk and only for a path whose last component is a real name (not
+empty, ``.`` or ``..``, which :func:`split_path` folds into the parent).
+The invariant is: *a cached key implies every directory on its path is
+loaded in the file system's own directory cache* — the walk a hit
+replaces therefore charged no simulated time and read nothing from the
+device, and skipping it changes no result.  The cache is dropped
+wherever that stops holding: ``rmdir`` and ``rename`` (a spelling may
+now name another directory or none), :meth:`BaseFileSystem.crash`, and
+every point where a file system discards directory state (mkfs/mount,
+the end of f2fs's roll-forward recovery).  The full walk is the miss
+path, not a second mode: there is no way to run without the cache.
 """
 
 from __future__ import annotations
@@ -16,6 +33,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.fs.errors import (
     BadFileDescriptor,
+    FileExists,
     FileNotFound,
     InvalidArgument,
     IsADirectory,
@@ -125,6 +143,8 @@ class BaseFileSystem(abc.ABC):
         self.timing = timing
         self._handles: Dict[int, FileHandle] = {}
         self._next_fd = 3
+        #: parent-directory spelling -> inode (see the module docstring)
+        self._walk_cache: Dict[str, int] = {}
 
     # ------------------------------------------------------------------ #
     # hooks each file system must implement (inode level)
@@ -186,23 +206,22 @@ class BaseFileSystem(abc.ABC):
     # path resolution
     # ------------------------------------------------------------------ #
 
-    def _resolve(self, path: str) -> int:
-        """Walk ``path`` to an inode number or raise FileNotFound."""
-        ino = self._root_ino()
-        for name in split_path(path):
-            if not self._is_dir(ino):
-                raise NotADirectory(path)
-            child = self._dir_lookup(ino, name)
-            if child is None:
-                raise FileNotFound(path)
-            ino = child
-        return ino
-
-    def _resolve_parent(self, path: str) -> Tuple[int, str]:
+    def _walk(self, path: str) -> Tuple[int, Optional[str]]:
+        """The directory holding ``path``'s last component, and that
+        component (``None`` when ``path`` is the root itself)."""
+        cut = path.rfind("/") + 1
+        tail = path[cut:]
+        # ``tail`` is an entry name in the directory ``path[:cut]`` spells
+        # only when split_path keeps it as the last component.
+        key = path[:cut] if tail not in ("", ".", "..") else None
+        if key is not None:
+            ino = self._walk_cache.get(key)
+            if ino is not None:
+                return ino, tail
         parts = split_path(path)
-        if not parts:
-            raise InvalidArgument(f"cannot operate on root: {path!r}")
         ino = self._root_ino()
+        if not parts:
+            return ino, None
         for name in parts[:-1]:
             if not self._is_dir(ino):
                 raise NotADirectory(path)
@@ -212,7 +231,25 @@ class BaseFileSystem(abc.ABC):
             ino = child
         if not self._is_dir(ino):
             raise NotADirectory(path)
+        if key is not None:
+            self._walk_cache[key] = ino
         return ino, parts[-1]
+
+    def _resolve(self, path: str) -> int:
+        """Walk ``path`` to an inode number or raise FileNotFound."""
+        ino, name = self._walk(path)
+        if name is None:
+            return ino
+        child = self._dir_lookup(ino, name)
+        if child is None:
+            raise FileNotFound(path)
+        return child
+
+    def _resolve_parent(self, path: str) -> Tuple[int, str]:
+        ino, name = self._walk(path)
+        if name is None:
+            raise InvalidArgument(f"cannot operate on root: {path!r}")
+        return ino, name
 
     # ------------------------------------------------------------------ #
     # public POSIX-like API
@@ -223,8 +260,6 @@ class BaseFileSystem(abc.ABC):
 
     @_traced
     def open(self, path: str, flags: int = O_RDONLY) -> int:
-        from repro.fs.errors import FileExists  # local to avoid cycle noise
-
         self._syscall()
         parent, name = self._resolve_parent(path)
         ino = self._dir_lookup(parent, name)
@@ -331,8 +366,6 @@ class BaseFileSystem(abc.ABC):
 
     @_traced
     def mkdir(self, path: str) -> None:
-        from repro.fs.errors import FileExists
-
         self._syscall()
         parent, name = self._resolve_parent(path)
         if self._dir_lookup(parent, name) is not None:
@@ -348,6 +381,7 @@ class BaseFileSystem(abc.ABC):
             raise FileNotFound(path)
         if not self._is_dir(ino):
             raise NotADirectory(path)
+        self._walk_cache.clear()
         self._remove_dir(parent, name, ino)
 
     @_traced
@@ -368,6 +402,7 @@ class BaseFileSystem(abc.ABC):
         if self._dir_lookup(src_dir, src_name) is None:
             raise FileNotFound(src)
         dst_dir, dst_name = self._resolve_parent(dst)
+        self._walk_cache.clear()
         self._rename(src_dir, src_name, dst_dir, dst_name)
 
     @_traced
@@ -401,6 +436,7 @@ class BaseFileSystem(abc.ABC):
         fds).  Device-side state is handled by MSSD.power_fail()."""
         self._handles.clear()
         self._next_fd = 3
+        self._walk_cache.clear()
 
     def remount(self) -> Dict[str, float]:
         """Recover after a crash; returns recovery statistics."""

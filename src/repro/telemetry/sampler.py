@@ -244,7 +244,7 @@ class TelemetrySampler:
     def _tenant_metrics(probe: _DeviceProbe, tn, tk: float) -> Dict:
         metrics = {
             "queue_depth": len(tn.queue),
-            "inflight": 1 if probe.time_of(tn.tid) > tk else 0,
+            "inflight": 1 if probe.time_of(tn.index) > tk else 0,
             "submitted": tn.submitted(),
             "served": tn.served,
             "rejected": tn.rejected,

@@ -253,6 +253,52 @@ def test_perf001_suppression(tmp_path):
 
 
 # ---------------------------------------------------------------------- #
+# PERF002 — imports inside stack-layer function bodies
+# ---------------------------------------------------------------------- #
+
+_PERF002_FIXTURE = """\
+    from typing import TYPE_CHECKING
+
+    if TYPE_CHECKING:
+        from repro.fs.extfs import ExtFS
+
+    class FS:
+        def open(self, path):
+            from repro.fs.errors import FileExists{allow}
+            import struct{allow}
+            return path
+
+    def build():
+        if TYPE_CHECKING:
+            import typing
+        return lambda: __import__("os")
+"""
+
+
+def test_perf002_flags_function_level_imports(tmp_path):
+    res = _lint(tmp_path, "repro/fs/t.py", _PERF002_FIXTURE.format(allow=""))
+    assert _rule_ids(res) == ["PERF002", "PERF002"]
+    assert [f.line for f in res.findings] == [8, 9]
+
+
+def test_perf002_suppression(tmp_path):
+    res = _lint(
+        tmp_path, "repro/cluster/kernel.py",
+        _PERF002_FIXTURE.format(allow="  # repro: allow[PERF002]"),
+    )
+    assert _rule_ids(res) == []
+
+
+def test_perf002_only_polices_the_stack_layers(tmp_path):
+    # repro.cli imports lazily on purpose (start-up time); repro.cluster
+    # is policed module by module, and serve.py is not on the op path.
+    for relpath in ("repro/cli.py", "repro/cluster/serve.py"):
+        res = _lint(tmp_path, relpath, _PERF002_FIXTURE.format(allow=""))
+        assert _rule_ids(res) == []
+        (tmp_path / relpath).unlink()
+
+
+# ---------------------------------------------------------------------- #
 # CS001 — crash-site registration
 # ---------------------------------------------------------------------- #
 
@@ -398,7 +444,7 @@ def test_every_rule_id_has_a_firing_fixture():
     must stay in sync."""
     assert set(RULES) == {
         "CS001", "CS002", "CONC001", "CONC002", "CONC003", "SCH001",
-        "DET001", "DET002", "DET003", "LAY001", "PERF001",
+        "DET001", "DET002", "DET003", "LAY001", "PERF001", "PERF002",
     }
 
 
