@@ -10,8 +10,10 @@
 
 import random
 
+import pytest
+
 from repro.bench.report import format_table
-from repro.host.page_cache import CachedPage
+from repro.host.page_cache import CACHELINE, CachedPage, dirty_line_indices
 from repro.ssd.firmware.log_index import ChunkEntry, LogIndex
 from repro.ssd.firmware.write_log import aligned_entry_size
 
@@ -90,3 +92,29 @@ def test_sec46_cow_xor(benchmark, record_table):
     record_table("sec46_xor_cow", table)
     # small writes should nearly all select the byte interface
     assert below_threshold > 0.95
+
+
+#: dirty lines of a 4 KB page against a non-zero duplicate; the seven
+#: reference workloads only ever diff the first two kinds (perfbench has
+#: no sparsely modified page: docs/PERFORMANCE.md "Fixed costs")
+_PROBE_PAGES = {
+    "unchanged": [],
+    "rewritten": range(64),
+    "1 line": [37],
+    "7 scattered lines": [1, 9, 17, 30, 41, 50, 63],
+}
+
+
+@pytest.mark.parametrize("kind", list(_PROBE_PAGES))
+def test_sec46_dirty_line_probe(benchmark, kind):
+    """Hot-cache host cost of the write-back diff, per page, at the
+    default R < 1/8 policy (``limit`` 8 of 64 lines).  Not gating."""
+    old = random.Random(4).randbytes(4096)
+    cur = bytearray(old)
+    for line in _PROBE_PAGES[kind]:
+        cur[line * CACHELINE] ^= 0xFF
+    lines = benchmark.pedantic(
+        dirty_line_indices, args=(cur, old, 8), rounds=200, iterations=100,
+        warmup_rounds=5,
+    )
+    assert lines == (None if kind == "rewritten" else list(_PROBE_PAGES[kind]))

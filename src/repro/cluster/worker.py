@@ -39,6 +39,7 @@ import time
 import traceback
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait as wait_readable
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.analysis import fssan
@@ -336,21 +337,12 @@ def run_shard_workers(
             child_conn.close()
             procs.append(proc)
             conns.append(parent_conn)
-        t0 = max(
-            _recv(conns[i], procs[i], "setup") for i in range(len(tasks))
-        )
-        for conn in conns:
-            conn.send(t0)
+        _broadcast(conns, max(_gather(conns, procs, "setup")))
         wall0 = time.perf_counter()
-        t_end = max(
-            _recv(conns[i], procs[i], "ran") for i in range(len(tasks))
-        )
+        t_end = max(_gather(conns, procs, "ran"))
         wall_s = time.perf_counter() - wall0
-        for conn in conns:
-            conn.send(t_end)
-        results = [
-            _recv(conns[i], procs[i], "result") for i in range(len(tasks))
-        ]
+        _broadcast(conns, t_end)
+        results = _gather(conns, procs, "result", last=True)
         for proc in procs:
             proc.join(timeout=30)
         return wall_s, results
@@ -366,10 +358,39 @@ def run_shard_workers(
                 proc.join(timeout=5)
 
 
+def _gather(
+    conns: List, procs: List, expect: str, last: bool = False
+) -> List:
+    """One barrier: every worker's ``expect`` payload, in worker order.
+
+    The pipes are read as they turn readable, and a closed pipe counts:
+    a worker that died is reported when it dies, not once the workers
+    before it have sent.  Until the ``last`` barrier that includes the
+    workers that have sent already — they are waiting for the answer,
+    so their pipe turns readable again only by closing."""
+    payloads: Dict[int, object] = {}
+    while len(payloads) < len(conns):
+        owed = [c for i, c in enumerate(conns) if i not in payloads]
+        for conn in wait_readable(owed if last else conns):
+            i = conns.index(conn)
+            payloads[i] = _recv(conn, procs[i], expect)
+    return [payloads[i] for i in range(len(conns))]
+
+
+def _broadcast(conns: List, value: float) -> None:
+    """A barrier's answer to every worker.  One that died since it
+    reported cannot take it: the next barrier names it."""
+    for conn in conns:
+        try:
+            conn.send(value)
+        except BrokenPipeError:
+            pass
+
+
 def _recv(conn, proc, expect: str):
     try:
         tag, payload = conn.recv()
-    except EOFError:
+    except (EOFError, ConnectionResetError):  # reset: died with mail unread
         proc.join(timeout=5)  # reap it, so the exit code is known
         raise RuntimeError(
             f"shard worker pid={proc.pid} died before sending "

@@ -20,6 +20,7 @@ See ``docs/FAULTS.md`` for the numbering scheme, the oracle semantics,
 and how to reproduce a single failing crash point.
 """
 
+from repro._lazy import lazy_exports
 from repro.faults.injector import (
     NULL_INJECTOR,
     CrashPoint,
@@ -27,17 +28,17 @@ from repro.faults.injector import (
     FaultPlan,
     FiredCrash,
 )
-from repro.faults.oracle import OracleFS
 from repro.faults.plan import DeviceCrash, check_fault_plan, parse_fault
-from repro.faults.sweep import (
-    CrashResult,
-    SweepConfig,
-    SweepReport,
-    enumerate_sites,
-    run_crash,
-    run_sweep,
-    standard_workload,
-)
+
+# Resolved on first use: every device imports the injector; only a crash
+# sweep needs the oracle and the sweep driver.
+__getattr__ = lazy_exports(globals(), {
+    "repro.faults.oracle": ("OracleFS",),
+    "repro.faults.sweep": (
+        "CrashResult", "SweepConfig", "SweepReport", "enumerate_sites",
+        "run_crash", "run_sweep", "standard_workload",
+    ),
+})
 
 __all__ = [
     "CrashPoint",

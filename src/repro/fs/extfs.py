@@ -24,6 +24,7 @@ Everything is really serialized to the device (see
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import groupby
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -51,12 +52,22 @@ from repro.host.page_cache import (
     CACHELINE,
     CachedPage,
     PageCache,
-    dirty_lines,
+    dirty_line_indices,
     line_runs,
 )
 from repro.ssd.device import MSSD
 from repro.stats.traffic import StructKind
 from repro.trace import tracer as trace
+
+
+@lru_cache(maxsize=8)
+def _block_interface_from(total: int, threshold: float) -> int:
+    """The fewest dirty lines of a ``total``-line page that select the
+    block interface (§4.6): the first count for which ``R < threshold``
+    is false in floating point, ``total + 1`` when none is."""
+    return next(
+        (n for n in range(total + 1) if not n / total < threshold), total + 1
+    )
 
 
 @dataclass
@@ -1060,11 +1071,11 @@ class ExtFS(BaseFileSystem):
     ) -> None:
         """§4.6 write-back of an ordered run of dirty ``(ino, pidx, page)``.
 
-        The CoW pages of the run are XOR-diffed in one stacked pass; each
-        page then leaves, in order, through the interface its modified
-        ratio selects.  Consecutive block-interface pages share one
-        scatter write; simulated time is charged page by page, exactly
-        as if every page were written back on its own.
+        The CoW pages of the run are diffed against their duplicates
+        first; each page then leaves, in order, through the interface
+        its modified ratio selects.  Consecutive block-interface pages
+        share one scatter write; simulated time is charged page by page,
+        exactly as if every page were written back on its own.
         """
         if not batch:
             return
@@ -1112,22 +1123,19 @@ class ExtFS(BaseFileSystem):
     ) -> Dict[int, List[Tuple[int, int]]]:
         """Positions in ``batch`` whose page goes out through the byte
         interface (R < threshold), with their dirty chunk runs."""
-        at = [
-            i for i, (_ino, _pidx, page) in enumerate(batch)
-            if page.original is not None and blks[i] is not None
-        ]
-        if not at:
-            return {}
-        # One diff serves both the ratios (a row sum each) and the chunk
-        # lists, which only rows under the threshold need.
-        lines = dirty_lines([batch[i][2] for i in at])
-        total = self.P // CACHELINE
-        threshold = self.cfg.byte_ratio_threshold
-        return {
-            at[row]: line_runs(lines[row].nonzero()[0].tolist())
-            for row, count in enumerate(lines.sum(axis=1).tolist())
-            if count / total < threshold
-        }
+        limit = _block_interface_from(
+            self.P // CACHELINE, self.cfg.byte_ratio_threshold
+        )
+        chunks = {}
+        for i, (_ino, _pidx, page) in enumerate(batch):
+            original = page.original
+            if original is not None and blks[i] is not None:
+                # The diff gives up at ``limit`` lines: past the
+                # threshold the page goes out whole, whatever the rest.
+                lines = dirty_line_indices(page.data, original, limit)
+                if lines is not None:
+                    chunks[i] = line_runs(lines)
+        return chunks
 
     def _block_writebacks(
         self,

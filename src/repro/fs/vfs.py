@@ -402,6 +402,8 @@ class BaseFileSystem(abc.ABC):
         if self._dir_lookup(src_dir, src_name) is None:
             raise FileNotFound(src)
         dst_dir, dst_name = self._resolve_parent(dst)
+        if (src_dir, src_name) == (dst_dir, dst_name):
+            return  # POSIX: both names are the same file, nothing to do
         self._walk_cache.clear()
         self._rename(src_dir, src_name, dst_dir, dst_name)
 

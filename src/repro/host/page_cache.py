@@ -1,12 +1,18 @@
 """The host page cache with copy-on-write modified-ratio tracking (§4.6).
 
 ByteFS tracks writes to cached pages by duplicating the original page on
-first modification (CoW).  At writeback time it XORs the duplicate against
-the current page to find dirty 64 B chunks and computes the modified ratio
-``R``; pages with ``R < 1/8`` are persisted through the byte interface,
-others through the block interface.  The duplicate pages are tracked in an
-XArray-like per-inode index (``address_space``) just like normal cached
-pages.
+first modification (CoW).  At writeback time it diffs the current page
+against the duplicate (the paper's XOR pass) to find the dirty 64 B
+chunks and the modified ratio ``R``; pages with ``R < 1/8`` are persisted
+through the byte interface, others through the block interface.  The
+duplicate pages are tracked in an XArray-like per-inode index
+(``address_space``) just like normal cached pages.
+
+The diff is :func:`dirty_line_indices`, a probe that stops as soon as the
+policy question is answered: an untouched page is one whole-buffer
+comparison, a rewritten page is decided by its leading ``limit`` lines,
+and only a page that is neither is split into lines and compared line
+by line.  Every comparison is ``==`` on buffers, i.e. C ``memcmp``.
 
 Ext4/F2FS use the same cache without CoW (they always write back whole
 pages over the block interface).
@@ -14,33 +20,48 @@ pages over the block interface).
 
 from __future__ import annotations
 
+import struct
 from collections import OrderedDict
+from functools import lru_cache
 from heapq import heappop, heappush
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from itertools import compress
+from operator import ne
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 CACHELINE = 64
 
 
-def dirty_lines(pages: Sequence["CachedPage"]) -> "np.ndarray":
-    """XOR-diff CoW pages against their duplicates, all at once.
+@lru_cache(maxsize=8)
+def _lines(n: int) -> struct.Struct:
+    """The layout that splits a buffer into ``n`` cachelines at C speed."""
+    return struct.Struct(f"{CACHELINE}s" * n)
 
-    Row ``i`` of the returned boolean array marks the modified 64 B
-    cachelines of ``pages[i]``.  This is the one definition of "dirty
-    line": the pages of a write-back run are stacked into two 2-D
-    arrays and compared word-wide in a single pass, because on one 4 KB
-    page numpy's call overhead costs several times the vector work.
-    Every page must hold a duplicate and be a whole number of lines.
+
+def dirty_line_indices(
+    cur: Union[bytes, bytearray], old: bytes, limit: int
+) -> Optional[List[int]]:
+    """Diff one CoW page against its duplicate, line by line.
+
+    Returns the ascending indices of the 64 B cachelines of ``cur`` that
+    differ from ``old`` — or ``None`` as soon as ``limit`` or more of
+    them are known to (the caller then wants the whole page, not the
+    list).  This is the one definition of "dirty line".  Both buffers
+    must be the same whole number of lines long.
     """
-    cur = b"".join([p.data for p in pages])
-    old = b"".join([p.original for p in pages])
-    neq = np.not_equal(
-        np.frombuffer(cur, dtype=np.int64), np.frombuffer(old, dtype=np.int64)
-    )
-    # A line is eight words, so its eight comparison flags read as one
-    # uint64: non-zero means some word of the line differs.
-    return (neq.view(np.uint64) != 0).reshape(len(pages), -1)
+    if limit <= 0:
+        return None
+    if cur == old:
+        return []
+    n = len(cur) // CACHELINE
+    if limit <= n:
+        # A page rewritten wholesale differs in every line: its leading
+        # ``limit`` lines settle it without touching the rest.
+        head = _lines(limit).unpack_from
+        if all(map(ne, head(cur), head(old))):
+            return None
+    split = _lines(n).unpack  # raises on a partial line or unequal sizes
+    lines = list(compress(range(n), map(ne, split(cur), split(old))))
+    return None if len(lines) >= limit else lines
 
 
 def line_runs(lines: List[int]) -> List[Tuple[int, int]]:
@@ -97,14 +118,17 @@ class CachedPage:
         """
         if self.original is None:
             return [(0, len(self.data))]
-        return line_runs(dirty_lines([self])[0].nonzero()[0].tolist())
+        # (A limit no page reaches: the full list, never ``None``.)
+        past = len(self.data) // CACHELINE + 1
+        return line_runs(dirty_line_indices(self.data, self.original, past))
 
     def modified_ratio(self) -> float:
         """R = modified cachelines / total cachelines (§4.6)."""
-        total = len(self.data) // CACHELINE
         if self.original is None:
             return 1.0
-        return int(dirty_lines([self])[0].sum()) / total
+        total = len(self.data) // CACHELINE
+        lines = dirty_line_indices(self.data, self.original, total + 1)
+        return len(lines) / total
 
     def clean(self) -> None:
         self.dirty = False

@@ -21,6 +21,7 @@ registered with the lint layering pass as host code — importing
 device-internal modules from here is a LAY001 finding.
 """
 
+from repro._lazy import lazy_exports
 from repro.telemetry.prom import (
     CONTENT_TYPE,
     parse_exposition,
@@ -41,8 +42,13 @@ from repro.telemetry.series import (
     validate_series,
     write_series,
 )
-from repro.telemetry.server import make_server, serve_in_thread
-from repro.telemetry.top import render_top, sparkline
+
+# Resolved on first use: the sampler is imported by every serving
+# process; the HTTP stack and the terminal report are not needed there.
+__getattr__ = lazy_exports(globals(), {
+    "repro.telemetry.server": ("make_server", "serve_in_thread"),
+    "repro.telemetry.top": ("render_top", "sparkline"),
+})
 
 __all__ = [
     "CONTENT_TYPE",

@@ -91,7 +91,7 @@ def _apply(fs, model, op):
         fs.close(fd)
     elif kind == "rename":
         _, src, dst = op
-        if src not in model or src == dst:
+        if src not in model:
             return
         fs.rename(src, dst)
         model[dst] = model.pop(src)

@@ -284,6 +284,97 @@ def test_killed_worker_is_a_bounded_runtime_error():
     assert not multiprocessing.active_children()
 
 
+def test_worker_death_is_noticed_when_it_happens_not_in_worker_order():
+    """SIGKILL worker 1 while worker 0 has several seconds of work ahead
+    of it: every barrier watches every pipe, so the death is reported
+    within ~2 s of the kill and not when worker 0 next reports."""
+    assert not multiprocessing.active_children()
+    killed = []
+
+    def kill_last():
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline:
+            children = multiprocessing.active_children()
+            if len(children) == 2:
+                victim = max(
+                    children, key=lambda p: int(p.name.rsplit("-", 1)[1])
+                )
+                time.sleep(1.0)  # well past spawn, into setup/drain
+                os.kill(victim.pid, signal.SIGKILL)
+                killed.append((victim.pid, time.monotonic()))
+                return
+            time.sleep(0.01)
+
+    killer = threading.Thread(target=kill_last)
+    killer.start()
+    # Device d is served by worker d % 2: two tenants on each of worker
+    # 0's eight devices (a drain of several seconds), the victim's one
+    # tenant on device 1.
+    uneven = [
+        TenantSpec(name=f"t{i}", workload="mixed", n_ops=20_000,
+                   rate_ops_s=200_000.0, device=device)
+        for i, device in enumerate(tuple(range(0, 16, 2)) * 2 + (1,))
+    ]
+    with pytest.raises(RuntimeError) as exc:
+        serve_cluster(uneven, n_devices=16, workers=2)
+    noticed = time.monotonic()
+    killer.join(timeout=30)
+    assert not killer.is_alive() and killed
+    pid, killed_at = killed[0]
+    assert f"pid={pid}" in str(exc.value)
+    assert f"exit code {-signal.SIGKILL}" in str(exc.value)
+    assert noticed - killed_at < 2.0, (
+        f"took {noticed - killed_at:.1f} s to notice a dead worker"
+    )
+    assert not multiprocessing.active_children()
+
+
+def test_a_barrier_watches_the_workers_that_have_reported_too():
+    """The two orders a process-level kill cannot pin down: a worker
+    that dies *after* it reported, while the barrier waits for a slower
+    one, is named at once; one that has sent its ``"result"`` exits, and
+    that is no death; and an answer broadcast to a worker that is gone,
+    or that dies before reading it, is the next barrier's to report."""
+    from types import SimpleNamespace
+
+    from repro.cluster.worker import _broadcast, _gather
+
+    def pipes():
+        ends = [multiprocessing.Pipe() for _ in range(2)]
+        procs = [SimpleNamespace(pid=100 + i, exitcode=-9,
+                                 join=lambda timeout: None) for i in (0, 1)]
+        return [e[0] for e in ends], [e[1] for e in ends], procs
+
+    conns, workers, procs = pipes()
+    workers[1].send(("setup", 2.0))
+    workers[1].close()  # reported, then died; worker 0 is still setting up
+    with pytest.raises(RuntimeError, match=r"pid=101 died .*exit code -9"):
+        _gather(conns, procs, "setup")
+
+    conns, workers, procs = pipes()
+    workers[1].send(("result", "r1"))
+    workers[1].close()  # reported its result and exited
+    late = threading.Timer(0.2, workers[0].send, [("result", "r0")])
+    late.start()
+    assert _gather(conns, procs, "result", last=True) == ["r0", "r1"]
+    late.join(timeout=5)
+
+    # Dead before the answer is sent (EPIPE), or with it unread
+    # (ECONNRESET at the next read): both are that worker's death.
+    for dies_first in (True, False):
+        conns, workers, procs = pipes()
+        workers[0].send(("ran", 1.0))
+        workers[1].send(("ran", 3.0))
+        assert _gather(conns, procs, "ran") == [1.0, 3.0]
+        if dies_first:
+            workers[0].close()
+        _broadcast(conns, 3.0)
+        workers[0].close()
+        assert workers[1].recv() == 3.0
+        with pytest.raises(RuntimeError, match="pid=100 died"):
+            _gather(conns, procs, "result", last=True)
+
+
 def test_raising_worker_surfaces_its_traceback():
     # Valid parameters, but the tenants' file sets do not fit a 1 MB
     # device: setup raises NoSpace inside the shard.

@@ -249,3 +249,35 @@ def test_planted_mutant_is_caught(mutant, fs_name):
     mutate, ops = MUTANTS[mutant]
     assert divergence(fs_name, ops) is None
     assert divergence(fs_name, ops, mutate) is not None
+
+
+# ---------------------------------------------------------------------- #
+# rename onto itself
+# ---------------------------------------------------------------------- #
+
+@pytest.mark.parametrize("fs_name", ALL_FS)
+def test_rename_onto_itself_changes_nothing(fs_name):
+    """POSIX: when both names are the same file, ``rename`` succeeds and
+    does nothing — whichever way either path is spelled, for a file and
+    for a directory, cached walk or full walk, and across recovery."""
+    renames = [
+        ("rename", "/a/b/f", "/a/b/f"),
+        ("rename", "/a/b/f", "/a/b/../b/f"),
+        ("rename", "/a/./b", "/a/b"),
+    ]
+    ops = _TREE + [("sync",)] + renames + [("crash",)]
+    assert divergence(fs_name, ops) is None
+
+    _clock, stats, device, fs = make_stack(fs_name)
+    for op in _TREE + [("sync",)]:
+        _apply(device, fs, op)
+    traffic = stats.to_json()
+    for op in renames:
+        assert _outcome(device, fs, op) == ("ok", None)
+    assert stats.to_json() == traffic
+    assert fs.listdir("/a") == ["b"] and fs.listdir("/a/b") == ["f"]
+    _apply(device, fs, ("crash",))
+    assert fs.stat("/a/b/f").size == 1
+    with pytest.raises(Exception) as missing:
+        fs.rename("/a/b/nope", "/a/b/nope")
+    assert type(missing.value).__name__ == "FileNotFound"
