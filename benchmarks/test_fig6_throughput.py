@@ -58,5 +58,8 @@ def test_fig6(benchmark, record_table):
     # read-heavy webserver: E/F/B within ~20% of each other
     assert 0.8 < norm["webserver"]["bytefs"] < 1.3
     assert 0.8 < norm["webserver"]["f2fs"] < 1.3
-    # oltp: ByteFS clearly ahead of Ext4
+    # oltp: ByteFS clearly ahead of Ext4; PMFS behind it (0.90 — it read
+    # 1.29 until PMFS's crash consistency was fixed, and EXPERIMENTS.md
+    # says which)
     assert norm["oltp"]["bytefs"] > 1.4
+    assert norm["oltp"]["pmfs"] < 1.0

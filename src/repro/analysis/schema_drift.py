@@ -2,11 +2,11 @@
 
 Every result document in the repo is a byte-deterministic JSON emitted
 by a ``to_*()`` builder and gated by a sibling ``validate_*()`` function
-(``repro.cluster.run/v2``, ``repro.bench.simspeed/v1``, the trace
-exporters).  Nothing forces the two to agree: a key added to the
-builder but not to the validator ships silently unchecked, and a key
-the validator requires but nothing emits means the validator was
-written against a schema that no longer exists.
+(``repro.cluster.run/v2``, the run report, the trace exporters).
+Nothing forces the two to agree: a key added to the builder but not to
+the validator ships silently unchecked, and a key the validator
+requires but nothing emits means the validator was written against a
+schema that no longer exists.
 
 The pass statically diffs the two key sets per registered module:
 
@@ -37,7 +37,6 @@ from repro.analysis.project import FunctionInfo, ProjectIndex
 #: Modules whose emitter/validator pairs are under the drift contract.
 SCHEMA_MODULES = (
     "repro.cluster.result",
-    "repro.bench.perf",
     "repro.bench.harness",
     "repro.trace.export",
 )

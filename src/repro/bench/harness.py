@@ -183,8 +183,8 @@ def run_workload(
     ``RunResult.trace``; when the ``REPRO_TRACE`` environment variable is
     set, every run gets a metrics-only tracer instead (histograms only).
 
-    ``stack_probe`` is an observation hook for the perf harness
-    (:mod:`repro.bench.perf`): it is called as
+    ``stack_probe`` is an observation hook for a wall-clock harness
+    (``perfbench/``): it is called as
     ``stack_probe(phase, clock, stats, device, fs)`` with phase
     ``"measure-start"`` at the measurement epoch (right after setup and
     the stats reset) and ``"measure-end"`` right after the measured loop

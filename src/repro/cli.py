@@ -380,53 +380,6 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from repro.bench import perf
-
-    suite = perf.DEFAULT_SUITE
-    if args.fs:
-        wanted_fs = set(args.fs.split(","))
-        suite = tuple(c for c in suite if c[0] in wanted_fs)
-    if args.workload:
-        wanted_wl = set(args.workload.split(","))
-        suite = tuple(c for c in suite if c[1] in wanted_wl)
-    if not suite:
-        raise SystemExit("bench: filters matched no suite cases")
-    if args.cluster_scaling:
-        suite = suite + tuple(
-            c for c in perf.CLUSTER_SCALING_SUITE if c not in suite
-        )
-    cases = perf.run_suite(
-        suite,
-        repeat=args.repeat,
-        progress=None if args.json else (
-            lambda name: print(f"bench: {name}", file=sys.stderr)
-        ),
-    )
-    baseline = perf.load_document(args.baseline) if args.baseline else None
-    doc = perf.to_document(cases, repeat=args.repeat, baseline=baseline)
-    problems = perf.validate_simspeed(doc)
-    if problems:  # pragma: no cover - harness bug guard
-        for p in problems:
-            print(f"schema error: {p}", file=sys.stderr)
-        return 2
-    if args.out:
-        perf.dump_document(doc, args.out)
-        print(f"wrote {args.out}", file=sys.stderr)
-    if args.json:
-        print(json.dumps(doc, sort_keys=True, indent=2))
-    else:
-        print(perf.render_text(doc))
-    if args.check:
-        if baseline is None:
-            raise SystemExit("bench: --check requires --baseline")
-        ok, lines = perf.compare_to_baseline(doc, baseline)
-        for line in lines:
-            print(line)
-        return 0 if ok else 1
-    return 0
-
-
 def _cmd_lint(args) -> int:
     import json as _json
     from pathlib import Path
@@ -658,45 +611,6 @@ def main(argv: Optional[list] = None) -> int:
         help="with --site: inject the torn-write variant",
     )
 
-    bench_p = sub.add_parser(
-        "bench",
-        help="wall-clock perf harness: simulated ops per wall-second",
-    )
-    bench_p.add_argument(
-        "--repeat", type=int, default=1,
-        help="run each case N times; report the best wall time",
-    )
-    bench_p.add_argument(
-        "--fs", default=None,
-        help="comma-separated fs filter on the pinned suite",
-    )
-    bench_p.add_argument(
-        "--workload", default=None,
-        help="comma-separated workload filter on the pinned suite",
-    )
-    bench_p.add_argument(
-        "--json", action="store_true",
-        help="print the repro.bench.simspeed/v1 document to stdout",
-    )
-    bench_p.add_argument(
-        "--out", default=None,
-        help="also write the document to this path (BENCH_simspeed.json)",
-    )
-    bench_p.add_argument(
-        "--baseline", default=None,
-        help="baseline BENCH_simspeed.json to embed a speedup against",
-    )
-    bench_p.add_argument(
-        "--check", action="store_true",
-        help="with --baseline: exit 1 on >30%% median-normalized "
-             "per-case regression",
-    )
-    bench_p.add_argument(
-        "--cluster-scaling", action="store_true",
-        help="also run the serve worker-scaling cases (core-count "
-        "sensitive, so they are excluded from the pinned suite)",
-    )
-
     lint_p = sub.add_parser(
         "lint",
         help="static-analysis passes (crash-site, determinism, layering)",
@@ -743,7 +657,6 @@ def main(argv: Optional[list] = None) -> int:
         "crashsweep": _cmd_crashsweep,
         "lint": _cmd_lint,
         "trace": _cmd_trace,
-        "bench": _cmd_bench,
     }
     try:
         return handlers[args.command](args)

@@ -674,9 +674,8 @@ def run_orphan_crash(
 def device_call_snapshot(device_obj) -> Dict[str, int]:
     """Cumulative per-layer call counters of one device stack.
 
-    Mirrors the bench harness probe (`repro.bench.perf`), so the
-    cluster-scale bench cases report sim-ops on the same scale as the
-    single-device suite.
+    Link and flash events, the "simulated events" a wall-clock harness
+    (``perfbench/``) divides by host time on top of the tenant ops.
     """
     link = device_obj.link
     flash = device_obj.flash

@@ -20,8 +20,7 @@ the live :attr:`ClusterRunResult.recovery` records but serialized as
 ``null``, so the JSON document stays byte-identical across identical
 invocations (the CI determinism gate ``cmp``\\ s two runs).
 
-:func:`validate_cluster_run` is the CI schema gate, in the same style as
-``repro.bench.perf.validate_simspeed``.
+:func:`validate_cluster_run` is the CI schema gate.
 """
 
 from __future__ import annotations
@@ -141,7 +140,7 @@ class ClusterRunResult:
     #: t0 broadcast to the last shard's "ran"
     wall_s: Optional[float] = None
     #: live-only: per-layer device call-count deltas of the drain phase,
-    #: summed over shards (same keys as the bench probe's layer_calls)
+    #: summed over shards (the keys of ``kernel.device_call_snapshot``)
     layer_calls: Optional[Dict[str, int]] = None
 
     @property

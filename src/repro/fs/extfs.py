@@ -164,6 +164,9 @@ class ExtFS(BaseFileSystem):
         #: no ino below this one is free (search start of _alloc_ino)
         self._ino_hint = 2
         self._itable: Dict[int, bytearray] = {}
+        #: this mount formatted the device: an itable block not cached
+        #: is still the zeros mkfs left and needs no read
+        self._itable_zeroed = False
         self._inodes: Dict[int, Inode] = {}
         self._extent_raw: Dict[int, bytearray] = {}
         self._dirs: Dict[int, _DirCache] = {}
@@ -198,6 +201,7 @@ class ExtFS(BaseFileSystem):
         self._ibmap = bytearray(sb.inode_bitmap_blocks * self.P)
         self._bbmap = bytearray(sb.block_bitmap_blocks * self.P)
         self._ino_hint = 2
+        self._itable_zeroed = True
         # Reserve metadata region and the out-of-range tail of the bitmap.
         for b in range(sb.data_start):
             self._bbmap[b // 8] |= 1 << (b % 8)
@@ -451,7 +455,10 @@ class ExtFS(BaseFileSystem):
         off = self._inode_offset(inode.ino)
         raw = self._itable.get(blkno)
         if raw is None:
-            raw = self._itable[blkno] = bytearray(self.P)
+            if self._itable_zeroed:
+                raw = self._itable[blkno] = bytearray(self.P)
+            else:  # the inode's 31 neighbours live in this block
+                raw = self._load_itable_block(blkno)
         if lower:
             half = inode.encode_lower()
             raw[off : off + INODE_HALF] = half

@@ -12,8 +12,7 @@ stdlib ``/metrics`` HTTP endpoint (:mod:`repro.telemetry.prom`,
 Telemetry is **zero-cost when off**: the serve loop guards every hook
 site on :data:`~repro.telemetry.sampler.ENABLED`, which is flipped only
 while a sampler is activated (``repro serve --telemetry-out`` /
-``--listen``).  The pinned ``repro bench --check`` suite never turns it
-on.
+``--listen``).
 
 Host-side discipline: this package reads device state only through the
 MSSD public gauge surface (:meth:`repro.ssd.device.MSSD.gauges`) and is

@@ -24,8 +24,7 @@ renders as ``up 1 → 0 → 1`` with the post-recovery gauge step.
 
 Instrumentation follows the :mod:`repro.trace.tracer` zero-cost-when-off
 discipline: a module-level :data:`ENABLED` flag is flipped only while a
-sampler is activated, every serve-loop hook site guards on it first, and
-the pinned ``repro bench --check`` suite never activates one.
+sampler is activated, and every serve-loop hook site guards on it first.
 """
 
 from __future__ import annotations

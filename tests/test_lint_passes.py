@@ -9,6 +9,7 @@ layer membership (CS001/LAY001) and exemptions hang off that name.
 from __future__ import annotations
 
 import json
+import re
 import textwrap
 from pathlib import Path
 
@@ -476,6 +477,35 @@ def test_lint_clean_on_real_tree():
     res = lint_paths([Path(repro.__file__).parent])
     assert res.errors == []
     assert res.findings == [], "\n".join(f.format() for f in res.findings)
+
+
+def _positioning_sleeps(source: str):
+    """Line numbers of ``time.sleep`` calls that could decide *where* in
+    a protocol a test acts: in a module that calls ``os.kill``, a sleep
+    may only poll (a literal argument of at most 50 ms)."""
+    if "os.kill(" not in source:
+        return []
+    lines = []
+    for n, line in enumerate(source.splitlines(), 1):
+        for arg in re.findall(r"time\.sleep\(([^)]*)\)", line):
+            try:
+                polls = float(arg) <= 0.05
+            except ValueError:
+                polls = False
+            if not polls:
+                lines.append(n)
+    return lines
+
+
+def test_process_edge_tests_position_kills_on_protocol_events():
+    """A kill positioned by wall clock lands on a different protocol
+    edge on every host and after every perf PR (it went red twice)."""
+    planted = "os.kill(pid, 9)\ntime.sleep(0.01)\ntime.sleep(1.0)\n"
+    assert _positioning_sleeps(planted) == [3]
+    assert _positioning_sleeps("time.sleep(1.0)\n") == []
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        if path != Path(__file__):  # the planted defect above
+            assert _positioning_sleeps(path.read_text()) == [], path
 
 
 def test_cluster_package_is_registered_with_every_pass():

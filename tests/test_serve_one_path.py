@@ -242,31 +242,44 @@ def test_negative_workers_rejected(nothing_runs):
 # (c) the process edge: a worker that dies, a worker that raises
 # ---------------------------------------------------------------------- #
 
-def test_killed_worker_is_a_bounded_runtime_error():
-    """SIGKILL one shard worker mid-run: ``serve_cluster`` names the pid
-    and exit code, promptly, and leaves no live child behind."""
+def kill_at_setup(monkeypatch, which):
+    """SIGKILL shard worker ``which`` (spawn order) the moment the
+    parent has read its ``"setup"`` through ``worker._recv``.
+
+    A protocol event, not a wall-clock offset: the victim has sent
+    ``"setup"`` and is blocked on the answer, so it is between the two
+    barriers whatever the host's speed, and no worker can have sent
+    ``"ran"`` (t0 is broadcast only once every ``"setup"`` is in).
+    Returns ``killed`` (``[(pid, monotonic time)]``) and ``read``, the
+    ``(worker, tag)`` messages the parent got, in order."""
+    from repro.cluster import worker
+
+    real_recv = worker._recv
+    pids, killed, read = [], [], []
+
+    def recv(conn, proc, expect):
+        payload = real_recv(conn, proc, expect)
+        if not pids:  # first read: every worker has been spawned
+            pids.extend(p.pid for p in sorted(
+                multiprocessing.active_children(),
+                key=lambda p: int(p.name.rsplit("-", 1)[1]),
+            ))
+        read.append((pids.index(proc.pid), expect))
+        if not killed and read[-1] == (which, "setup"):
+            os.kill(proc.pid, signal.SIGKILL)
+            killed.append((proc.pid, time.monotonic()))
+        return payload
+
+    monkeypatch.setattr(worker, "_recv", recv)
+    return killed, read
+
+
+def test_killed_worker_is_a_bounded_runtime_error(monkeypatch):
+    """SIGKILL one shard worker between the barriers: ``serve_cluster``
+    names the pid and exit code, promptly, and leaves no live child
+    behind."""
     assert not multiprocessing.active_children()
-    killed = []
-
-    def kill_one():
-        deadline = time.monotonic() + 30
-        while time.monotonic() < deadline:
-            children = multiprocessing.active_children()
-            if len(children) == 2:
-                # Worker 0 (spawned first): the parent is blocked on its
-                # pipe, so the death is seen at once rather than after
-                # worker 1's whole drain.
-                victim = min(
-                    children, key=lambda p: int(p.name.rsplit("-", 1)[1])
-                )
-                time.sleep(1.0)  # well past spawn, into setup/drain
-                os.kill(victim.pid, signal.SIGKILL)
-                killed.append(victim.pid)
-                return
-            time.sleep(0.01)
-
-    killer = threading.Thread(target=kill_one)
-    killer.start()
+    killed, _ = kill_at_setup(monkeypatch, 0)
     long_run = [
         TenantSpec(name=f"t{i}", workload="mixed", n_ops=20_000,
                    rate_ops_s=200_000.0, device=i % 2)
@@ -276,40 +289,25 @@ def test_killed_worker_is_a_bounded_runtime_error():
     with pytest.raises(RuntimeError) as exc:
         serve_cluster(long_run, n_devices=2, workers=2)
     elapsed = time.monotonic() - t_start
-    killer.join(timeout=30)
-    assert not killer.is_alive() and killed
-    assert f"pid={killed[0]}" in str(exc.value)
+    assert killed
+    assert f"pid={killed[0][0]}" in str(exc.value)
     assert f"exit code {-signal.SIGKILL}" in str(exc.value)
     assert elapsed < 30, f"took {elapsed:.1f} s to notice a dead worker"
     assert not multiprocessing.active_children()
 
 
-def test_worker_death_is_noticed_when_it_happens_not_in_worker_order():
+def test_worker_death_is_noticed_when_it_happens_not_in_worker_order(
+    monkeypatch,
+):
     """SIGKILL worker 1 while worker 0 has several seconds of work ahead
     of it: every barrier watches every pipe, so the death is reported
     within ~2 s of the kill and not when worker 0 next reports."""
     assert not multiprocessing.active_children()
-    killed = []
-
-    def kill_last():
-        deadline = time.monotonic() + 30
-        while time.monotonic() < deadline:
-            children = multiprocessing.active_children()
-            if len(children) == 2:
-                victim = max(
-                    children, key=lambda p: int(p.name.rsplit("-", 1)[1])
-                )
-                time.sleep(1.0)  # well past spawn, into setup/drain
-                os.kill(victim.pid, signal.SIGKILL)
-                killed.append((victim.pid, time.monotonic()))
-                return
-            time.sleep(0.01)
-
-    killer = threading.Thread(target=kill_last)
-    killer.start()
+    killed, read = kill_at_setup(monkeypatch, 1)
     # Device d is served by worker d % 2: two tenants on each of worker
-    # 0's eight devices (a drain of several seconds), the victim's one
-    # tenant on device 1.
+    # 0's eight devices, the victim's one tenant on device 1.  Worker 0
+    # is owed "ran" when the kill lands (see kill_at_setup) and has its
+    # whole drain, and most likely its setup, still to do.
     uneven = [
         TenantSpec(name=f"t{i}", workload="mixed", n_ops=20_000,
                    rate_ops_s=200_000.0, device=device)
@@ -318,11 +316,11 @@ def test_worker_death_is_noticed_when_it_happens_not_in_worker_order():
     with pytest.raises(RuntimeError) as exc:
         serve_cluster(uneven, n_devices=16, workers=2)
     noticed = time.monotonic()
-    killer.join(timeout=30)
-    assert not killer.is_alive() and killed
+    assert killed
     pid, killed_at = killed[0]
     assert f"pid={pid}" in str(exc.value)
     assert f"exit code {-signal.SIGKILL}" in str(exc.value)
+    assert (0, "ran") not in read, read  # not once worker 0 had drained
     assert noticed - killed_at < 2.0, (
         f"took {noticed - killed_at:.1f} s to notice a dead worker"
     )
