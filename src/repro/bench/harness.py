@@ -41,7 +41,8 @@ from repro.trace.tracer import Tracer
 from repro.workloads.base import Workload
 
 #: 256 MB of emulated flash: ample for the scaled-down workloads while
-#: keeping Python memory modest (pages are stored sparsely).
+#: keeping Python memory modest (the array holds the images of mapped
+#: pages only: resident memory is the live set, not the device size).
 DEFAULT_GEOMETRY = FlashGeometry(
     n_channels=8,
     ways_per_channel=1,

@@ -105,6 +105,7 @@ class FTL:
         self._pm_lookup = self.page_map.lookup
         self._program_page = flash.program_page
         self._flash_read_page = flash.read_page
+        self._invalidate_page = flash.invalidate_page
         self._wb_capacity = self.config.write_buffer_pages
 
         self.gc_runs = 0
@@ -239,6 +240,7 @@ class FTL:
         program_page = self._program_page
         bind = self._pm_bind
         blocks = self._blocks
+        invalidate_page = self._invalidate_page
         record_flash = self._record_flash
         for lpa, data in pages:
             _sp = trace.begin("ftl", "write_page", lpa=lpa) \
@@ -275,6 +277,7 @@ class FTL:
                     state = blocks[old // pages_per_block]
                     if state is not None and state.valid > 0:
                         state.valid -= 1
+                    invalidate_page(old)
                 block.valid += 1
                 record_flash(kind, Direction.WRITE, page_size)
             finally:
@@ -370,6 +373,7 @@ class FTL:
         state = self._blocks[ppa // self.geometry.pages_per_block]
         if state is not None and state.valid > 0:
             state.valid -= 1
+        self._invalidate_page(ppa)
 
     def _garbage_collect(self, ch: int) -> None:
         """Greedy GC on one channel: victim = fewest valid pages."""

@@ -1,8 +1,12 @@
-"""The flash chip array: stores real bytes and enforces NAND physics.
+"""The flash chip array: holds the bytes of every page a mapped read can
+reach and enforces NAND physics.
 
 * Pages must be erased before they can be programmed again.
 * Erase operates on whole blocks and bumps a wear counter.
 * Reads of never-programmed pages return zeros (like a fresh drive).
+* A page the FTL has invalidated (overwritten out of place, trimmed)
+  stays programmed until its block is erased, but its bytes are gone:
+  no mapping leads to them, so reading one is an error, not dead data.
 
 Timing is *not* charged here; the FTL charges channel time through the
 shared :class:`~repro.sim.resources.ChannelArray` so that background work
@@ -11,7 +15,7 @@ shared :class:`~repro.sim.resources.ChannelArray` so that background work
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.nand.geometry import FlashGeometry
 
@@ -20,12 +24,18 @@ class FlashError(Exception):
     """Violation of NAND programming rules (program-before-erase, etc.)."""
 
 
+#: Slot marker: programmed, image released.
+RELEASED = object()
+
+
 class FlashArray:
     """Backing store for the simulated device.
 
-    One slot per physical page, indexed by PPA: ``None`` is an erased
-    page, anything else is the programmed image.  A slot is a pointer,
-    so a "32 GB" device still costs only what the workload programs.
+    One slot per physical page, indexed by PPA, in one of three states:
+    ``None`` is an erased page, ``bytes`` is the programmed image, and
+    ``RELEASED`` is a programmed page whose image was dropped when the
+    FTL invalidated it.  A slot is a pointer, so a "32 GB" device costs
+    only the pages that are mapped, however long the run.
     Range checks are explicit everywhere a PPA or block id comes in: a
     list would quietly take a negative index from its far end.
     """
@@ -34,18 +44,23 @@ class FlashArray:
         self.geometry = geometry
         self._total_pages = geometry.total_pages
         self._page_size = geometry.page_size
-        self._pages: List[Optional[bytes]] = [None] * geometry.total_pages
+        self._pages: List[object] = [None] * geometry.total_pages
         self.erase_counts: Dict[int, int] = {}
         self.reads = 0
         self.writes = 0
         self.erases = 0
 
     def read_page(self, ppa: int) -> bytes:
-        """Read one full page; unprogrammed pages read as zeros."""
+        """Read one full page; unprogrammed pages read as zeros, a
+        released one is an error."""
         if not 0 <= ppa < self._total_pages:
             self._check_ppa(ppa)
-        self.reads += 1
         data = self._pages[ppa]
+        if data is RELEASED:
+            raise FlashError(
+                f"read of invalidated page {ppa}: its image was released"
+            )
+        self.reads += 1
         if data is None:
             return bytes(self._page_size)
         return data
@@ -71,6 +86,15 @@ class FlashArray:
         # immutable page image (the common case on the write path).
         pages[ppa] = data if type(data) is bytes else bytes(data)
         self.writes += 1
+
+    def invalidate_page(self, ppa: int) -> None:
+        """The FTL dropped its mapping to ``ppa``: release the image.
+        The page stays programmed until its block is erased."""
+        if not 0 <= ppa < self._total_pages:
+            self._check_ppa(ppa)
+        pages = self._pages
+        if pages[ppa] is not None:
+            pages[ppa] = RELEASED
 
     def erase_block(self, block_id: int) -> None:
         """Erase every page in a block."""

@@ -420,6 +420,10 @@ class MSSD:
                 trace.end(_sp)
 
     def trim(self, lba: int, n_blocks: int = 1) -> None:
+        if n_blocks < 0:
+            raise ValueError(f"trim of {n_blocks} blocks")
+        self._check_range(lba * self.page_size, n_blocks * self.page_size)
+
         def _apply(k: int) -> None:
             if k:
                 self.firmware.trim_many(lba, n_blocks)

@@ -175,6 +175,21 @@ def test_out_of_range_access_rejected(bytefs_device):
         d.write_blocks(d.capacity_blocks, b"x" * 4096, StructKind.DATA)
 
 
+@pytest.mark.parametrize("firmware", ["bytefs", "baseline"])
+def test_out_of_range_trim_rejected(firmware):
+    d = make_device(firmware)
+    d.write_blocks(d.capacity_blocks - 1, b"x" * 4096, StructKind.DATA)
+    now = d.clock.now
+    for lba, n_blocks in ((-5, 3), (10**9, 2), (3, -4), (0, 10**12)):
+        with pytest.raises(ValueError):
+            d.trim(lba, n_blocks)
+    # refused before the crash site and the firmware: nothing happened
+    assert d.clock.now == now
+    assert d.ftl.is_mapped(d.capacity_blocks - 1)
+    d.trim(d.capacity_blocks - 1, 1)
+    assert not d.ftl.is_mapped(d.capacity_blocks - 1)
+
+
 def test_unaligned_block_write_rejected(bytefs_device):
     with pytest.raises(ValueError):
         bytefs_device.write_blocks(0, b"xyz", StructKind.DATA)

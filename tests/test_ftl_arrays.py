@@ -4,7 +4,10 @@
 lists indexed by PPA / block id, and ``write_pages`` / GC allocate and
 invalidate inline.  The dict-backed, one-call-per-step versions they
 replaced are kept *here* as the reference, and hypothesis op streams
-must leave both in the same state, down to the clock.  The same goes for
+must leave both in the same state, down to the clock.  The reference
+array keeps every image it was ever handed; the real one holds exactly
+the images a mapped read can reach, which is pinned here too, slot by
+slot and without reading RSS.  The same goes for
 the host side of an fsync: ``AddressSpace``'s dirty index against the
 full scan it replaced, and JBD2's one-``struct.pack`` record against the
 piecewise packing.
@@ -19,18 +22,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis import fssan
+from repro.bench.harness import run_workload
+from repro.devcache import DevCacheConfig
 from repro.fs import jbd2 as jbd2_mod
 from repro.fs.jbd2 import JBD2, JournalFullError
 from repro.ftl.ftl import FTL, FTLConfig
 from repro.ftl.mapping import PageMap
 from repro.host.page_cache import PageCache
-from repro.nand.chip import FlashArray, FlashError
+from repro.nand.chip import RELEASED, FlashArray, FlashError
 from repro.nand.geometry import FlashGeometry
 from repro.nand.timing import TimingModel
 from repro.sim.clock import VirtualClock
 from repro.sim.resources import ChannelArray
 from repro.stats.traffic import Direction, StructKind, TrafficStats
-from tests.conftest import make_device
+from repro.workloads import OLTP, Varmail
+from tests.conftest import SMALL_GEOMETRY, make_device
 
 PAGE = 64
 
@@ -98,6 +104,9 @@ class RefFlashArray:
             self._pages.get(ppa)
             for ppa in range(self.geometry.total_pages)
         ]
+
+    def programmed(self):
+        return sorted(self._programmed)
 
 
 class RefPageMap:
@@ -351,6 +360,19 @@ class RecordingFlashArray(FlashArray):
     def image(self):
         return list(self._pages)
 
+    def programmed(self):
+        return [
+            ppa for ppa, slot in enumerate(self._pages) if slot is not None
+        ]
+
+
+class KeepingFlashArray(RecordingFlashArray):
+    """The array before images followed the live set: an invalidated
+    page keeps its bytes, so a stale read returns them."""
+
+    def invalidate_page(self, ppa):
+        pass
+
 
 # ---------------------------------------------------------------------- #
 # op streams
@@ -406,21 +428,27 @@ def apply(ftl, ops):
                         StructKind.DATA,
                     )
         except FlashError as exc:
+            if "out of space" not in str(exc):
+                raise
             seen.append(("out of space", str(exc)))
             break
     return seen
 
 
 def state(ftl, seen):
+    """Everything the device can observe: of the flash array, the image
+    of every mapped PPA and the programmed-ness of every slot."""
     clock = ftl.clock
     p2l = ftl.page_map._p2l
     if isinstance(p2l, list):
         p2l = {ppa: lpa for ppa, lpa in enumerate(p2l) if lpa is not None}
+    image = ftl.flash.image()
     return {
         "seen": seen,
         "l2p": dict(ftl.page_map._l2p),
         "p2l": p2l,
-        "flash": ftl.flash.image(),
+        "flash": {ppa: image[ppa] for ppa in p2l},
+        "programmed": ftl.flash.programmed(),
         "flash_counts": (ftl.flash.reads, ftl.flash.writes, ftl.flash.erases),
         "erase_counts": ftl.flash.erase_counts,
         "victims": ftl.flash.erase_order,
@@ -499,6 +527,87 @@ def test_out_of_space_raises_the_same_way():
 
 
 # ---------------------------------------------------------------------- #
+# resident images follow the live set
+# ---------------------------------------------------------------------- #
+
+def mapped_ppas_holding_the_only_images(ftl):
+    """Asserts the slots holding an image are exactly the mapped PPAs
+    (every other slot is erased or holds the marker) and returns them."""
+    slots = ftl.flash._pages
+    mapped = set(ftl.page_map._l2p.values())
+    assert all(type(slots[ppa]) is bytes for ppa in mapped)
+    assert all(
+        slot is None or slot is RELEASED
+        for ppa, slot in enumerate(slots) if ppa not in mapped
+    )
+    return mapped
+
+
+@pytest.mark.parametrize("sanitize", [False, True])
+@pytest.mark.parametrize("name", sorted(GEOMETRIES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_op_streams_leave_images_only_under_mapped_pages(
+    name, sanitize, data
+):
+    # Which slots are programmed is the reference's to say (``state``);
+    # with this, every programmed slot nothing maps holds the marker.
+    geometry = GEOMETRIES[name]
+    ftl = build(FTL, FlashArray, geometry)
+    fssan.ENABLED = sanitize
+    apply(ftl, data.draw(op_streams(geometry)))
+    mapped_ppas_holding_the_only_images(ftl)
+
+
+def test_released_slot_is_programmed_and_unreadable_until_erased():
+    geometry = GEOMETRIES["1ch"]
+    flash = FlashArray(geometry)
+    flash.invalidate_page(1)            # erased: stays erased
+    assert not flash.is_programmed(1)
+    flash.program_page(1, b"live")
+    flash.invalidate_page(1)
+    assert flash.is_programmed(1)
+    with pytest.raises(FlashError, match="read of invalidated page 1"):
+        flash.read_page(1)
+    with pytest.raises(FlashError, match="already programmed"):
+        flash.program_page(1, b"again")
+    flash.invalidate_page(1)            # twice is once
+    assert flash._pages[1] is RELEASED
+    flash.erase_block(0)
+    assert not flash.is_programmed(1)
+    assert flash.read_page(1) == bytes(PAGE)
+    flash.program_page(1, b"again")
+    assert flash.read_page(1)[:5] == b"again"
+    assert (flash.reads, flash.writes, flash.erases) == (2, 2, 1)
+
+
+@pytest.mark.parametrize("fs_name, workload, kwargs, min_gc", [
+    # wraps the 32 MB device: GC in the hundreds
+    ("ext4", OLTP(ops_per_thread=300), {}, 100),
+    ("bytefs", Varmail(ops_per_thread=20), {}, 0),
+    ("bytefs", Varmail(ops_per_thread=20),
+     {"devcache": DevCacheConfig(cache_bytes=1 << 20)}, 0),
+], ids=["ext4-oltp-gc", "bytefs-varmail", "bytefs-varmail-devcache"])
+def test_whole_stack_run_holds_images_only_for_mapped_pages(
+    fs_name, workload, kwargs, min_gc
+):
+    seen = {}
+
+    def probe(phase, clock, stats, device, fs):
+        if phase == "measure-end":
+            seen["images"] = len(
+                mapped_ppas_holding_the_only_images(device.ftl)
+            )
+            seen["gc_runs"] = device.ftl.gc_runs
+
+    run_workload(
+        fs_name, workload, geometry=SMALL_GEOMETRY, stack_probe=probe,
+        **kwargs,
+    )
+    assert seen["images"] > 0 and seen["gc_runs"] >= min_gc
+
+
+# ---------------------------------------------------------------------- #
 # planted mutants
 # ---------------------------------------------------------------------- #
 
@@ -539,12 +648,17 @@ def test_last_minimum_victim_mutant_is_caught():
 
 def test_leaky_reverse_slice_mutant_is_caught():
     geometry = GEOMETRIES["4ch"]
-    fssan.disable()  # first the differential alone
-    assert not arrays_match_reference(
-        geometry, MUTANT_OPS, map_cls=LeakyReverseMap
-    )
-    # and the sanitizer's one-slice victim test names it at the erase
+    fssan.disable()
+    # The mutant's first GC migrates a page no LPA maps to any more:
+    # the array has released its image and says so, sanitizer or not.
     ftl = build(FTL, RecordingFlashArray, geometry, LeakyReverseMap)
+    with pytest.raises(FlashError, match=r"read of invalidated page \d+"):
+        apply(ftl, MUTANT_OPS)
+    assert ftl.gc_runs == 1 and ftl.flash.erases == 0
+    # Over an array that hands back dead bytes the migration goes
+    # through, and the sanitizer's one-slice victim test names the
+    # mutant at the erase.
+    ftl = build(FTL, KeepingFlashArray, geometry, LeakyReverseMap)
     with fssan.sanitized(), pytest.raises(fssan.SanitizerError) as exc:
         apply(ftl, MUTANT_OPS)
     assert exc.value.invariant == fssan.FTL
@@ -566,6 +680,8 @@ def test_flash_array_rejects_out_of_range_addresses():
             flash.program_page(ppa, b"x")
         with pytest.raises(FlashError):
             flash.is_programmed(ppa)
+        with pytest.raises(FlashError):
+            flash.invalidate_page(ppa)
     for block_id in (-1, geometry.total_blocks):
         with pytest.raises(FlashError):
             flash.erase_block(block_id)
