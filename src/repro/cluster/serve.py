@@ -84,6 +84,7 @@ from repro.devcache import DevCacheConfig
 from repro.faults.plan import DeviceCrash, check_fault_plan
 from repro.nand.geometry import FlashGeometry
 from repro.nand.timing import TimingModel
+from repro.ssd.firmware.bytefs_fw import ByteFSFirmwareConfig
 from repro.trace import tracer as trace
 
 from repro.cluster.merge import merge_shard_results
@@ -194,6 +195,10 @@ def validate(cfg: ServeConfig) -> List[int]:
         raise ValueError(f"unknown file system {cfg.fs_name!r}")
     if cfg.sample_every_ns is not None and cfg.sample_every_ns <= 0:
         raise ValueError("sample_every_ns must be positive")
+    if cfg.page_cache_pages < 1:
+        raise ValueError("page_cache_pages must be >= 1")
+    if FIRMWARE_FOR[cfg.fs_name] == "bytefs":
+        ByteFSFirmwareConfig(log_bytes=cfg.log_bytes)  # the firmware's check
     faulted = {f.device for f in check_fault_plan(cfg.faults, cfg.n_devices)}
     cfg.scheduler_echo()  # the scheduler name and the DRR quantum
     placement = []

@@ -1033,7 +1033,7 @@ class ExtFS(BaseFileSystem):
             cached = self.page_cache.lookup(inode.ino, offset // self.P)
             if cached is not None:
                 poff = offset % self.P
-                cached.data[poff : poff + len(data)] = data
+                cached.writable()[poff : poff + len(data)] = data
             return len(data)
         self.device.write_pages(
             self._direct_pages(inode, offset, data), StructKind.DATA
@@ -1062,7 +1062,7 @@ class ExtFS(BaseFileSystem):
             # Keep the page cache coherent with the direct write.
             cached = self.page_cache.lookup(inode.ino, pidx)
             if cached is not None:
-                cached.data[poff : poff + n] = data[i : i + n]
+                cached.writable()[poff : poff + n] = data[i : i + n]
             i += n
             pos += n
 
@@ -1163,7 +1163,10 @@ class ExtFS(BaseFileSystem):
                 if trace.ENABLED else None
             if cow and page.original is not None:
                 advance(xor_page_ns)  # the XOR pass over this page
-            yield blks[i], bytes(page.data)
+            # The image the device takes is the cached page from here
+            # on: one object, until the next store copies out of it.
+            image = page.data = bytes(page.data)
+            yield blks[i], image
             page.clean()
             bump("block_writebacks")
             if _sp is not None:
@@ -1198,7 +1201,8 @@ class ExtFS(BaseFileSystem):
             return "byte"
         # Data journaling: the image goes to the journal at commit and
         # in place only at checkpoint (double write, §4.6).
-        self.jbd2.mark_dirty_data(blk, bytes(page.data))
+        image = page.data = bytes(page.data)
+        self.jbd2.mark_dirty_data(blk, image)
         page.clean()
         self.stats.bump("journaled_data_writebacks")
         return "journal"

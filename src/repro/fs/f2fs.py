@@ -795,8 +795,9 @@ class F2FS(BaseFileSystem):
             blk = self._alloc_block(for_node=False)
             # Allocating the next block may clean a segment (device reads
             # and writes of its own), so the writes cannot leave as one run.
+            image = page.data = bytes(page.data)
             self.device.write_blocks(  # repro: allow[PERF001]
-                blk, bytes(page.data), StructKind.DATA)
+                blk, image, StructKind.DATA)
             while len(node.ptrs) <= pidx:
                 node.ptrs.append(0)
             node.ptrs[pidx] = blk

@@ -16,6 +16,19 @@ by line.  Every comparison is ``==`` on buffers, i.e. C ``memcmp``.
 
 Ext4/F2FS use the same cache without CoW (they always write back whole
 pages over the block interface).
+
+A page image is held once.  ``CachedPage.data`` is the immutable
+``bytes`` the page was installed with — on a read miss the flash array's
+(or device-cache frame's) own object, on a whole-page write the slice of
+the application buffer — until the first store into it:
+:meth:`PageCache.mark_page_dirty` takes the one private ``bytearray``
+copy, the CoW duplicate is the old image itself, and write-back leaves
+the ``bytes`` it handed the device as ``page.data``.  A clean page
+therefore costs a pointer, and a store that skips ``mark_page_dirty``
+fails with ``TypeError`` instead of scribbling over the device's image.
+
+The eviction index holds at most one entry per cached key (see
+:class:`PageCache`), so it is bounded by the cache, however long the run.
 """
 
 from __future__ import annotations
@@ -23,7 +36,7 @@ from __future__ import annotations
 import struct
 from collections import OrderedDict
 from functools import lru_cache
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush, heapreplace
 from itertools import compress
 from operator import ne
 from typing import Callable, Dict, List, Optional, Tuple, Union
@@ -82,6 +95,14 @@ def line_runs(lines: List[int]) -> List[Tuple[int, int]]:
 class CachedPage:
     """One cached file page, with an optional CoW duplicate.
 
+    ``data`` is immutable ``bytes`` — shared with whoever handed it over
+    or took it at write-back — until the first store; whoever stores
+    into the page dirties it first (:meth:`PageCache.mark_page_dirty`,
+    or :meth:`mark_dirty` outside a cache), which makes ``data`` a
+    private ``bytearray``, or patches a clean page through
+    :meth:`writable`.  ``original`` is the image the page had when it
+    was first dirtied, not a copy of it.
+
     ``_key``/``_notify`` are set by the owning :class:`PageCache` so that
     :meth:`clean` can report dirty->clean transitions (file systems call
     it directly on writeback); the cache uses them to keep its eviction
@@ -95,7 +116,8 @@ class CachedPage:
     def __init__(self, data: bytes, page_size: int) -> None:
         if len(data) < page_size:
             data = data + bytes(page_size - len(data))
-        self.data = bytearray(data)
+        # (``bytes`` of exact ``bytes`` is the object itself: no copy.)
+        self.data: Union[bytes, bytearray] = bytes(data)
         self.dirty = False
         self.original: Optional[bytes] = None  # CoW duplicate page
         self._key: Optional[Tuple[int, int]] = None
@@ -107,9 +129,19 @@ class CachedPage:
                 "page is in a cache: dirty it with PageCache.mark_page_dirty"
             )
         if cow and self.original is None:
-            # First modification: duplicate the pristine page (§4.6).
+            # First modification: keep the pristine page (§4.6).
             self.original = bytes(self.data)
+        self.writable()
         self.dirty = True
+
+    def writable(self) -> bytearray:
+        """``data`` as a private buffer, copied out of the shared image
+        on first use.  Without a dirtying call this is for patching a
+        page that stays coherent with the device (O_DIRECT writes)."""
+        data = self.data
+        if type(data) is bytes:
+            data = self.data = bytearray(data)
+        return data
 
     def dirty_chunks(self) -> List[Tuple[int, int]]:
         """(offset, length) runs of modified 64 B cachelines, via XOR diff.
@@ -197,7 +229,17 @@ class PageCache:
     """Global page cache across inodes, with LRU eviction.
 
     Eviction prefers clean pages; a dirty victim is written back through
-    the owning file system's callback first.
+    the owning file system's callback first.  The victim is the first
+    clean-or-stale key in LRU order, else the LRU head.
+
+    It is found through ``_cand``, a heap of ``(stamp, key)`` with at
+    most one entry per key (``_queued`` is the set of keys that have
+    one) and only for keys that hold an LRU slot.  ``_pos`` stamps each
+    key with its LRU rank; an entry carries the stamp its key had when
+    it was queued, which a later hit only ever raises.  Every
+    clean-or-stale key is queued and every entry under-estimates its
+    key's rank, so a top entry that matches its key's live stamp is the
+    exact victim; one that does not is re-filed under the live stamp.
     """
 
     def __init__(self, capacity_pages: int, page_size: int) -> None:
@@ -215,15 +257,10 @@ class PageCache:
         # occupies an LRU slot and is victimized like a clean page.
         self._lru: "OrderedDict[Tuple[int, int], CachedPage]" = OrderedDict()
         self._stale_keys: set = set()
-        # Exact O(log n) victim index: _pos stamps each key with its LRU
-        # rank (restamped on every move_to_end), and _cand holds
-        # (stamp, key) entries for keys that were clean or stale when
-        # pushed.  Entries are validated lazily on pop — a key that was
-        # restamped, evicted, or dirtied since the push is discarded —
-        # so the minimal valid entry is exactly the least-recently-used
-        # clean-or-stale key the old linear scan would have found.
+        # The victim index (class docstring).
         self._pos: Dict[Tuple[int, int], int] = {}
         self._cand: List[Tuple[int, Tuple[int, int]]] = []
+        self._queued: set = set()
         self._ctr = 0
         self.hits = 0
         self.misses = 0
@@ -240,10 +277,15 @@ class PageCache:
 
     def _note_drop(self, ino: int, index: int) -> None:
         key = (ino, index)
-        pos = self._pos.get(key)
-        if pos is not None:
+        if key in self._pos:
             self._stale_keys.add(key)
-            heappush(self._cand, (pos, key))
+            self._queue(key)
+
+    def _queue(self, key: Tuple[int, int]) -> None:
+        """``key`` (which holds an LRU slot) became clean or stale."""
+        if key not in self._queued:
+            self._queued.add(key)
+            heappush(self._cand, (self._pos[key], key))
 
     def _note_clean(self, page: CachedPage) -> None:
         key = page._key
@@ -252,9 +294,8 @@ class PageCache:
         # dropped must not unlist the one installed in its place.)
         if space is not None and space.dirty.get(key[1]) is page:
             del space.dirty[key[1]]
-        pos = self._pos.get(key)
-        if pos is not None:
-            heappush(self._cand, (pos, key))
+        if key in self._pos:
+            self._queue(key)
 
     def lookup(self, ino: int, index: int) -> Optional[CachedPage]:
         space = self._spaces.get(ino)
@@ -266,8 +307,6 @@ class PageCache:
             pos = self._ctr
             self._ctr = pos + 1
             self._pos[key] = pos
-            if not page.dirty:
-                heappush(self._cand, (pos, key))
         else:
             self.misses += 1
         return page
@@ -294,8 +333,9 @@ class PageCache:
         Page for page this is a ``lookup`` miss, an ``install`` of a
         zero page (a whole-page write needs no base from the device), a
         ``mark_page_dirty`` and the copy — but room for the whole run is
-        made in one go and its dirty victims reach ``writeback`` as one
-        ordered batch.  The run stops at the first page that is cached
+        made in one go, its dirty victims reach ``writeback`` as one
+        ordered batch, and a page's image is its slice of ``data``, not
+        a copy of one.  The run stops at the first page that is cached
         (``lookup`` it instead: 0 is returned when that is page
         ``start``) or whose key still holds an LRU slot, and at
         ``capacity_pages``, so that no page of the run is its victim.
@@ -338,17 +378,15 @@ class PageCache:
         key = (ino, index)
         page._key = key
         page._notify = self._note_clean
-        pos = self._pos.get(key)
-        if pos is None:
+        if key not in self._pos:
             # Re-installing over a stale key keeps its LRU position
             # (OrderedDict value assignment does not move the entry), so
             # only genuinely new keys get a fresh stamp.
-            pos = self._ctr
-            self._ctr = pos + 1
-            self._pos[key] = pos
+            self._pos[key] = self._ctr
+            self._ctr += 1
         self._lru[key] = page
         self._stale_keys.discard(key)
-        heappush(self._cand, (pos, key))
+        self._queue(key)
         return page
 
     def mark_dirty(self, ino: int, index: int, cow: bool) -> None:
@@ -361,10 +399,16 @@ class PageCache:
     def mark_page_dirty(self, page: CachedPage, cow: bool) -> None:
         """Like :meth:`mark_dirty` when the caller already holds the page
         (skips the two-level index lookup on the buffered-write path).
-        ``page`` must be the one this cache holds under its key."""
+        ``page`` must be the one this cache holds under its key.
+
+        The first store into a page takes its one private copy here; the
+        duplicate is the image it was copied from."""
+        data = page.data
         if cow and page.original is None:
-            page.original = bytes(page.data)
+            page.original = bytes(data)
             self.cow_copies += 1
+        if type(data) is bytes:
+            page.data = bytearray(data)
         if not page.dirty:
             page.dirty = True
             ino, index = page._key
@@ -385,26 +429,29 @@ class PageCache:
             return
         stale = self._stale_keys
         cand = self._cand
+        queued = self._queued
         pos_map = self._pos
         spaces = self._spaces
         dirty: List[Tuple[int, int, CachedPage]] = []
         for _ in range(n_evict):
-            # Prefer the least-recently-used clean (or stale) page: pop
-            # candidates until one still matches its stamp and is still
-            # clean or stale.  Every clean-or-stale key has at least one
-            # current-stamp entry (pushed on install, on clean(), on
-            # drop-behind-our-back, and on restamp of a clean page), so
-            # an empty/exhausted heap means every cached page is dirty.
+            # Prefer the least-recently-used clean (or stale) page.
+            # Every such key is queued (on install, on clean() and on
+            # drop-behind-our-back), so an exhausted heap means every
+            # cached page is dirty.
             victim_key = None
             while cand:
                 pos, key = cand[0]
-                if pos_map.get(key) != pos:
-                    heappop(cand)  # restamped or evicted since pushed
-                    continue
                 victim_page = lru[key]
                 if victim_page.dirty and key not in stale:
-                    heappop(cand)  # dirtied since pushed
+                    heappop(cand)  # dirtied since queued
+                    queued.discard(key)
                     continue
+                live = pos_map[key]
+                if live != pos:
+                    heapreplace(cand, (live, key))  # hit since queued
+                    continue
+                heappop(cand)
+                queued.discard(key)
                 victim_key = key
                 break
             if victim_key is None:
@@ -442,11 +489,21 @@ class PageCache:
 
     def drop_inode(self, ino: int) -> None:
         space = self._spaces.pop(ino, None)
-        if space is not None:
-            for index in space.pages:
-                key = (ino, index)
-                if self._lru.pop(key, None) is not None:
-                    self._pos.pop(key, None)
+        if space is None:
+            return
+        pos_map = self._pos
+        queued = self._queued
+        n_queued = len(queued)
+        for index in space.pages:
+            key = (ino, index)
+            if self._lru.pop(key, None) is not None:
+                del pos_map[key]
+                queued.discard(key)
+        if len(queued) != n_queued:
+            # The index holds entries for keys that hold an LRU slot and
+            # for no others: it cannot outgrow the cache.
+            self._cand = [entry for entry in self._cand if entry[1] in queued]
+            heapify(self._cand)
 
     def drop_all(self) -> None:
         """Crash: volatile host memory is lost."""
@@ -455,6 +512,7 @@ class PageCache:
         self._stale_keys.clear()
         self._pos.clear()
         self._cand.clear()
+        self._queued.clear()
 
     # ------------------------------------------------------------------ #
 

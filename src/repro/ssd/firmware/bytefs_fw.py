@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import ClassVar, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.analysis import fssan
 from repro.faults.injector import NULL_INJECTOR
@@ -30,6 +30,7 @@ from repro.sim.resources import Resource
 from repro.ssd.firmware.log_index import ChunkEntry, PageNode
 from repro.ssd.firmware.txlog import TxLog
 from repro.ssd.firmware.write_log import (
+    ENTRY_ALIGN,
     LogFullError,
     LogRegion,
     aligned_entry_size,
@@ -51,6 +52,17 @@ class ByteFSFirmwareConfig:
     clean_threshold: float = 0.85
     partition_bytes: int = 1 << 20
     txlog_bytes: int = 64 << 10
+
+    #: the smallest ``log_bytes``: the log is two regions (double
+    #: buffering) and a region holds at least one entry
+    MIN_LOG_BYTES: ClassVar[int] = 2 * ENTRY_ALIGN
+
+    def __post_init__(self) -> None:
+        if self.log_bytes < self.MIN_LOG_BYTES:
+            raise ValueError(
+                f"log_bytes must be >= {self.MIN_LOG_BYTES} "
+                f"(got {self.log_bytes})"
+            )
 
 
 class ByteFSFirmware:

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import enum
+from array import array
 from collections import defaultdict
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 
 class StructKind(enum.Enum):
@@ -195,18 +196,24 @@ class TrafficStats:
         self.fault_counters.clear()
 
 
+def _doubles() -> array:
+    """An empty sample series: packed C doubles, 8 B a sample (and raw
+    bytes in a pickle) where a list of floats costs 32."""
+    return array("d")
+
+
 class LatencyRecorder:
     """Records per-operation latencies and reports mean / percentiles.
 
     The sorted order is computed lazily and cached per op (invalidated by
     :meth:`record`), so a burst of percentile queries — e.g. rendering a
-    report with p50/p95/p99 per op — sorts each sample list once instead
-    of once per query.
+    report with p50/p95/p99 per op — sorts each sample series once
+    instead of once per query.
     """
 
     def __init__(self) -> None:
-        self._samples: Dict[str, List[float]] = defaultdict(list)
-        self._sorted_cache: Dict[str, List[float]] = {}
+        self._samples: Dict[str, array] = defaultdict(_doubles)
+        self._sorted_cache: Dict[str, array] = {}
 
     def record(self, op: str, latency_ns: float) -> None:
         self._samples[op].append(latency_ns)
@@ -221,17 +228,17 @@ class LatencyRecorder:
             return float("nan")
         return sum(samples) / len(samples)
 
-    def _sorted(self, op: str) -> Optional[List[float]]:
+    def _sorted(self, op: str) -> Optional[array]:
         ordered = self._sorted_cache.get(op)
         if ordered is None:
             samples = self._samples.get(op)
             if not samples:
                 return None
-            ordered = self._sorted_cache[op] = sorted(samples)
+            ordered = self._sorted_cache[op] = array("d", sorted(samples))
         return ordered
 
     @staticmethod
-    def _percentile_of(ordered: List[float], pct: float) -> float:
+    def _percentile_of(ordered: Sequence[float], pct: float) -> float:
         if len(ordered) == 1:
             return ordered[0]
         rank = (pct / 100.0) * (len(ordered) - 1)

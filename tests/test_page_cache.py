@@ -1,6 +1,9 @@
 """Unit and property tests for the host page cache with CoW (§4.6)."""
 
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine, invariant, precondition, rule,
+)
 
 from repro.host.page_cache import CachedPage, PageCache
 
@@ -139,3 +142,167 @@ def test_xor_diff_exactly_covers_modifications(writes):
     for off, length in page.dirty_chunks():
         rebuilt[off : off + length] = page.data[off : off + length]
     assert bytes(rebuilt) == bytes(page.data)
+
+
+# ---------------------------------------------------------------------- #
+# the eviction index: bounded by the cached keys, exact victims
+# ---------------------------------------------------------------------- #
+
+def _clean_all(batch):
+    for _ino, _index, page in batch:
+        page.clean()
+
+
+def test_index_is_bounded_by_the_cached_keys():
+    """One entry per cached key at most, whatever the history: hits push
+    nothing, a page that cycles dirty -> clean keeps its one entry, and
+    dropped keys take their entries with them."""
+    pc = PageCache(1024, 4096)
+    for index in range(512):
+        pc.install(1 + index % 4, index, b"x", _clean_all)
+    for i in range(200_000):
+        pc.lookup(1 + i % 4, i % 512)
+    assert pc.hits == 200_000
+    assert len(pc._cand) <= pc.cached_pages == 512
+
+    page = pc.lookup(1, 0)
+    for _ in range(1000):
+        pc.mark_page_dirty(page, cow=True)
+        page.clean()
+    assert len(pc._cand) <= 512
+    assert sum(1 for _stamp, key in pc._cand if key == (1, 0)) == 1
+
+    pc.drop_inode(2)
+    assert pc.cached_pages == 384
+    assert len(pc._cand) <= 384
+    assert {key for _stamp, key in pc._cand} == pc._queued <= set(pc._lru)
+    pc.drop_all()
+    assert len(pc._cand) == len(pc._queued) == 0
+
+    # ... and under eviction pressure, with hits between the evictions
+    pc = PageCache(64, 4096)
+    for i in range(20_000):
+        if pc.lookup(1, i * 7 % 96) is None:
+            pc.install(1, i * 7 % 96, b"x", _clean_all)
+        pc.lookup(1, i % 5)
+        assert len(pc._cand) <= pc.cached_pages <= 64
+
+
+class VictimsMatchTheDefinition(RuleBasedStateMachine):
+    """The class docstring's victim — the first clean-or-stale key in
+    LRU order, else the LRU head — as a linear scan, against the index,
+    after every step of a random history."""
+
+    CAPACITY = 6
+
+    def __init__(self):
+        super().__init__()
+        self.pc = PageCache(self.CAPACITY, 4096)
+        self.written = []        # victims handed to writeback, in order
+        # the reference: key -> "clean" | "dirty" | "stale", in LRU order
+        self.model = {}
+        self.expected = []
+
+    def writeback(self, batch):
+        for ino, index, page in batch:
+            self.written.append((ino, index))
+            page.clean()
+
+    def model_touch(self, key):
+        self.model[key] = self.model.pop(key)
+
+    def model_make_room(self, n):
+        while len(self.model) + n > self.CAPACITY:
+            victim = next(
+                (k for k, state in self.model.items() if state != "dirty"),
+                next(iter(self.model)),
+            )
+            if self.model.pop(victim) == "dirty":
+                self.expected.append(victim)
+
+    keys = st.tuples(st.integers(1, 3), st.integers(0, 5))
+
+    @rule(key=keys)
+    def lookup(self, key):
+        page = self.pc.lookup(*key)
+        state = self.model.get(key)
+        assert (page is not None) == (state in ("clean", "dirty"))
+        if page is not None:
+            self.model_touch(key)
+
+    @rule(key=keys)
+    def install(self, key):
+        if self.pc.lookup(*key) is not None:
+            self.model_touch(key)
+            return
+        self.model_make_room(1)
+        self.pc.install(*key, b"x", self.writeback)
+        # (re-installing over a stale key keeps its LRU position)
+        self.model[key] = "clean"
+
+    @rule(ino=st.integers(1, 3), start=st.integers(0, 5), n=st.integers(1, 4))
+    def install_dirty_run(self, ino, start, n):
+        took = self.pc.install_dirty_run(
+            ino, start, bytes(n * 4096), 0, True, self.writeback
+        )
+        assert took == next(
+            (i for i in range(n) if (ino, start + i) in self.model), n
+        )
+        self.model_make_room(took)
+        for index in range(start, start + took):
+            self.model[(ino, index)] = "dirty"
+
+    @rule(key=keys, cow=st.booleans())
+    def mark_page_dirty(self, key, cow):
+        if self.model.get(key) in ("clean", "dirty"):
+            self.pc.mark_page_dirty(self.pc.space(key[0]).get(key[1]), cow)
+            self.model[key] = "dirty"
+
+    @rule(key=keys)
+    def clean(self, key):
+        if self.model.get(key) == "dirty":
+            self.pc.space(key[0]).get(key[1]).clean()
+            self.model[key] = "clean"
+
+    @rule(key=keys)
+    def drop(self, key):
+        self.pc.space(key[0]).drop(key[1])
+        if key in self.model:
+            self.model[key] = "stale"
+
+    @rule(ino=st.integers(1, 3))
+    def drop_inode(self, ino):
+        self.pc.drop_inode(ino)
+        # (a stale key outlives its inode: it keeps its LRU slot until it
+        # is the victim)
+        for key, state in list(self.model.items()):
+            if key[0] == ino and state != "stale":
+                del self.model[key]
+
+    @invariant()
+    def same_victims_same_survivors(self):
+        pc = self.pc
+        assert self.written == self.expected
+        assert list(pc._lru) == list(self.model)
+        assert pc._stale_keys == {
+            k for k, state in self.model.items() if state == "stale"
+        }
+        assert {
+            (ino, index) for ino, space in pc._spaces.items()
+            for index in space.dirty
+        } == {k for k, state in self.model.items() if state == "dirty"}
+        # one entry per key, only for cached keys, every clean-or-stale
+        # key among them, none claiming a rank its key has not reached
+        entries = [key for _stamp, key in pc._cand]
+        assert len(entries) == len(set(entries))
+        assert set(entries) == pc._queued <= set(pc._lru)
+        assert {
+            k for k, state in self.model.items() if state != "dirty"
+        } <= pc._queued
+        assert all(stamp <= pc._pos[key] for stamp, key in pc._cand)
+
+
+VictimsMatchTheDefinition.TestCase.settings = settings(
+    max_examples=150, stateful_step_count=60, deadline=None
+)
+test_victims_match_the_linear_scan = VictimsMatchTheDefinition.TestCase

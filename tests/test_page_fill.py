@@ -26,8 +26,9 @@ from repro.core.bytefs import build_stack
 from repro.devcache import DevCacheConfig, DeviceCache
 from repro.faults.injector import FaultInjector
 from repro.fs.extfs import ExtFSConfig
-from repro.fs.vfs import O_CREAT, O_RDWR
+from repro.fs.vfs import O_CREAT, O_DIRECT, O_RDWR
 from repro.ftl.ftl import FTL, FTLConfig
+from repro.host.page_cache import PageCache
 from repro.nand.chip import FlashArray
 from repro.nand.geometry import FlashGeometry
 from repro.nand.timing import TimingModel
@@ -304,6 +305,136 @@ def test_logged_page_is_merged_not_aliased():
     merged = device.read_blocks(10, 1, StructKind.DATA)
     assert merged == b"\x10" * 64 + b"\xee" * 64 + b"\x10" * (P - 128)
     assert flash_object(device, 10) == b"\x10" * P
+
+
+# --- the host page cache: one image per page until its first store ---- #
+
+HELD_ONCE_FS = ["bytefs", "ext4", "f2fs"]
+
+
+def held_once_file(fs_name):
+    """A stack with an 8-page cache and ``/f`` of four synced pages, page
+    ``i`` filled with byte ``i + 1``; returns ``(device, fs, fd, ino,
+    lba_of)``."""
+    _clock, _stats, device, fs = build_stack(
+        fs_name, geometry=SMALL_GEOMETRY, page_cache_pages=8
+    )
+    fd = fs.open("/f", O_CREAT | O_RDWR)
+    fs.write(fd, b"".join(bytes([i + 1]) * P for i in range(4)))
+    fs.fsync(fd)
+    ino = fs.stat("/f").ino
+
+    def lba_of(pidx):
+        if fs_name == "f2fs":
+            return fs._get_node(ino).ptrs[pidx]
+        return fs._block_of(fs._get_inode(ino), pidx)
+
+    return device, fs, fd, ino, lba_of
+
+
+@pytest.mark.parametrize("fs_name", HELD_ONCE_FS)
+def test_clean_cached_page_is_the_flash_arrays_object(fs_name):
+    device, fs, fd, ino, lba_of = held_once_file(fs_name)
+    cache = fs.page_cache
+    # after the fsync write-back: the image the device took is the page
+    device.flush_all()
+    for i in range(4):
+        data = cache.lookup(ino, i).data
+        assert type(data) is bytes
+        assert data is flash_object(device, lba_of(i))
+    # after a read miss: the image the device returned is the page
+    cache.drop_all()
+    for i in range(4):
+        assert cache.lookup(ino, i) is None
+        fs.pread(fd, i * P, P)
+        assert cache.lookup(ino, i).data is flash_object(device, lba_of(i))
+    # after an eviction write-back (the victims are pages 0..3, stored
+    # into first so they leave dirty) and the read miss that follows
+    for i in range(4):
+        fs.pwrite(fd, i * P + 7, b"\xee")
+    for i in range(4, 12):
+        fs.pwrite(fd, i * P, bytes([i + 1]) * P)
+    fs.fsync(fd)
+    device.flush_all()
+    for i in range(4):
+        assert cache.lookup(ino, i) is None
+        image = bytes([i + 1]) * 7 + b"\xee" + bytes([i + 1]) * (P - 8)
+        assert fs.pread(fd, i * P, P) == image
+        assert cache.lookup(ino, i).data is flash_object(device, lba_of(i))
+
+
+@pytest.mark.parametrize("how", ["pwrite", "mmap store"])
+@pytest.mark.parametrize("fs_name", HELD_ONCE_FS)
+def test_first_store_takes_the_one_private_copy(fs_name, how):
+    if how == "mmap store" and fs_name == "f2fs":
+        pytest.skip("f2fs has no mmap")
+    device, fs, fd, ino, lba_of = held_once_file(fs_name)
+    device.flush_all()
+    old = flash_object(device, lba_of(1))
+    assert fs.page_cache.lookup(ino, 1).data is old
+    if how == "pwrite":
+        fs.pwrite(fd, P + 100, b"zz")
+    else:
+        fs.mmap(fd, 0, 4 * P).store(P + 100, b"zz")
+    page = fs.page_cache.lookup(ino, 1)
+    assert type(page.data) is bytearray and page.dirty
+    assert page.data == b"\x02" * 100 + b"zz" + b"\x02" * (P - 102)
+    if fs_name == "bytefs":
+        assert page.original is old  # the duplicate is the old image
+    else:
+        assert page.original is None
+    assert flash_object(device, lba_of(1)) is old
+    assert old == b"\x02" * P
+    stored = bytes(page.data)
+    fs.fsync(fd)
+    assert not page.dirty and page.original is None
+    if fs_name == "bytefs":
+        # Two bytes leave through the byte interface: no page image was
+        # made, the page keeps its buffer, and the next first store
+        # duplicates a snapshot of it.
+        assert type(page.data) is bytearray
+        fs.pwrite(fd, P + 200, b"yy")
+        assert type(page.original) is bytes and page.original == stored
+    else:
+        # Block write-back hands the device one ``bytes`` and keeps it.
+        assert type(page.data) is bytes and page.data == stored
+
+
+def test_o_direct_patch_of_a_clean_page_does_not_reach_the_flash_image():
+    device, fs, fd, ino, lba_of = held_once_file("bytefs")
+    device.flush_all()
+    old = flash_object(device, lba_of(0))
+    dfd = fs.open("/f", O_RDWR | O_DIRECT)
+    fs.pwrite(dfd, 8, b"direct")  # byte interface; patches the cached page
+    page = fs.page_cache.lookup(ino, 0)
+    assert not page.dirty and type(page.data) is bytearray
+    assert bytes(page.data[:16]) == b"\x01" * 8 + b"direct" + b"\x01" * 2
+    assert old == b"\x01" * P
+
+
+def mark_page_dirty_without_the_copy(self, page, cow):
+    """Mutant: ``PageCache.mark_page_dirty`` leaving ``data`` shared."""
+    if cow and page.original is None:
+        page.original = bytes(page.data)
+        self.cow_copies += 1
+    if not page.dirty:
+        page.dirty = True
+        ino, index = page._key
+        self._spaces[ino].dirty[index] = page
+
+
+@pytest.mark.parametrize("fs_name", HELD_ONCE_FS)
+def test_store_without_the_copy_is_a_type_error(fs_name):
+    """The point of the representation: a store that skipped the copy
+    cannot scribble over the device's image, it fails."""
+    device, fs, fd, ino, lba_of = held_once_file(fs_name)
+    device.flush_all()
+    with mock.patch.object(
+        PageCache, "mark_page_dirty", mark_page_dirty_without_the_copy
+    ):
+        with pytest.raises(TypeError):
+            fs.pwrite(fd, 100, b"zz")
+    assert flash_object(device, lba_of(0)) == b"\x01" * P
 
 
 def make_cache(cache_cls=DeviceCache, frames=4, **config_kw):

@@ -26,8 +26,10 @@ import pytest
 
 import repro.cluster
 from repro.cluster import TenantSpec, serve_cluster
+from repro.core.bytefs import build_stack
 from repro.devcache import DevCacheConfig
 from repro.faults.plan import DeviceCrash
+from repro.ssd.firmware.bytefs_fw import ByteFSFirmwareConfig
 from repro.telemetry.series import to_lines
 from repro.trace import tracer as trace
 from repro.trace.export import to_jsonl
@@ -205,6 +207,12 @@ BAD_CONFIGS = {
     "arrival rate": (_specs(rate_ops_s=0.0), {}, "positive rate_ops_s"),
     "sampling interval": (_specs(), dict(sample_every_ns=0.0),
                           "sample_every_ns must be positive"),
+    # (these two used to pass validation and die building the stack: a
+    # ValueError with workers=0, a child traceback with workers=2)
+    "empty page cache": (_specs(), dict(page_cache_pages=0),
+                         "page_cache_pages must be >= 1"),
+    "no room for the firmware log": (
+        _specs(), dict(log_bytes=0), "log_bytes must be >= 128"),
 }
 
 
@@ -236,6 +244,13 @@ def test_bad_config_is_one_valueerror_for_every_worker_count(
 def test_negative_workers_rejected(nothing_runs):
     with pytest.raises(ValueError, match="workers must be >= 0"):
         serve_cluster(_specs(), n_devices=2, workers=-1)
+
+
+def test_log_minimum_is_the_smallest_log_the_firmware_builds_with():
+    smallest = ByteFSFirmwareConfig.MIN_LOG_BYTES
+    build_stack("bytefs", geometry=SMALL_GEOMETRY, log_bytes=smallest)
+    with pytest.raises(ValueError, match="log_bytes must be >= 128"):
+        build_stack("bytefs", geometry=SMALL_GEOMETRY, log_bytes=smallest - 1)
 
 
 # ---------------------------------------------------------------------- #

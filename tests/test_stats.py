@@ -1,8 +1,11 @@
 """Unit tests for traffic accounting."""
 
 import math
+import pickle
+from array import array
 
 import pytest
+from hypothesis import given, settings, strategies
 
 from repro.stats.traffic import (
     Direction,
@@ -118,6 +121,84 @@ def test_latency_recorder_empty():
     rec = LatencyRecorder()
     assert math.isnan(rec.mean("nope"))
     assert math.isnan(rec.percentile("nope", 95))
+
+
+class ListRecorder(LatencyRecorder):
+    """The reference: samples as a list of floats per op, as they were
+    before they became packed doubles."""
+
+    def __init__(self):
+        self._samples = {}
+        self._sorted_cache = {}
+
+    def record(self, op, latency_ns):
+        self._samples.setdefault(op, []).append(latency_ns)
+        self._sorted_cache.pop(op, None)
+
+    def _sorted(self, op):
+        samples = self._samples.get(op)
+        return sorted(samples) if samples else None
+
+    def merge(self, other):
+        for op in sorted(other._samples):
+            self._samples.setdefault(op, []).extend(other._samples[op])
+        return self
+
+
+def _report(rec):
+    """Everything a recorder reports, as comparable-by-bits text."""
+    return repr([
+        (op, rec.count(op), rec.mean(op), rec.summary(op),
+         [rec.percentile(op, pct) for pct in (0, 12.5, 50, 95, 99, 99.9, 100)])
+        for op in rec.ops() + ["never recorded"]
+    ])
+
+
+latency_floats = strategies.floats(
+    min_value=0.0, max_value=1e15, allow_nan=False, allow_infinity=False
+)
+latency_samples = strategies.lists(
+    strategies.tuples(strategies.sampled_from(["read", "write", "all"]), latency_floats),
+    max_size=200,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shards=strategies.lists(latency_samples, min_size=1, max_size=3))
+def test_packed_samples_report_what_a_list_of_floats_reports(shards):
+    """``record`` / ``merge`` / ``summary`` / ``percentile`` bit for bit,
+    and through the pickle a shard's recorder crosses its pipe in."""
+    packed, listed = [], []
+    for shard in shards:
+        for cls, out in ((LatencyRecorder, packed), (ListRecorder, listed)):
+            rec = cls()
+            for op, value in shard:
+                rec.record(op, value)
+            out.append(rec)
+    assert [_report(r) for r in packed] == [_report(r) for r in listed]
+    piped = [pickle.loads(pickle.dumps(rec)) for rec in packed]
+    assert [_report(r) for r in piped] == [_report(r) for r in listed]
+    merged, reference = LatencyRecorder(), ListRecorder()
+    for rec, ref in zip(piped, listed):
+        merged.merge(rec)
+        reference.merge(ref)
+    assert _report(merged) == _report(reference)
+
+
+def test_samples_are_packed_doubles_and_pickle_as_raw_bytes():
+    rec = LatencyRecorder()
+    for i in range(10_000):
+        rec.record("op", i * 1.5)
+    rec.percentile("op", 99)  # the sort cache is packed too
+    for series in (rec._samples["op"], rec._sorted_cache["op"]):
+        assert type(series) is array and series.typecode == "d"
+        assert series.itemsize * len(series) == 80_000
+    # 8 B a sample each for the series and its sorted cache, not a
+    # pickled float object (9 B + framing) per sample
+    assert len(pickle.dumps(rec)) < 2 * 80_000 + 1_000
+    clone = pickle.loads(pickle.dumps(rec))
+    clone.record("other", 1.0)  # still a recorder: new ops still work
+    assert clone.count("other") == 1 and clone.count("op") == 10_000
 
 
 # ---------------------------------------------------------------------- #
