@@ -27,10 +27,6 @@ RULES: Dict[str, str] = {
         "result-merge order depends on dict/set iteration over a "
         "per-shard partition"
     ),
-    "SCH001": (
-        "result schema drift: key emitted by a to_*() builder but never "
-        "validated, or required by a validator but never emitted"
-    ),
     "DET001": "wall-clock access outside repro.sim.clock",
     "DET002": "ambient randomness outside repro.sim.rng",
     "DET003": "iteration over an unordered set",

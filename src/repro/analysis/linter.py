@@ -15,8 +15,8 @@ by the path-independent rules.
 
 Every run builds one :class:`repro.analysis.project.ProjectIndex` over
 the loaded modules; the per-module passes (DET/LAY/PERF) walk each tree
-independently while the whole-program passes (CS001/CS002, CONC001-003,
-SCH001) share the index's call graph and import closure.
+independently while the whole-program passes (CS001/CS002, CONC001-003)
+share the index's call graph and import closure.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from repro.analysis.perfpass import (
     check_per_page_loops,
 )
 from repro.analysis.project import ProjectIndex, build_index
-from repro.analysis.schema_drift import check_schema_drift
 from repro.analysis.suppress import is_suppressed, suppression_map
 
 #: Directory markers that identify the repository root; finding paths
@@ -206,8 +205,6 @@ def lint_paths(
     for rule, check in _PROJECT_PASSES:
         if rule in wanted:
             raw.extend(check(index))
-    if "SCH001" in wanted:
-        raw.extend(check_schema_drift(index))
 
     for f in raw:
         supp = supp_by_display.get(f.path, {})

@@ -2,8 +2,8 @@
 
 Every lint run builds one :class:`ProjectIndex` over the loaded modules
 and hands it to each whole-program pass (CS001/CS002 crash-site
-reachability, CONC001/002/003 concurrency readiness, SCH001 schema
-drift).  The index holds, per module:
+reachability, CONC001/002/003 concurrency readiness).  The index
+holds, per module:
 
 * a function context per ``def`` (module top level is also a context)
   with the bare-name call sites made from its body,
@@ -134,13 +134,12 @@ class ClassInfo:
 class GlobalBinding:
     """One module-level name binding."""
 
-    __slots__ = ("name", "module", "value", "line", "col", "mutable")
+    __slots__ = ("name", "module", "line", "col", "mutable")
 
     def __init__(self, name: str, module, value: ast.AST,
                  line: int, col: int) -> None:
         self.name = name
         self.module = module
-        self.value = value
         self.line = line
         self.col = col
         self.mutable = is_mutable_container_expr(value)

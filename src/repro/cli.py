@@ -93,6 +93,14 @@ def _make_workload(name: str) -> Workload:
     raise SystemExit(f"unknown workload {name!r}; try `repro list`")
 
 
+def _refuse(what: str, problems) -> bool:
+    """Print ``problems`` as ``<what> error: ...`` lines on stderr; True
+    when there are any (the command then exits 2, writing nothing)."""
+    for p in problems:
+        print(f"{what} error: {p}", file=sys.stderr)
+    return bool(problems)
+
+
 def _cmd_list(_args) -> int:
     print("file systems :", ", ".join(sorted(FIRMWARE_FOR)))
     print("micro        :", ", ".join(sorted(MICRO_WORKLOADS)))
@@ -197,10 +205,15 @@ def _serve(args, srv) -> int:
         print(f"repro serve: {exc}", file=sys.stderr)
         return 2
     doc = result.to_json()
-    problems = validate_cluster_run(doc)
-    if problems:  # pragma: no cover - harness bug guard
-        for p in problems:
-            print(f"schema error: {p}", file=sys.stderr)
+    text = json.dumps(doc, sort_keys=True, indent=2)
+    series = None
+    if args.telemetry_out:
+        from repro.telemetry.series import to_lines, validate_series
+
+        series = to_lines(result.telemetry)
+    if _refuse("schema", validate_cluster_run(doc)) or (
+        series is not None and _refuse("series", validate_series(series))
+    ):
         return 2
     # Oracle verdicts gate the exit code: a recovery that lost
     # acked-durable data is a failed run even though it produced a
@@ -208,19 +221,17 @@ def _serve(args, srv) -> int:
     dirty = [r for r in result.recovery if not r["oracle"]["clean"]]
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+            fh.write(text + "\n")
         print(f"wrote {args.out}", file=sys.stderr)
-    if args.telemetry_out:
-        from repro.telemetry import write_series
-
-        n_rows = write_series(result.telemetry, args.telemetry_out)
+    if series is not None:
+        with open(args.telemetry_out, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(series) + "\n")
         print(
-            f"wrote {args.telemetry_out} ({n_rows} samples)",
+            f"wrote {args.telemetry_out} ({len(series) - 1} samples)",
             file=sys.stderr,
         )
     if args.format == "json":
-        print(json.dumps(doc, sort_keys=True, indent=2))
+        print(text)
     else:
         _print_serve_report(args, doc, result)
     if srv is not None:
@@ -286,17 +297,17 @@ def _print_serve_report(args, doc: Dict, result) -> None:
 
 
 def _cmd_top(args) -> int:
+    from repro.cluster import validate_cluster_run
     from repro.telemetry import load_series, render_top, validate_series
 
     with open(args.result, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if _refuse("run", validate_cluster_run(doc)):
+        return 2
     series = None
     if args.series:
         series = load_series(args.series)
-        problems = validate_series(series)
-        if problems:
-            for p in problems:
-                print(f"series error: {p}", file=sys.stderr)
+        if _refuse("series", validate_series(series)):
             return 2
     print(render_top(doc, series=series, top_n=args.top))
     return 0
@@ -344,9 +355,9 @@ def _cmd_crashsweep(args) -> int:
 def _cmd_trace(args) -> int:
     from repro.trace.export import (
         to_chrome_json,
+        to_jsonl,
         validate_chrome,
-        write_chrome,
-        write_jsonl,
+        validate_jsonl,
     )
     from repro.trace.report import render_breakdown, render_critical_path
 
@@ -360,15 +371,15 @@ def _cmd_trace(args) -> int:
     tracer = result.trace
     meta = {"fs": args.fs, "workload": args.workload}
     if args.out:
-        if args.format == "jsonl":
-            write_jsonl(tracer, args.out, meta)
-        else:
-            write_chrome(tracer, args.out, meta)
-            problems = validate_chrome(to_chrome_json(tracer, meta))
-            if problems:  # pragma: no cover - exporter bug guard
-                for p in problems:
-                    print(f"schema error: {p}", file=sys.stderr)
-                return 1
+        emit, validate = (
+            (to_jsonl, validate_jsonl) if args.format == "jsonl"
+            else (to_chrome_json, validate_chrome)
+        )
+        text = emit(tracer, meta)
+        if _refuse("schema", validate(text)):
+            return 2
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
         print(
             f"wrote {len(tracer.spans)} spans / {len(tracer.events)} events "
             f"to {args.out} ({args.format})"

@@ -20,7 +20,9 @@ the live :attr:`ClusterRunResult.recovery` records but serialized as
 ``null``, so the JSON document stays byte-identical across identical
 invocations (the CI determinism gate ``cmp``\\ s two runs).
 
-:func:`validate_cluster_run` is the CI schema gate.
+Every field is declared once, in :data:`RUN` and the tables it nests at
+the end of this module; :func:`validate_cluster_run` checks a document
+against them before ``repro serve`` writes it and ``repro top`` reads it.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.schema import Map, Opt, OrNull, Table, check, outage_window
 from repro.stats.traffic import LatencyRecorder
 
 SCHEMA = "repro.cluster.run/v2"
@@ -187,219 +190,96 @@ class ClusterRunResult:
 
 
 # ---------------------------------------------------------------------- #
-# schema validation (CI gate)
+# the field tables: the document's one declaration, and its validator
 # ---------------------------------------------------------------------- #
 
-_TOP_FIELDS = {
-    "fs": str,
-    "scheduler": dict,
-    "n_devices": int,
-    "queue_depth": int,
-    "max_queue": int,
-    "seed": int,
-    "elapsed_s": (int, float),
-    "ops": int,
-    "slo_violations": int,
-    "rejected": int,
-    "lost_to_crash": int,
-    "outage_policy": str,
-    "recovery": list,
-    "latency": dict,
-    "tenants": list,
-    "devices": list,
-}
+#: LatencyRecorder.summary(op); non-finite values serialize as null
+LATENCY = Table({"count": int, "mean": OrNull(float), "p50": OrNull(float),
+                 "p95": OrNull(float), "p99": OrNull(float)})
 
-_TENANT_FIELDS = {
-    "spec": dict,
-    "device": int,
-    "ops": int,
-    "submitted": int,
-    "rejected": int,
-    "dropped": int,
-    "lost_to_crash": int,
-    "outage_rejected": int,
-    "slo_violations": int,
-    "slo_violations_outage": int,
-    "latency": dict,
-    "traffic": dict,
-}
-
-#: numeric virtual-timeline fields of one recovery record
-_RECOVERY_NUM_FIELDS = ("t_down_ns", "t_up_ns", "virtual_ns")
-
-_LATENCY_KEYS = ("count", "mean", "p50", "p95", "p99")
+#: TenantSpec.to_json()
+SPEC = Table({
+    "name": str, "workload": str, "rate_ops_s": float, "weight": int,
+    "limit_ops_s": OrNull(float), "burst_ops": int, "slo_ms": float,
+    "n_ops": int, "device": OrNull(int),
+})
 
 
-def _check_num_or_null(
-    obj: Dict, key: str, where: str, problems: List[str],
-) -> None:
-    """Derived rates may serialize as null (inf/NaN via ``_num``)."""
-    if key not in obj:
-        problems.append(f"{where} missing {key!r}")
-        return
-    v = obj[key]
-    if v is not None and (
-        not isinstance(v, (int, float)) or isinstance(v, bool)
+def _tenant_ledger(t: Dict, where: str):
+    settled = t["ops"] + t["rejected"] + t["dropped"] + t["lost_to_crash"]
+    if t["submitted"] != settled:
+        yield f"{where}: submitted != ops + rejected + dropped + lost_to_crash"
+    for part, whole in (("outage_rejected", "rejected"),
+                        ("slo_violations_outage", "slo_violations")):
+        if t[part] > t[whole]:
+            yield f"{where}: {part} exceeds {whole}"
+
+
+TENANT = Table({
+    "spec": SPEC, "device": int, "ops": int, "submitted": int,
+    "rejected": int, "dropped": int, "lost_to_crash": int,
+    "outage_rejected": int, "slo_violations": int,
+    "slo_violations_outage": int, "throughput_ops_s": OrNull(float),
+    "write_amplification": OrNull(float), "latency": Map(LATENCY),
+    "traffic": Map(int),
+}, rule=_tenant_ledger)
+
+#: ShardedBackend.device_summary()
+DEVICE = Table({
+    "device": int, "host_write": int, "host_read": int, "flash_write": int,
+    "flash_read": int, "app_write": int, "app_read": int,
+    "queue_depth": int, "fault_counters": Map(int),
+})
+
+#: DeviceCrash.to_json()
+TRIGGER = Table({"device": int, "at_s": OrNull(float),
+                 "after_ops": OrNull(int), "torn": bool})
+
+
+def _clean_means_no_errors(oracle: Dict, where: str):
+    if oracle["clean"] and oracle["errors"]:
+        yield f"{where}: clean but has errors"
+
+
+#: one record per power-cycled device (kernel.crash_and_recover)
+RECOVERY = Table({
+    "device": int, "trigger": TRIGGER,
+    "fired": OrNull(Table({"site": int, "label": str, "nbytes": int,
+                           "torn_bytes": int})),
+    "t_down_ns": float, "t_up_ns": float, "virtual_ns": float,
+    "wall_s": OrNull(float), "fw": Map(float),
+    "oracle": Table({"checked": [str], "clean": bool,
+                     "errors": Map([str])}, rule=_clean_means_no_errors),
+}, rule=outage_window)
+
+
+def _run_rules(doc: Dict, where: str):
+    n = doc["n_devices"]
+    if not doc["tenants"]:
+        yield "tenants must be non-empty"
+    if len(doc["devices"]) != n or any(
+        d["device"] != i for i, d in enumerate(doc["devices"])
     ):
-        problems.append(f"{where}.{key} must be a number or null")
+        yield "devices must list devices 0..n_devices-1 in order"
+    if doc["recovery"] and doc["fault_plan"] is None:
+        yield "recovery section present without a fault_plan"
 
 
-def _check_latency(lat: Dict, where: str, problems: List[str]) -> None:
-    for op, summary in lat.items():
-        if not isinstance(summary, dict):
-            problems.append(f"{where}.latency[{op!r}] is not an object")
-            continue
-        for key in _LATENCY_KEYS:
-            v = summary.get(key)
-            if v is not None and (
-                not isinstance(v, (int, float)) or isinstance(v, bool)
-            ):
-                problems.append(
-                    f"{where}.latency[{op!r}].{key} must be a number or null"
-                )
-
-
-def _check_recovery(doc: Dict, problems: List[str]) -> None:
-    n_devices = doc.get("n_devices")
-    for i, rec in enumerate(doc.get("recovery", ())):
-        where = f"recovery[{i}]"
-        if not isinstance(rec, dict):
-            problems.append(f"{where} is not an object")
-            continue
-        dev = rec.get("device")
-        if not isinstance(dev, int) or isinstance(dev, bool):
-            problems.append(f"{where}.device must be an int")
-        elif isinstance(n_devices, int) and not 0 <= dev < n_devices:
-            problems.append(f"{where}.device out of range")
-        for key in _RECOVERY_NUM_FIELDS:
-            v = rec.get(key)
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                problems.append(f"{where}.{key} must be a number")
-        if all(
-            isinstance(rec.get(k), (int, float)) for k in ("t_down_ns", "t_up_ns")
-        ) and rec["t_up_ns"] < rec["t_down_ns"]:
-            problems.append(f"{where}: t_up_ns precedes t_down_ns")
-        wall = rec.get("wall_s")
-        if wall is not None and (
-            not isinstance(wall, (int, float)) or isinstance(wall, bool)
-        ):
-            problems.append(f"{where}.wall_s must be a number or null")
-        if not isinstance(rec.get("trigger"), dict):
-            problems.append(f"{where}.trigger must be an object")
-        fired = rec.get("fired", 0)
-        if fired is not None and not isinstance(fired, dict):
-            problems.append(f"{where}.fired must be an object or null")
-        if not isinstance(rec.get("fw"), dict):
-            problems.append(f"{where}.fw must be an object")
-        oracle = rec.get("oracle")
-        if not isinstance(oracle, dict):
-            problems.append(f"{where}.oracle must be an object")
-            continue
-        if not isinstance(oracle.get("clean"), bool):
-            problems.append(f"{where}.oracle.clean must be a bool")
-        if not isinstance(oracle.get("checked"), list):
-            problems.append(f"{where}.oracle.checked must be a list")
-        if not isinstance(oracle.get("errors"), dict):
-            problems.append(f"{where}.oracle.errors must be an object")
-        elif oracle.get("clean") is True and oracle["errors"]:
-            problems.append(f"{where}.oracle clean but has errors")
+RUN = Table({
+    "schema": (SCHEMA,), "fs": str,
+    "scheduler": Table({"policy": str, "quantum_ns": Opt(float)}),
+    "n_devices": int, "queue_depth": int, "max_queue": int, "seed": int,
+    "elapsed_s": float, "ops": int, "throughput_ops_s": OrNull(float),
+    "slo_violations": int, "rejected": int, "lost_to_crash": int,
+    "outage_policy": ("requeue", "reject"),
+    "fault_plan": OrNull([TRIGGER]), "recovery": [RECOVERY],
+    "latency": Map(LATENCY), "tenants": [TENANT], "devices": [DEVICE],
+    # DevCacheConfig.echo(); absent when the cache tier was off
+    "devcache": Opt(Table({"cache_bytes": int, "policy": str,
+                           "prefetch": bool})),
+}, rule=_run_rules)
 
 
 def validate_cluster_run(doc: Dict) -> List[str]:
     """Return a list of schema problems (empty = valid)."""
-    problems: List[str] = []
-    if not isinstance(doc, dict):
-        return ["document is not an object"]
-    if doc.get("schema") != SCHEMA:
-        problems.append(
-            f"schema is {doc.get('schema')!r}, expected {SCHEMA!r}"
-        )
-    for key, typ in _TOP_FIELDS.items():
-        if key not in doc:
-            problems.append(f"missing {key!r}")
-        elif not isinstance(doc[key], typ) or isinstance(doc[key], bool):
-            problems.append(f"{key} has wrong type")
-    _check_num_or_null(doc, "throughput_ops_s", "$", problems)
-    if isinstance(doc.get("latency"), dict):
-        _check_latency(doc["latency"], "$", problems)
-    tenants = doc.get("tenants")
-    if isinstance(tenants, list):
-        if not tenants:
-            problems.append("tenants must be non-empty")
-        for i, t in enumerate(tenants):
-            if not isinstance(t, dict):
-                problems.append(f"tenants[{i}] is not an object")
-                continue
-            for key, typ in _TENANT_FIELDS.items():
-                if key not in t:
-                    problems.append(f"tenants[{i}] missing {key!r}")
-                elif not isinstance(t[key], typ) or isinstance(t[key], bool):
-                    problems.append(f"tenants[{i}].{key} has wrong type")
-            _check_num_or_null(
-                t, "throughput_ops_s", f"tenants[{i}]", problems
-            )
-            _check_num_or_null(
-                t, "write_amplification", f"tenants[{i}]", problems
-            )
-            if isinstance(t.get("latency"), dict):
-                _check_latency(t["latency"], f"tenants[{i}]", problems)
-            if isinstance(t.get("spec"), dict) and "name" not in t["spec"]:
-                problems.append(f"tenants[{i}].spec missing 'name'")
-            ledger = (
-                "ops", "submitted", "rejected", "dropped", "lost_to_crash",
-            )
-            if all(isinstance(t.get(k), int) for k in ledger) and (
-                t["submitted"]
-                != t["ops"] + t["rejected"] + t["dropped"]
-                + t["lost_to_crash"]
-            ):
-                problems.append(
-                    f"tenants[{i}]: submitted != ops + rejected + dropped "
-                    "+ lost_to_crash"
-                )
-            for part, whole in (
-                ("outage_rejected", "rejected"),
-                ("slo_violations_outage", "slo_violations"),
-            ):
-                if (
-                    isinstance(t.get(part), int)
-                    and isinstance(t.get(whole), int)
-                    and t[part] > t[whole]
-                ):
-                    problems.append(f"tenants[{i}]: {part} exceeds {whole}")
-    devices = doc.get("devices")
-    if isinstance(devices, list):
-        n = doc.get("n_devices")
-        if isinstance(n, int) and len(devices) != n:
-            problems.append("devices list length disagrees with n_devices")
-        for i, d in enumerate(devices):
-            if not isinstance(d, dict) or d.get("device") != i:
-                problems.append(f"devices[{i}] malformed or out of order")
-    sched = doc.get("scheduler")
-    if isinstance(sched, dict) and not isinstance(sched.get("policy"), str):
-        problems.append("scheduler.policy must be a string")
-    if doc.get("outage_policy") not in (None, "requeue", "reject"):
-        problems.append("outage_policy must be 'requeue' or 'reject'")
-    plan = doc.get("fault_plan", 0)
-    if plan is not None and (
-        not isinstance(plan, list)
-        or not all(isinstance(f, dict) for f in plan)
-    ):
-        problems.append("fault_plan must be null or a list of objects")
-    if isinstance(doc.get("recovery"), list):
-        _check_recovery(doc, problems)
-        if plan is None and doc["recovery"]:
-            problems.append("recovery section present without a fault_plan")
-    # the devcache echo is optional: absent means the cache tier was off
-    devcache = doc.get("devcache")
-    if devcache is not None:
-        if not isinstance(devcache, dict):
-            problems.append("devcache must be an object when present")
-        else:
-            if not isinstance(devcache.get("cache_bytes"), int):
-                problems.append("devcache.cache_bytes must be an int")
-            if not isinstance(devcache.get("policy"), str):
-                problems.append("devcache.policy must be a string")
-            if not isinstance(devcache.get("prefetch"), bool):
-                problems.append("devcache.prefetch must be a bool")
-    return problems
+    return check(doc, RUN)

@@ -19,17 +19,27 @@ telemetry-smoke job ``cmp``\\ s two runs, and
 ``tests/test_telemetry.py`` pins a faulted scenario against a golden
 fixture exactly like ``tests/golden/cluster_run.json``.
 
-:func:`validate_series` is the schema gate, in the same style as
-``repro.cluster.result.validate_cluster_run``.
+Its fields are declared once, in :data:`HEADER` and :data:`ROW`;
+:func:`validate_series` checks them and the row order before ``repro
+serve --telemetry-out`` writes a series.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from typing import Dict, List, Sequence, Union
 
-from repro.telemetry.sampler import SCOPES, TelemetrySampler
+from repro.schema import (
+    Map,
+    Opt,
+    OrNull,
+    Table,
+    Tagged,
+    check,
+    outage_window,
+    parse_lines,
+)
+from repro.telemetry.sampler import TelemetrySampler, _row_key
 
 SCHEMA = "repro.telemetry.series/v1"
 
@@ -66,80 +76,30 @@ def load_series(path: str) -> List[Dict]:
         return [json.loads(line) for line in fh if line.strip()]
 
 
-def _is_num(v) -> bool:
-    return (
-        isinstance(v, (int, float))
-        and not isinstance(v, bool)
-        and math.isfinite(v)
-    )
+HEADER = Table({
+    "schema": (SCHEMA,), "sample_every_ns": float, "t0_ns": float,
+    "t_end_ns": OrNull(float),
+    "outages": [Table({"device": int, "t_down_ns": float, "t_up_ns": float},
+                      rule=outage_window)],
+    # the sampler's meta: ServeConfig.sampler_meta() on a serving run
+    "fs": Opt(str), "scheduler": Opt(str), "n_devices": Opt(int),
+    "queue_depth": Opt(int), "max_queue": Opt(int), "seed": Opt(int),
+})
 
 
-def _check_header(header: Dict, problems: List[str]) -> None:
-    if header.get("schema") != SCHEMA:
-        problems.append(
-            f"header schema is {header.get('schema')!r}, expected {SCHEMA!r}"
-        )
-    for key in ("sample_every_ns", "t0_ns"):
-        if not _is_num(header.get(key)):
-            problems.append(f"header.{key} must be a finite number")
-    if _is_num(header.get("sample_every_ns")) \
-            and header["sample_every_ns"] <= 0:
-        problems.append("header.sample_every_ns must be positive")
-    t_end = header.get("t_end_ns")
-    if t_end is not None and not _is_num(t_end):
-        problems.append("header.t_end_ns must be a number or null")
-    outages = header.get("outages")
-    if not isinstance(outages, list):
-        problems.append("header.outages must be a list")
-        return
-    for i, o in enumerate(outages):
-        if not isinstance(o, dict):
-            problems.append(f"header.outages[{i}] is not an object")
-            continue
-        for key in ("device", "t_down_ns", "t_up_ns"):
-            if not _is_num(o.get(key)):
-                problems.append(
-                    f"header.outages[{i}].{key} must be a number"
-                )
-        if _is_num(o.get("t_down_ns")) and _is_num(o.get("t_up_ns")) \
-                and o["t_up_ns"] < o["t_down_ns"]:
-            problems.append(
-                f"header.outages[{i}]: t_up_ns precedes t_down_ns"
-            )
+def _up_is_binary(row: Dict, where: str):
+    if row["metrics"].get("up", 1) not in (0, 1):
+        yield f"{where}: metrics['up'] must be 0 or 1"
 
 
-def _check_row(row: Dict, i: int, problems: List[str]) -> None:
-    where = f"row[{i}]"
-    if not _is_num(row.get("t_ns")):
-        problems.append(f"{where}.t_ns must be a finite number")
-    scope = row.get("scope")
-    if scope not in SCOPES:
-        problems.append(
-            f"{where}.scope must be one of {', '.join(SCOPES)}"
-        )
-        return
-    if scope in ("device", "tenant"):
-        dev = row.get("device")
-        if not isinstance(dev, int) or isinstance(dev, bool) or dev < 0:
-            problems.append(f"{where}.device must be a non-negative int")
-    if scope == "tenant" and not isinstance(row.get("tenant"), str):
-        problems.append(f"{where}.tenant must be a string")
-    if scope == "layer" and not isinstance(row.get("layer"), str):
-        problems.append(f"{where}.layer must be a string")
-    metrics = row.get("metrics")
-    if not isinstance(metrics, dict) or not metrics:
-        problems.append(f"{where}.metrics must be a non-empty object")
-        return
-    for name in sorted(metrics):
-        if not isinstance(name, str) or not name:
-            problems.append(f"{where}.metrics has a non-string key")
-        elif not _is_num(metrics[name]):
-            problems.append(
-                f"{where}.metrics[{name!r}] must be a finite number"
-            )
-    if scope == "device" and "up" in metrics \
-            and metrics["up"] not in (0, 1):
-        problems.append(f"{where}.metrics['up'] must be 0 or 1")
+ROW = Tagged("scope", {
+    "device": Table({"t_ns": float, "scope": str, "device": int,
+                     "metrics": Map(float)}, rule=_up_is_binary),
+    "tenant": Table({"t_ns": float, "scope": str, "device": int,
+                     "tenant": str, "metrics": Map(float)}),
+    "layer": Table({"t_ns": float, "scope": str, "layer": str,
+                    "metrics": Map(float)}),
+})
 
 
 def validate_series(
@@ -149,40 +109,19 @@ def validate_series(
 
     Accepts either parsed objects (header first) or raw JSONL lines.
     """
-    problems: List[str] = []
-    records: List[Dict] = []
-    for i, item in enumerate(doc):
-        if isinstance(item, str):
-            try:
-                item = json.loads(item)
-            except ValueError:
-                problems.append(f"line {i + 1} is not valid JSON")
-                continue
-        records.append(item)
+    if not isinstance(doc, (list, tuple)):
+        return ["series is not a list of lines"]
+    records, problems = parse_lines(doc)
     if not records:
-        return ["document is empty (no header line)"]
-    header = records[0]
-    if not isinstance(header, dict):
-        return ["header line is not an object"]
-    _check_header(header, problems)
-    prev_key = None
-    for i, row in enumerate(records[1:]):
-        if not isinstance(row, dict):
-            problems.append(f"row[{i}] is not an object")
-            continue
-        _check_row(row, i, problems)
-        if _is_num(row.get("t_ns")):
-            key = (
-                row["t_ns"],
-                SCOPES.index(row["scope"]) if row.get("scope") in SCOPES
-                else len(SCOPES),
-                row.get("device") if row.get("device") is not None else -1,
-                row.get("tenant") or "",
-                row.get("layer") or "",
-            )
-            if prev_key is not None and key < prev_key:
-                problems.append(f"row[{i}] out of order")
-            if prev_key is not None and key == prev_key:
-                problems.append(f"row[{i}] duplicates the previous entity")
-            prev_key = key
+        return problems + ["document is empty (no header line)"]
+    for i, (n, rec) in enumerate(records):
+        problems += check(rec, ROW if i else HEADER, f"line[{n}]")
+    if problems:
+        return problems
+    # rows in (time, scope, device, tenant, layer) order, one per entity
+    for (_, prev), (n, row) in zip(records[1:], records[2:]):
+        if _row_key(row) < _row_key(prev):
+            problems.append(f"line[{n}] out of order")
+        elif _row_key(row) == _row_key(prev):
+            problems.append(f"line[{n}] duplicates the previous entity")
     return problems

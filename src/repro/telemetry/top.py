@@ -1,7 +1,7 @@
 """``repro top``: a terminal report over a cluster run + its telemetry.
 
-Renders the operator's five-second view of a serving run from the
-``repro.cluster.run/v1|v2`` result document, plus — when a
+Renders the operator's five-second view of a serving run from a
+``repro.cluster.run/v2`` result document, plus — when a
 ``repro.telemetry.series/v1`` file is supplied — the time dimension the
 result document flattens away:
 
@@ -12,8 +12,9 @@ result document flattens away:
   collection, ranked by migrated pages,
 * **outage windows** (crash + recovery) with the ``up`` transitions.
 
-Everything is plain string rendering over already-deterministic inputs;
-two identical runs render identical reports.
+Everything is plain string rendering over already-deterministic inputs
+that passed their validators (``repro top`` checks both first); two
+identical runs render identical reports.
 """
 
 from __future__ import annotations
@@ -59,8 +60,8 @@ def _fmt_ms(ns: float) -> str:
 
 def _tenant_rows(doc: Dict) -> List[Dict]:
     rows = []
-    for t in doc.get("tenants", ()):
-        lat = (t.get("latency") or {}).get(_ALL_OPS) or {}
+    for t in doc["tenants"]:
+        lat = t["latency"].get(_ALL_OPS) or {}
         rows.append({
             "name": t["spec"]["name"],
             "device": t["device"],
@@ -97,7 +98,7 @@ def _device_series(
     """Device-scope rows of a parsed series, keyed by device index."""
     out: Dict[int, List[Tuple[float, Dict]]] = {}
     for row in records:
-        if isinstance(row, dict) and row.get("scope") == "device":
+        if row["scope"] == "device":
             out.setdefault(row["device"], []).append(
                 (row["t_ns"], row["metrics"])
             )
@@ -131,17 +132,13 @@ def render_top(
     """Render the report; ``series`` is the parsed JSONL record list
     (header first) from :func:`repro.telemetry.series.load_series`."""
     out: List[str] = []
-    sched = (doc.get("scheduler") or {}).get("policy", "?")
     out.append(
-        f"repro top — {doc.get('fs', '?')} x{doc.get('n_devices', '?')} "
-        f"({sched}), {doc.get('ops', 0)} ops in "
-        f"{doc.get('elapsed_s', 0.0) * 1000:.2f} ms simulated, "
-        f"{doc.get('slo_violations', 0)} SLO violations, "
-        f"{doc.get('rejected', 0)} rejected"
-        + (
-            f", {doc['lost_to_crash']} lost to crash"
-            if doc.get("lost_to_crash") else ""
-        )
+        f"repro top — {doc['fs']} x{doc['n_devices']} "
+        f"({doc['scheduler']['policy']}), {doc['ops']} ops in "
+        f"{doc['elapsed_s'] * 1000:.2f} ms simulated, "
+        f"{doc['slo_violations']} SLO violations, {doc['rejected']} rejected"
+        + (f", {doc['lost_to_crash']} lost to crash"
+           if doc["lost_to_crash"] else "")
     )
     tenants = _tenant_rows(doc)
     by_p99 = sorted(
@@ -157,7 +154,6 @@ def render_top(
             f"\ntop {len(by_slo)} tenants by SLO violations:", by_slo, out
         )
     if series:
-        header = series[0] if isinstance(series[0], dict) else {}
         devices = _device_series(series[1:])
         if devices:
             out.append("\nper-device utilization timeline "
@@ -200,10 +196,9 @@ def render_top(
             )
         if not storms_any and devices:
             out.append("\nGC storms: none (no GC activity sampled)")
-        outages = header.get("outages") or []
-        if outages:
+        if series[0]["outages"]:
             out.append("\noutages (up 1 → 0 → 1):")
-            for o in outages:
+            for o in series[0]["outages"]:
                 out.append(
                     f"  dev{o['device']} down {_fmt_ms(o['t_down_ns'])} → "
                     f"up {_fmt_ms(o['t_up_ns'])} "

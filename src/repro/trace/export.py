@@ -20,6 +20,10 @@ Chrome format: ``{"traceEvents": [...], "displayTimeUnit": "ns"}`` with
 requires), "i" instant events, and "M" metadata naming one pid per
 simulated thread and one tid per lane (0 = sync path, 1 = background
 device work).  Loadable in Perfetto / chrome://tracing.
+
+Both formats are declared once, in the field tables at the end of this
+module; :func:`validate_jsonl` / :func:`validate_chrome` check them
+before ``repro trace`` writes the file.
 """
 
 from __future__ import annotations
@@ -27,12 +31,10 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional
 
+from repro.schema import Map, Opt, Table, Tagged, check, parse_lines
 from repro.trace.tracer import LANE_BACKGROUND, LANE_SYNC, Tracer
 
 JSONL_VERSION = 1
-
-#: Keys required on every Chrome event we emit, per the trace_event spec.
-_CHROME_REQUIRED = ("ph", "pid", "tid", "ts", "name")
 
 
 def _dumps(obj) -> str:
@@ -124,108 +126,71 @@ def write_chrome(tracer: Tracer, path, meta: Optional[Dict] = None) -> None:
         fh.write(to_chrome_json(tracer, meta))
 
 
-def validate_chrome(doc) -> List[str]:
-    """Check a parsed Chrome trace against the schema we document.
+LANE = (LANE_SYNC, LANE_BACKGROUND)
 
-    Returns a list of problems (empty == valid).  Accepts either the
-    dict form or raw JSON text.
-    """
-    problems: List[str] = []
+#: the first JSONL line; ``fs``/``workload`` are the labels `repro trace`
+#: passes as ``meta``
+META = Table({"type": ("meta",), "version": (JSONL_VERSION,),
+              "n_threads": int, "fs": Opt(str), "workload": Opt(str)})
+
+
+def _dur_not_negative(rec: Dict, where: str):
+    if rec.get("dur", 0) < 0:
+        yield f"{where}: negative dur"
+
+
+#: Span.to_dict() and PointEvent.to_dict(): every line after the first
+SPAN = Table({
+    "type": str, "id": int, "parent": int, "tid": int, "layer": str,
+    "op": str, "ts": float, "dur": float, "lane": Opt(LANE),
+    "attrs": Opt(Map()), "waits": Opt(Map(float)),
+}, rule=_dur_not_negative)
+EVENT = Table({"type": str, "tid": int, "ts": float, "layer": str,
+               "name": str, "parent": int, "attrs": Opt(Map())})
+RECORD = Tagged("type", {"span": SPAN, "event": EVENT})
+
+
+def _complete_has_dur(ev: Dict, where: str):
+    if ev["ph"] == "X" and "dur" not in ev:
+        yield f"{where}: a complete ('X') event needs a dur"
+    yield from _dur_not_negative(ev, where)
+
+
+CHROME_EVENT = Table({
+    "ph": ("X", "i", "M", "B", "E"), "pid": int, "tid": LANE,
+    "ts": float, "name": str, "dur": Opt(float), "cat": Opt(str),
+    "s": Opt(("t", "p", "g")), "args": Opt(Map()),
+}, rule=_complete_has_dur)
+CHROME = Table({"traceEvents": [CHROME_EVENT],
+                "displayTimeUnit": ("ms", "ns"), "otherData": Opt(Map())})
+
+
+def validate_chrome(doc) -> List[str]:
+    """Check a Chrome trace (the dict form or raw JSON text) against
+    :data:`CHROME`; returns a list of problems (empty == valid)."""
     if isinstance(doc, str):
         try:
             doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             return [f"not valid JSON: {exc}"]
-    if not isinstance(doc, dict):
-        return ["top level must be an object"]
-    events = doc.get("traceEvents")
-    if not isinstance(events, list):
-        return ["missing traceEvents array"]
-    if doc.get("displayTimeUnit") not in ("ms", "ns"):
-        problems.append("displayTimeUnit must be 'ms' or 'ns'")
-    for i, ev in enumerate(events):
-        if not isinstance(ev, dict):
-            problems.append(f"event {i}: not an object")
-            continue
-        for key in _CHROME_REQUIRED:
-            if key not in ev:
-                problems.append(f"event {i}: missing {key!r}")
-        ph = ev.get("ph")
-        if ph not in ("X", "i", "M", "B", "E"):
-            problems.append(f"event {i}: unknown phase {ph!r}")
-        if ph == "X" and not isinstance(ev.get("dur"), (int, float)):
-            problems.append(f"event {i}: complete event needs numeric dur")
-        if ph == "X" and isinstance(ev.get("dur"), (int, float)) \
-                and ev["dur"] < 0:
-            problems.append(f"event {i}: negative dur")
-        ts = ev.get("ts")
-        if not isinstance(ts, (int, float)):
-            problems.append(f"event {i}: ts must be numeric")
-        if not isinstance(ev.get("pid"), int):
-            problems.append(f"event {i}: pid must be an int")
-        lane = ev.get("tid")
-        if lane not in (LANE_SYNC, LANE_BACKGROUND):
-            problems.append(f"event {i}: tid (lane) must be 0 or 1")
-        if "cat" in ev and not isinstance(ev["cat"], str):
-            problems.append(f"event {i}: cat must be a string")
-        args = ev.get("args")
-        if args is not None:
-            if not isinstance(args, dict):
-                problems.append(f"event {i}: args must be an object")
-            elif "waits" in args and not isinstance(args["waits"], dict):
-                problems.append(f"event {i}: args.waits must be an object")
-        if "s" in ev and ev["s"] not in ("t", "p", "g"):
-            problems.append(
-                f"event {i}: instant scope 's' must be 't', 'p' or 'g'"
-            )
-    other = doc.get("otherData")
-    if other is not None and not isinstance(other, dict):
-        problems.append("otherData must be an object")
-    return problems
+    return check(doc, CHROME)
 
 
 def validate_jsonl(text: str) -> List[str]:
-    """Check JSONL trace text against the documented line schema."""
-    problems: List[str] = []
+    """Check JSONL trace text: :data:`META` first, then :data:`RECORD`
+    lines with unique span ids."""
     lines = text.splitlines()
     if not lines:
         return ["empty trace"]
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        return [f"line 1: not valid JSON: {exc}"]
-    if header.get("type") != "meta":
-        problems.append("line 1 must be the meta record")
-    if header.get("version") != JSONL_VERSION:
-        problems.append(
-            f"line 1: version is {header.get('version')!r}, "
-            f"expected {JSONL_VERSION}"
-        )
-    n_threads = header.get("n_threads")
-    if not isinstance(n_threads, int) or isinstance(n_threads, bool) \
-            or n_threads < 1:
-        problems.append("line 1: n_threads must be a positive integer")
-    seen_ids = set()
-    for i, line in enumerate(lines[1:], start=2):
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            problems.append(f"line {i}: not valid JSON: {exc}")
-            continue
-        kind = rec.get("type")
-        if kind == "span":
-            for key in ("id", "parent", "tid", "layer", "op", "ts", "dur"):
-                if key not in rec:
-                    problems.append(f"line {i}: span missing {key!r}")
-            if rec.get("id") in seen_ids:
-                problems.append(f"line {i}: duplicate span id {rec['id']}")
-            seen_ids.add(rec.get("id"))
-            if isinstance(rec.get("dur"), (int, float)) and rec["dur"] < 0:
-                problems.append(f"line {i}: negative dur")
-        elif kind == "event":
-            for key in ("tid", "ts", "layer", "name", "parent"):
-                if key not in rec:
-                    problems.append(f"line {i}: event missing {key!r}")
-        else:
-            problems.append(f"line {i}: unknown record type {kind!r}")
+    records, problems = parse_lines(lines)
+    for i, (n, rec) in enumerate(records):
+        problems += check(rec, RECORD if i else META, f"line[{n}]")
+    if problems:
+        return problems
+    seen = set()
+    for n, rec in records[1:]:
+        if rec["type"] == "span":
+            if rec["id"] in seen:
+                problems.append(f"line[{n}]: duplicate span id {rec['id']}")
+            seen.add(rec["id"])
     return problems

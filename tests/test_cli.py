@@ -106,6 +106,17 @@ def test_serve_out_writes_document(tmp_path, capsys):
     assert doc["schema"] == "repro.cluster.run/v2"
 
 
+@pytest.mark.parametrize("policy", ["lru", "clock", "hotcold"])
+def test_serve_echoes_the_devcache_flags(capsys, policy):
+    argv = _SERVE + ["--devcache", "256k", "--evict", policy,
+                     "--prefetch", "on", "--format=json"]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["devcache"] == {
+        "cache_bytes": 256 * 1024, "policy": policy, "prefetch": True,
+    }
+
+
 def test_serve_rejects_unknown_scheduler():
     with pytest.raises(SystemExit):
         main(["serve", "--sched", "deadline"])
@@ -176,3 +187,74 @@ def test_serve_listen_serves_the_finished_runs_telemetry(
     assert "/metrics and /healthz" in capsys.readouterr().err
     assert "repro_tenant_submitted_total" in served[0]
     assert not parse_exposition(served[0])
+
+
+# repro top
+# ---------------------------------------------------------------------- #
+
+@pytest.mark.parametrize("doc", [{}, [1, 2]], ids=["empty", "list"])
+def test_top_refuses_an_invalid_run_document(tmp_path, capsys, doc):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    assert main(["top", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines and all(line.startswith("run error: ") for line in lines)
+
+
+def test_top_renders_a_valid_run_document(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    assert main(_SERVE + ["--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["top", str(path)]) == 0
+    assert "repro top" in capsys.readouterr().out
+
+
+# every document is validated before it is written
+# ---------------------------------------------------------------------- #
+
+def test_serve_refuses_to_write_an_undeclared_series_key(
+    tmp_path, capsys, monkeypatch
+):
+    from repro.telemetry.sampler import TelemetrySampler
+
+    rows = TelemetrySampler.sorted_rows
+    monkeypatch.setattr(
+        TelemetrySampler, "sorted_rows",
+        lambda self: [dict(r, sneaky_debug=1) for r in rows(self)],
+    )
+    run, series = tmp_path / "run.json", tmp_path / "series.jsonl"
+    argv = _SERVE + ["--out", str(run), "--telemetry-out", str(series)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("series error: ") and "sneaky_debug" in err
+    assert not run.exists() and not series.exists()
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "chrome"])
+def test_trace_refuses_to_write_an_undeclared_key(
+    tmp_path, capsys, monkeypatch, fmt
+):
+    import repro.trace.export as export
+    from repro.trace.tracer import Span
+
+    if fmt == "jsonl":
+        to_dict = Span.to_dict
+        monkeypatch.setattr(
+            Span, "to_dict",
+            lambda self: dict(to_dict(self), sneaky_debug=1),
+        )
+    else:
+        to_chrome = export.to_chrome
+        monkeypatch.setattr(
+            export, "to_chrome",
+            lambda *a: dict(to_chrome(*a), sneaky_debug=1),
+        )
+    out = tmp_path / "trace.out"
+    argv = ["trace", "create", "--format", fmt, "--out", str(out),
+            "--report", "none"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("schema error: ") and "sneaky_debug" in err
+    assert not out.exists()

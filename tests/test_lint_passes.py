@@ -444,7 +444,7 @@ def test_every_rule_id_has_a_firing_fixture():
     """RULES and the fixtures (here + tests/test_whole_program_lint.py)
     must stay in sync."""
     assert set(RULES) == {
-        "CS001", "CS002", "CONC001", "CONC002", "CONC003", "SCH001",
+        "CS001", "CS002", "CONC001", "CONC002", "CONC003",
         "DET001", "DET002", "DET003", "LAY001", "PERF001", "PERF002",
     }
 

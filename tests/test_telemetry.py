@@ -193,6 +193,13 @@ def test_series_validator_rejects_malformed_documents():
          "metrics": {"g": float("nan")}},
     ]
     assert any("finite" in p for p in validate_series(nan_metric))
+    device_list = [
+        header,
+        {"t_ns": 1, "scope": "device", "device": [0], "metrics": {"up": 1}},
+        {"t_ns": 2, "scope": "device", "device": 0, "metrics": {"up": 1}},
+    ]
+    problems = validate_series(device_list)
+    assert problems and all(isinstance(p, str) for p in problems)
 
 
 def test_crash_recovery_visible_as_up_transitions(faulted):

@@ -409,6 +409,14 @@ def test_validators_reject_malformed_documents():
     good = to_jsonl(traced_run(n_ops=1).trace)
     assert validate_jsonl(good) == []
     assert validate_jsonl(good + '{"type": "mystery"}\n')
+    span = json.loads(good.splitlines()[1])
+    for bad in (
+        "[1]\n",
+        good + json.dumps(dict(span, id=[1])) + "\n",
+        good + json.dumps(dict(span, ts="x", dur="y")) + "\n",
+    ):
+        problems = validate_jsonl(bad)
+        assert problems and all(isinstance(p, str) for p in problems)
 
 
 # ---------------------------------------------------------------------- #
