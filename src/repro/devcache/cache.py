@@ -17,10 +17,12 @@ bench cases measure).
 
 A frame is the page itself: ``lpa -> bytes``, the immutable object the
 cache was handed (the flash array's own page on a fill, the host's page
-image on a write), so installing a frame and hitting it are a dict
-store and a dict load with no 4 KB copy.  Residency is the valid flag,
-membership in the insertion-ordered ``_dirty`` dict the dirty flag, and
-``_prefetched`` holds the frames no demand access has touched yet.
+image on a write) or, for a page that is one byte repeated, the one
+shared image of that fill (:mod:`repro.nand.image`), so installing a
+frame and hitting it are a dict store and a dict load with no 4 KB
+copy.  Residency is the valid flag, membership in the
+insertion-ordered ``_dirty`` dict the dirty flag, and ``_prefetched``
+holds the frames no demand access has touched yet.
 
 Durability model: like the firmware write log and the FTL write buffer,
 the cache lives in the SSD's battery-backed DRAM — frames survive
@@ -45,6 +47,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.faults.injector import NULL_INJECTOR
 from repro.ftl.ftl import FTL
+from repro.nand.image import same_filled
 from repro.nand.timing import TimingModel
 from repro.sim.clock import VirtualClock
 from repro.stats.traffic import StructKind, TrafficStats
@@ -303,6 +306,10 @@ class DeviceCache:
         frames = self._frames
         dirty = self._dirty
         for lpa, data in pages:
+            # A same-filled page is the one shared image of its fill.  (A
+            # fill needs no such step: the FTL hands out the flash
+            # array's own objects, which programming already shared.)
+            data = same_filled(data)
             if lpa in frames:
                 self._hit(lpa)
                 frames[lpa] = bytes(data)

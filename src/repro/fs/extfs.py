@@ -55,6 +55,7 @@ from repro.host.page_cache import (
     dirty_line_indices,
     line_runs,
 )
+from repro.nand.image import filled, same_filled
 from repro.ssd.device import MSSD
 from repro.stats.traffic import StructKind
 from repro.trace import tracer as trace
@@ -1005,7 +1006,7 @@ class ExtFS(BaseFileSystem):
                     page = self._fill_page(inode, pidx)
                 else:
                     page = cache.install(
-                        ino, pidx, bytes(P), self._evict_writeback
+                        ino, pidx, filled(0, P), self._evict_writeback
                     )
             cache.mark_page_dirty(page, cow)
             page.data[poff : poff + n] = data[i : i + n]
@@ -1165,7 +1166,7 @@ class ExtFS(BaseFileSystem):
                 advance(xor_page_ns)  # the XOR pass over this page
             # The image the device takes is the cached page from here
             # on: one object, until the next store copies out of it.
-            image = page.data = bytes(page.data)
+            image = page.data = bytes(same_filled(page.data))
             yield blks[i], image
             page.clean()
             bump("block_writebacks")
@@ -1201,7 +1202,7 @@ class ExtFS(BaseFileSystem):
             return "byte"
         # Data journaling: the image goes to the journal at commit and
         # in place only at checkpoint (double write, §4.6).
-        image = page.data = bytes(page.data)
+        image = page.data = bytes(same_filled(page.data))
         self.jbd2.mark_dirty_data(blk, image)
         page.clean()
         self.stats.bump("journaled_data_writebacks")

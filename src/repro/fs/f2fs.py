@@ -30,6 +30,7 @@ from repro.fs import layout
 from repro.fs.errors import DirectoryNotEmpty, FileExists, FSError, NoSpace
 from repro.fs.vfs import BaseFileSystem, Stat
 from repro.host.page_cache import CachedPage, PageCache
+from repro.nand.image import filled, same_filled
 from repro.ssd.device import MSSD
 from repro.stats.traffic import StructKind
 
@@ -761,7 +762,7 @@ class F2FS(BaseFileSystem):
                 if old_blk and (poff or n < self.P) and pos < node.size:
                     base = self.device.read_blocks(old_blk, 1, StructKind.DATA)
                 else:
-                    base = bytes(self.P)
+                    base = filled(0, self.P)
                 page = self.page_cache.install(
                     ino, pidx, base, self._evict_writeback
                 )
@@ -795,7 +796,7 @@ class F2FS(BaseFileSystem):
             blk = self._alloc_block(for_node=False)
             # Allocating the next block may clean a segment (device reads
             # and writes of its own), so the writes cannot leave as one run.
-            image = page.data = bytes(page.data)
+            image = page.data = bytes(same_filled(page.data))
             self.device.write_blocks(  # repro: allow[PERF001]
                 blk, image, StructKind.DATA)
             while len(node.ptrs) <= pidx:

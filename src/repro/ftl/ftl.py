@@ -10,6 +10,7 @@ from repro.analysis import fssan
 from repro.ftl.mapping import PageMap
 from repro.nand.chip import FlashArray, FlashError
 from repro.nand.geometry import FlashGeometry
+from repro.nand.image import filled
 from repro.nand.timing import TimingModel
 from repro.sim.clock import VirtualClock
 from repro.sim.resources import ChannelArray
@@ -137,7 +138,7 @@ class FTL:
             self._record_flash(kind, _READ, self._page_size)
             if ppa is None:
                 # Unwritten logical page: no flash op needed, data is zeros.
-                return bytes(self._page_size)
+                return filled(0, self._page_size)
             ch = self.geometry.channel_of(ppa)
             read_ns = self._flash_read_ns
             clock = self.clock
@@ -181,7 +182,7 @@ class FTL:
                 record_flash(kind, _READ, page_size)
                 ppa = lookup(lpa)
                 if ppa is None:
-                    datas.append(bytes(page_size))
+                    datas.append(filled(0, page_size))
                     continue
                 ch = channel_of(ppa)
                 end = serves[ch](start, read_ns)

@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.nand.geometry import FlashGeometry
+from repro.nand.image import filled, same_filled
 
 
 class FlashError(Exception):
@@ -35,7 +36,10 @@ class FlashArray:
     ``None`` is an erased page, ``bytes`` is the programmed image, and
     ``RELEASED`` is a programmed page whose image was dropped when the
     FTL invalidated it.  A slot is a pointer, so a "32 GB" device costs
-    only the pages that are mapped, however long the run.
+    only the pages that are mapped, however long the run — and a page
+    that is one byte repeated costs only the pointer: every slot holding
+    that fill points at one shared image (:mod:`repro.nand.image`), as
+    does an erased page's read.
     Range checks are explicit everywhere a PPA or block id comes in: a
     list would quietly take a negative index from its far end.
     """
@@ -62,7 +66,7 @@ class FlashArray:
             )
         self.reads += 1
         if data is None:
-            return bytes(self._page_size)
+            return filled(0, self._page_size)
         return data
 
     def program_page(self, ppa: int, data: bytes) -> None:
@@ -82,8 +86,10 @@ class FlashArray:
                     f"data ({n} B) exceeds page size ({page_size} B)"
                 )
             data = data + bytes(page_size - n)
-        # Skip the defensive copy when the caller already handed over an
-        # immutable page image (the common case on the write path).
+        # A same-filled page is the one shared image; any other skips the
+        # defensive copy when the caller already handed over an immutable
+        # image (the common case on the write path).
+        data = same_filled(data)
         pages[ppa] = data if type(data) is bytes else bytes(data)
         self.writes += 1
 

@@ -24,6 +24,7 @@ from typing import ClassVar, Dict, Iterable, Iterator, List, Optional, Tuple
 from repro.analysis import fssan
 from repro.faults.injector import NULL_INJECTOR
 from repro.ftl.ftl import FTL
+from repro.nand.image import filled
 from repro.nand.timing import TimingModel
 from repro.sim.clock import VirtualClock
 from repro.sim.resources import Resource
@@ -495,7 +496,7 @@ class ByteFSFirmware:
             )
             self.stats.bump("fw_clean_partial_reads")
         else:
-            base = bytes(self.page_size)
+            base = filled(0, self.page_size)
         committed.sort(key=lambda c: (self.txlog.commit_position(c.txid)
                                       if c.txid is not None else -1, c.seq))
         if fssan.ENABLED:
@@ -625,7 +626,7 @@ class ByteFSFirmware:
             if not self._covers(chunks, 0, self.page_size):
                 base = self.ftl.read_page(lpa, StructKind.OTHER, background=False)
             else:
-                base = bytes(self.page_size)
+                base = filled(0, self.page_size)
             merged = self._merge(base, chunks)
             # Log cleaning read-merge-writes one lpa at a time by design.
             self.ftl.write_page(  # repro: allow[PERF001]

@@ -31,6 +31,7 @@ from repro.ftl.ftl import FTL, FTLConfig
 from repro.host.page_cache import PageCache
 from repro.nand.chip import FlashArray
 from repro.nand.geometry import FlashGeometry
+from repro.nand.image import filled, same_filled
 from repro.nand.timing import TimingModel
 from repro.sim.clock import VirtualClock
 from repro.sim.resources import ChannelArray
@@ -363,6 +364,21 @@ def test_clean_cached_page_is_the_flash_arrays_object(fs_name):
         assert cache.lookup(ino, i).data is flash_object(device, lba_of(i))
 
 
+@pytest.mark.parametrize("fs_name", ["bytefs", "ext4"])  # f2fs: no runs
+def test_whole_page_write_caches_the_shared_fill(fs_name):
+    _clock, _stats, _device, fs = build_stack(
+        fs_name, geometry=SMALL_GEOMETRY, page_cache_pages=8
+    )
+    fd = fs.open("/f", O_CREAT | O_RDWR)
+    fs.write(fd, b"".join(bytes([i + 1]) * P for i in range(4)))
+    ino = fs.stat("/f").ino
+    for i in range(4):
+        page = fs.page_cache.lookup(ino, i)
+        assert page.dirty and page.data is filled(i + 1, P)
+        if fs_name == "bytefs":  # the CoW duplicate: the zero page
+            assert page.original is filled(0, P)
+
+
 @pytest.mark.parametrize("how", ["pwrite", "mmap store"])
 @pytest.mark.parametrize("fs_name", HELD_ONCE_FS)
 def test_first_store_takes_the_one_private_copy(fs_name, how):
@@ -456,13 +472,14 @@ def frames_are_private(cache_cls) -> bool:
     """Whether a frame survives its caller scribbling over the buffer it
     was written from (install and overwrite, bytearray and memoryview)."""
     cache, _ftl = make_cache(cache_cls)
-    buf = bytearray(b"\x01" * 512)
+    page = bytes(range(256)) * 2  # not one fill: that would be shared
+    buf = bytearray(page)
     cache.write_page(1, buf)
     cache.write_page(2, memoryview(buf))
     cache.write_page(3, b"\x00" * 512)
     cache.write_page(3, buf)  # a hit overwriting the frame
     buf[:] = b"\xff" * 512
-    return all(cache.read_page(lpa) == b"\x01" * 512 for lpa in (1, 2, 3))
+    return all(cache.read_page(lpa) == page for lpa in (1, 2, 3))
 
 
 def test_frame_does_not_alias_a_mutable_buffer():
@@ -471,11 +488,18 @@ def test_frame_does_not_alias_a_mutable_buffer():
 
 def test_frame_shares_an_immutable_page():
     cache, ftl = make_cache()
-    page = b"\x07" * 512
+    page = bytes(range(256)) * 2
+    filled_page = b"\x07" * 512
     cache.write_page(4, page)
+    cache.write_page(5, filled_page)
+    # a same-filled page is the one shared image of its fill, everywhere
+    shared = same_filled(filled_page)
+    assert shared is filled(7, 512) and shared is not filled_page
     assert cache.read_page(4) is page
+    assert cache.read_page(5) is shared
     cache.drain_write_buffer()
     assert ftl.read_page(4) is page
+    assert ftl.read_page(5) is shared
 
 
 # ---------------------------------------------------------------------- #
