@@ -183,6 +183,9 @@ def run_workload(
     ``traced=True`` records the full span tree of the measured loop on
     ``RunResult.trace``; when the ``REPRO_TRACE`` environment variable is
     set, every run gets a metrics-only tracer instead (histograms only).
+    Either way the stack is built and run inside the span seam
+    (:func:`repro.trace.tracer.seam`); otherwise it runs the plain
+    methods.
 
     ``stack_probe`` is an observation hook for a wall-clock harness
     (``perfbench/``): it is called as
@@ -198,42 +201,43 @@ def run_workload(
     ``to_json()``.  Off by default so existing documents (and the golden
     differential fixtures) are byte-identical.
     """
-    clock, stats, device, fs = build_stack(
-        fs_name,
-        geometry=geometry or DEFAULT_GEOMETRY,
-        timing=timing,
-        n_threads=workload.n_threads,
-        log_bytes=log_bytes,
-        device_cache_bytes=device_cache_bytes,
-        page_cache_pages=page_cache_pages,
-        devcache=devcache,
-    )
-    workload.setup(fs)
-    # Measurement epoch: everything before this is free.
-    clock.sync_all()
-    stats.reset()
-    t0 = clock.elapsed_ns
-    if stack_probe is not None:
-        stack_probe("measure-start", clock, stats, device, fs)
-    latency = LatencyRecorder()
-    tracer: Optional[Tracer] = None
-    if traced:
-        tracer = Tracer(clock, keep_spans=True)
-    elif trace.AUTO:
-        tracer = Tracer(clock, keep_spans=False)
-    gens = {tid: gen for tid, gen in enumerate(workload.make_threads(fs))}
-    ops = 0
-    if tracer is not None:
-        with trace.activated(tracer):
-            ops = _measured_loop(clock, gens, latency, tracer)
-        tracer.close_all()
-    else:
-        ops = _measured_loop(clock, gens, latency, None)
-    if stack_probe is not None:
-        stack_probe("measure-end", clock, stats, device, fs)
-    workload.teardown(fs)
-    if unmount:
-        fs.unmount()
+    with trace.seam(traced or trace.AUTO):
+        clock, stats, device, fs = build_stack(
+            fs_name,
+            geometry=geometry or DEFAULT_GEOMETRY,
+            timing=timing,
+            n_threads=workload.n_threads,
+            log_bytes=log_bytes,
+            device_cache_bytes=device_cache_bytes,
+            page_cache_pages=page_cache_pages,
+            devcache=devcache,
+        )
+        workload.setup(fs)
+        # Measurement epoch: everything before this is free.
+        clock.sync_all()
+        stats.reset()
+        t0 = clock.elapsed_ns
+        if stack_probe is not None:
+            stack_probe("measure-start", clock, stats, device, fs)
+        latency = LatencyRecorder()
+        tracer: Optional[Tracer] = None
+        if traced:
+            tracer = Tracer(clock, keep_spans=True)
+        elif trace.AUTO:
+            tracer = Tracer(clock, keep_spans=False)
+        gens = dict(enumerate(workload.make_threads(fs)))
+        ops = 0
+        if tracer is not None:
+            with trace.activated(tracer):
+                ops = _measured_loop(clock, gens, latency, tracer)
+            tracer.close_all()
+        else:
+            ops = _measured_loop(clock, gens, latency, None)
+        if stack_probe is not None:
+            stack_probe("measure-end", clock, stats, device, fs)
+        workload.teardown(fs)
+        if unmount:
+            fs.unmount()
     elapsed_s = (clock.elapsed_ns - t0) / SEC
     meta_w = stats.metadata_bytes(Direction.WRITE)
     meta_r = stats.metadata_bytes(Direction.READ)

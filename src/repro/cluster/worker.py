@@ -120,113 +120,119 @@ def run_shard(
     cfg = task.config
     fault_for = plan_by_device(cfg.faults)
     clock = VirtualClock(len(cfg.tenants))
-    backend = ShardedBackend(
-        cfg.fs_name,
-        cfg.n_devices,
-        clock,
-        geometry=cfg.geometry,
-        timing=cfg.timing,
-        log_bytes=cfg.log_bytes,
-        device_cache_bytes=cfg.device_cache_bytes,
-        page_cache_pages=cfg.page_cache_pages,
-        devcache=cfg.devcache,
-        queue_depth=cfg.queue_depth,
-        fault_devices=fault_for,
-    )
-    owned = sorted(task.owned_devices)
-    # ---------- setup phase (un-measured, global index order) ---------- #
-    runtime: List[TenantRT] = []
-    by_device: Dict[int, List[TenantRT]] = {dev: [] for dev in owned}
-    for index, (spec, dev) in enumerate(zip(cfg.tenants, task.placement)):
-        if dev in by_device:
-            tn = setup_tenant(
-                backend, clock, index, spec, dev, dev in fault_for, cfg.seed,
-            )
-            runtime.append(tn)
-            by_device[dev].append(tn)
-    # Setup barrier — the measurement epoch: every timeline of every
-    # shard jumps to t0 and every shard's traffic stats restart at zero.
-    t0 = exchange("setup", clock.elapsed_ns)
-    clock.sync_to(t0)
-    backend.reset_epoch()
-    fault_rt: Dict[int, DeviceFault] = {}
-    for dev in owned:
-        fspec = fault_for.get(dev)
-        if fspec is not None:
-            frt = DeviceFault(spec=fspec, injector=backend.injectors[dev])
-            if fspec.at_s is not None:
-                frt.t_crash = t0 + fspec.at_s * SEC
-            fault_rt[dev] = frt
-    # Open-loop Poisson arrivals, one independent stream per tenant.
-    for tn in runtime:
-        gen_arrivals(tn, cfg.seed, t0)
-    scheds = {
-        dev: make_scheduler(cfg.sched, by_device[dev], cfg.quantum_ns)
-        for dev in owned
-    }
-    cluster_latency = LatencyRecorder()
-    dispatch_log: Optional[Dict[int, List[Dict]]] = (
-        {dev: [] for dev in owned} if cfg.keep_dispatch_log else None
-    )
-    sampler: Optional[telem.TelemetrySampler] = None
-    if cfg.sample_every_ns is not None:
-        sampler = telem.TelemetrySampler(t0, cfg.sample_every_ns)
+    with trace.seam(cfg.traced or task.auto_trace):
+        backend = ShardedBackend(
+            cfg.fs_name,
+            cfg.n_devices,
+            clock,
+            geometry=cfg.geometry,
+            timing=cfg.timing,
+            log_bytes=cfg.log_bytes,
+            device_cache_bytes=cfg.device_cache_bytes,
+            page_cache_pages=cfg.page_cache_pages,
+            devcache=cfg.devcache,
+            queue_depth=cfg.queue_depth,
+            fault_devices=fault_for,
+        )
+        owned = sorted(task.owned_devices)
+        # -------- setup phase (un-measured, global index order) -------- #
+        runtime: List[TenantRT] = []
+        by_device: Dict[int, List[TenantRT]] = {dev: [] for dev in owned}
+        for index, (spec, dev) in enumerate(zip(cfg.tenants, task.placement)):
+            if dev in by_device:
+                tn = setup_tenant(
+                    backend, clock, index, spec, dev, dev in fault_for,
+                    cfg.seed,
+                )
+                runtime.append(tn)
+                by_device[dev].append(tn)
+        # Setup barrier — the measurement epoch: every timeline of every
+        # shard jumps to t0 and every shard's traffic stats restart at zero.
+        t0 = exchange("setup", clock.elapsed_ns)
+        clock.sync_to(t0)
+        backend.reset_epoch()
+        fault_rt: Dict[int, DeviceFault] = {}
         for dev in owned:
-            sampler.add_device(
-                dev,
-                gauges=backend.devices[dev].gauges,
-                queue=backend.queues[dev],
-                tenants=by_device[dev],
-                stats=backend.stats[dev],
-                time_of=clock.time_of,
-            )
-    tracer = Tracer(clock, keep_spans=True) if cfg.traced else None
-    #: per-device registries of an auto-trace run; the reducer merges
-    #: them in device order so float accumulation never depends on W
-    metrics_by_device: Dict[int, object] = {}
-    calls0 = {dev: device_call_snapshot(backend.devices[dev]) for dev in owned}
-    # ------------------------- measured phase ------------------------- #
-    wall0 = time.perf_counter()
-    if sampler is not None:
-        telem.activate(sampler)
-    try:
-        with trace.activated(tracer) if tracer is not None else nullcontext():
-            # Tenants never span devices, so a shard's devices drain one
-            # after another on its clock.
+            fspec = fault_for.get(dev)
+            if fspec is not None:
+                frt = DeviceFault(spec=fspec, injector=backend.injectors[dev])
+                if fspec.at_s is not None:
+                    frt.t_crash = t0 + fspec.at_s * SEC
+                fault_rt[dev] = frt
+        # Open-loop Poisson arrivals, one independent stream per tenant.
+        for tn in runtime:
+            gen_arrivals(tn, cfg.seed, t0)
+        scheds = {
+            dev: make_scheduler(cfg.sched, by_device[dev], cfg.quantum_ns)
+            for dev in owned
+        }
+        cluster_latency = LatencyRecorder()
+        dispatch_log: Optional[Dict[int, List[Dict]]] = (
+            {dev: [] for dev in owned} if cfg.keep_dispatch_log else None
+        )
+        sampler: Optional[telem.TelemetrySampler] = None
+        if cfg.sample_every_ns is not None:
+            sampler = telem.TelemetrySampler(t0, cfg.sample_every_ns)
             for dev in owned:
-                if by_device[dev]:
-                    reg = run_device_drain(
-                        clock, dev, by_device[dev], scheds[dev],
-                        backend.queues[dev], backend.stats[dev],
-                        cfg.max_queue, cluster_latency,
-                        dispatch_log[dev] if dispatch_log is not None else None,
-                        backend.devices[dev], backend.filesystems[dev],
-                        fault_rt.get(dev), cfg.outage_policy, cfg.seed,
-                        tracer, task.auto_trace,
-                    )
-                    if reg is not None:
-                        metrics_by_device[dev] = reg
-            # A faulted device with no tenants still power-cycles, after
-            # the populated devices drained (so its recovery work never
-            # delays a tenant's timeline) and on thread 0, whose
-            # post-drain time is exact here: the plan gives such devices
-            # to the shard that serves tenant 0.
-            for dev in owned:
-                if dev in fault_rt and not by_device[dev]:
-                    reg = run_orphan_crash(
-                        clock, dev, backend.devices[dev],
-                        backend.filesystems[dev], backend.queues[dev],
-                        backend.stats[dev], fault_rt[dev],
-                        cfg.outage_policy, tracer, task.auto_trace,
-                    )
-                    if reg is not None:
-                        metrics_by_device[dev] = reg
-        if tracer is not None:
-            tracer.close_all()
-    finally:
+                sampler.add_device(
+                    dev,
+                    gauges=backend.devices[dev].gauges,
+                    queue=backend.queues[dev],
+                    tenants=by_device[dev],
+                    stats=backend.stats[dev],
+                    time_of=clock.time_of,
+                )
+        tracer = Tracer(clock, keep_spans=True) if cfg.traced else None
+        #: per-device registries of an auto-trace run; the reducer merges
+        #: them in device order so float accumulation never depends on W
+        metrics_by_device: Dict[int, object] = {}
+        calls0 = {
+            dev: device_call_snapshot(backend.devices[dev]) for dev in owned
+        }
+        # ----------------------- measured phase ----------------------- #
+        wall0 = time.perf_counter()
         if sampler is not None:
-            telem.deactivate()
-    wall_s = time.perf_counter() - wall0
+            telem.activate(sampler)
+        try:
+            with trace.activated(tracer) if tracer is not None \
+                    else nullcontext():
+                # Tenants never span devices, so a shard's devices drain one
+                # after another on its clock.
+                for dev in owned:
+                    if by_device[dev]:
+                        reg = run_device_drain(
+                            clock, dev, by_device[dev], scheds[dev],
+                            backend.queues[dev], backend.stats[dev],
+                            cfg.max_queue, cluster_latency,
+                            dispatch_log[dev]
+                            if dispatch_log is not None else None,
+                            backend.devices[dev], backend.filesystems[dev],
+                            fault_rt.get(dev), cfg.outage_policy, cfg.seed,
+                            tracer, task.auto_trace,
+                        )
+                        if reg is not None:
+                            metrics_by_device[dev] = reg
+                # A faulted device with no tenants still power-cycles, after
+                # the populated devices drained (so its recovery work never
+                # delays a tenant's timeline) and on thread 0, whose
+                # post-drain time is exact here: the plan gives such devices
+                # to the shard that serves tenant 0.
+                for dev in owned:
+                    if dev in fault_rt and not by_device[dev]:
+                        reg = run_orphan_crash(
+                            clock, dev, backend.devices[dev],
+                            backend.filesystems[dev], backend.queues[dev],
+                            backend.stats[dev], fault_rt[dev],
+                            cfg.outage_policy, tracer, task.auto_trace,
+                        )
+                        if reg is not None:
+                            metrics_by_device[dev] = reg
+            if tracer is not None:
+                tracer.close_all()
+        finally:
+            if sampler is not None:
+                telem.deactivate()
+        wall_s = time.perf_counter() - wall0
     # End barrier: every shard closes its series at the cluster's t_end
     # (equal-length series per device).
     t_end = exchange("ran", clock.elapsed_ns)

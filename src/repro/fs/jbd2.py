@@ -25,7 +25,6 @@ from itertools import groupby
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.stats.traffic import StructKind
-from repro.trace import tracer as trace
 
 JMAGIC = 0x1BD20001
 _DESC_FMT = "<IIQI"
@@ -94,17 +93,6 @@ class JBD2:
         """Commit the running transaction (ordered mode)."""
         if not self.running and not self.running_data:
             return
-        _sp = trace.begin(
-            "journal", "commit",
-            n_blocks=len(self.running) + len(self.running_data),
-        ) if trace.ENABLED else None
-        try:
-            self._commit()
-        finally:
-            if _sp is not None:
-                trace.end(_sp)
-
-    def _commit(self) -> None:
         self.fs._flush_ordered()
         images = {b: self.fs._snapshot_block(b) for b in self.running}
         for blkno, image in self.running_data.items():
@@ -148,26 +136,19 @@ class JBD2:
         """Write journaled images in place and advance the header."""
         if not self.pending:
             return
-        _sp = trace.begin("journal", "checkpoint",
-                          n_blocks=len(self.pending)) \
-            if trace.ENABLED else None
-        try:
-            # One scatter write per run of blocks of one kind (the
-            # traffic accounting is per kind), in block order.
-            pending = self.pending
-            for kind, blknos in groupby(
-                sorted(pending), key=lambda blkno: pending[blkno][1]
-            ):
-                self.fs.device.write_pages(
-                    [(blkno, pending[blkno][0]) for blkno in blknos], kind
-                )
-            self.pending.clear()
-            self.checkpoint_seq = self.seq - 1
-            self._write_header()
-            self.checkpoints += 1
-        finally:
-            if _sp is not None:
-                trace.end(_sp)
+        # One scatter write per run of blocks of one kind (the traffic
+        # accounting is per kind), in block order.
+        pending = self.pending
+        for kind, blknos in groupby(
+            sorted(pending), key=lambda blkno: pending[blkno][1]
+        ):
+            self.fs.device.write_pages(
+                [(blkno, pending[blkno][0]) for blkno in blknos], kind
+            )
+        self.pending.clear()
+        self.checkpoint_seq = self.seq - 1
+        self._write_header()
+        self.checkpoints += 1
 
     def _write_header(self) -> None:
         hdr = struct.pack(_HEADER_FMT, JMAGIC, TYPE_HEADER, self.checkpoint_seq)
@@ -185,14 +166,6 @@ class JBD2:
         (descriptor without a matching commit block) are discarded, which
         is what makes un-fsynced Ext4 operations vanish after a crash.
         """
-        _sp = trace.begin("journal", "replay") if trace.ENABLED else None
-        try:
-            return self._replay()
-        finally:
-            if _sp is not None:
-                trace.end(_sp)
-
-    def _replay(self) -> int:
         device = self.fs.device
         header = device.read_blocks(self.start, 1, StructKind.JOURNAL)
         checkpoint_seq = 0

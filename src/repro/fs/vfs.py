@@ -27,7 +27,6 @@ path, not a second mode: there is no way to run without the cache.
 from __future__ import annotations
 
 import abc
-import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -43,28 +42,7 @@ from repro.fs.errors import (
 from repro.nand.timing import TimingModel
 from repro.sim.clock import VirtualClock
 from repro.stats.traffic import Direction, TrafficStats
-from repro.trace import tracer as trace
 
-
-def _traced(fn):
-    """Wrap a public syscall in a ``vfs`` span when tracing is active.
-
-    With tracing off this is one attribute load plus a branch — the same
-    zero-cost guard every other instrumentation site uses.
-    """
-    op = fn.__name__
-
-    @functools.wraps(fn)
-    def wrapper(self, *args, **kwargs):
-        if not trace.ENABLED:
-            return fn(self, *args, **kwargs)
-        _sp = trace.begin("vfs", op)
-        try:
-            return fn(self, *args, **kwargs)
-        finally:
-            trace.end(_sp)
-
-    return wrapper
 
 O_RDONLY = 0x0
 O_WRONLY = 0x1
@@ -258,7 +236,6 @@ class BaseFileSystem(abc.ABC):
     def _syscall(self) -> None:
         self.clock.advance(self.timing.syscall_ns)
 
-    @_traced
     def open(self, path: str, flags: int = O_RDONLY) -> int:
         self._syscall()
         parent, name = self._resolve_parent(path)
@@ -282,7 +259,6 @@ class BaseFileSystem(abc.ABC):
         self._handles[fd] = handle
         return fd
 
-    @_traced
     def close(self, fd: int) -> None:
         self._syscall()
         self._handle(fd)
@@ -300,7 +276,6 @@ class BaseFileSystem(abc.ABC):
         handle.pos += len(data)
         return data
 
-    @_traced
     def pread(self, fd: int, offset: int, length: int) -> bytes:
         self._syscall()
         handle = self._handle(fd)
@@ -320,7 +295,6 @@ class BaseFileSystem(abc.ABC):
         handle.pos += n
         return n
 
-    @_traced
     def pwrite(self, fd: int, offset: int, data: bytes) -> int:
         self._syscall()
         handle = self._handle(fd)
@@ -339,24 +313,20 @@ class BaseFileSystem(abc.ABC):
         handle.pos = pos
         return pos
 
-    @_traced
     def fsync(self, fd: int) -> None:
         self._syscall()
         handle = self._handle(fd)
         self._fsync(handle.ino, data_only=False)
 
-    @_traced
     def fdatasync(self, fd: int) -> None:
         self._syscall()
         handle = self._handle(fd)
         self._fsync(handle.ino, data_only=True)
 
-    @_traced
     def sync(self) -> None:
         self._syscall()
         self._sync()
 
-    @_traced
     def ftruncate(self, fd: int, size: int) -> None:
         self._syscall()
         handle = self._handle(fd)
@@ -364,7 +334,6 @@ class BaseFileSystem(abc.ABC):
             raise InvalidArgument("negative size")
         self._truncate(handle.ino, size)
 
-    @_traced
     def mkdir(self, path: str) -> None:
         self._syscall()
         parent, name = self._resolve_parent(path)
@@ -372,7 +341,6 @@ class BaseFileSystem(abc.ABC):
             raise FileExists(path)
         self._create_dir(parent, name)
 
-    @_traced
     def rmdir(self, path: str) -> None:
         self._syscall()
         parent, name = self._resolve_parent(path)
@@ -384,7 +352,6 @@ class BaseFileSystem(abc.ABC):
         self._walk_cache.clear()
         self._remove_dir(parent, name, ino)
 
-    @_traced
     def unlink(self, path: str) -> None:
         self._syscall()
         parent, name = self._resolve_parent(path)
@@ -395,7 +362,6 @@ class BaseFileSystem(abc.ABC):
             raise IsADirectory(path)
         self._remove_file(parent, name, ino)
 
-    @_traced
     def rename(self, src: str, dst: str) -> None:
         self._syscall()
         src_dir, src_name = self._resolve_parent(src)
@@ -407,7 +373,6 @@ class BaseFileSystem(abc.ABC):
         self._walk_cache.clear()
         self._rename(src_dir, src_name, dst_dir, dst_name)
 
-    @_traced
     def stat(self, path: str) -> Stat:
         self._syscall()
         return self._stat(self._resolve(path))
@@ -419,7 +384,6 @@ class BaseFileSystem(abc.ABC):
         except (FileNotFound, NotADirectory):
             return False
 
-    @_traced
     def listdir(self, path: str) -> List[str]:
         self._syscall()
         ino = self._resolve(path)

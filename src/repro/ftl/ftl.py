@@ -129,31 +129,23 @@ class FTL:
         NVMe block read, a prefetch): it is traced as the ``read_pages``
         run of one it is, so one histogram holds every command read.
         """
-        _sp = None
+        ppa = self._pm_lookup(lpa)
+        self._record_flash(kind, _READ, self._page_size)
+        if ppa is None:
+            # Unwritten logical page: no flash op needed, data is zeros.
+            return filled(0, self._page_size)
+        ch = self.geometry.channel_of(ppa)
+        read_ns = self._flash_read_ns
+        clock = self.clock
+        end = self._ch_serve[ch](clock.now, read_ns)
         if trace.ENABLED:
-            _sp = trace.begin("ftl", "read_pages", n_pages=1) if as_run \
-                else trace.begin("ftl", "read_page", lpa=lpa)
-        try:
-            ppa = self._pm_lookup(lpa)
-            self._record_flash(kind, _READ, self._page_size)
-            if ppa is None:
-                # Unwritten logical page: no flash op needed, data is zeros.
-                return filled(0, self._page_size)
-            ch = self.geometry.channel_of(ppa)
-            read_ns = self._flash_read_ns
-            clock = self.clock
-            end = self._ch_serve[ch](clock.now, read_ns)
-            if trace.ENABLED:
-                trace.span_at(
-                    "nand", "flash_read", end - read_ns, end,
-                    background=background, ch=ch,
-                )
-            if not background:
-                clock.advance_to(end)
-            return self._flash_read_page(ppa)
-        finally:
-            if _sp is not None:
-                trace.end(_sp)
+            trace.span_at(
+                "nand", "flash_read", end - read_ns, end,
+                background=background, ch=ch,
+            )
+        if not background:
+            clock.advance_to(end)
+        return self._flash_read_page(ppa)
 
     def read_pages(
         self,
@@ -164,42 +156,36 @@ class FTL:
         """Read several pages in parallel: all flash reads are issued from
         the same start time and stripe across channels; the caller waits
         only for the slowest one."""
-        _sp = trace.begin("ftl", "read_pages", n_pages=len(lpas)) \
-            if trace.ENABLED else None
-        try:
-            clock = self.clock
-            start = clock.now
-            page_size = self._page_size
-            read_ns = self._flash_read_ns
-            record_flash = self._record_flash
-            lookup = self._pm_lookup
-            channel_of = self.geometry.channel_of
-            serves = self._ch_serve
-            flash_read_page = self._flash_read_page
-            datas: List[bytes] = []
-            max_end = start
-            for lpa in lpas:
-                record_flash(kind, _READ, page_size)
-                ppa = lookup(lpa)
-                if ppa is None:
-                    datas.append(filled(0, page_size))
-                    continue
-                ch = channel_of(ppa)
-                end = serves[ch](start, read_ns)
-                if trace.ENABLED:
-                    trace.span_at(
-                        "nand", "flash_read", end - read_ns, end,
-                        background=background, ch=ch,
-                    )
-                if end > max_end:
-                    max_end = end
-                datas.append(flash_read_page(ppa))
-            if not background:
-                clock.advance_to(max_end)
-            return datas
-        finally:
-            if _sp is not None:
-                trace.end(_sp)
+        clock = self.clock
+        start = clock.now
+        page_size = self._page_size
+        read_ns = self._flash_read_ns
+        record_flash = self._record_flash
+        lookup = self._pm_lookup
+        channel_of = self.geometry.channel_of
+        serves = self._ch_serve
+        flash_read_page = self._flash_read_page
+        datas: List[bytes] = []
+        max_end = start
+        for lpa in lpas:
+            record_flash(kind, _READ, page_size)
+            ppa = lookup(lpa)
+            if ppa is None:
+                datas.append(filled(0, page_size))
+                continue
+            ch = channel_of(ppa)
+            end = serves[ch](start, read_ns)
+            if trace.ENABLED:
+                trace.span_at(
+                    "nand", "flash_read", end - read_ns, end,
+                    background=background, ch=ch,
+                )
+            if end > max_end:
+                max_end = end
+            datas.append(flash_read_page(ppa))
+        if not background:
+            clock.advance_to(max_end)
+        return datas
 
     def write_page(
         self,
@@ -388,15 +374,6 @@ class FTL:
             self._in_gc = False
 
     def _collect_block(self, ch: int, victim: "_BlockState") -> None:
-        _sp = trace.begin("ftl", "gc", ch=ch, block=victim.block_id) \
-            if trace.ENABLED else None
-        try:
-            self._collect_block_inner(ch, victim)
-        finally:
-            if _sp is not None:
-                trace.end(_sp)
-
-    def _collect_block_inner(self, ch: int, victim: "_BlockState") -> None:
         self.gc_runs += 1
         base = victim.base
         clock = self.clock

@@ -5,7 +5,6 @@ from __future__ import annotations
 from repro.nand.timing import TimingModel
 from repro.sim.clock import VirtualClock
 from repro.sim.resources import Pipeline, Resource
-from repro.trace import tracer as trace
 
 CACHELINE = 64
 
@@ -55,8 +54,6 @@ class HostLink:
     def mmio_read(self, nbytes: int) -> None:
         """Load ``nbytes`` via MMIO: each cacheline pays the full round
         trip, with up to ``mmio_read_parallelism`` loads in flight."""
-        _sp = trace.begin("link", "mmio_read", nbytes=nbytes) \
-            if trace.ENABLED else None
         lines = (nbytes + CACHELINE - 1) // CACHELINE or 1
         # The clock does not advance inside the loop, so every line is
         # served from the same `now`; the pipeline batches the whole
@@ -65,13 +62,9 @@ class HostLink:
         end = self._nonposted_serve_many(clock.now, self._mmio_read_ns, lines)
         self.mmio_reads += lines
         clock.advance_to(end)
-        if _sp is not None:
-            trace.end(_sp)
 
     def mmio_write(self, nbytes: int) -> None:
         """Store ``nbytes`` via MMIO.  Posted: writes pipeline."""
-        _sp = trace.begin("link", "mmio_write", nbytes=nbytes) \
-            if trace.ENABLED else None
         lines = (nbytes + CACHELINE - 1) // CACHELINE or 1
         # Posted writes retire in issue order: completion time is the
         # *last* lane finish; the whole burst issues from the same `now`.
@@ -79,8 +72,6 @@ class HostLink:
         end = self._posted_serve_many(clock.now, self._mmio_write_ns, lines)
         self.mmio_writes += lines
         clock.advance_to(end)
-        if _sp is not None:
-            trace.end(_sp)
 
     def persist_barrier(self, nlines: int = 1) -> None:
         """clflush/clwb the written lines, then a write-verify read (§4.2).
@@ -88,14 +79,10 @@ class HostLink:
         The zero-byte non-posted read serializes behind all outstanding
         posted writes in the root complex, guaranteeing durability.
         """
-        _sp = trace.begin("link", "persist_barrier", nlines=nlines) \
-            if trace.ENABLED else None
         clock = self.clock
         clock.advance(self._persist_flush_ns * (nlines if nlines > 1 else 1))
         end = self._barrier_serve(clock.now, self._mmio_read_ns)
         clock.advance_to(end)
-        if _sp is not None:
-            trace.end(_sp)
 
     def mmio_persist_write(self, nbytes: int) -> None:
         """Convenience: posted write + flush + write-verify read."""
@@ -108,15 +95,11 @@ class HostLink:
 
     def dma(self, nbytes: int, write: bool) -> None:
         """An NVMe data transfer: command overhead plus bytes/bandwidth."""
-        _sp = trace.begin("link", "dma", nbytes=nbytes, write=write) \
-            if trace.ENABLED else None
         duration = self._nvme_cmd_ns + self._dma_transfer_ns(nbytes, write)
         clock = self.clock
         end = self._dma_serve(clock.now, duration)
         self.dma_transfers += 1
         clock.advance_to(end)
-        if _sp is not None:
-            trace.end(_sp)
 
     def reset(self) -> None:
         self._dma.reset()

@@ -174,24 +174,18 @@ class MSSD:
         if length <= 0:
             return b""
         self._check_range(addr, length)
-        _sp = trace.begin("device", "load", nbytes=length, kind=kind.value) \
-            if trace.ENABLED else None
-        try:
-            self._record_host_ssd(kind, _READ, _BYTE, length)
-            self._mmio_read(length)
-            byte_read = self._fw_byte_read
-            page_size = self.page_size
-            off = addr % page_size
-            if off + length <= page_size:
-                # Single-page access: no split bookkeeping needed.
-                return bytes(byte_read(addr // page_size, off, length))
-            out = bytearray()
-            for lpa, off, n in self._split(addr, length):
-                out += byte_read(lpa, off, n)
-            return bytes(out)
-        finally:
-            if _sp is not None:
-                trace.end(_sp)
+        self._record_host_ssd(kind, _READ, _BYTE, length)
+        self._mmio_read(length)
+        byte_read = self._fw_byte_read
+        page_size = self.page_size
+        off = addr % page_size
+        if off + length <= page_size:
+            # Single-page access: no split bookkeeping needed.
+            return bytes(byte_read(addr // page_size, off, length))
+        out = bytearray()
+        for lpa, off, n in self._split(addr, length):
+            out += byte_read(lpa, off, n)
+        return bytes(out)
 
     def store(
         self,
@@ -214,49 +208,42 @@ class MSSD:
         if not data:
             return
         self._check_range(addr, len(data))
-        _sp = trace.begin("device", "store", nbytes=len(data),
-                          kind=kind.value, persist=persist) \
-            if trace.ENABLED else None
-        try:
-            self._record_host_ssd(kind, _WRITE, _BYTE, len(data))
-            self._mmio_write(len(data))
-            pos = 0
-            if self.faults is NULL_INJECTOR:
-                # No injector armed: skip the per-piece closure and site
-                # bookkeeping (the null site just calls apply(nbytes)).
-                byte_write = self._fw_byte_write
-                page_size = self.page_size
-                off = addr % page_size
-                if off + len(data) <= page_size:
-                    # Single-page store: no split bookkeeping needed.
-                    byte_write(addr // page_size, off, data, txid)
-                else:
-                    for lpa, off, n in self._split(addr, len(data)):
-                        byte_write(lpa, off, data[pos : pos + n], txid)
-                        pos += n
+        self._record_host_ssd(kind, _WRITE, _BYTE, len(data))
+        self._mmio_write(len(data))
+        pos = 0
+        if self.faults is NULL_INJECTOR:
+            # No injector armed: skip the per-piece closure and site
+            # bookkeeping (the null site just calls apply(nbytes)).
+            byte_write = self._fw_byte_write
+            page_size = self.page_size
+            off = addr % page_size
+            if off + len(data) <= page_size:
+                # Single-page store: no split bookkeeping needed.
+                byte_write(addr // page_size, off, data, txid)
             else:
                 for lpa, off, n in self._split(addr, len(data)):
-                    piece = data[pos : pos + n]
-
-                    def _apply(k: int, lpa=lpa, off=off, piece=piece) -> None:
-                        # A torn store loses the trailing cachelines of
-                        # this piece; the prefix that did arrive is
-                        # logged normally.
-                        if k:
-                            # Each piece is its own crash site, so the
-                            # armed path cannot batch across pages.
-                            self.firmware.byte_write(  # repro: allow[PERF001]
-                                lpa, off, piece[:k], txid)
-
-                    self.faults.site("mssd.store", _apply, n, atom=64)
+                    byte_write(lpa, off, data[pos : pos + n], txid)
                     pos += n
-            if persist:
-                # Integer ceiling; data is non-empty here so the result
-                # is always >= 1 (identical to max(1, ceil(n / 64))).
-                self._persist_barrier((len(data) + 63) // 64)
-        finally:
-            if _sp is not None:
-                trace.end(_sp)
+        else:
+            for lpa, off, n in self._split(addr, len(data)):
+                piece = data[pos : pos + n]
+
+                def _apply(k: int, lpa=lpa, off=off, piece=piece) -> None:
+                    # A torn store loses the trailing cachelines of this
+                    # piece; the prefix that did arrive is logged
+                    # normally.
+                    if k:
+                        # Each piece is its own crash site, so the armed
+                        # path cannot batch across pages.
+                        self.firmware.byte_write(  # repro: allow[PERF001]
+                            lpa, off, piece[:k], txid)
+
+                self.faults.site("mssd.store", _apply, n, atom=64)
+                pos += n
+        if persist:
+            # Integer ceiling; data is non-empty here so the result is
+            # always >= 1 (identical to max(1, ceil(n / 64))).
+            self._persist_barrier((len(data) + 63) // 64)
 
     def _split(self, addr: int, length: int):
         """Split a byte range into (lpa, in-page offset, length) pieces."""
@@ -288,23 +275,17 @@ class MSSD:
             return b""
         self._check_range(lba * self.page_size, n_blocks * self.page_size)
         nbytes = n_blocks * self.page_size
-        _sp = trace.begin("device", "read_blocks", nbytes=nbytes,
-                          kind=kind.value) if trace.ENABLED else None
-        try:
-            self._record_host_ssd(kind, _READ, _BLOCK, nbytes)
-            if n_blocks == 1:
-                out = self._fw_block_read(lba)
-            else:
-                # Multi-page reads exploit channel parallelism inside the
-                # firmware (all flash reads issued from the same start time).
-                out = b"".join(self.firmware.block_read_many(
-                    list(range(lba, lba + n_blocks))
-                ))
-            self._dma_xfer(nbytes, write=False)
-            return out
-        finally:
-            if _sp is not None:
-                trace.end(_sp)
+        self._record_host_ssd(kind, _READ, _BLOCK, nbytes)
+        if n_blocks == 1:
+            out = self._fw_block_read(lba)
+        else:
+            # Multi-page reads exploit channel parallelism inside the
+            # firmware (all flash reads issued from the same start time).
+            out = b"".join(self.firmware.block_read_many(
+                list(range(lba, lba + n_blocks))
+            ))
+        self._dma_xfer(nbytes, write=False)
+        return out
 
     def write_blocks(self, lba: int, data: bytes, kind: StructKind) -> None:
         """NVMe write of page-aligned ``data`` starting at ``lba``."""
@@ -312,42 +293,36 @@ class MSSD:
             raise ValueError("block writes must be page aligned")
         self._check_range(lba * self.page_size, len(data))
         n_blocks = len(data) // self.page_size
-        _sp = trace.begin("device", "write_blocks", nbytes=len(data),
-                          kind=kind.value) if trace.ENABLED else None
+        self._record_host_ssd(kind, _WRITE, _BLOCK, len(data))
+        self._dma_xfer(len(data), write=True)
+        page_size = self.page_size
+        # Local binding keeps the call spelled by its real name (the
+        # crash-site lint resolves callers by bare name).
+        block_write_many = self._fw_block_write_many
+        if n_blocks == 1:
+            pending = [(lba, data)]
+        else:
+            pending = [
+                (lba + i, data[i * page_size : (i + 1) * page_size])
+                for i in range(n_blocks)
+            ]
+        if self.faults is NULL_INJECTOR:
+            block_write_many(pending, kind, n_blocks)
+            return
+        arrived, pending = pending, []
         try:
-            self._record_host_ssd(kind, _WRITE, _BLOCK, len(data))
-            self._dma_xfer(len(data), write=True)
-            page_size = self.page_size
-            # Local binding keeps the call spelled by its real name (the
-            # crash-site lint resolves callers by bare name).
-            block_write_many = self._fw_block_write_many
-            if n_blocks == 1:
-                pending = [(lba, data)]
-            else:
-                pending = [
-                    (lba + i, data[i * page_size : (i + 1) * page_size])
-                    for i in range(n_blocks)
-                ]
-            if self.faults is NULL_INJECTOR:
-                block_write_many(pending, kind, n_blocks)
-                return
-            arrived, pending = pending, []
-            try:
-                for page_lba, page in arrived:
-                    self.faults.site(
-                        "mssd.write_block",
-                        self._landing(pending, page_lba, page),
-                        page_size, atom=512,
-                    )
-            finally:
-                # The DMA already landed the applied pages in device
-                # DRAM; on a mid-batch CrashPoint they must still reach
-                # the firmware before the crash propagates.
-                if pending:
-                    block_write_many(pending, kind, len(pending))
+            for page_lba, page in arrived:
+                self.faults.site(
+                    "mssd.write_block",
+                    self._landing(pending, page_lba, page),
+                    page_size, atom=512,
+                )
         finally:
-            if _sp is not None:
-                trace.end(_sp)
+            # The DMA already landed the applied pages in device DRAM;
+            # on a mid-batch CrashPoint they must still reach the
+            # firmware before the crash propagates.
+            if pending:
+                block_write_many(pending, kind, len(pending))
 
     def _landing(self, landed: List, lba: int, page: bytes):
         """Crash-site callback of one DMA'd page: ``landed`` receives the
@@ -439,20 +414,14 @@ class MSSD:
         (ordering before the commit entry, Fig 4), then the 4 B commit
         entry is appended to the TxLog.
         """
-        _sp = trace.begin("device", "commit", txid=txid) \
-            if trace.ENABLED else None
-        try:
-            self.link.persist_barrier(1)
-            self.link.dma(4, write=True)
+        self.link.persist_barrier(1)
+        self.link.dma(4, write=True)
 
-            def _apply(k: int) -> None:
-                if k:
-                    self.firmware.commit(txid)
+        def _apply(k: int) -> None:
+            if k:
+                self.firmware.commit(txid)
 
-            self.faults.site("mssd.commit", _apply, 4)
-        finally:
-            if _sp is not None:
-                trace.end(_sp)
+        self.faults.site("mssd.commit", _apply, 4)
 
     def recover(self) -> Dict[str, float]:
         """RECOVER(): firmware-level crash recovery (§4.7)."""

@@ -160,15 +160,9 @@ class BaselineFirmware:
     # ------------------------------------------------------------------ #
 
     def byte_read(self, lpa: int, offset: int, length: int) -> bytes:
-        _sp = trace.begin("firmware", "byte_read", lpa=lpa) \
-            if trace.ENABLED else None
-        try:
-            self._fw(self.timing.dram_access_ns)
-            page = self._load_page(lpa)
-            return bytes(page.data[offset : offset + length])
-        finally:
-            if _sp is not None:
-                trace.end(_sp)
+        self._fw(self.timing.dram_access_ns)
+        page = self._load_page(lpa)
+        return bytes(page.data[offset : offset + length])
 
     def byte_write(
         self,
@@ -180,54 +174,33 @@ class BaselineFirmware:
         """Read-modify-write into the page cache (battery-backed)."""
         if offset + len(data) > self.page_size:
             raise ValueError("byte write crosses a page boundary")
-        _sp = trace.begin("firmware", "byte_write", lpa=lpa,
-                          nbytes=len(data)) if trace.ENABLED else None
-        try:
-            self._fw(self.timing.dram_access_ns)
+        self._fw(self.timing.dram_access_ns)
 
-            def _apply(k: int) -> None:
-                if k == 0:
-                    return
-                page = self._load_page(lpa)
-                if type(page.data) is bytes:
-                    page.data = bytearray(page.data)
-                page.data[offset : offset + k] = data[:k]
-                if not page.dirty:
-                    page.dirty = True
-                    self._dirty_count += 1
-                self._writeback_if_needed()
+        def _apply(k: int) -> None:
+            if k == 0:
+                return
+            page = self._load_page(lpa)
+            if type(page.data) is bytes:
+                page.data = bytearray(page.data)
+            page.data[offset : offset + k] = data[:k]
+            if not page.dirty:
+                page.dirty = True
+                self._dirty_count += 1
+            self._writeback_if_needed()
 
-            self.faults.site("basefw.byte_write", _apply, len(data), atom=64)
-        finally:
-            if _sp is not None:
-                trace.end(_sp)
+        self.faults.site("basefw.byte_write", _apply, len(data), atom=64)
 
     # ------------------------------------------------------------------ #
     # block interface
     # ------------------------------------------------------------------ #
 
     def block_read(self, lpa: int) -> bytes:
-        _sp = trace.begin("firmware", "block_read", n_pages=1) \
-            if trace.ENABLED else None
-        try:
-            self._fw(self.timing.dram_access_ns)
-            page = self._load_page(lpa)
-            return bytes(page.data)
-        finally:
-            if _sp is not None:
-                trace.end(_sp)
+        self._fw(self.timing.dram_access_ns)
+        page = self._load_page(lpa)
+        return bytes(page.data)
 
     def block_read_many(self, lpas: List[int]) -> List[bytes]:
         """Multi-page NVMe read: cache misses stripe across channels."""
-        _sp = trace.begin("firmware", "block_read", n_pages=len(lpas)) \
-            if trace.ENABLED else None
-        try:
-            return self._block_read_many(lpas)
-        finally:
-            if _sp is not None:
-                trace.end(_sp)
-
-    def _block_read_many(self, lpas: List[int]) -> List[bytes]:
         self._fw(self.timing.dram_access_ns * len(lpas))
         missing = [lpa for lpa in lpas if self._touch(lpa) is None]
         if missing:
@@ -271,13 +244,7 @@ class BaselineFirmware:
         otherwise each page is a command of its own (see the ByteFS
         firmware counterpart).
         """
-        _sp = trace.begin("firmware", "block_write", n_pages=n_pages) \
-            if n_pages > 1 and trace.ENABLED else None
-        try:
-            self.ftl.write_pages(self._refreshing(pages, _sp is None), kind)
-        finally:
-            if _sp is not None:
-                trace.end(_sp)
+        self.ftl.write_pages(self._refreshing(pages, n_pages <= 1), kind)
 
     def _refreshing(
         self, pages: Iterable[Tuple[int, bytes]], span_each: bool
@@ -335,14 +302,6 @@ class BaselineFirmware:
         Recovery runs after the sweep driver disarms the injector, so its
         device writes are deliberately not crash sites (CS001 suppressed).
         """
-        _sp = trace.begin("firmware", "recover") if trace.ENABLED else None
-        try:
-            return self._recover()
-        finally:
-            if _sp is not None:
-                trace.end(_sp)
-
-    def _recover(self) -> Dict[str, float]:  # repro: allow[CS001]
         t0 = self.clock.now
         flushed = 0
         for lpa, page in list(self._cache.items()):

@@ -199,28 +199,20 @@ class ByteFSFirmware:
         Coordinated caching (§4.3): a flash page read on a miss is *not*
         cached in SSD DRAM; the host caches it instead.
         """
-        _sp = trace.begin("firmware", "byte_read", lpa=lpa) \
-            if trace.ENABLED else None
-        try:
-            self._fw(self.timing.fw_op_ns)
-            chunks = self._chunks_for(lpa)
-            if self._covers(chunks, offset, length):
-                self.stats.bump("fw_byte_read_log_hits")
-                if trace.ENABLED:
-                    trace.event("firmware", "log_hit", lpa=lpa)
-                return self._merge_window(
-                    bytes(length), chunks, offset, length
-                )
-            self.stats.bump("fw_byte_read_flash_misses")
+        self._fw(self.timing.fw_op_ns)
+        chunks = self._chunks_for(lpa)
+        if self._covers(chunks, offset, length):
+            self.stats.bump("fw_byte_read_log_hits")
             if trace.ENABLED:
-                trace.event("firmware", "log_miss", lpa=lpa)
-            base = self.ftl.read_page(lpa, StructKind.OTHER, background=False)
-            return self._merge_window(
-                base[offset : offset + length], chunks, offset, length
-            )
-        finally:
-            if _sp is not None:
-                trace.end(_sp)
+                trace.event("firmware", "log_hit", lpa=lpa)
+            return self._merge_window(bytes(length), chunks, offset, length)
+        self.stats.bump("fw_byte_read_flash_misses")
+        if trace.ENABLED:
+            trace.event("firmware", "log_miss", lpa=lpa)
+        base = self.ftl.read_page(lpa, StructKind.OTHER, background=False)
+        return self._merge_window(
+            base[offset : offset + length], chunks, offset, length
+        )
 
     def byte_write(
         self,
@@ -234,21 +226,6 @@ class ByteFSFirmware:
             return
         if offset + len(data) > self.page_size:
             raise ValueError("byte write crosses a page boundary")
-        _sp = trace.begin("firmware", "byte_write", lpa=lpa,
-                          nbytes=len(data)) if trace.ENABLED else None
-        try:
-            self._byte_write(lpa, offset, data, txid)
-        finally:
-            if _sp is not None:
-                trace.end(_sp)
-
-    def _byte_write(
-        self,
-        lpa: int,
-        offset: int,
-        data: bytes,
-        txid: Optional[int],
-    ) -> None:
         self._ensure_space(len(data))
         self._fw(self.timing.fw_append_ns)
 
@@ -287,39 +264,25 @@ class ByteFSFirmware:
 
         An unlogged page is handed back as the object the FTL returned.
         """
-        _sp = trace.begin("firmware", "block_read", n_pages=1) \
-            if trace.ENABLED else None
-        try:
-            self._fw(self.timing.fw_op_ns)
-            base = self.ftl.read_page(lpa, _OTHER, False, True)
-            chunks = self._chunks_for(lpa)
-            if not chunks:
-                return base
-            self.stats.bump("fw_block_read_merges")
-            return self._merge(base, chunks)
-        finally:
-            if _sp is not None:
-                trace.end(_sp)
+        self._fw(self.timing.fw_op_ns)
+        base = self.ftl.read_page(lpa, _OTHER, False, True)
+        chunks = self._chunks_for(lpa)
+        if not chunks:
+            return base
+        self.stats.bump("fw_block_read_merges")
+        return self._merge(base, chunks)
 
     def block_read_many(self, lpas: List[int]) -> List[bytes]:
         """NVMe multi-page read: flash reads stripe across channels."""
-        _sp = trace.begin("firmware", "block_read", n_pages=len(lpas)) \
-            if trace.ENABLED else None
-        try:
-            self._fw(self.timing.fw_op_ns * len(lpas))
-            bases = self.ftl.read_pages(
-                lpas, StructKind.OTHER, background=False
-            )
-            out = []
-            for lpa, base in zip(lpas, bases):
-                chunks = self._chunks_for(lpa)
-                if chunks:
-                    self.stats.bump("fw_block_read_merges")
-                out.append(self._merge(base, chunks))
-            return out
-        finally:
-            if _sp is not None:
-                trace.end(_sp)
+        self._fw(self.timing.fw_op_ns * len(lpas))
+        bases = self.ftl.read_pages(lpas, StructKind.OTHER, background=False)
+        out = []
+        for lpa, base in zip(lpas, bases):
+            chunks = self._chunks_for(lpa)
+            if chunks:
+                self.stats.bump("fw_block_read_merges")
+            out.append(self._merge(base, chunks))
+        return out
 
     def block_write_many(
         self,
@@ -340,13 +303,7 @@ class ByteFSFirmware:
         pages of one multi-page command (one trace span); otherwise each
         page is a command of its own.
         """
-        _sp = trace.begin("firmware", "block_write", n_pages=n_pages) \
-            if n_pages > 1 and trace.ENABLED else None
-        try:
-            self.ftl.write_pages(self._invalidating(pages, _sp is None), kind)
-        finally:
-            if _sp is not None:
-                trace.end(_sp)
+        self.ftl.write_pages(self._invalidating(pages, n_pages <= 1), kind)
 
     def _invalidating(
         self, pages: Iterable[Tuple[int, bytes]], span_each: bool
@@ -398,13 +355,9 @@ class ByteFSFirmware:
 
     def commit(self, txid: int) -> None:
         """Handle COMMIT(TxID): append a 4 B entry to the TxLog (§4.3)."""
-        _sp = trace.begin("firmware", "txlog_commit", txid=txid) \
-            if trace.ENABLED else None
         self._fw(self.timing.fw_append_ns)
         self.txlog.commit(txid)
         self.stats.bump("fw_commits")
-        if _sp is not None:
-            trace.end(_sp)
 
     def is_committed(self, entry: ChunkEntry) -> bool:
         return entry.txid is None or self.txlog.is_committed(entry.txid)
@@ -455,28 +408,21 @@ class ByteFSFirmware:
     def _clean_region(self, idx: int) -> None:
         """Flush one region to flash (Algorithm 1), in the background."""
         region = self.regions[idx]
-        _sp = trace.begin("firmware", "log_clean", region=idx) \
-            if trace.ENABLED else None
-        try:
-            self.faults.point("fw.clean_begin")
-            self.cleanings += 1
-            self.stats.bump("fw_log_cleanings")
-            start_busy = self.ftl.channels.max_busy_until()
-            for node in list(region.index.pages()):
-                self._flush_page_node(node)
-            # Power loss here leaves flushed pages on flash AND their
-            # entries in the log; recovery re-flushes them — idempotent by
-            # design.
-            self.faults.point("fw.clean_reset")
-            region.reset()
-            region.is_cleaning = True
-            region.cleaning_until = max(
-                self.ftl.channels.max_busy_until(), start_busy
-            )
-            self._prune_txlog()
-        finally:
-            if _sp is not None:
-                trace.end(_sp)
+        self.faults.point("fw.clean_begin")
+        self.cleanings += 1
+        self.stats.bump("fw_log_cleanings")
+        start_busy = self.ftl.channels.max_busy_until()
+        for node in list(region.index.pages()):
+            self._flush_page_node(node)
+        # Power loss here leaves flushed pages on flash AND their entries
+        # in the log; recovery re-flushes them — idempotent by design.
+        self.faults.point("fw.clean_reset")
+        region.reset()
+        region.is_cleaning = True
+        region.cleaning_until = max(
+            self.ftl.channels.max_busy_until(), start_busy
+        )
+        self._prune_txlog()
 
     def _flush_page_node(self, node: PageNode) -> None:
         """Algorithm 1 body for one modified page."""
@@ -576,14 +522,6 @@ class ByteFSFirmware:
         Recovery runs after the sweep driver disarms the injector, so its
         device writes are deliberately not crash sites (CS001 suppressed).
         """
-        _sp = trace.begin("firmware", "recover") if trace.ENABLED else None
-        try:
-            return self._recover()
-        finally:
-            if _sp is not None:
-                trace.end(_sp)
-
-    def _recover(self) -> Dict[str, float]:  # repro: allow[CS001]
         t0 = self.clock.now
         scanned = 0
         discarded = 0

@@ -132,12 +132,17 @@ def critical_path(tracer: Tracer, root: Optional[Span] = None
     duration minus the chosen child's), so the steps sum to the root
     duration.
     """
-    _, children = _index(tracer)
     if root is None:
         roots = tracer.roots()
         if not roots:
             return []
         root = max(roots, key=lambda s: (s.duration_ns, -s.span_id))
+    return _chain(_index(tracer)[1], root)
+
+
+def _chain(children: Dict[int, List[Span]], root: Span
+           ) -> List[CriticalPathStep]:
+    """:func:`critical_path` over an index :func:`_index` built."""
     path: List[CriticalPathStep] = []
     span = root
     while True:
@@ -160,12 +165,13 @@ def critical_path_profile(tracer: Tracer, top: int = 10
 
     Returns ``[(layer.op, total_ns_on_critical_paths, hits)]`` sorted by
     total time, for multi-threaded runs where no single op tells the
-    story.
+    story.  One index serves every root.
     """
+    _, children = _index(tracer)
     totals: Dict[str, float] = {}
     hits: Dict[str, int] = {}
     for root in tracer.roots():
-        for step in critical_path(tracer, root):
+        for step in _chain(children, root):
             key = f"{step.layer}.{step.op}"
             totals[key] = totals.get(key, 0.0) + step.ns
             hits[key] = hits.get(key, 0) + 1

@@ -9,19 +9,21 @@ leaf durations sum to the measured latency.  Parent ids propagate across
 layer boundaries through a per-thread span stack, mirroring the
 synchronous call stack of the simulation.
 
-Instrumentation sites follow the same guard pattern as
-:data:`repro.analysis.fssan.ENABLED`: every site reads the module-level
-:data:`ENABLED` flag first and pays one attribute load plus a falsy
-branch when tracing is off::
+A span that covers one whole call of a layer-boundary method is not
+written in the layer: it is one declaration in
+:mod:`repro.trace.probes`, and a caller that knows it will trace a stack
+(``run_workload``, the serving layer's ``run_shard``) builds and runs it
+inside :func:`seam`, which puts the spanning wrappers on the declared
+classes first.  An untraced stack runs the plain methods.  What stays
+inline — a per-page span inside a pull loop, :func:`span_at`,
+:func:`event`, :func:`note_wait` — reads the module-level
+:data:`ENABLED` flag first, the same guard pattern as
+:data:`repro.analysis.fssan.ENABLED`::
 
     from repro.trace import tracer as trace
     ...
-    _sp = trace.begin("ftl", "read_page", lpa=lpa) if trace.ENABLED else None
-    try:
-        ...
-    finally:
-        if _sp is not None:
-            trace.end(_sp)
+    if trace.ENABLED:
+        trace.event("firmware", "log_hit", lpa=lpa)
 
 Tracing is deterministic: all timestamps come from the
 :class:`~repro.sim.clock.VirtualClock`, span ids are sequential, and no
@@ -37,7 +39,7 @@ histograms, not retained) to every run it executes.
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import Dict, List, Optional
 
 from repro.trace.metrics import MetricsRegistry
@@ -335,6 +337,17 @@ def activated(tracer: Tracer):
         yield tracer
     finally:
         ENABLED, _ACTIVE = prev_enabled, prev_active
+
+
+def seam(traced: bool):
+    """The context a stack that may be traced is built and run in:
+    :func:`repro.trace.probes.bound` when ``traced``, else nothing (and
+    the probe table is not even imported)."""
+    if not traced:
+        return nullcontext()
+    from repro.trace.probes import bound
+
+    return bound()
 
 
 def begin(layer: str, op: str, **attrs) -> Optional[Span]:

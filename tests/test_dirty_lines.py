@@ -29,6 +29,7 @@ from repro.host.page_cache import (
 )
 from repro.stats.traffic import StructKind
 from repro.trace import tracer as trace
+from repro.trace.probes import bound
 from repro.trace.tracer import Tracer
 from tests.test_writeback_runs import LINES, P, build, dirty_a_file
 
@@ -176,7 +177,8 @@ def _writeback(threshold):
     """Write back one file whose page ``i`` has ``COUNTS[i]`` dirty
     lines; returns (policy per page, DATA stores, counters, references
     of the same three)."""
-    _clock, stats, device, fs = build("bytefs")
+    with bound():  # spans need the stack built and run inside
+        _clock, stats, device, fs = build("bytefs")
     fs.cfg.byte_ratio_threshold = threshold
     rng = random.Random(len(COUNTS))
     _fd, ino, batch = dirty_a_file(
@@ -208,7 +210,7 @@ def _writeback(threshold):
     device.store = recording_store
     before = dict(stats.counters)
     tracer = Tracer(fs.clock)
-    with trace.activated(tracer):
+    with bound(), trace.activated(tracer):
         fs._writeback_pages(batch, fs._ino_tx.get(ino), True)
     policy = [
         span.attrs["policy"] for span in sorted(

@@ -25,9 +25,11 @@ import repro.telemetry
 SRC = Path(repro.__file__).resolve().parents[1]
 
 #: modules an entry point must not have loaded by the time it is imported
+#: (the span seam's probe table loads only for a traced run)
 KEPT_OUT = (
     "numpy", "http.server", "ssl", "email",
     "repro.telemetry.server", "repro.telemetry.top", "repro.faults.sweep",
+    "repro.trace.probes",
 )
 
 

@@ -44,6 +44,7 @@ from repro.trace.metrics import (
     bucket_bounds,
     bucket_index,
 )
+from repro.trace import report
 from repro.trace.report import (
     breakdown,
     critical_path,
@@ -189,6 +190,28 @@ def test_critical_path_steps_sum_to_root_duration():
     )
     profile = critical_path_profile(tracer)
     assert profile and all(ns >= 0 for _, ns, _ in profile)
+
+
+def test_critical_path_profile_indexes_once_and_sums_every_root(
+        monkeypatch):
+    tracer = traced_run(n_threads=2, n_ops=4).trace
+    # the reference: one critical_path (and one index) per root
+    totals, hits = {}, {}
+    for root in tracer.roots():
+        for step in critical_path(tracer, root):
+            key = f"{step.layer}.{step.op}"
+            totals[key] = totals.get(key, 0.0) + step.ns
+            hits[key] = hits.get(key, 0) + 1
+    ranked = sorted(totals, key=lambda k: (-totals[k], k))[:10]
+    builds = []
+    index = report._index
+    monkeypatch.setattr(
+        report, "_index", lambda t: builds.append(t) or index(t)
+    )
+    assert critical_path_profile(tracer) == [
+        (k, totals[k], hits[k]) for k in ranked
+    ]
+    assert builds == [tracer]
 
 
 def test_render_reports_are_text():

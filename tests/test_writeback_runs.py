@@ -27,6 +27,7 @@ from repro.ssd.device import MSSD, MSSDConfig
 from repro.stats.traffic import StructKind, TrafficStats
 from repro.trace import tracer as trace
 from repro.trace.export import to_jsonl
+from repro.trace.probes import bound
 from repro.trace.tracer import Tracer
 from repro.workloads import OLTP, Fileserver, Varmail
 from tests.conftest import SMALL_GEOMETRY
@@ -442,15 +443,16 @@ def test_trace_spans_are_those_of_page_at_a_time(config, mode):
     patterns = [{1}, set(range(LINES)), set(range(20)), {2, 9}, set(range(8))]
     docs = []
     for batched in (True, False):
-        clock, _stats, _device, fs = build(config)
-        _fd, ino, batch = dirty_a_file(fs, patterns)
-        txid, journal_ok = writeback_args(fs, ino, mode)
-        tracer = Tracer(clock)
-        with trace.activated(tracer):
-            if batched:
-                fs._writeback_pages(batch, txid, journal_ok)
-            else:
-                reference_writeback(fs, batch, txid, journal_ok)
+        with bound():
+            clock, _stats, _device, fs = build(config)
+            _fd, ino, batch = dirty_a_file(fs, patterns)
+            txid, journal_ok = writeback_args(fs, ino, mode)
+            tracer = Tracer(clock)
+            with trace.activated(tracer):
+                if batched:
+                    fs._writeback_pages(batch, txid, journal_ok)
+                else:
+                    reference_writeback(fs, batch, txid, journal_ok)
         assert tracer.open_depth() == 0
         docs.append(to_jsonl(tracer, {"config": config}))
     assert docs[0] == docs[1]
