@@ -914,12 +914,12 @@ class ExtFS(BaseFileSystem):
     def _read_page_from_device(self, inode: Inode, pidx: int) -> bytes:
         blk = self._block_of(inode, pidx)
         if blk is None:
-            return bytes(self.P)
+            return filled(0, self.P)
         return self.device.read_blocks(blk, 1, StructKind.DATA)
 
     def _fill_page(self, inode: Inode, pidx: int) -> CachedPage:
-        """The page-cache miss of every buffered path: read the page
-        from the device and cache it."""
+        """The page-cache miss of every buffered path and of the mmap
+        fault: read the page from the device and cache it."""
         return self.page_cache.install(
             inode.ino,
             pidx,

@@ -729,7 +729,7 @@ class F2FS(BaseFileSystem):
                 data = (
                     self.device.read_blocks(blk, 1, StructKind.DATA)
                     if blk
-                    else bytes(self.P)
+                    else filled(0, self.P)
                 )
                 if not direct:
                     page = self.page_cache.install(

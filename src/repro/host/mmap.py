@@ -46,11 +46,7 @@ class MappedRegion:
         fs = self.fs
         page = fs.page_cache.lookup(self.ino, pidx)
         if page is None:
-            inode = fs._get_inode(self.ino)
-            data = fs._read_page_from_device(inode, pidx)
-            page = fs.page_cache.install(
-                self.ino, pidx, data, fs._evict_writeback
-            )
+            page = fs._fill_page(fs._get_inode(self.ino), pidx)
             fs.stats.bump("mmap_page_faults")
         return page
 

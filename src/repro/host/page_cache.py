@@ -30,8 +30,14 @@ A page that is one byte repeated is held once across pages too: a
 whole-page write and a write-back keep the one shared image of that
 fill (:func:`repro.nand.image.same_filled`), which the device holds.
 
-The eviction index holds at most one entry per cached key (see
-:class:`PageCache`), so it is bounded by the cache, however long the run.
+Eviction takes the first clean-or-stale page in LRU order.  The index
+that finds it files each such key once: a key that turns evictable as
+the most recently used one — every read fill and every clean hit — goes
+to the end of an LRU-ordered dict, so a read fill evicts that dict's
+head in :meth:`PageCache.install`'s own frame, with no heap operation; a
+key that turns evictable while older — write-back cleaning, a truncate
+behind the cache's back — goes to a stamp heap.  The index never holds
+more keys than the cache; :class:`PageCache` says why its pick is exact.
 """
 
 from __future__ import annotations
@@ -97,6 +103,14 @@ def line_runs(lines: List[int]) -> List[Tuple[int, int]]:
     return runs
 
 
+def _page_image(data: bytes, page_size: int) -> bytes:
+    """``data`` as an immutable page image, zero-padded to ``page_size``.
+    (``bytes`` of exact ``bytes`` is the object itself: no copy.)"""
+    if len(data) < page_size:
+        data = data + bytes(page_size - len(data))
+    return bytes(data)
+
+
 class CachedPage:
     """One cached file page, with an optional CoW duplicate.
 
@@ -119,10 +133,7 @@ class CachedPage:
     __slots__ = ("data", "dirty", "original", "_key", "_notify")
 
     def __init__(self, data: bytes, page_size: int) -> None:
-        if len(data) < page_size:
-            data = data + bytes(page_size - len(data))
-        # (``bytes`` of exact ``bytes`` is the object itself: no copy.)
-        self.data: Union[bytes, bytearray] = bytes(data)
+        self.data: Union[bytes, bytearray] = _page_image(data, page_size)
         self.dirty = False
         self.original: Optional[bytes] = None  # CoW duplicate page
         self._key: Optional[Tuple[int, int]] = None
@@ -184,10 +195,10 @@ class AddressSpace:
     :meth:`drop` directly).
 
     ``dirty`` indexes the dirty pages of ``pages``.  It is kept where a
-    page changes state — the cache's ``mark_page_dirty`` and
-    ``install_dirty_run``, ``CachedPage.clean``, eviction, and
-    :meth:`install`/:meth:`drop` here — so that an fsync touches the
-    pages it writes and not every cached page of the file.
+    page changes state — the cache's installs, ``mark_page_dirty``,
+    ``CachedPage.clean`` and eviction, and :meth:`drop` here — so that
+    an fsync touches the pages it writes and not every cached page of
+    the file.
     """
 
     def __init__(
@@ -204,12 +215,6 @@ class AddressSpace:
 
     def get(self, index: int) -> Optional[CachedPage]:
         return self.pages.get(index)
-
-    def install(self, index: int, data: bytes) -> CachedPage:
-        page = CachedPage(data, self.page_size)
-        self.pages[index] = page
-        self.dirty.pop(index, None)  # whatever page it replaces is gone
-        return page
 
     def drop(self, index: int) -> None:
         if self.pages.pop(index, None) is not None:
@@ -237,14 +242,29 @@ class PageCache:
     the owning file system's callback first.  The victim is the first
     clean-or-stale key in LRU order, else the LRU head.
 
-    It is found through ``_cand``, a heap of ``(stamp, key)`` with at
-    most one entry per key (``_queued`` is the set of keys that have
-    one) and only for keys that hold an LRU slot.  ``_pos`` stamps each
-    key with its LRU rank; an entry carries the stamp its key had when
-    it was queued, which a later hit only ever raises.  Every
-    clean-or-stale key is queued and every entry under-estimates its
-    key's rank, so a top entry that matches its key's live stamp is the
-    exact victim; one that does not is re-filed under the live stamp.
+    ``_pos`` stamps each key that holds an LRU slot with the count at
+    which it last moved to the ``_lru`` end, so stamps rise along
+    ``_lru``.  Every clean-or-stale key is filed in at least one of:
+
+    * ``_clean``, an insertion-ordered dict kept in LRU order.  A key
+      joins it at the end when it turns clean or stale holding the
+      newest stamp (so it is the most recently used key), or when it is
+      hit while clean; it leaves when it is dirtied or evicted.
+    * ``_late``, a heap of ``(stamp, key)`` for the keys that turn clean
+      or stale while older than that: write-back cleaning and drops
+      behind the cache's back.  It has at most one entry per key
+      (``_late_keys`` names them) and only for keys that hold a slot.
+      An entry carries the stamp its key had when it was filed, which a
+      later hit only ever raises.
+
+    So the victim is the older of ``_clean``'s head and the oldest
+    clean-or-stale key in the heap, and the heap yields that key
+    exactly: every entry under-estimates its key's rank, so a top entry
+    that matches its key's live stamp is the one; a top entry whose key
+    is dirty or in ``_clean`` is dropped, and one whose key was hit
+    since is re-filed under the live stamp.  When the top stamp already
+    exceeds the head's, the head is the victim and the heap is not
+    touched — the only case a read-only run meets.
     """
 
     def __init__(self, capacity_pages: int, page_size: int) -> None:
@@ -264,9 +284,12 @@ class PageCache:
         self._stale_keys: set = set()
         # The victim index (class docstring).
         self._pos: Dict[Tuple[int, int], int] = {}
-        self._cand: List[Tuple[int, Tuple[int, int]]] = []
-        self._queued: set = set()
         self._ctr = 0
+        self._clean: "OrderedDict[Tuple[int, int], None]" = OrderedDict()
+        self._late: List[Tuple[int, Tuple[int, int]]] = []
+        self._late_keys: set = set()
+        # (One bound method for every page's clean() to report through.)
+        self._on_clean = self._note_clean
         self.hits = 0
         self.misses = 0
         self.cow_copies = 0
@@ -284,23 +307,30 @@ class PageCache:
         key = (ino, index)
         if key in self._pos:
             self._stale_keys.add(key)
-            self._queue(key)
-
-    def _queue(self, key: Tuple[int, int]) -> None:
-        """``key`` (which holds an LRU slot) became clean or stale."""
-        if key not in self._queued:
-            self._queued.add(key)
-            heappush(self._cand, (self._pos[key], key))
+            if key not in self._clean:
+                self._file_candidate(key)
 
     def _note_clean(self, page: CachedPage) -> None:
         key = page._key
         space = self._spaces.get(key[0])
-        # (Only the page the index holds: a page cleaned after it was
-        # dropped must not unlist the one installed in its place.)
+        # (Only a page the index holds as dirty turns its key clean: one
+        # that was clean is filed already, and a page cleaned after it
+        # was dropped must not touch the one installed in its place.)
         if space is not None and space.dirty.get(key[1]) is page:
             del space.dirty[key[1]]
-        if key in self._pos:
-            self._queue(key)
+            self._file_candidate(key)
+
+    def _file_candidate(self, key: Tuple[int, int]) -> None:
+        """``key``, which is not in ``_clean``, is clean or stale: file
+        it if it holds an LRU slot (class docstring)."""
+        stamp = self._pos.get(key)
+        if stamp is None:
+            return
+        if stamp == self._ctr - 1:  # the most recently used key
+            self._clean[key] = None
+        elif key not in self._late_keys:
+            self._late_keys.add(key)
+            heappush(self._late, (stamp, key))
 
     def lookup(self, ino: int, index: int) -> Optional[CachedPage]:
         space = self._spaces.get(ino)
@@ -312,6 +342,12 @@ class PageCache:
             pos = self._ctr
             self._ctr = pos + 1
             self._pos[key] = pos
+            if not page.dirty:
+                clean = self._clean
+                if key in clean:
+                    clean.move_to_end(key)
+                else:
+                    clean[key] = None
         else:
             self.misses += 1
         return page
@@ -319,8 +355,56 @@ class PageCache:
     def install(
         self, ino: int, index: int, data: bytes, writeback: WritebackFn
     ) -> CachedPage:
-        self._make_room(1, writeback)
-        return self._insert(self.space(ino), ino, index, data)
+        """Cache ``data`` as the clean page ``index`` of ``ino``.
+
+        A read fill, the common case, is this one frame: when the cache
+        is full and ``_clean``'s head is the victim, it is unlinked here,
+        and the page is built without a constructor call."""
+        P = self.page_size
+        if type(data) is not bytes or len(data) < P:
+            data = _page_image(data, P)
+        key = (ino, index)
+        lru = self._lru
+        pos = self._pos
+        clean = self._clean
+        if len(lru) >= self.capacity_pages:
+            late = self._late
+            if clean and (not late or late[0][0] > pos[next(iter(clean))]):
+                victim = clean.popitem(last=False)[0]
+                del lru[victim]
+                del pos[victim]
+                stale = self._stale_keys
+                if victim in stale:
+                    stale.discard(victim)
+                else:
+                    del self._spaces[victim[0]].pages[victim[1]]
+            else:
+                self._make_room(1, writeback)
+        page = object.__new__(CachedPage)  # (``__init__``'s work, inline)
+        page.data = data
+        page.dirty = False
+        page.original = None
+        page._key = key
+        page._notify = self._on_clean
+        space = self._spaces.get(ino)
+        if space is None:
+            space = self.space(ino)
+        space.pages[index] = page
+        if key in pos:
+            # Re-installing over a key that still holds its LRU slot (a
+            # stale one, or a page cached already) keeps its position and
+            # stamp: OrderedDict value assignment does not move the entry.
+            space.dirty.pop(index, None)
+            lru[key] = page
+            self._stale_keys.discard(key)
+            if key not in clean:
+                self._file_candidate(key)
+        else:
+            pos[key] = self._ctr
+            self._ctr += 1
+            lru[key] = page
+            clean[key] = None
+        return page
 
     def install_dirty_run(
         self,
@@ -348,54 +432,41 @@ class PageCache:
         P = self.page_size
         space = self.space(ino)
         present = space.pages
-        dirty_index = space.dirty
-        slots = self._pos
+        pos = self._pos
         limit = min((len(data) - offset) // P, self.capacity_pages)
         n = 0
         while (
             n < limit
             and start + n not in present
-            and (ino, start + n) not in slots
+            and (ino, start + n) not in pos
         ):
             n += 1
         if n == 0:
             return 0
         self.misses += n
         self._make_room(n, writeback)
+        # A whole-page write's CoW duplicate is the image a fresh page
+        # would have had, the shared zero page.  (A fresh one per page
+        # peaked higher in perfbench, seed 42, four pairs: varmail_sync
+        # 41.2 against 41.0 MB, fileserver_bulk 43.4 against 41.1.)
+        original = filled(0, P) if cow else None
+        dirty_index = space.dirty
+        lru = self._lru
         for index in range(start, start + n):
-            page = self._insert(
-                space, ino, index, same_filled(data[offset : offset + P])
-            )
-            if cow:
-                # The duplicate of the zero page installed first: the
-                # shared one.  (A fresh one per page peaked higher in
-                # perfbench, seed 42, four pairs: varmail_sync 41.2
-                # against 41.0 MB, fileserver_bulk 43.4 against 41.1.)
-                page.original = filled(0, P)
+            page = CachedPage(same_filled(data[offset : offset + P]), P)
             page.dirty = True
+            page.original = original
+            page._key = key = (ino, index)
+            page._notify = self._on_clean
+            present[index] = page
             dirty_index[index] = page
+            pos[key] = self._ctr
+            self._ctr += 1
+            lru[key] = page
             offset += P
         if cow:
             self.cow_copies += n
         return n
-
-    def _insert(
-        self, space: AddressSpace, ino: int, index: int, data: bytes
-    ) -> CachedPage:
-        page = space.install(index, data)
-        key = (ino, index)
-        page._key = key
-        page._notify = self._note_clean
-        if key not in self._pos:
-            # Re-installing over a stale key keeps its LRU position
-            # (OrderedDict value assignment does not move the entry), so
-            # only genuinely new keys get a fresh stamp.
-            self._pos[key] = self._ctr
-            self._ctr += 1
-        self._lru[key] = page
-        self._stale_keys.discard(key)
-        self._queue(key)
-        return page
 
     def mark_dirty(self, ino: int, index: int, cow: bool) -> None:
         space = self._spaces.get(ino)
@@ -419,8 +490,9 @@ class PageCache:
             page.data = bytearray(data)
         if not page.dirty:
             page.dirty = True
-            ino, index = page._key
-            self._spaces[ino].dirty[index] = page
+            key = page._key
+            self._spaces[key[0]].dirty[key[1]] = page
+            self._clean.pop(key, None)
 
     def _make_room(self, n: int, writeback: WritebackFn) -> None:
         """Evict until ``n`` more pages fit, LRU clean-or-stale pages
@@ -436,47 +508,47 @@ class PageCache:
         if n_evict <= 0:
             return
         stale = self._stale_keys
-        cand = self._cand
-        queued = self._queued
-        pos_map = self._pos
+        pos = self._pos
+        clean = self._clean
+        late = self._late
+        late_keys = self._late_keys
         spaces = self._spaces
         dirty: List[Tuple[int, int, CachedPage]] = []
         for _ in range(n_evict):
-            # Prefer the least-recently-used clean (or stale) page.
-            # Every such key is queued (on install, on clean() and on
-            # drop-behind-our-back), so an exhausted heap means every
-            # cached page is dirty.
-            victim_key = None
-            while cand:
-                pos, key = cand[0]
-                victim_page = lru[key]
-                if victim_page.dirty and key not in stale:
-                    heappop(cand)  # dirtied since queued
-                    queued.discard(key)
-                    continue
-                live = pos_map[key]
-                if live != pos:
-                    heapreplace(cand, (live, key))  # hit since queued
-                    continue
-                heappop(cand)
-                queued.discard(key)
-                victim_key = key
-                break
-            if victim_key is None:
-                victim_key, victim_page = next(iter(lru.items()))
-            ino, index = victim_key
-            if victim_key in stale:
-                stale.discard(victim_key)
+            head = next(iter(clean), None)
+            # (Past every stamp when ``_clean`` is empty.)
+            head_pos = self._ctr if head is None else pos[head]
+            victim = None
+            while late and late[0][0] <= head_pos:
+                stamp, key = late[0]
+                live = pos[key]
+                if key in clean or (lru[key].dirty and key not in stale):
+                    heappop(late)  # filed in _clean, or dirtied since
+                    late_keys.discard(key)
+                elif live != stamp:
+                    heapreplace(late, (live, key))  # hit since filed
+                else:
+                    heappop(late)
+                    late_keys.discard(key)
+                    victim = key
+                    break
+            if victim is None:
+                if head is None:
+                    victim = next(iter(lru))  # every cached page is dirty
+                else:
+                    victim = head
+                    del clean[head]
+            page = lru.pop(victim)
+            del pos[victim]
+            ino, index = victim
+            if victim in stale:
+                stale.discard(victim)
             else:
-                space = spaces.get(ino)
-                if space is not None:
-                    space.pages.pop(index, None)
-                if victim_page.dirty:
-                    dirty.append((ino, index, victim_page))
-                    if space is not None:
-                        del space.dirty[index]
-            del pos_map[victim_key]
-            del lru[victim_key]
+                space = spaces[ino]
+                del space.pages[index]
+                if page.dirty:
+                    dirty.append((ino, index, page))
+                    del space.dirty[index]
         if dirty:
             writeback(dirty)
 
@@ -499,19 +571,22 @@ class PageCache:
         space = self._spaces.pop(ino, None)
         if space is None:
             return
-        pos_map = self._pos
-        queued = self._queued
-        n_queued = len(queued)
+        pos = self._pos
+        clean = self._clean
+        late_keys = self._late_keys
+        n_late = len(late_keys)
         for index in space.pages:
             key = (ino, index)
             if self._lru.pop(key, None) is not None:
-                del pos_map[key]
-                queued.discard(key)
-        if len(queued) != n_queued:
-            # The index holds entries for keys that hold an LRU slot and
+                del pos[key]
+                clean.pop(key, None)
+                late_keys.discard(key)
+        if len(late_keys) != n_late:
+            # The heap holds entries for keys that hold an LRU slot and
             # for no others: it cannot outgrow the cache.
-            self._cand = [entry for entry in self._cand if entry[1] in queued]
-            heapify(self._cand)
+            self._late = [entry for entry in self._late
+                          if entry[1] in late_keys]
+            heapify(self._late)
 
     def drop_all(self) -> None:
         """Crash: volatile host memory is lost."""
@@ -519,8 +594,9 @@ class PageCache:
         self._lru.clear()
         self._stale_keys.clear()
         self._pos.clear()
-        self._cand.clear()
-        self._queued.clear()
+        self._clean.clear()
+        self._late.clear()
+        self._late_keys.clear()
 
     # ------------------------------------------------------------------ #
 

@@ -1,10 +1,16 @@
 """Unit and property tests for the host page cache with CoW (§4.6)."""
 
-from hypothesis import given, settings, strategies as st
+from contextlib import ExitStack
+from unittest import mock
+
+import pytest
+from hypothesis import Phase, given, settings, strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine, invariant, precondition, rule,
+    run_state_machine_as_test,
 )
 
+from repro.host import page_cache as page_cache_module
 from repro.host.page_cache import CachedPage, PageCache
 
 
@@ -153,9 +159,17 @@ def _clean_all(batch):
         page.clean()
 
 
+def index_is_bounded(pc):
+    """One heap entry per key at most, and only keys that hold a slot."""
+    late = [key for _stamp, key in pc._late]
+    return len(late) == len(set(late)) and \
+        set(late) == pc._late_keys <= set(pc._lru) and \
+        set(pc._clean) <= set(pc._lru)
+
+
 def test_index_is_bounded_by_the_cached_keys():
-    """One entry per cached key at most, whatever the history: hits push
-    nothing, a page that cycles dirty -> clean keeps its one entry, and
+    """No more keys than the cache, whatever the history: hits push
+    nothing, a page that cycles dirty -> clean is filed once, and
     dropped keys take their entries with them."""
     pc = PageCache(1024, 4096)
     for index in range(512):
@@ -163,21 +177,29 @@ def test_index_is_bounded_by_the_cached_keys():
     for i in range(200_000):
         pc.lookup(1 + i % 4, i % 512)
     assert pc.hits == 200_000
-    assert len(pc._cand) <= pc.cached_pages == 512
+    assert index_is_bounded(pc) and pc.cached_pages == 512
+    assert len(pc._clean) == 512 and pc._late == []
 
     page = pc.lookup(1, 0)
     for _ in range(1000):
         pc.mark_page_dirty(page, cow=True)
         page.clean()
-    assert len(pc._cand) <= 512
-    assert sum(1 for _stamp, key in pc._cand if key == (1, 0)) == 1
+    assert index_is_bounded(pc)
+    assert list(pc._clean)[-1] == (1, 0)  # filed once, at the MRU end
 
-    pc.drop_inode(2)
+    # write-back cleans inode 3's pages behind the MRU end: all but the
+    # last one it dirtied are filed in the heap
+    for index in range(2, 512, 4):
+        pc.mark_page_dirty(pc.lookup(3, index), cow=False)
+    for _index, page in pc.dirty_pages(3):
+        page.clean()
+    assert len(pc._late) == 127 and index_is_bounded(pc)
+
+    pc.drop_inode(3)
     assert pc.cached_pages == 384
-    assert len(pc._cand) <= 384
-    assert {key for _stamp, key in pc._cand} == pc._queued <= set(pc._lru)
+    assert index_is_bounded(pc) and pc._late == []
     pc.drop_all()
-    assert len(pc._cand) == len(pc._queued) == 0
+    assert pc._late == [] and not pc._late_keys and not pc._clean
 
     # ... and under eviction pressure, with hits between the evictions
     pc = PageCache(64, 4096)
@@ -185,7 +207,48 @@ def test_index_is_bounded_by_the_cached_keys():
         if pc.lookup(1, i * 7 % 96) is None:
             pc.install(1, i * 7 % 96, b"x", _clean_all)
         pc.lookup(1, i % 5)
-        assert len(pc._cand) <= pc.cached_pages <= 64
+        assert index_is_bounded(pc) and pc.cached_pages <= 64
+
+
+def _off_the_fast_path(*_args):
+    raise AssertionError("a clean-victim fill left install's own frame")
+
+
+def test_clean_victim_fills_and_hits_touch_no_heap():
+    """A read fill whose victim is ``_clean``'s head runs in ``install``'s
+    own frame: no heap operation, no room-making, no page constructor."""
+    pc = PageCache(64, 4096)
+    for index in range(64):
+        pc.install(1, index, b"x", _clean_all)
+    with ExitStack() as patches:
+        for name in ("heappush", "heappop", "heapreplace", "heapify"):
+            patches.enter_context(
+                mock.patch.object(page_cache_module, name, _off_the_fast_path)
+            )
+        for name in ("_make_room", "_file_candidate", "space"):
+            patches.enter_context(
+                mock.patch.object(PageCache, name, _off_the_fast_path)
+            )
+        patches.enter_context(
+            mock.patch.object(CachedPage, "__init__", _off_the_fast_path)
+        )
+        for i in range(20_000):
+            if pc.lookup(1, i * 7 % 96) is None:
+                pc.install(1, i * 7 % 96, b"x", _clean_all)
+            pc.lookup(1, i % 5)
+    assert pc.misses > 5_000 and pc.cached_pages == 64
+    assert pc._late == [] and index_is_bounded(pc)
+
+
+def test_page_cleaned_behind_the_lru_end_keeps_one_late_entry():
+    pc = PageCache(8, 4096)
+    page = pc.install(1, 0, b"x", _clean_all)
+    pc.install(1, 1, b"y", _clean_all)  # page 0 is no longer the MRU
+    for _ in range(1000):
+        pc.mark_page_dirty(page, cow=True)
+        page.clean()
+    assert pc._late == [(pc._pos[(1, 0)], (1, 0))]
+    assert list(pc._clean) == [(1, 1)]
 
 
 class VictimsMatchTheDefinition(RuleBasedStateMachine):
@@ -194,10 +257,11 @@ class VictimsMatchTheDefinition(RuleBasedStateMachine):
     after every step of a random history."""
 
     CAPACITY = 6
+    cache_cls = PageCache
 
     def __init__(self):
         super().__init__()
-        self.pc = PageCache(self.CAPACITY, 4096)
+        self.pc = self.cache_cls(self.CAPACITY, 4096)
         self.written = []        # victims handed to writeback, in order
         # the reference: key -> "clean" | "dirty" | "stale", in LRU order
         self.model = {}
@@ -291,18 +355,53 @@ class VictimsMatchTheDefinition(RuleBasedStateMachine):
             (ino, index) for ino, space in pc._spaces.items()
             for index in space.dirty
         } == {k for k, state in self.model.items() if state == "dirty"}
-        # one entry per key, only for cached keys, every clean-or-stale
-        # key among them, none claiming a rank its key has not reached
-        entries = [key for _stamp, key in pc._cand]
-        assert len(entries) == len(set(entries))
-        assert set(entries) == pc._queued <= set(pc._lru)
+
+    @invariant()
+    def index_is_exact(self):
+        pc = self.pc
+        # stamps rise along the LRU; _clean is in LRU order; every
+        # clean-or-stale key is filed, at most once in the heap, and no
+        # entry claims a rank its key has not reached
+        assert sorted(pc._pos[k] for k in pc._lru) == \
+            [pc._pos[k] for k in pc._lru]
+        assert list(pc._clean) == [k for k in pc._lru if k in pc._clean]
+        assert index_is_bounded(pc)
         assert {
             k for k, state in self.model.items() if state != "dirty"
-        } <= pc._queued
-        assert all(stamp <= pc._pos[key] for stamp, key in pc._cand)
+        } <= set(pc._clean) | pc._late_keys
+        assert all(self.model[k] != "dirty" for k in pc._clean)
+        assert all(stamp <= pc._pos[key] for stamp, key in pc._late)
 
 
 VictimsMatchTheDefinition.TestCase.settings = settings(
     max_examples=150, stateful_step_count=60, deadline=None
 )
 test_victims_match_the_linear_scan = VictimsMatchTheDefinition.TestCase
+
+
+class LateBlindCache(PageCache):
+    """Mutant: the victim is ``_clean``'s head, else the LRU head — a
+    key filed in ``_late`` is never picked (the heap reads as empty)."""
+
+    @property
+    def _late(self):
+        return []
+
+    @_late.setter
+    def _late(self, _entries):
+        pass
+
+
+def test_late_blind_mutant_fails_the_machine():
+    class Machine(VictimsMatchTheDefinition):
+        cache_cls = LateBlindCache
+
+        def index_is_exact(self):
+            """(Not an invariant here: the victims alone must tell.)"""
+
+    with pytest.raises(AssertionError):
+        run_state_machine_as_test(Machine, settings=settings(
+            max_examples=150, stateful_step_count=60, deadline=None,
+            derandomize=True, database=None, report_multiple_bugs=False,
+            phases=[Phase.generate],  # the first failure will do
+        ))

@@ -14,6 +14,7 @@ to sha256 goldens taken on the commit before the change.
 from __future__ import annotations
 
 import hashlib
+import json
 from contextlib import ExitStack
 from typing import Dict, List, Optional
 from unittest import mock
@@ -28,6 +29,7 @@ from repro.faults.injector import FaultInjector
 from repro.fs.extfs import ExtFSConfig
 from repro.fs.vfs import O_CREAT, O_DIRECT, O_RDWR
 from repro.ftl.ftl import FTL, FTLConfig
+from repro.host.mmap import MappedRegion
 from repro.host.page_cache import PageCache
 from repro.nand.chip import FlashArray
 from repro.nand.geometry import FlashGeometry
@@ -362,6 +364,20 @@ def test_clean_cached_page_is_the_flash_arrays_object(fs_name):
         image = bytes([i + 1]) * 7 + b"\xee" + bytes([i + 1]) * (P - 8)
         assert fs.pread(fd, i * P, P) == image
         assert cache.lookup(ino, i).data is flash_object(device, lba_of(i))
+
+
+@pytest.mark.parametrize("fs_name", HELD_ONCE_FS)
+def test_a_read_hole_is_cached_as_the_shared_zero_page(fs_name):
+    _clock, _stats, _device, fs = build_stack(
+        fs_name, geometry=SMALL_GEOMETRY, page_cache_pages=8
+    )
+    fd = fs.open("/sparse", O_CREAT | O_RDWR)
+    fs.write(fd, b"\x01" * P)
+    fs.ftruncate(fd, 4 * P)  # pages 1..3: a hole, no block behind them
+    ino = fs.stat("/sparse").ino
+    assert fs.page_cache.lookup(ino, 2) is None
+    assert fs.pread(fd, 2 * P + 5, 10) == bytes(10)
+    assert fs.page_cache.lookup(ino, 2).data is filled(0, P)
 
 
 @pytest.mark.parametrize("fs_name", ["bytefs", "ext4"])  # f2fs: no runs
@@ -788,6 +804,11 @@ def golden_cases():
         "oltp-ext4": (
             "ext4", lambda: OLTP(ops_per_thread=12, seed=7), {},
         ),
+        "mmap_stress": (
+            "bytefs",
+            lambda: MmapStress(n_ops=900, n_threads=2, file_pages=48, seed=7),
+            {"page_cache_pages": 16},
+        ),
     }
 
 
@@ -857,6 +878,53 @@ def test_trace_jsonl_matches_parent_golden(name):
 @pytest.mark.parametrize("name", sorted(GOLDEN_CRASH_SITES_SHA256))
 def test_crash_sites_match_parent_golden(name):
     assert crash_sites_sha256(name) == GOLDEN_CRASH_SITES_SHA256[name]
+
+
+#: taken on 32f83b4, the commit before a page-cache fill became one call:
+#: mmap faults the firmware serves with no devcache, a 16-page host cache
+#: that evicts on nearly every fault, and msync write-back cleaning pages
+#: behind the faults — the fill shape the cases above leave out
+MMAP_FAULT_SHA256 = {
+    "trace":
+        "dccfcb0552df66202cee95b8e088567964d63cfc64a519a88569864af84b865d",
+    "run_result":
+        "66494bc8ccd054ce04a4be7291fbafb8855ecda0b1e99463ef3a9bf9b0bb71c6",
+    "crash_sites":
+        "f90142189a423f1fe9fa52a0ea00365e0012b55f3092478b0d3360830efbb5d2",
+}
+
+
+def test_mmap_fault_fill_matches_parent_golden():
+    fs_name, make_workload, kw = golden_cases()["mmap_stress"]
+    cleaned = []
+    msync = MappedRegion.msync
+
+    def counting_msync(region):
+        dirty = region.fs.page_cache.dirty_pages
+        before = len(dirty(region.ino))
+        msync(region)
+        cleaned.append(before - len(dirty(region.ino)))
+
+    caches = []
+
+    def keep_cache(_phase, _clock, _stats, _device, fs):
+        caches.append(fs.page_cache)
+
+    with mock.patch.object(MappedRegion, "msync", counting_msync):
+        result = run_workload(
+            fs_name, make_workload(), geometry=SMALL_GEOMETRY,
+            stack_probe=keep_cache, **kw,
+        )
+    doc = json.dumps(result.to_json(), sort_keys=True)
+    assert {
+        "trace": trace_sha256("mmap_stress"),
+        "run_result": hashlib.sha256(doc.encode()).hexdigest(),
+        "crash_sites": crash_sites_sha256("mmap_stress"),
+    } == MMAP_FAULT_SHA256
+    # not vacuous: the cache evicts, mmap faults fill it, msync cleans
+    assert caches[-1].misses > kw["page_cache_pages"]
+    assert result.counters["mmap_page_faults"] > 0
+    assert sum(cleaned) > 0
 
 
 # ---------------------------------------------------------------------- #
