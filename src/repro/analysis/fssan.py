@@ -14,8 +14,9 @@ Invariant classes (each check belongs to exactly one):
 
 * ``FSSAN-LOG``   — write-log entries are 64 B-aligned, positive-length,
   in-page, partition-bounded, and never overcommit the log region.
-* ``FSSAN-SKIP``  — skip-list levels stay key-sorted and every higher
-  level's chain is a subset of level 0.
+* ``FSSAN-INDEX`` — every write-log index node sits under its own LPA in
+  its own partition, every chunk list is strictly (offset, seq)-ordered,
+  and the chunk count matches the chunk lists.
 * ``FSSAN-FTL``   — L2P/P2L maps stay mutually consistent, a physical
   page is never owned by two logical pages, and GC never erases a block
   that still holds a live (mapped) page.
@@ -42,13 +43,13 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 #: Invariant class ids.
 LOG = "FSSAN-LOG"
-SKIP = "FSSAN-SKIP"
+INDEX = "FSSAN-INDEX"
 FTL = "FSSAN-FTL"
 TX = "FSSAN-TX"
 CLOCK = "FSSAN-CLOCK"
 QUEUE = "FSSAN-QUEUE"
 
-ALL_CLASSES = (LOG, SKIP, FTL, TX, CLOCK, QUEUE)
+ALL_CLASSES = (LOG, INDEX, FTL, TX, CLOCK, QUEUE)
 
 #: Master switch read by every instrumented call site.
 ENABLED = os.environ.get("REPRO_SANITIZE", "").lower() in ("1", "true", "yes", "on")
@@ -56,11 +57,11 @@ ENABLED = os.environ.get("REPRO_SANITIZE", "").lower() in ("1", "true", "yes", "
 #: Checks passed per invariant class (only counted while enabled).
 COUNTS: Dict[str, int] = {}
 
-#: Full skip-list validation is O(n); above this size only every
-#: :data:`_SKIP_STRIDE`-th mutation pays for it.
-_SKIP_FULL_CHECK_MAX = 256
-_SKIP_STRIDE = 32
-_skip_ops = 0
+#: Full write-log index validation is O(chunks); above this many chunks
+#: only every :data:`_INDEX_STRIDE`-th mutation pays for it.
+_INDEX_FULL_CHECK_MAX = 256
+_INDEX_STRIDE = 32
+_index_ops = 0
 
 
 class SanitizerError(AssertionError):
@@ -147,49 +148,50 @@ def check_log_chunk(
 
 
 # ---------------------------------------------------------------------- #
-# FSSAN-SKIP — skip-list structure
+# FSSAN-INDEX — write-log index structure
 # ---------------------------------------------------------------------- #
 
-def check_skiplist(head, level: int, length: int) -> None:
-    """Level 0 is sorted and each level's chain is a subset of level 0.
+def check_log_index(page_maps: dict, pages_per_partition: int,
+                    n_chunks: int) -> None:
+    """Each node sits under its own LPA in partition ``lpa //
+    pages_per_partition``, each chunk list is strictly (offset, seq)-
+    increasing, and ``n_chunks`` is the sum of the chunk-list lengths.
 
-    ``head`` is the sentinel node (``key``/``forward`` attributes).  Full
-    validation is O(n * levels); large lists are checked every
-    :data:`_SKIP_STRIDE`-th mutation.
+    One entry may be listed twice in a row: cleaning the *active* region
+    (``force_clean``) migrates its uncommitted entries into the region
+    being cleaned, which the reset that ends the cleaning then drops.
+
+    ``page_maps`` maps partition -> LPA -> page node.  Full validation
+    is O(chunks); a larger index is checked every
+    :data:`_INDEX_STRIDE`-th mutation.
     """
-    global _skip_ops
-    _skip_ops += 1
-    if length > _SKIP_FULL_CHECK_MAX and _skip_ops % _SKIP_STRIDE != 0:
+    global _index_ops
+    _index_ops += 1
+    if n_chunks > _INDEX_FULL_CHECK_MAX and _index_ops % _INDEX_STRIDE != 0:
         return
-    keys = set()
-    node = head.forward[0]
-    prev_key = None
-    n = 0
-    while node is not None:
-        if prev_key is not None and node.key <= prev_key:
-            _trip(SKIP, f"level 0 not sorted: {node.key} after {prev_key}")
-        keys.add(node.key)
-        prev_key = node.key
-        node = node.forward[0]
-        n += 1
-        if n > length + 1:
-            _trip(SKIP, "level 0 chain longer than the recorded length (cycle?)")
-    if n != length:
-        _trip(SKIP, f"level 0 holds {n} nodes but length says {length}")
-    for lvl in range(1, level):
-        node = head.forward[lvl] if lvl < len(head.forward) else None
-        prev_key = None
-        while node is not None:
-            if prev_key is not None and node.key <= prev_key:
-                _trip(SKIP, f"level {lvl} not sorted: {node.key} after {prev_key}")
-            if node.key not in keys:
+    total = 0
+    for part, pages in page_maps.items():
+        for lpa, node in pages.items():
+            if node.lpa != lpa or lpa // pages_per_partition != part:
                 _trip(
-                    SKIP,
-                    f"level {lvl} holds key {node.key} absent from level 0",
+                    INDEX,
+                    f"node of LPA {node.lpa} indexed as LPA {lpa} in "
+                    f"partition {part}",
                 )
-            prev_key = node.key
-            node = node.forward[lvl] if lvl < len(node.forward) else None
-    _ok(SKIP)
+            chunks = node.chunks
+            for a, b in zip(chunks, chunks[1:]):
+                ka, kb = (a.offset, a.seq), (b.offset, b.seq)
+                if kb < ka or (kb == ka and b is not a):
+                    _trip(
+                        INDEX,
+                        f"LPA {lpa} chunk list not (offset, seq)-ordered: "
+                        f"{kb} after {ka}",
+                    )
+            total += len(chunks)
+    if total != n_chunks:
+        _trip(INDEX, f"chunk lists hold {total} chunks but n_chunks "
+                     f"says {n_chunks}")
+    _ok(INDEX)
 
 
 # ---------------------------------------------------------------------- #

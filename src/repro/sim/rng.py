@@ -1,7 +1,7 @@
 """Deterministic RNG construction.
 
-Every stochastic component (skip-list level choice, workload generators,
-Zipfian sampling) derives its generator from a (seed, label) pair so runs
+Every stochastic component (workload generators, Zipfian sampling,
+torn-write cuts) derives its generator from a (seed, label) pair so runs
 are reproducible and components do not perturb each other's streams.
 """
 

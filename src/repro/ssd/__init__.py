@@ -4,7 +4,7 @@ Two firmware variants are provided (paper §4.3 and §5.1):
 
 * :class:`~repro.ssd.firmware.bytefs_fw.ByteFSFirmware` — the paper's
   contribution: SSD DRAM managed as a log-structured write log with a
-  three-layer skip-list index, Algorithm-1 log cleaning, TxLog-backed
+  three-layer index, Algorithm-1 log cleaning, TxLog-backed
   transactions, and coordinated caching (no device page cache).
 * :class:`~repro.ssd.firmware.baseline_fw.BaselineFirmware` — an
   unmodified M-SSD with a page-granular battery-backed DRAM cache, which

@@ -3,7 +3,7 @@
 Responsibilities:
 
 * byte-interface reads/writes against the write log (64 B entries,
-  three-layer skip-list index);
+  three-layer index: partition table -> page map -> chunk list);
 * block-interface reads merged with logged dirty chunks, block writes
   invalidating logged chunks;
 * transaction commit via the TxLog and ``COMMIT(TxID)``;
@@ -18,6 +18,7 @@ Responsibilities:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from operator import attrgetter
 from typing import ClassVar, Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -88,13 +89,10 @@ class ByteFSFirmware:
         address_space = ftl.geometry.capacity_bytes
         self.regions: List[LogRegion] = [
             LogRegion(
-                half,
-                self.page_size,
-                self.config.partition_bytes,
+                half, self.page_size, self.config.partition_bytes,
                 address_space,
-                seed=i,
             )
-            for i in range(2)
+            for _ in range(2)
         ]
         # Regions are reset in place, never replaced: their two indexes
         # are probed on every read.
@@ -117,10 +115,6 @@ class ByteFSFirmware:
         """Run a foreground firmware operation on the embedded core."""
         end = self.fw_core.serve(self.clock.now, duration_ns)
         self.clock.advance_to(end)
-
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
 
     def _chunks_for(self, lpa: int) -> List[ChunkEntry]:
         """All logged chunks of a page across both regions, seq-ordered.
@@ -221,39 +215,65 @@ class ByteFSFirmware:
         data: bytes,
         txid: Optional[int] = None,
     ) -> None:
-        """Append an MMIO store to the write log and index it."""
+        """Append an MMIO store to the write log and index it.
+
+        One frame on the common path: the space rule is tested and the
+        firmware core charged inline, and with no injector armed the
+        entry is appended without a crash-site call.
+        """
         if not data:
             return
-        if offset + len(data) > self.page_size:
+        length = len(data)
+        if offset + length > self.page_size:
             raise ValueError("byte write crosses a page boundary")
-        self._ensure_space(len(data))
-        self._fw(self.timing.fw_append_ns)
-
-        def _append(persisted: int) -> None:
-            if not entry_complete(persisted, len(data)):
-                # The entry's trailing TxID word never made it to DRAM;
-                # the §4.7 recovery scan would detect and skip it, so a
-                # torn append is as if it had never happened.
-                self.stats.bump("fw_torn_appends_discarded")
-                return
-            region = self.regions[self.active]
-            log_off = region.consume(len(data))
-            entry = ChunkEntry(
-                offset=offset,
-                length=len(data),
-                log_off=log_off,
-                txid=txid,
-                seq=self._next_seq(),
-                data=bytes(data),
+        region = self.regions[self.active]
+        if not (
+            aligned_entry_size(length) <= region.capacity - region.used
+            and region.used / region.capacity < self.config.clean_threshold
+        ):
+            self._switch_and_clean(length)
+        clock = self.clock
+        clock.advance_to(
+            self.fw_core.serve(clock.now, self.timing.fw_append_ns)
+        )
+        if self.faults is NULL_INJECTOR:
+            self._append(lpa, offset, data, txid, length)
+        else:
+            # 8 B words: the log lives in SSD DRAM behind the controller's
+            # memory bus, so a power cut can tear an entry mid-word-stream.
+            self.faults.site(
+                "fw.log_append",
+                partial(self._append, lpa, offset, data, txid),
+                length,
+                atom=8,
             )
-            region.index.insert(lpa, entry)
-            if txid is not None:
-                self._tx_refs[txid] = self._tx_refs.get(txid, 0) + 1
-            self.stats.bump("fw_log_appends")
 
-        # 8 B words: the log lives in SSD DRAM behind the controller's
-        # memory bus, so a power cut can tear an entry mid-word-stream.
-        self.faults.site("fw.log_append", _append, len(data), atom=8)
+    def _append(
+        self,
+        lpa: int,
+        offset: int,
+        data: bytes,
+        txid: Optional[int],
+        persisted: int,
+    ) -> None:
+        """Log and index a store whose first ``persisted`` bytes landed."""
+        length = len(data)
+        if not entry_complete(persisted, length):
+            # The entry's trailing TxID word never made it to DRAM; the
+            # §4.7 recovery scan would detect and skip it, so a torn
+            # append is as if it had never happened.
+            self.stats.bump("fw_torn_appends_discarded")
+            return
+        region = self.regions[self.active]
+        log_off = region.consume(length)
+        self._seq += 1
+        region.index.insert(
+            lpa, ChunkEntry(offset, length, log_off, txid, self._seq,
+                            bytes(data))
+        )
+        if txid is not None:
+            self._tx_refs[txid] = self._tx_refs.get(txid, 0) + 1
+        self.stats.bump("fw_log_appends")
 
     # ------------------------------------------------------------------ #
     # block interface
@@ -373,14 +393,10 @@ class ByteFSFirmware:
     # log cleaning (Algorithm 1) with double buffering
     # ------------------------------------------------------------------ #
 
-    def _ensure_space(self, length: int) -> None:
-        region = self.regions[self.active]
-        size = aligned_entry_size(length)
-        if (
-            region.free >= size
-            and region.utilization() < self.config.clean_threshold
-        ):
-            return
+    def _switch_and_clean(self, length: int) -> None:
+        """Make room for an entry the active region has no space for
+        (``byte_write`` tested the space rule): switch halves and clean
+        the full one in the background."""
         other = self.regions[1 - self.active]
         if other.is_cleaning:
             # Both halves exhausted: the foreground must wait for the

@@ -51,16 +51,13 @@ class LogRegion:
         page_size: int,
         partition_bytes: int,
         address_space_bytes: int,
-        seed: int = 0,
     ) -> None:
         if capacity_bytes < ENTRY_ALIGN:
             raise ValueError("log region too small")
         self.capacity = capacity_bytes
         self.used = 0
         self.tail = 0  # append cursor (log offsets for ChunkEntry.log_off)
-        self.index = LogIndex(
-            address_space_bytes, page_size, partition_bytes, seed=seed
-        )
+        self.index = LogIndex(address_space_bytes, page_size, partition_bytes)
         # When a background flush of this region completes (simulated ns);
         # 0 means the region is clean/idle.
         self.cleaning_until = 0.0
@@ -72,9 +69,6 @@ class LogRegion:
 
     def utilization(self) -> float:
         return self.used / self.capacity
-
-    def can_fit(self, length: int) -> bool:
-        return aligned_entry_size(length) <= self.free
 
     def consume(self, length: int) -> int:
         """Account for an appended entry; return its log offset."""

@@ -15,7 +15,6 @@ from repro.ftl.mapping import PageMap
 from repro.sim.clock import VirtualClock
 from repro.sim.resources import Resource
 from repro.ssd.firmware.log_index import ChunkEntry, LogIndex
-from repro.ssd.firmware.skiplist import SkipList
 from repro.ssd.firmware.txlog import TxLog
 from repro.workloads import MicroCreate
 from tests.conftest import SMALL_GEOMETRY
@@ -86,15 +85,30 @@ def test_trip_log_chunk_negative_lpa():
     assert exc.value.invariant == fssan.LOG
 
 
-def test_trip_skiplist_corrupted_order():
-    sl = SkipList()
-    for k in range(8):
-        sl.insert(k, str(k))
-    sl._head.forward[0].key = 1000  # corrupt: level 0 no longer sorted
+def test_trip_index_chunk_list_out_of_order():
+    index = LogIndex(capacity_bytes=1 << 20, page_size=4096)
+    for seq, offset in enumerate((0, 64, 128)):
+        index.insert(3, _chunk(offset=offset, length=64, seq=seq))
+    chunks = index.lookup(3).chunks
+    chunks.reverse()  # corrupt: no longer (offset, seq)-ordered
     with fssan.sanitized():
         with pytest.raises(fssan.SanitizerError) as exc:
-            sl.insert(20, "x")
-    assert exc.value.invariant == fssan.SKIP
+            index.insert(20, _chunk(offset=0, length=64, seq=3))
+    assert exc.value.invariant == fssan.INDEX
+
+
+def test_index_entry_listed_twice_is_not_a_second_entry():
+    """Cleaning the active region in place re-inserts its uncommitted
+    entries into their own nodes; a distinct entry with the same
+    (offset, seq) is still a violation."""
+    index = LogIndex(capacity_bytes=1 << 20, page_size=4096)
+    entry = _chunk(offset=64, length=64, seq=5)
+    with fssan.sanitized():
+        index.insert(3, entry)
+        index.insert(3, entry)
+        with pytest.raises(fssan.SanitizerError) as exc:
+            index.insert(3, _chunk(offset=64, length=64, seq=5))
+    assert exc.value.invariant == fssan.INDEX
 
 
 def test_trip_ftl_double_bind_steals_live_page():

@@ -1,8 +1,14 @@
 """Unit tests for the three-layer write-log index (Fig 3)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.ssd.firmware.log_index import ChunkEntry, LogIndex
+from repro.ssd.firmware.log_index import (
+    CHUNK_ENTRY_BYTES,
+    PAGE_NODE_BYTES,
+    ChunkEntry,
+    LogIndex,
+)
 
 
 def entry(offset, length, seq, txid=None):
@@ -37,19 +43,13 @@ def test_chunk_list_ordered_by_offset():
 
 
 def test_pages_in_same_partition_share_skiplist():
+    """One layer-2 map per partition (the paper's per-partition skip
+    list)."""
     idx = make_index()
     idx.insert(0, entry(0, 64, 1))
     idx.insert(15, entry(0, 64, 2))   # same 16-page partition
     idx.insert(16, entry(0, 64, 3))   # next partition
     assert len(idx._partitions) == 2
-
-
-def test_range_lookup_spans_partitions():
-    idx = make_index()
-    for lpa in (0, 10, 17, 40, 200):
-        idx.insert(lpa, entry(0, 64, lpa))
-    found = [n.lpa for n in idx.lookup_range(5, 41)]
-    assert found == [10, 17, 40]
 
 
 def test_remove_page():
@@ -89,3 +89,62 @@ def test_clear():
     idx.clear()
     assert idx.n_chunks == 0
     assert idx.lookup(1) is None
+
+
+#: LPAs over four 16-page partitions; few offsets, so chunks tie on
+#: offset and their seq decides the order
+index_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("insert"), st.integers(0, 63),
+            st.sampled_from([0, 64, 128, 4032]),
+        ),
+        st.tuples(st.just("remove_page"), st.integers(0, 63)),
+        st.tuples(st.just("lookup"), st.integers(0, 63)),
+        st.tuples(st.just("clear")),
+    ),
+    max_size=120,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(index_ops)
+def test_log_index_matches_dict_model(ops):
+    """Property: the index is a dict of LPA -> (offset, seq)-sorted chunk
+    list, iterated in LPA order, whose partition maps live until
+    ``clear()``."""
+    idx = make_index()
+    model = {}          # lpa -> [(offset, seq)] in insertion order
+    partitions = set()  # partitions inserted into since the last clear
+    for seq, op in enumerate(ops):
+        if op[0] == "insert":
+            lpa, offset = op[1], op[2]
+            idx.insert(lpa, entry(offset, 64, seq))
+            model.setdefault(lpa, []).append((offset, seq))
+            partitions.add(lpa // idx.pages_per_partition)
+        elif op[0] == "remove_page":
+            node = idx.remove_page(op[1])
+            removed = model.pop(op[1], None)
+            assert (node is None) == (removed is None)
+            if node is not None:
+                assert node.lpa == op[1]
+                assert len(node.chunks) == len(removed)
+        elif op[0] == "lookup":
+            node = idx.lookup(op[1])
+            assert (node is None) == (op[1] not in model)
+            assert node is None or node.lpa == op[1]
+        else:
+            idx.clear()
+            model.clear()
+            partitions.clear()
+        assert [n.lpa for n in idx.pages()] == sorted(model)
+        for node in idx.pages():
+            assert [(c.offset, c.seq) for c in node.chunks] == \
+                sorted(model[node.lpa])
+        n_chunks = sum(len(chunks) for chunks in model.values())
+        assert idx.n_chunks == n_chunks
+        assert idx.n_pages == len(model)
+        assert idx.memory_bytes() == (
+            n_chunks * CHUNK_ENTRY_BYTES
+            + (len(model) + len(partitions)) * PAGE_NODE_BYTES
+        )
