@@ -1,4 +1,4 @@
-"""CS001/CS002: device-visible mutations must be reachable only through
+"""CS001: device-visible mutations must be reachable only through
 the fault injector's crash-site registration.
 
 The crash-consistency sweep (docs/FAULTS.md) enumerates numbered sites
@@ -7,7 +7,7 @@ with no ``faults.site(...)`` / ``faults.point(...)`` upstream is
 invisible to the sweep — the oracle can never schedule a crash there,
 so torn/lost-write bugs on that path are silently untested.
 
-Both rules run on the shared :class:`repro.analysis.project.ProjectIndex`
+The rule runs on the shared :class:`repro.analysis.project.ProjectIndex`
 call graph, restricted to the device stack (``repro.ssd``, ``repro.ftl``,
 ``repro.nand``, ``repro.cluster``):
 
@@ -32,14 +32,10 @@ call graph, restricted to the device stack (``repro.ssd``, ``repro.ftl``,
   it as guarded for propagation — recovery code is the intended use,
   since sweeps disarm the injector before recovery.
 
-**CS001** flags each unguarded mutation call site.  **CS002** reports
-*how* the site is reached: a minimal unguarded call chain from an entry
-function (an unguarded function nobody in the stack calls) down to the
-mutation, which is what you have to guard to fix it.  The same analysis
-also produces the crash-site coverage map (``repro lint
---coverage-out``): per mutation primitive, every call site with its
-guarded/unguarded verdict plus the unguarded chains, as a
-``repro.lint.coverage/v1`` document the crash sweep can assert against.
+**CS001** flags each unguarded mutation call site, and its message
+names *how* the site is reached: a minimal unguarded call chain from an
+entry function (an unguarded function nobody in the stack calls) down
+to the mutation, whose entry is what you have to guard to fix it.
 """
 
 from __future__ import annotations
@@ -79,9 +75,6 @@ MUTATION_PRIMITIVES = {
 }
 
 RULE = "CS001"
-CHAIN_RULE = "CS002"
-
-COVERAGE_SCHEMA = "repro.lint.coverage/v1"
 
 
 def _stack_contexts(index: ProjectIndex) -> List[FunctionInfo]:
@@ -121,9 +114,14 @@ class _Graph:
                     self.by_name.setdefault(call.name, set()).add(i)
 
     def callers_of(self, ctx: FunctionInfo) -> Set[int]:
+        """Contexts calling ``ctx``, never ``ctx`` itself: a delegating
+        ``MSSD.recover()`` calls ``self.firmware.recover()``, which
+        resolves by name back to itself, and a self-edge would keep a
+        path nobody else calls guarded by optimism alone."""
         found = set(self.by_name.get(ctx.name, ()))
         if ctx.class_name is not None:
             found |= self.by_class.get((ctx.class_name, ctx.name), set())
+        found.discard(self.pos[id(ctx)])
         return found
 
     def callees_of(self, i: int) -> Set[int]:
@@ -162,12 +160,12 @@ def _entry_chains(graph: _Graph, guarded: List[bool]) -> Dict[int, List[int]]:
     """Minimal unguarded chain (entry -> ... -> ctx) per unguarded
     context, by multi-source BFS from the entry set (unguarded contexts
     with no in-stack callers).  Contexts only reachable through cycles
-    fall back to a chain of just themselves."""
+    fall back to a chain of just themselves.  (An exempt context is
+    never demoted, so "unguarded" already excludes it.)"""
     contexts = graph.contexts
     entries = [
         i for i, ctx in enumerate(contexts)
-        if not guarded[i] and not ctx.is_exempt(RULE)
-        and not graph.callers_of(ctx)
+        if not guarded[i] and not graph.callers_of(ctx)
     ]
     parent: Dict[int, Optional[int]] = {i: None for i in entries}
     frontier = list(entries)
@@ -182,8 +180,8 @@ def _entry_chains(graph: _Graph, guarded: List[bool]) -> Dict[int, List[int]]:
         frontier = nxt
 
     chains: Dict[int, List[int]] = {}
-    for i, ctx in enumerate(contexts):
-        if guarded[i] or ctx.is_exempt(RULE):
+    for i in range(len(contexts)):
+        if guarded[i]:
             continue
         if i in parent:
             chain = [i]
@@ -195,80 +193,28 @@ def _entry_chains(graph: _Graph, guarded: List[bool]) -> Dict[int, List[int]]:
     return chains
 
 
-def analyze_crash_sites(
-    index: ProjectIndex,
-) -> Tuple[List[Finding], List[Finding], dict]:
-    """Run the crash-site reachability analysis once.
-
-    Returns ``(cs001 findings, cs002 findings, coverage map)``.
-    """
+def check_crash_sites(index: ProjectIndex) -> List[Finding]:
+    """CS001 over the device stack, each finding naming its chain."""
     contexts = _stack_contexts(index)
-    if not contexts:
-        return [], [], {"schema": COVERAGE_SCHEMA, "primitives": {}}
-
     graph = _Graph(index, contexts)
     guarded = _fixed_point(graph)
     chains = _entry_chains(graph, guarded)
 
-    cs001: List[Finding] = []
-    cs002: List[Finding] = []
-    coverage: Dict[str, dict] = {}
-
+    out: List[Finding] = []
     for i, ctx in enumerate(contexts):
-        exempt = ctx.is_exempt(RULE)
-        chain_exempt = exempt or ctx.is_exempt(CHAIN_RULE)
-        seen_prims: Set[str] = set()
+        if guarded[i]:
+            continue
+        chain = [contexts[j].qualname for j in chains[i]]
+        rendered = " -> ".join(f"{q}()" for q in chain)
         for call in ctx.calls:
             if not call.is_method or call.name not in MUTATION_PRIMITIVES:
                 continue
-            entry = coverage.setdefault(
-                call.name, {"guarded_sites": [], "unguarded": []}
-            )
-            site = {
-                "path": ctx.module.display,
-                "line": call.line,
-                "qualname": ctx.qualname,
-            }
-            if guarded[i] or exempt:
-                entry["guarded_sites"].append(
-                    dict(site, exempt=bool(exempt and not guarded[i]))
-                )
-                continue
-            chain = chains.get(i, [i])
-            chain_quals = [contexts[j].qualname for j in chain]
-            entry["unguarded"].append(dict(site, chain=chain_quals))
-            cs001.append(Finding(
+            out.append(Finding(
                 RULE, ctx.module.display, call.line, call.col,
                 f"device mutation .{call.name}() reachable via "
-                f"{ctx.qualname}() without a crash-site registration; "
-                "wrap the path in faults.site()/faults.point() or mark "
-                "the def with `# repro: allow[CS001]`",
+                f"{rendered} without a crash-site registration; register "
+                f"one (faults.site()/faults.point()) on the entry "
+                f"function {chain[0]}() or mark the def with "
+                "`# repro: allow[CS001]`",
             ))
-            if not chain_exempt and call.name not in seen_prims:
-                seen_prims.add(call.name)
-                rendered = " -> ".join(f"{q}()" for q in chain_quals)
-                cs002.append(Finding(
-                    CHAIN_RULE, ctx.module.display, call.line, call.col,
-                    f"unguarded call path {rendered} reaches "
-                    f".{call.name}(); register a crash site on the entry "
-                    f"function {chain_quals[0]}() to make the whole path "
-                    "sweepable",
-                ))
-
-    for entry in coverage.values():
-        entry["guarded_sites"].sort(
-            key=lambda s: (s["path"], s["line"], s["qualname"])
-        )
-        entry["unguarded"].sort(
-            key=lambda s: (s["path"], s["line"], s["qualname"])
-        )
-    cov_doc = {
-        "schema": COVERAGE_SCHEMA,
-        "primitives": {k: coverage[k] for k in sorted(coverage)},
-    }
-    return cs001, cs002, cov_doc
-
-
-def check_crash_sites(index: ProjectIndex) -> List[Finding]:
-    """CS001 only (kept for callers that don't need chains/coverage)."""
-    return analyze_crash_sites(index)[0]
+    return out

@@ -9,23 +9,12 @@ from typing import Dict
 RULES: Dict[str, str] = {
     "CS001": (
         "device-visible mutation not routed through a registered "
-        "fault-injector crash site"
-    ),
-    "CS002": (
-        "minimal unguarded call path from an entry function down to a "
-        "device mutation primitive"
+        "fault-injector crash site (names the minimal unguarded call "
+        "chain from an entry function)"
     ),
     "CONC001": (
         "module-level mutable state mutated on a path reachable from "
         "the serve path; diverges across shard worker processes"
-    ),
-    "CONC002": (
-        "object state aliasing across shard boundaries (class-level "
-        "mutable container attribute or mutable default argument)"
-    ),
-    "CONC003": (
-        "result-merge order depends on dict/set iteration over a "
-        "per-shard partition"
     ),
     "DET001": "wall-clock access outside repro.sim.clock",
     "DET002": "ambient randomness outside repro.sim.rng",

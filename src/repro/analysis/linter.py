@@ -4,8 +4,7 @@ Usage from the CLI::
 
     repro lint                 # lint the installed repro package
     repro lint src/repro/fs    # lint a subtree
-    repro lint --format=json   # machine-readable output (CI)
-    repro lint --format=sarif  # SARIF 2.1.0 (code-scanning upload)
+    repro lint --format=json   # machine-readable output
 
 Module dotted names are derived from the last path component named
 ``repro`` (``.../src/repro/fs/vfs.py`` → ``repro.fs.vfs``), which is how
@@ -15,7 +14,7 @@ by the path-independent rules.
 
 Every run builds one :class:`repro.analysis.project.ProjectIndex` over
 the loaded modules; the per-module passes (DET/LAY/PERF) walk each tree
-independently while the whole-program passes (CS001/CS002, CONC001-003)
+independently while the whole-program passes (CS001, CONC001)
 share the index's call graph and import closure.
 """
 
@@ -27,12 +26,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.concurrency import (
-    check_global_state,
-    check_merge_order,
-    check_shard_aliasing,
-)
-from repro.analysis.crashsites import analyze_crash_sites
+from repro.analysis.concurrency import check_global_state
+from repro.analysis.crashsites import check_crash_sites
 from repro.analysis.determinism import (
     check_ambient_random,
     check_set_iteration,
@@ -48,8 +43,8 @@ from repro.analysis.project import ProjectIndex, build_index
 from repro.analysis.suppress import is_suppressed, suppression_map
 
 #: Directory markers that identify the repository root; finding paths
-#: are emitted relative to it so baselines and SARIF output are stable
-#: no matter where the linter was invoked from.
+#: are emitted relative to it so the output is the same no matter where
+#: the linter was invoked from.
 _ROOT_MARKERS = (".git", "pyproject.toml", "setup.cfg")
 
 
@@ -67,10 +62,6 @@ class LintResult:
     findings: List[Finding] = field(default_factory=list)
     errors: List[str] = field(default_factory=list)
     n_files: int = 0
-    #: Findings matched by a ``--baseline`` file: tracked, not failing.
-    grandfathered: List[Finding] = field(default_factory=list)
-    #: repro.lint.coverage/v1 document (when CS001/CS002 ran).
-    coverage: Optional[dict] = None
 
     @property
     def exit_code(self) -> int:
@@ -166,12 +157,10 @@ _MODULE_PASSES = (
     ("PERF002", check_function_imports),
 )
 
-#: Whole-program passes taking the ProjectIndex (CS001/CS002 are run
-#: together through analyze_crash_sites and handled separately).
+#: Whole-program passes taking the ProjectIndex.
 _PROJECT_PASSES = (
+    ("CS001", check_crash_sites),
     ("CONC001", check_global_state),
-    ("CONC002", check_shard_aliasing),
-    ("CONC003", check_merge_order),
 )
 
 
@@ -195,13 +184,6 @@ def lint_paths(
         for rule, check in _MODULE_PASSES:
             if rule in wanted:
                 raw.extend(check(mod))
-    if wanted & {"CS001", "CS002"}:
-        cs001, cs002, coverage = analyze_crash_sites(index)
-        result.coverage = coverage
-        if "CS001" in wanted:
-            raw.extend(cs001)
-        if "CS002" in wanted:
-            raw.extend(cs002)
     for rule, check in _PROJECT_PASSES:
         if rule in wanted:
             raw.extend(check(index))
@@ -223,8 +205,6 @@ def render_text(result: LintResult) -> str:
     summary = (
         f"{n} finding{'s' if n != 1 else ''} in {result.n_files} files"
     )
-    if result.grandfathered:
-        summary += f" ({len(result.grandfathered)} baselined)"
     if result.errors:
         summary += f" ({len(result.errors)} files failed to parse)"
     lines.append(summary)
@@ -234,7 +214,6 @@ def render_text(result: LintResult) -> str:
 def render_json(result: LintResult) -> str:
     return json.dumps({
         "findings": [f.to_dict() for f in result.findings],
-        "grandfathered": [f.to_dict() for f in result.grandfathered],
         "errors": result.errors,
         "n_files": result.n_files,
         "exit_code": result.exit_code,

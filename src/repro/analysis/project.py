@@ -1,8 +1,8 @@
 """Whole-program index shared by the project-level lint passes.
 
 Every lint run builds one :class:`ProjectIndex` over the loaded modules
-and hands it to each whole-program pass (CS001/CS002 crash-site
-reachability, CONC001/002/003 concurrency readiness).  The index
+and hands it to each whole-program pass (CS001 crash-site
+reachability, CONC001 module state on the serve path).  The index
 holds, per module:
 
 * a function context per ``def`` (module top level is also a context)
@@ -12,7 +12,7 @@ holds, per module:
   call graph can target that class's method instead of every same-named
   method (``self.m()`` stays name-keyed on purpose — restricting it by
   class would break cross-module inheritance),
-* class records (methods, class-level mutable-container attributes),
+* the method names defined under each class name,
 * module-level bindings (name → value expression, with a
   mutable-container flag),
 * the repro-internal import graph, so passes can compute "reachable
@@ -26,7 +26,7 @@ source order so findings derived from it are deterministic.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.analysis.suppress import is_def_suppressed
 
@@ -39,7 +39,7 @@ MUTABLE_CONTAINER_CALLS = {
 
 def is_mutable_container_expr(node: ast.AST) -> bool:
     """True for literals / constructor calls that build a mutable
-    container (the aliasing hazard CONC001/CONC002 look for)."""
+    container (the module state CONC001 looks for)."""
     if isinstance(node, (ast.Dict, ast.List, ast.Set,
                          ast.DictComp, ast.ListComp, ast.SetComp)):
         return True
@@ -118,19 +118,6 @@ class FunctionInfo:
         return is_def_suppressed(self.module.suppress, self.node, rule)
 
 
-class ClassInfo:
-    """One class definition: methods plus class-level container attrs."""
-
-    def __init__(self, name: str, qualname: str, module, node) -> None:
-        self.name = name
-        self.qualname = qualname
-        self.module = module
-        self.node = node
-        self.methods: Dict[str, FunctionInfo] = {}
-        #: (attr name, line, col) of class-level mutable containers.
-        self.mutable_attrs: List[Tuple[str, int, int]] = []
-
-
 class GlobalBinding:
     """One module-level name binding."""
 
@@ -153,7 +140,6 @@ class ProjectIndex:
         self.by_name: Dict[str, object] = {m.name: m for m in self.modules}
         self.functions: List[FunctionInfo] = []
         self.functions_by_module: Dict[str, List[FunctionInfo]] = {}
-        self.classes: List[ClassInfo] = []
         #: class name -> method names defined under that name anywhere.
         self.methods_of: Dict[str, Set[str]] = {}
         #: module name -> top-level name -> binding.
@@ -228,53 +214,30 @@ class ProjectIndex:
                     )
 
     def _walk(self, node: ast.AST, ctx: FunctionInfo, qual: str,
-              cls: Optional[ClassInfo], module, funcs: List[FunctionInfo],
+              cls: Optional[str], module, funcs: List[FunctionInfo],
               ) -> None:
+        """Index ``node``'s children under ``ctx``; ``cls`` names the
+        class whose body ``node`` is, if it is one."""
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 sub = FunctionInfo(
                     child.name, f"{qual}{child.name}", module, child,
-                    class_name=cls.name if cls is not None else None,
+                    class_name=cls,
                 )
                 ctx.children[child.name] = sub
                 funcs.append(sub)
                 self.functions.append(sub)
                 if cls is not None:
-                    cls.methods[child.name] = sub
-                    self.methods_of.setdefault(cls.name, set()).add(
-                        child.name
-                    )
+                    self.methods_of[cls].add(child.name)
                 self._walk(child, sub, f"{qual}{child.name}.", None,
                            module, funcs)
             elif isinstance(child, ast.ClassDef):
-                info = ClassInfo(
-                    child.name, f"{qual}{child.name}", module, child
-                )
-                self.classes.append(info)
                 self.methods_of.setdefault(child.name, set())
-                self._collect_class_attrs(child, info)
-                self._walk(child, ctx, f"{qual}{child.name}.", info,
+                self._walk(child, ctx, f"{qual}{child.name}.", child.name,
                            module, funcs)
             else:
                 self._scan(child, ctx)
                 self._walk(child, ctx, qual, None, module, funcs)
-
-    @staticmethod
-    def _collect_class_attrs(node: ast.ClassDef, info: ClassInfo) -> None:
-        for stmt in node.body:
-            targets: List[ast.expr] = []
-            value: Optional[ast.AST] = None
-            if isinstance(stmt, ast.Assign):
-                targets, value = stmt.targets, stmt.value
-            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                targets, value = [stmt.target], stmt.value
-            if value is None or not is_mutable_container_expr(value):
-                continue
-            for tgt in targets:
-                if isinstance(tgt, ast.Name):
-                    info.mutable_attrs.append(
-                        (tgt.id, stmt.lineno, stmt.col_offset)
-                    )
 
     def _scan(self, node: ast.AST, ctx: FunctionInfo) -> None:
         if isinstance(node, ast.Assign) and len(node.targets) == 1 \

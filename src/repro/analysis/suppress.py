@@ -13,7 +13,7 @@ comment::
         ...
 
 Several rules may be listed, comma-separated: ``allow[DET001,DET002]``.
-For the function-scoped rules (CS001/CS002), an allow comment anywhere
+For the function-scoped rule (CS001), an allow comment anywhere
 on the ``def`` — a decorator line, any line of a multi-line signature,
 or the line just above — exempts the whole function (used for recovery
 paths, which run with the injector disarmed).

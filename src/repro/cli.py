@@ -392,17 +392,10 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_lint(args) -> int:
-    import json as _json
     from pathlib import Path
 
     import repro
-    from repro.analysis.baseline import (
-        apply_baseline,
-        load_baseline,
-        render_baseline,
-    )
     from repro.analysis.linter import lint_paths, render_json, render_text
-    from repro.analysis.sarif import render_sarif
 
     paths = [Path(p) for p in args.paths] if args.paths else [
         Path(repro.__file__).parent
@@ -415,39 +408,8 @@ def _cmd_lint(args) -> int:
     except ValueError as exc:
         raise SystemExit(str(exc))
 
-    if args.coverage_out:
-        if result.coverage is None:
-            raise SystemExit(
-                "--coverage-out requires the CS001/CS002 passes to run "
-                "(drop --rules or include them)"
-            )
-        Path(args.coverage_out).write_text(
-            _json.dumps(result.coverage, indent=2) + "\n", encoding="utf-8"
-        )
-
-    if args.update_baseline:
-        if not args.baseline:
-            raise SystemExit("--update-baseline requires --baseline PATH")
-        Path(args.baseline).write_text(
-            render_baseline(result.findings), encoding="utf-8"
-        )
-        print(
-            f"wrote {len(result.findings)} baselined finding(s) "
-            f"to {args.baseline}"
-        )
-        return 0
-    if args.baseline:
-        try:
-            apply_baseline(result, load_baseline(Path(args.baseline)))
-        except ValueError as exc:
-            raise SystemExit(str(exc))
-
-    if args.format == "json":
-        print(render_json(result))
-    elif args.format == "sarif":
-        print(render_sarif(result))
-    else:
-        print(render_text(result))
+    render = render_json if args.format == "json" else render_text
+    print(render(result))
     return result.exit_code
 
 
@@ -631,26 +593,11 @@ def main(argv: Optional[list] = None) -> int:
         help="files or directories to lint; default: installed repro pkg",
     )
     lint_p.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
+        "--format", choices=("text", "json"), default="text",
     )
     lint_p.add_argument(
         "--rules", default=None,
         help="comma-separated rule ids to run (default: all)",
-    )
-    lint_p.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="grandfather findings listed in this baseline file; only "
-             "new findings fail the run",
-    )
-    lint_p.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite --baseline PATH from the current findings and "
-             "exit 0",
-    )
-    lint_p.add_argument(
-        "--coverage-out", default=None, metavar="PATH",
-        help="write the repro.lint.coverage/v1 crash-site coverage map "
-             "(per mutation primitive: guarded sites + unguarded chains)",
     )
     lint_p.add_argument(
         "--no-suppressions", action="store_true",

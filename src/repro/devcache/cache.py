@@ -182,7 +182,7 @@ class DeviceCache:
             self.evictions_dirty += 1
             # Evictions are one-page-at-a-time by design (like the
             # baseline firmware's page cache).
-            self.ftl.write_page(  # repro: allow[PERF001]
+            self.ftl.write_page(
                 lpa, data, _OTHER, background=True)
         else:
             self.evictions_clean += 1

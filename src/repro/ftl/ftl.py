@@ -258,7 +258,7 @@ class FTL:
                 if not background:
                     clock.advance_to(end)
                 # One program per page is what a run of pages is.
-                program_page(ppa, data)  # repro: allow[PERF001]
+                program_page(ppa, data)
                 old = bind(lpa, ppa)
                 if old is not None:
                     state = blocks[old // pages_per_block]
@@ -425,7 +425,7 @@ class FTL:
                 )
             # GC migration rebinds each page to a fresh ppa chosen one
             # step at a time; relocation has no batched form.
-            program_page(new_ppa, data)  # repro: allow[PERF001]
+            program_page(new_ppa, data)
             bind(lpa, new_ppa)
             block.valid += 1
             record_flash(_OTHER, Direction.WRITE, page_size)

@@ -1,4 +1,4 @@
-"""Planted CS002 fixture: an unguarded entry chain to a mutation."""
+"""Planted CS001 fixture: an unguarded entry chain to a mutation."""
 
 
 class PlantedFW:

@@ -32,25 +32,36 @@ def _tenants(n, n_devices, n_ops=40):
     ]
 
 
-def _run(workers, *, faulted, n_devices=2, keep_dispatch_log=False):
-    faults = None
-    if faulted:
-        # One loaded device crashing mid-run, one tenant-less device
-        # crashing at a virtual time: covers both recovery paths the
-        # reducer has to order.
-        n_devices = 3
-        faults = [DeviceCrash(device=0, after_ops=9),
-                  DeviceCrash(device=2, at_s=0.0001)]
+#: Cluster shapes by case.  "faulted": one loaded device crashing
+#: mid-run plus one tenant-less device crashing at a virtual time (both
+#: recovery paths the reducer has to order).  "cross_shard": two loaded
+#: devices crashing on different shards at W=2, so shard order alone
+#: does not put the recovery list in device order.
+CASES = {
+    "plain": dict(n_devices=2, n_tenant_devices=2, faults=None),
+    "faulted": dict(n_devices=3, n_tenant_devices=2, faults=[
+        DeviceCrash(device=0, after_ops=9),
+        DeviceCrash(device=2, at_s=0.0001),
+    ]),
+    "cross_shard": dict(n_devices=4, n_tenant_devices=4, faults=[
+        DeviceCrash(device=1, after_ops=9),
+        DeviceCrash(device=2, after_ops=9),
+    ]),
+}
+
+
+def _run(workers, *, case="plain", keep_dispatch_log=False):
+    plan = CASES[case]
     res = serve_cluster(
-        _tenants(4, 2),
+        _tenants(4, plan["n_tenant_devices"]),
         fs_name="bytefs",
-        n_devices=n_devices,
+        n_devices=plan["n_devices"],
         sched="drr",
         seed=42,
         queue_depth=2,
         max_queue=256,
         geometry=SMALL_GEOMETRY,
-        faults=faults,
+        faults=plan["faults"],
         sample_every_ns=SAMPLE_NS,
         keep_dispatch_log=keep_dispatch_log,
         workers=workers,
@@ -60,16 +71,15 @@ def _run(workers, *, faulted, n_devices=2, keep_dispatch_log=False):
     return res, doc, series
 
 
-@pytest.mark.parametrize("faulted", [False, True],
-                         ids=["plain", "faulted"])
-def test_workers_byte_identical_to_serial(faulted):
-    res0, doc0, series0 = _run(0, faulted=faulted)
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_workers_byte_identical_to_serial(case):
+    res0, doc0, series0 = _run(0, case=case)
     assert not validate_cluster_run(res0.to_json())
     assert not validate_series(
         [json.loads(line) for line in series0.splitlines()]
     )
     for workers in (2, 4):
-        res, doc, series = _run(workers, faulted=faulted)
+        res, doc, series = _run(workers, case=case)
         assert doc == doc0, f"result document differs at workers={workers}"
         assert series == series0, (
             f"telemetry series differs at workers={workers}"
@@ -77,21 +87,21 @@ def test_workers_byte_identical_to_serial(faulted):
 
 
 def test_workers_preserve_dispatch_log_order():
-    _, doc0, _ = _run(0, faulted=True, keep_dispatch_log=True)
-    _, doc2, _ = _run(2, faulted=True, keep_dispatch_log=True)
+    _, doc0, _ = _run(0, case="faulted", keep_dispatch_log=True)
+    _, doc2, _ = _run(2, case="faulted", keep_dispatch_log=True)
     assert doc2 == doc0
 
 
 def test_workers_capped_at_device_count():
     # More workers than devices must not change anything (W = min).
-    _, doc0, series0 = _run(0, faulted=False)
-    _, doc9, series9 = _run(9, faulted=False)
+    _, doc0, series0 = _run(0)
+    _, doc9, series9 = _run(9)
     assert doc9 == doc0
     assert series9 == series0
 
 
 def test_parallel_run_reports_live_only_fields():
-    res, _, _ = _run(2, faulted=False)
+    res, _, _ = _run(2)
     assert res.wall_s is not None and res.wall_s > 0
     assert res.layer_calls and all(
         v >= 0 for v in res.layer_calls.values()

@@ -4,14 +4,15 @@ DESIGN.md once described a tree with ``fs/ext4/`` and ``nova/``
 directories and the README taught a subcommand whose harness had gone
 stale; nothing failed.  Grep-level on purpose: a path or a ``repro``
 subcommand written in the docs is checked against the checkout and
-against the CLI's own usage line.
+against the CLI's own usage line, and a flag given to a subcommand in a
+code block against that subcommand's ``--help``.
 """
 
 from __future__ import annotations
 
 import io
 import re
-from contextlib import redirect_stderr
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,7 @@ COMMAND_DOCS = [p for p in (ROOT / "README.md", ROOT / "DESIGN.md", SKILL)
                 if p.exists()]
 PATH_DOCS = COMMAND_DOCS + [ROOT / "EXPERIMENTS.md",
                             *sorted((ROOT / "docs").glob("*.md"))]
+FLAG_DOCS = COMMAND_DOCS + sorted((ROOT / "docs").glob("*.md"))
 
 #: the subcommand of the deleted in-process perf suite
 GONE = "bench"
@@ -35,6 +37,9 @@ _PATH = re.compile(
 )
 _FENCE = re.compile(r"^```.*?^```", re.M | re.S)
 _COMMAND = re.compile(r"\brepro[ \t]+\{?([a-z][a-z,-]*)")
+_FLAG = re.compile(r"(?<![\w-])--[a-z][\w-]*")
+#: where a shell line stops being the ``repro`` command's arguments
+_END_OF_ARGS = re.compile(r"\s#|\||&&|;|>")
 
 
 def missing_paths(text: str):
@@ -60,6 +65,25 @@ def unknown_commands(text: str, registered):
     return sorted(used - set(registered))
 
 
+def unknown_flags(text: str, options):
+    """``repro <subcommand> --flag`` in a fenced block of ``text`` that
+    the subcommand does not take; ``options`` maps each subcommand to
+    its flags.  Lines ending in ``\\`` are joined first."""
+    bad = set()
+    for block in _FENCE.findall(text):
+        for line in block.replace("\\\n", " ").splitlines():
+            line = _END_OF_ARGS.split(line)[0]
+            m = _COMMAND.search(line)
+            if m is None or m.group(1) not in options:
+                continue
+            bad.update(
+                f"repro {m.group(1)} {flag}"
+                for flag in _FLAG.findall(line[m.end():])
+                if flag not in options[m.group(1)]
+            )
+    return sorted(bad)
+
+
 @pytest.fixture(scope="module")
 def registered():
     """The subcommands, read off the usage error of one that is gone:
@@ -71,6 +95,18 @@ def registered():
     names = re.search(r"usage: repro \[-h\]\s+\{([\w,-]+)\}", usage.getvalue())
     assert names, usage.getvalue()
     return names.group(1).split(",")
+
+
+@pytest.fixture(scope="module")
+def options(registered):
+    """Each subcommand's flags, read off its ``--help``."""
+    out = {}
+    for name in registered:
+        text = io.StringIO()
+        with redirect_stdout(text), pytest.raises(SystemExit):
+            main([name, "--help"])
+        out[name] = set(_FLAG.findall(text.getvalue()))
+    return out
 
 
 def test_a_deleted_subcommand_is_a_usage_error_that_lists_the_rest(
@@ -91,6 +127,11 @@ def test_every_command_in_a_code_block_is_registered(doc, registered):
     assert unknown_commands(doc.read_text(), registered) == []
 
 
+@pytest.mark.parametrize("doc", FLAG_DOCS, ids=lambda p: p.name)
+def test_every_flag_in_a_code_block_is_an_option(doc, options):
+    assert unknown_flags(doc.read_text(), options) == []
+
+
 def test_design_layout_lists_exactly_the_packages():
     """The tree under "Layout" names packages relative to ``src/repro/``
     (no full path for :func:`missing_paths` to see), and it is also the
@@ -103,7 +144,7 @@ def test_design_layout_lists_exactly_the_packages():
     assert listed == packages
 
 
-def test_the_checks_catch_what_they_were_written_for(registered):
+def test_the_checks_catch_what_they_were_written_for(registered, options):
     assert missing_paths(
         "see `src/repro/fs/ext4/`, tests/test_*.py and perfbench/out/x.json"
     ) == ["src/repro/fs/ext4/"]
@@ -111,3 +152,7 @@ def test_the_checks_catch_what_they_were_written_for(registered):
                "python -m repro {list,run}\n```")
     assert unknown_commands(planted, registered) == [GONE]
     assert unknown_commands(f"`repro {GONE}` is gone", registered) == []
+    planted = ("```bash\nrepro lint src/repro \\\n    --baseline b.json\n"
+               "repro lint --format=json  # --nope\n"
+               "repro lint | grep --count x\n```")
+    assert unknown_flags(planted, options) == ["repro lint --baseline"]

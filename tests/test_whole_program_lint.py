@@ -1,22 +1,20 @@
 """Whole-program analysis tests: ProjectIndex-powered rule families.
 
-Covers the planted fixtures under tests/lint_fixtures/ (CONC001/002/003,
-CS002), the crash-coverage map, SARIF output shape, the baseline
-grandfathering workflow, cwd-independent repo-relative paths, byte-for-byte
-deterministic JSON output, and suppression-comment placement on decorator
-lines and multi-line signatures.
+Covers the planted fixtures under tests/lint_fixtures/ (CONC001, the
+CS001 chain), cwd-independent repo-relative paths, byte-for-byte
+deterministic JSON output, suppression-comment placement on decorator
+lines and multi-line signatures, and allow comments that hide nothing.
 """
 
-import json
+import ast
+import io
 import textwrap
+import tokenize
 from pathlib import Path
 
-import pytest
-
 import repro
-from repro.analysis.findings import RULES
-from repro.analysis.linter import lint_paths, render_json
-from repro.analysis.sarif import render_sarif
+from repro.analysis.linter import lint_paths, load_modules, render_json
+from repro.analysis.suppress import _ALLOW_RE, def_line_span
 from repro.cli import main
 
 FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
@@ -90,64 +88,14 @@ def test_conc001_follows_import_closure(tmp_path):
     assert "_SHARED" in res.findings[0].message
 
 
-# ---------------------------------------------------------------- CONC002
+# ------------------------------------------------------------ CS001 chain
 
-def test_conc002_fires_on_class_attr_and_mutable_default():
-    res = _fixture_lint("conc002", ["CONC002"])
-    assert _rules(res) == ["CONC002", "CONC002"]
-    messages = " ".join(f.message for f in res.findings)
-    assert "shared_queue" in messages
-    assert "merge()" in messages
-
-
-# ---------------------------------------------------------------- CONC003
-
-def test_conc003_flags_partition_iteration_and_allows_sorted():
-    res = _fixture_lint("conc003", ["CONC003"])
-    assert _rules(res) == ["CONC003"]
-    assert "by_shard" in res.findings[0].message
-    # The sorted() loop in the same function stays clean.
-    assert res.findings[0].line == 6
-
-
-def test_conc003_reducer_fed_comprehension_is_clean(tmp_path):
-    _write(tmp_path, "repro/cluster/totals.py", """\
-        def total(by_shard):
-            return sum(len(rows) for rows in by_shard.values())
-        """)
-    res = lint_paths([tmp_path], rules=["CONC003"])
-    assert res.findings == []
-
-
-# ---------------------------------------------------------- CS002 + coverage
-
-def test_cs002_reports_minimal_chain():
-    res = _fixture_lint("cs002", ["CS001", "CS002"])
-    cs2 = [f for f in res.findings if f.rule == "CS002"]
-    assert len(cs2) == 1
-    assert "PlantedFW.mount() -> PlantedFW._replay()" in cs2[0].message
-    assert "write_page" in cs2[0].message
-
-
-def test_coverage_map_fixture_has_unguarded_chain():
-    res = _fixture_lint("cs002", ["CS002"])
-    cov = res.coverage
-    assert cov is not None and cov["schema"] == "repro.lint.coverage/v1"
-    unguarded = cov["primitives"]["write_page"]["unguarded"]
-    assert [site["chain"] for site in unguarded] == [
-        ["PlantedFW.mount", "PlantedFW._replay"]
-    ]
-
-
-def test_coverage_map_real_tree_has_no_unguarded_chains(tmp_path):
-    out = tmp_path / "coverage.json"
-    rc = main(["lint", str(PKG), "--coverage-out", str(out)])
-    assert rc == 0
-    doc = json.loads(out.read_text())
-    assert doc["schema"] == "repro.lint.coverage/v1"
-    assert doc["primitives"]["write_page"]["guarded_sites"]
-    for prim, entry in doc["primitives"].items():
-        assert entry["unguarded"] == [], prim
+def test_cs001_names_minimal_chain():
+    res = _fixture_lint("cs001_chain", ["CS001"])
+    assert _rules(res) == ["CS001"]
+    message = res.findings[0].message
+    assert "PlantedFW.mount() -> PlantedFW._replay()" in message
+    assert "write_page" in message
 
 
 def test_receiver_hint_keeps_other_class_guarded(tmp_path):
@@ -172,84 +120,8 @@ def test_receiver_hint_keeps_other_class_guarded(tmp_path):
             y = Y()
             y.flush_meta()
         """)
-    res = lint_paths([tmp_path], rules=["CS001", "CS002"])
+    res = lint_paths([tmp_path], rules=["CS001"])
     assert res.findings == []
-
-
-# ------------------------------------------------------------------- SARIF
-
-def test_sarif_document_has_required_fields():
-    res = _fixture_lint("cs002", ["CS001", "CS002"])
-    doc = json.loads(render_sarif(res))
-    assert doc["version"] == "2.1.0"
-    assert doc["$schema"].endswith("sarif-2.1.0.json")
-    assert len(doc["runs"]) == 1
-    run = doc["runs"][0]
-    driver = run["tool"]["driver"]
-    assert driver["name"] == "repro-lint"
-    assert [r["id"] for r in driver["rules"]] == sorted(RULES)
-    assert run["results"], "fixture should produce results"
-    for result in run["results"]:
-        assert result["ruleId"] in RULES
-        assert result["level"] == "error"
-        assert result["message"]["text"]
-        loc = result["locations"][0]["physicalLocation"]
-        assert loc["artifactLocation"]["uri"]
-        assert loc["region"]["startLine"] >= 1
-        assert loc["region"]["startColumn"] >= 1
-
-
-def test_cli_sarif_format(capsys):
-    rc = main(["lint", str(FIXTURES / "conc003"), "--format=sarif"])
-    assert rc == 1
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["version"] == "2.1.0"
-    assert doc["runs"][0]["results"][0]["ruleId"] == "CONC003"
-
-
-# ---------------------------------------------------------------- baseline
-
-def test_baseline_grandfathers_known_and_fails_new(tmp_path, capsys):
-    baseline = tmp_path / "lint-baseline.json"
-    fixture1 = str(FIXTURES / "conc001")
-    fixture2 = str(FIXTURES / "conc002")
-
-    # Record the CONC001 fixture finding as accepted debt.
-    rc = main(["lint", fixture1, "--baseline", str(baseline),
-               "--update-baseline"])
-    assert rc == 0
-    doc = json.loads(baseline.read_text())
-    assert doc["schema"] == "repro.lint.baseline/v1"
-    assert [e["rule"] for e in doc["findings"]] == ["CONC001"]
-    capsys.readouterr()
-
-    # Same tree + baseline: grandfathered, green.
-    rc = main(["lint", fixture1, "--baseline", str(baseline),
-               "--format=json"])
-    assert rc == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["findings"] == []
-    assert [g["rule"] for g in payload["grandfathered"]] == ["CONC001"]
-
-    # New findings (the CONC002 fixture) still fail the run.
-    rc = main(["lint", fixture1, fixture2, "--baseline", str(baseline),
-               "--format=json"])
-    assert rc == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert [f["rule"] for f in payload["findings"]] == ["CONC002", "CONC002"]
-    assert [g["rule"] for g in payload["grandfathered"]] == ["CONC001"]
-
-
-def test_baseline_update_requires_path():
-    with pytest.raises(SystemExit):
-        main(["lint", str(FIXTURES / "conc001"), "--update-baseline"])
-
-
-def test_baseline_rejects_malformed_document(tmp_path):
-    bad = tmp_path / "baseline.json"
-    bad.write_text(json.dumps({"schema": "wrong/v9", "findings": []}))
-    with pytest.raises(SystemExit):
-        main(["lint", str(FIXTURES / "conc001"), "--baseline", str(bad)])
 
 
 # ------------------------------------------- path stability and determinism
@@ -264,7 +136,7 @@ def test_finding_paths_are_repo_relative_and_cwd_stable(tmp_path, monkeypatch):
 
 
 def test_double_run_json_output_is_byte_identical(capsys):
-    args = ["lint", str(FIXTURES / "conc001"), str(FIXTURES / "cs002"),
+    args = ["lint", str(FIXTURES / "conc001"), str(FIXTURES / "cs001_chain"),
             "--format=json"]
     main(args)
     first = capsys.readouterr().out
@@ -282,7 +154,7 @@ def test_allow_comment_on_decorator_line_exempts_function(tmp_path):
             def recover(dev):
                 dev.ftl.write_page(0, b"", None)
         """)
-    res = lint_paths([tmp_path], rules=["CS001", "CS002"])
+    res = lint_paths([tmp_path], rules=["CS001"])
     assert res.findings == []
 
 
@@ -295,7 +167,7 @@ def test_allow_comment_on_multiline_signature_exempts_function(tmp_path):
             ):  # repro: allow[CS001]
                 self.ftl.write_page(0, b"", None)
         """)
-    res = lint_paths([tmp_path], rules=["CS001", "CS002"])
+    res = lint_paths([tmp_path], rules=["CS001"])
     assert res.findings == []
 
 
@@ -313,17 +185,72 @@ def test_unsuppressed_twin_still_fires(tmp_path):
     assert _rules(res) == ["CS001"]
 
 
+def stale_allows(paths):
+    """``path:line RULE`` for each allow comment under ``paths`` that
+    hides no finding: with suppressions ignored, no finding of its rule
+    lands on a line it covers.  It covers its own line, the next one
+    when it stands alone, and for CS001 on a ``def`` header the whole
+    function."""
+    hidden = {
+        (f.path, f.rule, f.line)
+        for f in lint_paths(paths, honor_suppressions=False).findings
+    }
+    stale = []
+    for mod in load_modules(paths)[0]:
+        defs = [n for n in ast.walk(mod.tree)
+                if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        source = io.StringIO(mod.path.read_text())
+        for tok in tokenize.generate_tokens(source.readline):
+            m = _ALLOW_RE.search(tok.string)
+            if tok.type != tokenize.COMMENT or m is None:
+                continue
+            n = tok.start[0]
+            own = {n, n + 1} if tok.line.lstrip().startswith("#") else {n}
+            for rule in (r.strip() for r in m.group(1).split(",")):
+                lines = set(own)
+                if rule == "CS001":
+                    for d in defs:
+                        if own & set(def_line_span(d)):
+                            lines |= set(range(d.lineno, d.end_lineno + 1))
+                if not any((mod.display, rule, i) in hidden for i in lines):
+                    stale.append(f"{mod.display}:{n} {rule}")
+    return stale
+
+
+def test_a_stale_allow_comment_is_found(tmp_path):
+    _write(tmp_path, "repro/ssd/t.py", """\
+        def drain(xs):
+            for x in set(xs):  # repro: allow[DET003]
+                print(x)
+            return sorted(xs)  # repro: allow[DET003]
+
+        class FW:
+            # repro: allow[CS001]
+            def recover(self):
+                self.ftl.write_page(0, b"", None)
+
+            def mount(self):  # repro: allow[CS001]
+                return None
+        """)
+    stale = [s.split("/")[-1] for s in stale_allows([tmp_path])]
+    assert stale == ["t.py:4 DET003", "t.py:11 CS001"]
+
+
 # ---------------------------------------------------------- real-tree gates
 
 def test_serve_path_is_concurrency_clean():
-    res = lint_paths([PKG], rules=["CONC001", "CONC002", "CONC003"])
+    res = lint_paths([PKG], rules=["CONC001"])
     assert res.findings == []
     assert res.errors == []
 
 
+def test_every_allow_comment_hides_a_finding():
+    assert stale_allows([PKG]) == []
+
+
 def test_analysis_package_is_clean_without_suppressions():
-    # Mirrors the CI self-check: the linter's own package must not rely
-    # on allow[...] comments to pass its own rules.
+    # The linter's own package must not rely on allow[...] comments to
+    # pass its own rules.
     res = lint_paths([PKG / "analysis"], honor_suppressions=False)
     assert res.findings == []
     assert res.errors == []
