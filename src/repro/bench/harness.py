@@ -26,6 +26,7 @@ from typing import Callable, Dict, Optional
 
 from repro.core.bytefs import build_stack
 from repro.devcache import DevCacheConfig
+from repro.fs.extfs import ExtFSConfig
 from repro.nand.geometry import FlashGeometry
 from repro.nand.timing import TimingModel
 from repro.sim.clock import SEC
@@ -169,12 +170,16 @@ def run_workload(
     device_cache_bytes: int = 1 << 20,
     page_cache_pages: int = 512,
     devcache: Optional[DevCacheConfig] = None,
+    fs_config: Optional[ExtFSConfig] = None,
     unmount: bool = False,
     traced: bool = False,
     stack_probe: Optional[Callable] = None,
     config_echo: Optional[Dict] = None,
 ) -> RunResult:
     """Build a fresh stack, run the workload, and collect metrics.
+
+    ``fs_config`` goes to :func:`build_stack` as the Ext4 family's
+    tunables (``page_cache_pages`` still overrides its page-cache size).
 
     The device DRAM defaults (1 MB write log / 1 MB baseline page cache)
     scale the paper's 256 MB SSD DRAM down by the same factor as the
@@ -211,6 +216,7 @@ def run_workload(
             device_cache_bytes=device_cache_bytes,
             page_cache_pages=page_cache_pages,
             devcache=devcache,
+            fs_config=fs_config,
         )
         workload.setup(fs)
         # Measurement epoch: everything before this is free.

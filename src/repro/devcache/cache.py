@@ -71,9 +71,6 @@ class DevCacheConfig:
     policy: str = "lru"
     prefetch: bool = False
     prefetch_degree: int = 2
-    prefetch_min_confidence: int = 2
-    prefetch_streams: int = 8
-    prefetch_stream_shift: int = 8
     #: write-back starts above ``high`` dirty fraction, stops at ``low``
     dirty_high_watermark: float = 0.75
     dirty_low_watermark: float = 0.50
@@ -121,12 +118,7 @@ class DeviceCache:
             config.hot_distance,
         )
         self._prefetcher: Optional[StridePrefetcher] = (
-            StridePrefetcher(
-                degree=config.prefetch_degree,
-                min_confidence=config.prefetch_min_confidence,
-                max_streams=config.prefetch_streams,
-                stream_shift=config.prefetch_stream_shift,
-            )
+            StridePrefetcher(degree=config.prefetch_degree)
             if config.prefetch
             else None
         )
@@ -379,11 +371,6 @@ class DeviceCache:
             "devcache_prefetch_hits": self.prefetch_hits,
             "devcache_prefetch_wasted": self.prefetch_wasted,
         }
-
-    def hit_rate(self) -> float:
-        """Demand hit fraction (reads + writes); 0.0 before any access."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
     def check_invariants(self) -> None:
         """Structural invariants (exercised by tests and FSSan-style

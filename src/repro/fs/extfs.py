@@ -60,6 +60,12 @@ from repro.ssd.device import MSSD
 from repro.stats.traffic import StructKind
 from repro.trace import tracer as trace
 
+#: O_DIRECT requests up to this many bytes take the byte interface (§3.3)
+DIRECT_BYTE_MAX = 512
+#: updates after which an open per-inode transaction is committed
+#: (bounds TxLog growth for never-fsynced files)
+INODE_TX_MAX_UPDATES = 64
+
 
 @lru_cache(maxsize=8)
 def _block_interface_from(total: int, threshold: float) -> int:
@@ -84,13 +90,9 @@ class ExtFSConfig:
     data_byte_policy: bool = False
     data_journal: bool = False
     byte_ratio_threshold: float = 1.0 / 8.0   # R threshold (§4.6)
-    direct_byte_max: int = 512                # direct-I/O byte cutoff (§3.3)
     #: metadata ops between automatic journal commits (stands in for
     #: JBD2's 5-second commit timer, which virtual time cannot model)
     commit_interval_ops: int = 32
-    #: updates after which an open per-inode transaction is committed
-    #: (bounds TxLog growth for never-fsynced files)
-    inode_tx_max_updates: int = 64
 
 
 class _DEntry:
@@ -931,7 +933,7 @@ class ExtFS(BaseFileSystem):
         """O_DIRECT read: byte interface for small requests (§4.6)."""
         if (
             self.cfg.data_byte_policy
-            and length <= self.cfg.direct_byte_max
+            and length <= DIRECT_BYTE_MAX
             and offset // self.P == (offset + length - 1) // self.P
         ):
             blk = self._block_of(inode, offset // self.P)
@@ -971,7 +973,7 @@ class ExtFS(BaseFileSystem):
             # Bound open transactions for never-fsynced files so the
             # TxLog and uncommitted-entry migration cannot grow unbounded.
             self._ino_tx_updates[ino] = self._ino_tx_updates.get(ino, 0) + 1
-            if self._ino_tx_updates[ino] >= self.cfg.inode_tx_max_updates:
+            if self._ino_tx_updates[ino] >= INODE_TX_MAX_UPDATES:
                 self._commit_inode_tx(ino)
         else:
             self._op_barrier()
@@ -1019,7 +1021,7 @@ class ExtFS(BaseFileSystem):
         """O_DIRECT write: byte interface when <= 512 B (§4.6)."""
         use_byte = (
             self.cfg.data_byte_policy
-            and len(data) <= self.cfg.direct_byte_max
+            and len(data) <= DIRECT_BYTE_MAX
             and offset // self.P == (offset + len(data) - 1) // self.P
         )
         if use_byte:

@@ -256,9 +256,6 @@ class Inode:
         count = inode.decode_upper(data[INODE_HALF:INODE_SIZE])
         return inode, count
 
-    def is_allocated(self) -> bool:
-        return self.links > 0 and self.mode != 0
-
 
 def encode_extent_block(extents: List[Extent], page_size: int) -> bytes:
     """Spilled extents (beyond the 3 inline ones) as one block image."""

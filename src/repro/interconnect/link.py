@@ -84,11 +84,6 @@ class HostLink:
         end = self._barrier_serve(clock.now, self._mmio_read_ns)
         clock.advance_to(end)
 
-    def mmio_persist_write(self, nbytes: int) -> None:
-        """Convenience: posted write + flush + write-verify read."""
-        self.mmio_write(nbytes)
-        self.persist_barrier((nbytes + CACHELINE - 1) // CACHELINE or 1)
-
     # ------------------------------------------------------------------ #
     # block interface
     # ------------------------------------------------------------------ #

@@ -210,14 +210,13 @@ class BaselineFirmware:
             )
             for lpa, data in zip(missing, datas):
                 self._install(lpa, data, dirty=False)
+        self.stats.bump("devcache_hits", len(lpas) - len(missing))
         out = []
         for lpa in lpas:
             page = self._touch(lpa)
             if page is None:
                 # evicted while installing its siblings: re-read
                 page = self._load_page(lpa)
-            else:
-                self.stats.bump("devcache_hits")
             out.append(bytes(page.data))
         return out
 

@@ -219,12 +219,6 @@ class Tracer:
                 self._finish(stack.pop())
         return self._finish(stack.pop())
 
-    def cancel(self) -> None:
-        """Discard the innermost open span (e.g. generator exhaustion)."""
-        stack = self._stacks[self.clock.current_thread]
-        if stack:
-            stack.pop()
-
     def _finish(self, span: Span) -> Span:
         span.t_end = self.clock.now
         self.metrics.histogram(f"span.{span.layer}.{span.op}").record(

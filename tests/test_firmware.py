@@ -126,6 +126,19 @@ def test_baseline_cache_hit_counting(baseline_device):
     assert d.stats.counters["devcache_hits"] >= 1
 
 
+@pytest.mark.parametrize("n", [1, 4])
+def test_baseline_block_read_counts_each_page_once(baseline_device, n):
+    """A multi-page read of uncached pages is n misses, not n misses and
+    n hits; read again, the same pages are n hits."""
+    d = baseline_device
+    counters = d.stats.counters
+    d.read_blocks(1000, n, StructKind.DATA)
+    assert (counters["devcache_misses"], counters["devcache_hits"]) == (n, 0)
+    d.stats.reset()
+    d.read_blocks(1000, n, StructKind.DATA)
+    assert (counters["devcache_misses"], counters["devcache_hits"]) == (0, n)
+
+
 def test_baseline_dirty_pages_survive_power_loss(baseline_device):
     d = baseline_device
     d.store(100, b"battery", StructKind.DATA)

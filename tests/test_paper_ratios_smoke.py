@@ -9,8 +9,8 @@ the paper-facing numbers; recalibrate the golden value deliberately (and
 re-check the full ``benchmarks/`` suite) rather than widening the band.
 
 Golden ratios were measured at this smoke scale (create 150 files,
-12/10/8 ops per thread); the full-scale counterparts live in
-``benchmarks/``.
+12/10/8 ops per thread); the full-scale counterparts are the rows of
+``fig6_throughput`` in ``benchmarks/paper.py``.
 """
 
 from __future__ import annotations
