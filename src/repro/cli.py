@@ -28,7 +28,7 @@ from typing import Dict, Optional
 
 from repro.bench.harness import run_workload
 from repro.bench.report import format_table, normalize
-from repro.core.bytefs import FIRMWARE_FOR
+from repro.core.bytefs import FIRMWARE_FOR, check_firmware
 from repro.devcache import DevCacheConfig
 from repro.workloads import MACRO_WORKLOADS, MICRO_WORKLOADS, YCSB
 from repro.workloads.base import Workload
@@ -36,6 +36,11 @@ from repro.workloads.base import Workload
 #: --evict choices (hardcoded: the CLI is host code and may only import
 #: *Config names from the device-internal repro.devcache package)
 EVICT_CHOICES = ("lru", "clock", "hotcold")
+
+
+class _UsageError(Exception):
+    """Bad input: one ``repro <command>: <message>`` line on stderr,
+    exit 2, before anything runs."""
 
 
 def _parse_size(text: str) -> int:
@@ -90,7 +95,15 @@ def _make_workload(name: str) -> Workload:
     if name.startswith("ycsb-"):
         return YCSB(name.split("-", 1)[1].upper(), n_records=600,
                     n_ops=600, n_threads=4, value_size=400)
-    raise SystemExit(f"unknown workload {name!r}; try `repro list`")
+    raise _UsageError(f"unknown workload {name!r}; try `repro list`")
+
+
+def _check_firmware(args) -> None:
+    """--log-bytes / --device-cache-bytes the firmware would refuse."""
+    try:
+        check_firmware(args.fs, args.log_bytes, args.device_cache_bytes)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _refuse(what: str, problems) -> bool:
@@ -111,6 +124,7 @@ def _cmd_list(_args) -> int:
 
 def _cmd_run(args) -> int:
     wl = _make_workload(args.workload)
+    _check_firmware(args)
     devcache = _devcache_config(args)
     config_echo = {
         "workload": args.workload,
@@ -165,9 +179,7 @@ def _cmd_serve(args) -> int:
     try:
         srv = make_server(lambda: "", port=args.listen)
     except OSError as exc:
-        print(f"repro serve: cannot listen on {args.listen}: {exc}",
-              file=sys.stderr)
-        return 2
+        raise _UsageError(f"cannot listen on {args.listen}: {exc}") from None
     with srv:
         return _serve(args, srv)
 
@@ -202,8 +214,7 @@ def _serve(args, srv) -> int:
     except ValueError as exc:
         # a bad --fault spec or anything serve.validate rejects: a usage
         # error for every --workers, not a crash
-        print(f"repro serve: {exc}", file=sys.stderr)
-        return 2
+        raise _UsageError(str(exc)) from None
     doc = result.to_json()
     text = json.dumps(doc, sort_keys=True, indent=2)
     series = None
@@ -300,13 +311,22 @@ def _cmd_top(args) -> int:
     from repro.cluster import validate_cluster_run
     from repro.telemetry import load_series, render_top, validate_series
 
-    with open(args.result, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    def read(path, load):
+        try:
+            return load(path)
+        except (OSError, ValueError) as exc:  # ValueError: not JSON
+            raise _UsageError(f"cannot read {path}: {exc}") from None
+
+    def load_doc(path):
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+
+    doc = read(args.result, load_doc)
     if _refuse("run", validate_cluster_run(doc)):
         return 2
     series = None
     if args.series:
-        series = load_series(args.series)
+        series = read(args.series, load_series)
         if _refuse("series", validate_series(series)):
             return 2
     print(render_top(doc, series=series, top_n=args.top))
@@ -315,6 +335,17 @@ def _cmd_top(args) -> int:
 
 def _cmd_compare(args) -> int:
     systems = args.systems.split(",")
+    for fs in systems:
+        if fs not in FIRMWARE_FOR:
+            raise _UsageError(
+                f"unknown file system {fs!r}; choose from "
+                f"{', '.join(sorted(FIRMWARE_FOR))}"
+            )
+    if args.baseline not in systems:
+        raise _UsageError(
+            f"--baseline {args.baseline} is not one of "
+            f"--systems {args.systems}"
+        )
     tput: Dict[str, float] = {}
     for fs in systems:
         wl = _make_workload(args.workload)
@@ -330,8 +361,10 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_crashsweep(args) -> int:
-    from repro.faults import SweepConfig, run_crash, run_sweep
+    from repro.faults import SweepConfig, enumerate_sites, run_crash, run_sweep
 
+    if args.max_sites is not None and args.max_sites < 0:
+        raise _UsageError("--max-sites must be >= 0 (0 only enumerates)")
     config = SweepConfig(
         fs_name=args.fs,
         seed=args.seed,
@@ -341,6 +374,12 @@ def _cmd_crashsweep(args) -> int:
     if args.site is not None:
         # Reproduce a single crash point (e.g. from a failing sweep).
         result = run_crash(config, args.site, torn=args.torn)
+        if result.fired is None:
+            n = len(enumerate_sites(config))
+            raise _UsageError(
+                f"site {args.site} is never reached; the {args.fs} "
+                f"workload reaches {n} sites (0..{n - 1})"
+            )
         print(result.describe())
         return 0 if result.ok else 1
     report = run_sweep(config)
@@ -362,6 +401,7 @@ def _cmd_trace(args) -> int:
     from repro.trace.report import render_breakdown, render_critical_path
 
     wl = _make_workload(args.workload)
+    _check_firmware(args)
     result = run_workload(
         args.fs, wl,
         log_bytes=args.log_bytes,
@@ -618,6 +658,9 @@ def main(argv: Optional[list] = None) -> int:
     }
     try:
         return handlers[args.command](args)
+    except _UsageError as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Reports like `repro top | head` close the pipe early; exit
         # quietly instead of tracebacking.  stdout is left unflushable,

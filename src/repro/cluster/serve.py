@@ -79,12 +79,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.bytefs import FIRMWARE_FOR
+from repro.core.bytefs import FIRMWARE_FOR, check_firmware
 from repro.devcache import DevCacheConfig
 from repro.faults.plan import DeviceCrash, check_fault_plan
 from repro.nand.geometry import FlashGeometry
 from repro.nand.timing import TimingModel
-from repro.ssd.firmware.bytefs_fw import ByteFSFirmwareConfig
 from repro.trace import tracer as trace
 
 from repro.cluster.merge import merge_shard_results
@@ -197,8 +196,9 @@ def validate(cfg: ServeConfig) -> List[int]:
         raise ValueError("sample_every_ns must be positive")
     if cfg.page_cache_pages < 1:
         raise ValueError("page_cache_pages must be >= 1")
-    if FIRMWARE_FOR[cfg.fs_name] == "bytefs":
-        ByteFSFirmwareConfig(log_bytes=cfg.log_bytes)  # the firmware's check
+    check_firmware(
+        cfg.fs_name, cfg.log_bytes, cfg.device_cache_bytes, cfg.geometry
+    )
     faulted = {f.device for f in check_fault_plan(cfg.faults, cfg.n_devices)}
     cfg.scheduler_echo()  # the scheduler name and the DRR quantum
     placement = []

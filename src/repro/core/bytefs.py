@@ -12,6 +12,7 @@ from repro.nand.geometry import FlashGeometry
 from repro.nand.timing import TimingModel
 from repro.sim.clock import VirtualClock
 from repro.ssd.device import MSSD, MSSDConfig
+from repro.ssd.firmware.baseline_fw import BaselineFirmwareConfig
 from repro.ssd.firmware.bytefs_fw import ByteFSFirmwareConfig
 from repro.stats.traffic import TrafficStats
 
@@ -67,6 +68,23 @@ FIRMWARE_FOR = {
     "nova": "baseline",
     "pmfs": "baseline",
 }
+
+
+def check_firmware(
+    fs_name: str,
+    log_bytes: int,
+    device_cache_bytes: int,
+    geometry: Optional[FlashGeometry] = None,
+) -> None:
+    """Raise the ``ValueError`` that building the firmware of ``fs_name``
+    with these sizes raises, without building anything: callers report
+    it before a run starts."""
+    if FIRMWARE_FOR[fs_name] == "bytefs":
+        ByteFSFirmwareConfig(log_bytes=log_bytes)
+    else:
+        BaselineFirmwareConfig(cache_bytes=device_cache_bytes).cache_pages(
+            (geometry or MSSDConfig().geometry).page_size
+        )
 
 
 def build_stack(

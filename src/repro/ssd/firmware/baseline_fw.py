@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import (
+    ClassVar, Dict, Iterable, Iterator, List, Optional, Tuple, Union,
+)
 
 from repro.faults.injector import NULL_INJECTOR
 from repro.ftl.ftl import FTL
@@ -30,6 +32,21 @@ class BaselineFirmwareConfig:
     cache_bytes: int = 4 << 20
     dirty_high_watermark: float = 0.50   # start background flush above this
     dirty_low_watermark: float = 0.25    # flush down to this
+
+    #: the smallest cache the firmware runs with, in pages
+    MIN_CACHE_PAGES: ClassVar[int] = 4
+
+    def cache_pages(self, page_size: int) -> int:
+        """The cache's capacity in ``page_size`` pages; a ``ValueError``
+        below :attr:`MIN_CACHE_PAGES`."""
+        pages = self.cache_bytes // page_size
+        if pages < self.MIN_CACHE_PAGES:
+            raise ValueError(
+                "device_cache_bytes must be >= "
+                f"{self.MIN_CACHE_PAGES * page_size} "
+                f"({self.MIN_CACHE_PAGES} pages; got {self.cache_bytes})"
+            )
+        return pages
 
 
 class _CachedPage:
@@ -60,9 +77,7 @@ class BaselineFirmware:
         self.stats = stats
         self.config = config or BaselineFirmwareConfig()
         self.page_size = ftl.geometry.page_size
-        self.capacity_pages = max(
-            4, self.config.cache_bytes // self.page_size
-        )
+        self.capacity_pages = self.config.cache_pages(self.page_size)
         self._cache: "OrderedDict[int, _CachedPage]" = OrderedDict()
         self._dirty_count = 0
         self.fw_core = Resource("fw-core")

@@ -8,8 +8,8 @@ request/traffic counts become ``counter`` metrics with the conventional
 names are emitted in sorted order, so the exposition — like the series —
 is byte-deterministic for identical runs.
 
-:func:`parse_exposition` is a small well-formedness checker (the CI
-telemetry-smoke job runs it over ``repro serve`` output): HELP/TYPE
+:func:`parse_exposition` is a small well-formedness checker
+(``tests/test_telemetry.py`` runs it over a faulted serve): HELP/TYPE
 comment syntax, sample-line grammar, TYPE-before-sample ordering, and
 duplicate series detection.
 """

@@ -14,10 +14,10 @@ followed by one sample row per line, sorted by
     {"t_ns": ..., "scope": "layer", "layer": "ftl", "metrics": {...}}
 
 Everything is a pure function of the run's (seed, config): identical
-seeded invocations produce **byte-identical** series files — the CI
-telemetry-smoke job ``cmp``\\ s two runs, and
-``tests/test_telemetry.py`` pins a faulted scenario against a golden
-fixture exactly like ``tests/golden/cluster_run.json``.
+seeded invocations produce **byte-identical** series files —
+``tests/test_pins.py`` pins the series of faulted scenarios (in-process
+and written by ``repro serve --telemetry-out``) by sha256, and
+``tests/test_telemetry.py`` compares two runs in one process.
 
 Its fields are declared once, in :data:`HEADER` and :data:`ROW`;
 :func:`validate_series` checks them and the row order before ``repro

@@ -35,9 +35,10 @@ def pytest_addoption(parser):
         "--update-golden",
         action="store_true",
         default=False,
-        help="regenerate the golden RunResult fixtures "
-        "(tests/golden/run_results.json) instead of asserting against "
-        "them; only for deliberate performance-model changes",
+        help="rewrite the pins and tables instead of asserting against "
+        "them: tests/golden/pins.json (tests/test_pins.py) and "
+        "benchmarks/results/*.txt (tests/test_paper_shapes.py); only "
+        "for deliberate performance-model changes, reviewed as a diff",
     )
 
 

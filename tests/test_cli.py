@@ -36,9 +36,51 @@ def test_compare(capsys):
     assert "vs ext4" in out
 
 
-def test_unknown_workload():
-    with pytest.raises(SystemExit):
-        main(["run", "--workload", "nonsense"])
+def test_unknown_workload(capsys):
+    for argv in (["run", "--workload", "nonsense"], ["trace", "nonsense"],
+                 ["compare", "--workload", "nonsense"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"repro {argv[0]}: unknown workload 'nonsense'; try `repro list`\n"
+        )
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--systems", "ext4,nosuch"], "unknown file system 'nosuch'; choose "
+     "from bytefs, bytefs-dual, bytefs-log, ext4, f2fs, nova, pmfs"),
+    (["--systems", "ext4,f2fs", "--baseline", "nova"],
+     "--baseline nova is not one of --systems ext4,f2fs"),
+], ids=["system", "baseline"])
+def test_compare_bad_systems_are_usage_errors(capsys, monkeypatch, argv,
+                                              message):
+    import repro.cli
+
+    def ran(*_a, **_k):
+        raise AssertionError("a system ran before the arguments were checked")
+    monkeypatch.setattr(repro.cli, "run_workload", ran)
+    assert main(["compare", *argv]) == 2
+    assert capsys.readouterr().err == f"repro compare: {message}\n"
+
+
+@pytest.mark.parametrize("size", ["0", "-5", "100", "16383"])
+@pytest.mark.parametrize("command", ["run", "trace"])
+def test_a_device_cache_under_four_pages_is_a_usage_error(
+    capsys, command, size
+):
+    argv = (["run", "--workload", "create"] if command == "run"
+            else ["trace", "create"])
+    assert main(argv + ["--fs", "ext4", "--device-cache-bytes", size]) == 2
+    assert capsys.readouterr().err == (
+        f"repro {command}: device_cache_bytes must be >= 16384 "
+        f"(4 pages; got {size})\n"
+    )
+
+
+def test_a_log_the_firmware_refuses_is_a_usage_error(capsys):
+    assert main(["run", "--workload", "create", "--log-bytes", "0"]) == 2
+    assert capsys.readouterr().err == (
+        "repro run: log_bytes must be >= 128 (got 0)\n"
+    )
 
 
 def test_unknown_fs_rejected():
@@ -84,6 +126,7 @@ def test_serve_json_is_valid_and_deterministic(capsys):
     assert validate_cluster_run(doc) == []
     assert doc["schema"] == "repro.cluster.run/v2"
     assert doc["seed"] == 42
+    assert "devcache" not in doc  # a cache-off run carries no cache state
     assert {t["spec"]["name"] for t in doc["tenants"]} == {
         "tn0-mixed", "tn1-light",
     }
@@ -203,6 +246,25 @@ def test_top_refuses_an_invalid_run_document(tmp_path, capsys, doc):
     assert lines and all(line.startswith("run error: ") for line in lines)
 
 
+@pytest.mark.parametrize("text", [None, "not json"],
+                         ids=["missing", "not-json"])
+@pytest.mark.parametrize("which", ["result", "series"])
+def test_top_on_an_unreadable_file_is_a_usage_error(tmp_path, capsys, text,
+                                                     which):
+    run, bad = tmp_path / "run.json", tmp_path / "bad"
+    assert main(_SERVE + ["--out", str(run)]) == 0
+    capsys.readouterr()
+    if text is not None:
+        bad.write_text(text)
+    argv = (["top", str(bad)] if which == "result"
+            else ["top", str(run), "--series", str(bad)])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"repro top: cannot read {bad}: ")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_top_renders_a_valid_run_document(tmp_path, capsys):
     path = tmp_path / "run.json"
     assert main(_SERVE + ["--out", str(path)]) == 0
@@ -258,3 +320,35 @@ def test_trace_refuses_to_write_an_undeclared_key(
     err = capsys.readouterr().err
     assert err.startswith("schema error: ") and "sneaky_debug" in err
     assert not out.exists()
+
+
+# repro crashsweep
+# ---------------------------------------------------------------------- #
+
+@pytest.mark.parametrize("site", ["999999", "-3"])
+def test_crashsweep_a_site_never_reached_is_a_usage_error(capsys, site):
+    from repro.faults import SweepConfig, enumerate_sites
+
+    n = len(enumerate_sites(SweepConfig(fs_name="ext4")))
+    assert main(["crashsweep", "--fs", "ext4", "--site", site]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"repro crashsweep: site {site} is never reached; the ext4 "
+        f"workload reaches {n} sites (0..{n - 1})\n"
+    )
+
+
+def test_crashsweep_replays_the_last_site(capsys):
+    from repro.faults import SweepConfig, enumerate_sites
+
+    n = len(enumerate_sites(SweepConfig(fs_name="ext4")))
+    assert main(["crashsweep", "--fs", "ext4", "--site", str(n - 1)]) == 0
+    assert capsys.readouterr().out.startswith(f"[ext4] site {n - 1} (")
+
+
+def test_crashsweep_negative_max_sites_is_a_usage_error(capsys):
+    assert main(["crashsweep", "--max-sites", "-1"]) == 2
+    assert capsys.readouterr().err == (
+        "repro crashsweep: --max-sites must be >= 0 (0 only enumerates)\n"
+    )

@@ -5,8 +5,8 @@ processes and reduces the per-shard fragments; the contract
 (``docs/PERFORMANCE.md``) is that the merged ``repro.cluster.run/v2``
 document — and the ``repro.telemetry.series/v1`` output — is
 **byte-identical** to the in-process serial run for every K.  These
-tests pin that on the same fixture shapes the golden differential test
-uses: a plain multi-device run and a faulted one (mid-run device crash
+tests pin that on the same shapes as the ``cluster/*`` rows of
+tests/test_pins.py: a plain multi-device run and a faulted one (mid-run device crash
 plus a tenant-less faulted device), both with live telemetry sampled.
 """
 

@@ -384,6 +384,28 @@ def test_stack_run_is_repeatable_per_policy(policy):
     assert docs[0] == docs[1]
 
 
+@pytest.mark.parametrize("policy", EVICTION_POLICY_NAMES)
+def test_invariants_hold_after_an_mmap_heavy_run(policy):
+    """A 1 MB cache under 4 000 mmap ops: clean frames evict, prefetched
+    frames are hit, and the frame table is consistent at the end."""
+    def check(phase, _clock, _stats, device, _fs):
+        if phase == "measure-end":
+            device.devcache.check_invariants()
+            gauges = device.gauges()
+            assert gauges["devcache_evictions_clean"] > 0, gauges
+            assert gauges["devcache_prefetch_hits"] > 0, gauges
+            checked.append(phase)
+
+    checked = []
+    run_workload(
+        "bytefs", MmapStress(n_ops=4000), page_cache_pages=128,
+        devcache=DevCacheConfig(cache_bytes=1 << 20, policy=policy,
+                                prefetch=True),
+        stack_probe=check,
+    )
+    assert checked
+
+
 def test_cache_off_emits_no_devcache_state():
     clock, stats, device, fs = build_stack(
         "bytefs", geometry=SMALL_GEOMETRY

@@ -1,170 +1,35 @@
-"""Golden differential: ``RunResult.to_json()`` pinned byte-for-byte.
+"""Every (fs, figure workload) run document and both cluster documents,
+byte for byte, and a same-seed double run in one process.
 
-The simulator hot path is performance-optimized under one non-negotiable
-constraint: only *wall-clock* time may change — never simulated time,
-traffic, or latency.  These tests enforce it by replaying every
-(fs, figure-workload) pair at a fixed seed and comparing the canonical
-JSON serialization of the run against a committed fixture, byte for
-byte.  Any drift means an "optimization" changed the performance model.
-
-The fixture is regenerated only via an explicit flag::
-
-    PYTHONPATH=src python -m pytest tests/test_golden_differential.py \
-        --update-golden
-
-which is reserved for deliberate performance-model changes (new timing
-parameters, new traffic accounting) — recalibrate on purpose, never to
-make a red optimization pass.  Regeneration computes every pair twice
-(once to write, once through the normal assertions), so an update run
-doubles as a same-seed determinism sweep.
+The documents are the ``run/*`` and ``cluster/*`` rows of
+tests/test_pins.py (one table, one ``pins.json``, rewritten only by
+``--update-golden`` for a deliberate model change).  Only a double run
+in one process catches state that leaks from one run into the next (a
+module-level cache, a class attribute, an unseeded generator).
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import pytest
 
-from repro.bench.harness import run_workload
-from repro.cluster import TenantSpec, serve_cluster
-from repro.faults import DeviceCrash
-from repro.workloads import (
-    Fileserver,
-    MicroCreate,
-    MicroDelete,
-    MicroMkdir,
-    MicroRmdir,
-    OLTP,
-    Varmail,
-    Webproxy,
-    Webserver,
-)
-from tests.conftest import ALL_FS, SMALL_GEOMETRY
-
-GOLDEN_PATH = Path(__file__).parent / "golden" / "run_results.json"
-CLUSTER_GOLDEN_PATH = Path(__file__).parent / "golden" / "cluster_run.json"
-
-#: Every figure workload at smoke scale (fresh instance per run:
-#: setup mutates workload state).  Scales mirror tests/benchmarks.
-FIGURE_WORKLOADS = {
-    "create": lambda: MicroCreate(n_files=96),
-    "delete": lambda: MicroDelete(n_files=72),
-    "mkdir": lambda: MicroMkdir(n_dirs=96),
-    "rmdir": lambda: MicroRmdir(n_dirs=72),
-    "varmail": lambda: Varmail(ops_per_thread=8),
-    "fileserver": lambda: Fileserver(ops_per_thread=6),
-    "webproxy": lambda: Webproxy(ops_per_thread=6),
-    "webserver": lambda: Webserver(ops_per_thread=6),
-    "oltp": lambda: OLTP(ops_per_thread=8),
-}
+from tests.conftest import ALL_FS
+from tests.test_pins import FIGURE_WORKLOADS, check, figure_doc, rows
 
 PAIRS = [(fs, wl) for fs in ALL_FS for wl in sorted(FIGURE_WORKLOADS)]
-
-
-def _canonical(fs: str, wl_name: str) -> str:
-    """The byte-exact representation a run is pinned to."""
-    result = run_workload(
-        fs, FIGURE_WORKLOADS[wl_name](), geometry=SMALL_GEOMETRY
-    )
-    return json.dumps(result.to_json(), sort_keys=True)
-
-
-@pytest.fixture(scope="module")
-def golden(request):
-    if request.config.getoption("--update-golden"):
-        data = {f"{fs}/{wl}": _canonical(fs, wl) for fs, wl in PAIRS}
-        GOLDEN_PATH.parent.mkdir(exist_ok=True)
-        GOLDEN_PATH.write_text(
-            json.dumps(data, sort_keys=True, indent=1) + "\n",
-            encoding="utf-8",
-        )
-    if not GOLDEN_PATH.exists():
-        pytest.fail(
-            f"{GOLDEN_PATH} missing; generate it with --update-golden"
-        )
-    return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize(
     "fs,wl", PAIRS, ids=[f"{fs}-{wl}" for fs, wl in PAIRS]
 )
-def test_run_result_byte_identical(golden, fs, wl):
-    key = f"{fs}/{wl}"
-    assert key in golden, (
-        f"no golden entry for {key}; regenerate with --update-golden"
-    )
-    assert _canonical(fs, wl) == golden[key], (
-        f"{key}: RunResult.to_json() drifted from the golden fixture — "
-        "a hot-path change altered simulated time/traffic/latency; "
-        "only wall-clock time may change (see docs/PERFORMANCE.md)"
-    )
+def test_run_result_byte_identical(pytestconfig, fs, wl):
+    check(pytestconfig, f"run/{fs}/{wl}")
+
+
+@pytest.mark.parametrize("name", rows("cluster/"))
+def test_cluster_run_byte_identical(pytestconfig, name):
+    check(pytestconfig, f"cluster/{name}")
 
 
 @pytest.mark.parametrize("fs", ALL_FS)
 def test_same_seed_double_run_identical(fs):
-    """Two fresh same-seed runs serialize identically for every fs."""
-    assert _canonical(fs, "varmail") == _canonical(fs, "varmail")
-
-
-# ---------------------------------------------------------------------- #
-# cluster runs: the repro.cluster.run/v2 document pinned byte-for-byte
-# ---------------------------------------------------------------------- #
-
-def _cluster_tenants():
-    return [
-        TenantSpec(name="a", workload="mixed", rate_ops_s=4_000.0,
-                   slo_ms=5.0, n_ops=18, device=0),
-        TenantSpec(name="b", workload="light", rate_ops_s=1_000.0,
-                   slo_ms=2.0, n_ops=12, device=1),
-        TenantSpec(name="c", workload="mixed", rate_ops_s=2_000.0,
-                   slo_ms=4.0, n_ops=14, device=0),
-    ]
-
-
-#: Pinned cluster scenarios: a plain multi-device DRR serve, and the
-#: same cluster with a mid-run crash-and-recover on device 0.
-CLUSTER_SCENARIOS = {
-    "drr-plain": dict(sched="drr"),
-    "drr-crash-dev0": dict(sched="drr",
-                           faults=[DeviceCrash(0, after_ops=9)]),
-}
-
-
-def _cluster_canonical(name: str) -> str:
-    result = serve_cluster(
-        _cluster_tenants(), fs_name="bytefs", n_devices=2, seed=42,
-        geometry=SMALL_GEOMETRY, queue_depth=2, max_queue=256,
-        **CLUSTER_SCENARIOS[name],
-    )
-    return json.dumps(result.to_json(), sort_keys=True)
-
-
-@pytest.fixture(scope="module")
-def cluster_golden(request):
-    if request.config.getoption("--update-golden"):
-        data = {name: _cluster_canonical(name) for name in CLUSTER_SCENARIOS}
-        CLUSTER_GOLDEN_PATH.parent.mkdir(exist_ok=True)
-        CLUSTER_GOLDEN_PATH.write_text(
-            json.dumps(data, sort_keys=True, indent=1) + "\n",
-            encoding="utf-8",
-        )
-    if not CLUSTER_GOLDEN_PATH.exists():
-        pytest.fail(
-            f"{CLUSTER_GOLDEN_PATH} missing; generate it with "
-            "--update-golden"
-        )
-    return json.loads(CLUSTER_GOLDEN_PATH.read_text(encoding="utf-8"))
-
-
-@pytest.mark.parametrize("name", sorted(CLUSTER_SCENARIOS))
-def test_cluster_run_byte_identical(cluster_golden, name):
-    assert name in cluster_golden, (
-        f"no golden entry for {name}; regenerate with --update-golden"
-    )
-    assert _cluster_canonical(name) == cluster_golden[name], (
-        f"{name}: ClusterRunResult.to_json() drifted from the golden "
-        "fixture — a scheduling/fault/recovery change altered the "
-        "serve-path performance model; recalibrate deliberately with "
-        "--update-golden, never to make a red change pass"
-    )
+    assert figure_doc(fs, "varmail") == figure_doc(fs, "varmail")

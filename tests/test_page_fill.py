@@ -7,14 +7,12 @@ hold that to the behaviour of the code it replaced, which lives on here
 as the reference (``block_read`` through ``block_read_many([lpa])[0]``,
 frames as ``_Frame`` objects owning a ``bytearray`` and two cacheline
 bitmaps): same device image, same traffic counters, same simulated clock
-bit for bit, same gauges; trace spans and numbered crash sites are held
-to sha256 goldens taken on the commit before the change.
+bit for bit, same gauges.  The trace spans and numbered crash sites of
+the fill are the ``page-fill/*`` rows of tests/test_pins.py.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from contextlib import ExitStack
 from typing import Dict, List, Optional
 from unittest import mock
@@ -22,14 +20,11 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bench.harness import run_workload
 from repro.core.bytefs import build_stack
 from repro.devcache import DevCacheConfig, DeviceCache
-from repro.faults.injector import FaultInjector
 from repro.fs.extfs import ExtFSConfig
 from repro.fs.vfs import O_CREAT, O_DIRECT, O_RDWR
 from repro.ftl.ftl import FTL, FTLConfig
-from repro.host.mmap import MappedRegion
 from repro.host.page_cache import PageCache
 from repro.nand.chip import FlashArray
 from repro.nand.geometry import FlashGeometry
@@ -42,9 +37,8 @@ from repro.ssd.device import MSSD, MSSDConfig
 from repro.ssd.firmware.bytefs_fw import ByteFSFirmware
 from repro.stats.traffic import StructKind, TrafficStats
 from repro.trace import tracer as trace
-from repro.trace.export import to_jsonl
-from repro.workloads import OLTP, MmapStress, Webserver
 from tests.conftest import SMALL_GEOMETRY
+from tests.test_pins import FILL_CASES, check
 
 P = 4096
 OTHER = StructKind.OTHER
@@ -782,149 +776,21 @@ def test_reference_stack_is_the_reference():
 
 
 # ---------------------------------------------------------------------- #
-# (c) trace spans and crash sites: goldens of the parent commit
+# (c) trace spans and crash sites: the page-fill rows of the pin table
 # ---------------------------------------------------------------------- #
 
-def golden_cases():
-    """name -> (fs, workload factory, run_workload keywords)."""
-    return {
-        "mmap_stress+devcache": (
-            "bytefs",
-            lambda: MmapStress(n_ops=900, n_threads=2, file_pages=48, seed=7),
-            {
-                "page_cache_pages": 16,
-                "devcache": DevCacheConfig(
-                    cache_bytes=32 * P, policy="lru", prefetch=True
-                ),
-            },
-        ),
-        "webserver": (
-            "bytefs", lambda: Webserver(ops_per_thread=6, seed=7), {},
-        ),
-        "oltp-ext4": (
-            "ext4", lambda: OLTP(ops_per_thread=12, seed=7), {},
-        ),
-        "mmap_stress": (
-            "bytefs",
-            lambda: MmapStress(n_ops=900, n_threads=2, file_pages=48, seed=7),
-            {"page_cache_pages": 16},
-        ),
-    }
+@pytest.mark.parametrize("name", sorted(FILL_CASES))
+def test_trace_jsonl_matches_parent_golden(pytestconfig, name):
+    check(pytestconfig, f"page-fill/{name}/trace")
 
 
-def trace_sha256(name: str) -> str:
-    """sha256 of the span-trace JSONL of a case (what ``repro trace
-    --format jsonl`` writes)."""
-    fs_name, make_workload, kw = golden_cases()[name]
-    workload = make_workload()
-    result = run_workload(
-        fs_name, workload, geometry=SMALL_GEOMETRY, traced=True, **kw
-    )
-    text = to_jsonl(result.trace, {"fs": fs_name, "workload": workload.name})
-    return hashlib.sha256(text.encode()).hexdigest()
+@pytest.mark.parametrize("name", sorted(FILL_CASES))
+def test_crash_sites_match_parent_golden(pytestconfig, name):
+    check(pytestconfig, f"page-fill/{name}/crash-sites")
 
 
-def crash_sites_sha256(name: str) -> str:
-    """sha256 of the numbered crash sites a counting injector records
-    over a case's setup and op stream."""
-    fs_name, make_workload, kw = golden_cases()[name]
-    workload = make_workload()
-    faults = FaultInjector()
-    clock, _stats, _device, fs = build_stack(
-        fs_name, geometry=SMALL_GEOMETRY, n_threads=workload.n_threads,
-        faults=faults, log_bytes=1 << 20, device_cache_bytes=1 << 20,
-        page_cache_pages=kw.get("page_cache_pages", 512),
-        devcache=kw.get("devcache"),
-    )
-    faults.start_count()
-    workload.setup(fs)
-    threads = list(enumerate(workload.make_threads(fs)))
-    while threads:
-        for tid, gen in list(threads):
-            clock.switch(tid)
-            if next(gen, None) is None:
-                threads.remove((tid, gen))
-    fs.unmount()
-    sites = [(s.index, s.label, s.nbytes, s.atom) for s in faults.trace]
-    assert len(sites) > 100
-    return hashlib.sha256(repr(sites).encode()).hexdigest()
-
-
-#: taken on a484c12, the commit before the page fill became straight-line,
-#: by calling the two functions above with that tree on ``sys.path``
-GOLDEN_TRACE_SHA256 = {
-    "mmap_stress+devcache":
-        "fa3f67370e98644b588906110fb2a841b323048f46f4b271b007c76715029044",
-    "webserver":
-        "4f1c76ce5650f18225be532e6144f3e9e0c119728283707848ae337fb5f45695",
-    "oltp-ext4":
-        "0344559f09395e8e28fce737eca5c5037a1fc6a7ccaccd8fdb4f5305492f5248",
-}
-GOLDEN_CRASH_SITES_SHA256 = {
-    "mmap_stress+devcache":
-        "6d4337e194b5762777d19a35e46d174f84f028c33620d3a67f0b91c8dc52fb65",
-    "webserver":
-        "60698eb8c7198eb67d17b6f187f3df587c4d62f17fe6230a7f1dd5768fa8fdb7",
-    "oltp-ext4":
-        "8a7c6adab5a6a4a99a504ea63b0ddba5ca14854b14bab8d0c42cb70684c13cc9",
-}
-
-
-@pytest.mark.parametrize("name", sorted(GOLDEN_TRACE_SHA256))
-def test_trace_jsonl_matches_parent_golden(name):
-    assert trace_sha256(name) == GOLDEN_TRACE_SHA256[name]
-
-
-@pytest.mark.parametrize("name", sorted(GOLDEN_CRASH_SITES_SHA256))
-def test_crash_sites_match_parent_golden(name):
-    assert crash_sites_sha256(name) == GOLDEN_CRASH_SITES_SHA256[name]
-
-
-#: taken on 32f83b4, the commit before a page-cache fill became one call:
-#: mmap faults the firmware serves with no devcache, a 16-page host cache
-#: that evicts on nearly every fault, and msync write-back cleaning pages
-#: behind the faults — the fill shape the cases above leave out
-MMAP_FAULT_SHA256 = {
-    "trace":
-        "dccfcb0552df66202cee95b8e088567964d63cfc64a519a88569864af84b865d",
-    "run_result":
-        "66494bc8ccd054ce04a4be7291fbafb8855ecda0b1e99463ef3a9bf9b0bb71c6",
-    "crash_sites":
-        "f90142189a423f1fe9fa52a0ea00365e0012b55f3092478b0d3360830efbb5d2",
-}
-
-
-def test_mmap_fault_fill_matches_parent_golden():
-    fs_name, make_workload, kw = golden_cases()["mmap_stress"]
-    cleaned = []
-    msync = MappedRegion.msync
-
-    def counting_msync(region):
-        dirty = region.fs.page_cache.dirty_pages
-        before = len(dirty(region.ino))
-        msync(region)
-        cleaned.append(before - len(dirty(region.ino)))
-
-    caches = []
-
-    def keep_cache(_phase, _clock, _stats, _device, fs):
-        caches.append(fs.page_cache)
-
-    with mock.patch.object(MappedRegion, "msync", counting_msync):
-        result = run_workload(
-            fs_name, make_workload(), geometry=SMALL_GEOMETRY,
-            stack_probe=keep_cache, **kw,
-        )
-    doc = json.dumps(result.to_json(), sort_keys=True)
-    assert {
-        "trace": trace_sha256("mmap_stress"),
-        "run_result": hashlib.sha256(doc.encode()).hexdigest(),
-        "crash_sites": crash_sites_sha256("mmap_stress"),
-    } == MMAP_FAULT_SHA256
-    # not vacuous: the cache evicts, mmap faults fill it, msync cleans
-    assert caches[-1].misses > kw["page_cache_pages"]
-    assert result.counters["mmap_page_faults"] > 0
-    assert sum(cleaned) > 0
+def test_mmap_fault_fill_matches_parent_golden(pytestconfig):
+    check(pytestconfig, "page-fill/mmap-faults")
 
 
 # ---------------------------------------------------------------------- #

@@ -3,18 +3,16 @@
 ``workers=0`` is one in-process shard through the routine the worker
 processes run, reduced by the same reducer — so "serial == workers"
 compares one routine with itself and proves nothing on its own.  The
-reference is therefore the parent commit: (a) pins sha256 digests of the
-result document, the telemetry series, the dispatch log and the trace
-JSONL, taken with the hand-assembled serial path that this routine
-replaced, for every worker count.  (b) pins the error contract (one
-validation, before anything is built or spawned), (c) the process edge
-(a killed or a raising worker), (d) the structure itself.
+bytes are therefore pinned: the ``serve/*`` rows of tests/test_pins.py
+hold the result document, the telemetry series, the dispatch log and the
+trace JSONL of each shape to one golden at every worker count, and
+(a) checks them.  (b) pins the error contract (one validation, before
+anything is built or spawned), (c) the process edge (a killed or a
+raising worker), (d) the structure itself.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import multiprocessing
 import os
 import signal
@@ -27,147 +25,21 @@ import pytest
 import repro.cluster
 from repro.cluster import TenantSpec, serve_cluster
 from repro.core.bytefs import build_stack
-from repro.devcache import DevCacheConfig
 from repro.faults.plan import DeviceCrash
+from repro.ssd.firmware.baseline_fw import BaselineFirmwareConfig
 from repro.ssd.firmware.bytefs_fw import ByteFSFirmwareConfig
-from repro.telemetry.series import to_lines
-from repro.trace import tracer as trace
-from repro.trace.export import to_jsonl
 from tests.conftest import SMALL_GEOMETRY
+from tests.test_pins import WORKERS, check, rows, serve_shape
 
 # ---------------------------------------------------------------------- #
-# (a) documents, series, logs and traces: goldens of the parent commit
+# (a) documents, series, logs and traces: the serve rows of the pin table
 # ---------------------------------------------------------------------- #
-
-#: one tenant-less faulted device (2) and one crashing under load (0):
-#: both recovery paths, and the outage order the reducer has to restore
-FAULTS = [DeviceCrash(device=0, after_ops=9),
-          DeviceCrash(device=2, at_s=0.0001)]
-
-#: name -> serve_cluster keywords on top of :func:`serve_shape`'s base;
-#: ``auto_trace`` is not a keyword but the value ``trace.AUTO`` is
-#: pinned to (the digests must not depend on REPRO_TRACE in the
-#: environment)
-SHAPES = {
-    "plain": {},
-    "faulted": dict(n_devices=3, faults=FAULTS, keep_dispatch_log=True),
-    "reject": dict(n_devices=3, faults=FAULTS, outage_policy="reject"),
-    "token-bucket": dict(sched="token-bucket"),
-    "devcache": dict(devcache=DevCacheConfig(
-        cache_bytes=64 * 4096, policy="clock", prefetch=True,
-    )),
-    "unmount": dict(unmount=True),
-    "auto-trace": dict(auto_trace=True),
-    "traced": dict(n_devices=3, faults=FAULTS, traced=True),
-}
-
-
-def serve_shape(name: str, workers: int):
-    kw = dict(SHAPES[name])
-    auto_trace = kw.pop("auto_trace", False)
-    tenants = [
-        TenantSpec(
-            name=f"t{i}", workload="synthetic", n_ops=40,
-            rate_ops_s=200_000.0, device=i % 2,
-            # caps only the token-bucket scheduler reads
-            limit_ops_s=(20_000.0, None, 60_000.0, 40_000.0)[i],
-            burst_ops=4,
-        )
-        for i in range(4)
-    ]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(trace, "AUTO", auto_trace)
-        return serve_cluster(tenants, **{
-            "fs_name": "bytefs", "n_devices": 2, "sched": "drr",
-            "seed": 42, "queue_depth": 2, "max_queue": 256,
-            "geometry": SMALL_GEOMETRY, "sample_every_ns": 500_000.0,
-            "workers": workers, **kw,
-        })
-
-
-def digests(name: str, workers: int) -> dict:
-    """sha256 of every artefact the shape produces."""
-    res = serve_shape(name, workers)
-    texts = {
-        "doc": json.dumps(res.to_json(), sort_keys=True),
-        "series": "\n".join(to_lines(res.telemetry)),
-    }
-    if res.dispatch_log is not None:
-        texts["dispatch_log"] = json.dumps(res.dispatch_log, sort_keys=True)
-    if SHAPES[name].get("traced"):
-        texts["trace"] = to_jsonl(res.trace, {"shape": name})
-    return {
-        key: hashlib.sha256(text.encode()).hexdigest()
-        for key, text in texts.items()
-    }
-
-
-#: taken on 0156570, the commit before the serial path was deleted, by
-#: calling ``digests(name, 0)`` with that tree on ``sys.path``.  (There
-#: ``unmount=True`` summarised the devices before unmounting under
-#: workers and after it serially; the serial order is the one kept.)
-PARENT_SHA256 = {
-    "auto-trace": {
-        "doc":
-            "0f56a7224bc02c406efa72772b7fcb013b7b1407b632113907ac90d4fc3c6c1c",
-        "series":
-            "dc7454803af4586d60d14f05504ba2b4cddeb84a41d9946645c715f07247d2d2",
-    },
-    "devcache": {
-        "doc":
-            "b0b1b379af9cb802b2a2155ac2b48fb791b8eaf935ba066f7d248ce2c8da884a",
-        "series":
-            "024d7e44be4d71fcd05d37aba97432fc04f03ff1b44a2227b9df4a60dca7f26c",
-    },
-    "faulted": {
-        "dispatch_log":
-            "8862ac45eab1bf2e87f01842eb542dfdf2e82ba2579365bbf6ae940135b77ab0",
-        "doc":
-            "63e47b4be8cd0aad4a9d579c25cd21031df34071fda6e87816fefbb35b848fe5",
-        "series":
-            "94842ab2d2585083171d8af5d8baf2a4ed70e8cf0ad0d52543c256d567376265",
-    },
-    "plain": {
-        "doc":
-            "0f56a7224bc02c406efa72772b7fcb013b7b1407b632113907ac90d4fc3c6c1c",
-        "series":
-            "39f900bc969807ca7b17792223ac6c790033b73753cfa2f3ec331756a91bc5bd",
-    },
-    "reject": {
-        "doc":
-            "4c42e700f54f532729093ca8f66fce1b7027b4b7a7fa797ee66d34f5c89bce1c",
-        "series":
-            "fa33b307718f60f7a0907f9e59d6bbe89f53f8b18d4ba27b5e70b048692848c8",
-    },
-    "token-bucket": {
-        "doc":
-            "09db0cfc5a8056e6ae40a2314b3dfbabac3c56bee41ab47c3ef5443022f6ee53",
-        "series":
-            "590aa2e9bc6657eb9cd8a64cd56265e2caa4c93ecce4a6cb48ec4ae3a880d062",
-    },
-    "traced": {
-        "doc":
-            "63e47b4be8cd0aad4a9d579c25cd21031df34071fda6e87816fefbb35b848fe5",
-        "series":
-            "0c00cabe84f2c276fec8fbea4a9bea2612811d0953a70c034f86193f17b6b6ea",
-        "trace":
-            "ddd32ffdc9db528e0712b3485796d46dc37140b11e1a7a2ed41af9ceb54b673f",
-    },
-    "unmount": {
-        "doc":
-            "fea16b4bff87190e17d8579ee9d1442e70fb0f762415ae360aca57f472a49bce",
-        "series":
-            "39f900bc969807ca7b17792223ac6c790033b73753cfa2f3ec331756a91bc5bd",
-    },
-}
-
 
 @pytest.mark.parametrize("name,workers", [
-    (name, workers) for name in sorted(SHAPES) for workers in (0, 1, 2, 4)
-    if not (workers and SHAPES[name].get("traced"))  # one in-process shard
+    (name, w) for name in rows("serve/") for w in WORKERS[f"serve/{name}"]
 ])
-def test_artefacts_match_parent_commit(name, workers):
-    assert digests(name, workers) == PARENT_SHA256[name]
+def test_artefacts_match_parent_commit(pytestconfig, name, workers):
+    check(pytestconfig, f"serve/{name}", workers)
 
 
 # ---------------------------------------------------------------------- #
@@ -213,6 +85,9 @@ BAD_CONFIGS = {
                          "page_cache_pages must be >= 1"),
     "no room for the firmware log": (
         _specs(), dict(log_bytes=0), "log_bytes must be >= 128"),
+    "device cache under four pages": (
+        _specs(), dict(fs_name="ext4", device_cache_bytes=100),
+        "device_cache_bytes must be >= 16384"),
 }
 
 
@@ -251,6 +126,16 @@ def test_log_minimum_is_the_smallest_log_the_firmware_builds_with():
     build_stack("bytefs", geometry=SMALL_GEOMETRY, log_bytes=smallest)
     with pytest.raises(ValueError, match="log_bytes must be >= 128"):
         build_stack("bytefs", geometry=SMALL_GEOMETRY, log_bytes=smallest - 1)
+
+
+def test_cache_minimum_is_the_smallest_cache_the_firmware_builds_with():
+    pages = BaselineFirmwareConfig.MIN_CACHE_PAGES
+    smallest = pages * SMALL_GEOMETRY.page_size
+    build_stack("ext4", geometry=SMALL_GEOMETRY, device_cache_bytes=smallest)
+    with pytest.raises(ValueError, match="device_cache_bytes must be >= "):
+        build_stack(
+            "ext4", geometry=SMALL_GEOMETRY, device_cache_bytes=smallest - 1
+        )
 
 
 # ---------------------------------------------------------------------- #

@@ -2,25 +2,21 @@
 document, Prometheus exposition, the /metrics endpoint, `repro top`,
 and the MetricsRegistry bridge (log-histogram merge).
 
-The integration scenario mirrors the pinned cluster golden
-(tests/test_golden_differential.py): three tenants on two devices with a
-mid-run crash on device 0, so the series captures a full
-``up 1 → 0 → 1`` outage.  Its series is pinned byte-for-byte in
-tests/golden/telemetry_series.jsonl; regenerate deliberately with::
-
-    PYTHONPATH=src python -m pytest tests/test_telemetry.py \
-        --update-golden
+The integration scenario is the cluster of the pinned rows
+``cluster/drr-crash-dev0`` and ``series/drr-crash-dev0`` of
+tests/test_pins.py: three tenants on two devices with a mid-run crash on
+device 0, so the series captures a full ``up 1 → 0 → 1`` outage.  The
+``series/`` row pins that series byte-for-byte.
 """
 
 from __future__ import annotations
 
 import json
 import urllib.request
-from pathlib import Path
 
 import pytest
 
-from repro.cluster import TenantSpec, serve_cluster
+from repro.cluster import serve_cluster
 from repro.faults import DeviceCrash
 from repro.telemetry import (
     TelemetrySampler,
@@ -44,28 +40,14 @@ from repro.trace.metrics import (
     bucket_index,
 )
 from tests.conftest import SMALL_GEOMETRY
-
-GOLDEN_SERIES_PATH = (
-    Path(__file__).parent / "golden" / "telemetry_series.jsonl"
-)
+from tests.test_pins import check, cluster_tenants
 
 SAMPLE_NS = 500_000.0  # 0.5 ms virtual
 
 
-def _tenants():
-    return [
-        TenantSpec(name="a", workload="mixed", rate_ops_s=4_000.0,
-                   slo_ms=5.0, n_ops=18, device=0),
-        TenantSpec(name="b", workload="light", rate_ops_s=1_000.0,
-                   slo_ms=2.0, n_ops=12, device=1),
-        TenantSpec(name="c", workload="mixed", rate_ops_s=2_000.0,
-                   slo_ms=4.0, n_ops=14, device=0),
-    ]
-
-
 def _faulted_run(**kw):
     return serve_cluster(
-        _tenants(), fs_name="bytefs", n_devices=2, seed=42,
+        cluster_tenants(), fs_name="bytefs", n_devices=2, seed=42,
         geometry=SMALL_GEOMETRY, queue_depth=2, max_queue=256,
         sched="drr", faults=[DeviceCrash(0, after_ops=9)],
         sample_every_ns=SAMPLE_NS, **kw,
@@ -74,9 +56,8 @@ def _faulted_run(**kw):
 
 @pytest.fixture(scope="module")
 def faulted():
-    # The golden series was recorded without tracing: REPRO_TRACE=1 in
-    # the environment (the CI ``trace`` job) would auto-attach a tracer
-    # and append scope == "layer" rows.  Those rows have their own test
+    # Untraced, like the pinned row: REPRO_TRACE=1 in the environment
+    # would auto-attach a tracer and append scope == "layer" rows.  Those rows have their own test
     # (test_traced_run_bridges_layer_quantiles).
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(trace, "AUTO", False)
@@ -229,43 +210,22 @@ def test_telemetry_series_byte_identical_across_runs(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_series_matches_golden_fixture(pytestconfig):
+    check(pytestconfig, "series/drr-crash-dev0")  # ``faulted``'s scenario
+
+
 def test_telemetry_does_not_perturb_the_simulation():
     """Zero-cost discipline: the result document of a sampled run is
     byte-identical to the same run with telemetry off."""
     with_t = _faulted_run()
     without = serve_cluster(
-        _tenants(), fs_name="bytefs", n_devices=2, seed=42,
+        cluster_tenants(), fs_name="bytefs", n_devices=2, seed=42,
         geometry=SMALL_GEOMETRY, queue_depth=2, max_queue=256,
         sched="drr", faults=[DeviceCrash(0, after_ops=9)],
     )
     assert without.telemetry is None
     assert json.dumps(with_t.to_json(), sort_keys=True) == \
         json.dumps(without.to_json(), sort_keys=True)
-
-
-@pytest.fixture(scope="module")
-def series_golden(request, faulted):
-    lines = "\n".join(to_lines(faulted.telemetry)) + "\n"
-    if request.config.getoption("--update-golden"):
-        GOLDEN_SERIES_PATH.parent.mkdir(exist_ok=True)
-        GOLDEN_SERIES_PATH.write_text(lines, encoding="utf-8")
-    if not GOLDEN_SERIES_PATH.exists():
-        pytest.fail(
-            f"{GOLDEN_SERIES_PATH} missing; generate it with "
-            "--update-golden"
-        )
-    return lines
-
-
-def test_series_matches_golden_fixture(series_golden):
-    assert series_golden == GOLDEN_SERIES_PATH.read_text(
-        encoding="utf-8"
-    ), (
-        "telemetry series drifted from tests/golden/"
-        "telemetry_series.jsonl — a serve/device/sampler change altered "
-        "the sampled timeline; recalibrate deliberately with "
-        "--update-golden, never to make a red change pass"
-    )
 
 
 # ---------------------------------------------------------------------- #
@@ -449,7 +409,7 @@ def test_registry_merge_is_deterministic():
 
 def test_traced_run_bridges_layer_quantiles():
     result = serve_cluster(
-        _tenants(), fs_name="bytefs", n_devices=2, seed=42,
+        cluster_tenants(), fs_name="bytefs", n_devices=2, seed=42,
         geometry=SMALL_GEOMETRY, queue_depth=2, max_queue=256,
         sched="drr", traced=True, sample_every_ns=SAMPLE_NS,
     )

@@ -175,7 +175,7 @@ def test_bytefs_uses_byte_interface_ext4_does_not():
 
 def test_config_echo_is_opt_in_and_golden_safe():
     """Without ``config_echo`` the JSON document must not grow new keys —
-    the golden differential fixtures pin its exact byte content."""
+    the ``run/*`` rows of tests/test_pins.py pin its exact bytes."""
     wl_args = dict(n_files=8, n_threads=1, seed=7)
     plain = run_workload(
         "bytefs", MicroCreate(**wl_args), geometry=SMALL_GEOMETRY

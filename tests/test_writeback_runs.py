@@ -10,7 +10,6 @@ spans, same numbered crash sites, same eviction victims.
 
 from __future__ import annotations
 
-import hashlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,8 +28,9 @@ from repro.trace import tracer as trace
 from repro.trace.export import to_jsonl
 from repro.trace.probes import bound
 from repro.trace.tracer import Tracer
-from repro.workloads import OLTP, Fileserver, Varmail
+from repro.workloads import Varmail
 from tests.conftest import SMALL_GEOMETRY
+from tests.test_pins import check, rows
 
 P = 4096
 LINES = P // CACHELINE
@@ -459,33 +459,15 @@ def test_trace_spans_are_those_of_page_at_a_time(config, mode):
     assert '"op":"writeback"' in docs[0]
 
 
-#: sha256 of the exported JSONL trace of three small runs, taken on the
-#: page-at-a-time tree (the commit before write-back in runs).  A change
-#: that moves a span, an id or a timestamp on the write-back path —
-#: eviction runs, fsync batches, journal checkpoints — changes these.
-TRACE_GOLDEN = {
-    "bytefs/fileserver":
-        "fd629a47145ac04fe8e6344e7a564eac89dbd77efc62b454472cae556da4cfc3",
-    "bytefs/varmail":
-        "cd8c2c189fea3e0382dc2c645bd47f9b7896398565b1b51d415350cbba0ec87e",
-    "ext4/oltp":
-        "606ee54884c0e25aa03a7ed3dd77f9763fe01e76e024a3f0015d1687c5f8d58c",
-}
-
-
-@pytest.mark.parametrize("fs_name, workload", [
-    ("bytefs", Fileserver(n_files=6, n_threads=2, ops_per_thread=3, seed=7)),
-    ("bytefs", Varmail(n_files=8, n_threads=2, ops_per_thread=2, seed=7)),
-    ("ext4", OLTP(n_threads=2, ops_per_thread=6, seed=7)),
-], ids=sorted(TRACE_GOLDEN))
-def test_trace_jsonl_golden_is_byte_identical(fs_name, workload):
-    result = run_workload(
-        fs_name, workload, geometry=SMALL_GEOMETRY, page_cache_pages=48,
-        traced=True,
-    )
-    text = to_jsonl(result.trace, {"fs": fs_name, "workload": workload.name})
-    assert hashlib.sha256(text.encode()).hexdigest() == \
-        TRACE_GOLDEN[f"{fs_name}/{workload.name}"]
+@pytest.mark.parametrize(
+    "name", [row.replace("-", "/", 1) for row in rows("writeback/")]
+)
+def test_trace_jsonl_golden_is_byte_identical(pytestconfig, name):
+    """The JSONL trace of three small runs (the ``writeback/*`` rows of
+    the pin table): a change that moves a span, an id or a timestamp on
+    the write-back path — eviction runs, fsync batches, journal
+    checkpoints — changes these."""
+    check(pytestconfig, "writeback/" + name.replace("/", "-"))
 
 
 # ---------------------------------------------------------------------- #
