@@ -195,6 +195,32 @@ def mmap_fault_fill() -> Dict[str, str]:
             **fill_sites("bytefs", mmap_stress, page_cache_pages=16)}
 
 
+def thrash(policy: str, prefetch: bool = True) -> Dict[str, str]:
+    """perfbench's ``devcache_thrash`` at smoke size: an mmap working set
+    8x the 128-page host cache and 4x the 1 MB device cache, so every
+    policy evicts on nearly every fill, with the stride prefetcher on or
+    off."""
+    devcache = DevCacheConfig(cache_bytes=1 << 20, policy=policy,
+                              prefetch=prefetch)
+
+    def make():
+        return MmapStress(n_ops=12000, n_threads=2, file_pages=512, seed=42)
+
+    caches = []
+
+    def keep_cache(_phase, _clock, _stats, device, _fs):
+        caches.append(device.devcache)
+
+    result = run_workload("bytefs", make(), geometry=SMALL_GEOMETRY,
+                          page_cache_pages=128, devcache=devcache,
+                          stack_probe=keep_cache)
+    gauges = caches[-1].gauges()
+    assert gauges["devcache_evictions_clean"] > 1000
+    assert (gauges["devcache_prefetch_issued"] > 0) == prefetch
+    return {"doc": doc(result), "crash_sites": crash_sites(
+        "bytefs", make(), page_cache_pages=128, devcache=devcache)}
+
+
 def log_cleaning() -> Dict[str, str]:
     """A 32 KB log (16 KB a half) cleaned 14 times under varmail.  At
     16 KB the same case raises ``LogFullError`` (ROADMAP "The firmware
@@ -428,6 +454,10 @@ PINS: Dict[str, Callable[..., Dict[str, str]]] = {
                               ("crash-sites", fill_sites))
     },
     "page-fill/mmap-faults": mmap_fault_fill,
+    # the device cache under every policy, and without the prefetcher
+    **{f"devcache/thrash-{policy}": partial(thrash, policy)
+       for policy in ("lru", "clock", "hotcold")},
+    "devcache/thrash-lru-noprefetch": partial(thrash, "lru", prefetch=False),
     # the ByteFS byte store cleaning its log many times
     "byte-store/log-cleaning": log_cleaning,
     # span paths: f2fs, nova and pmfs traced, FTL GC, ByteFS log
