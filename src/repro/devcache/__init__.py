@@ -7,7 +7,7 @@ the cache itself is device-internal (the layering lint fences off the
 rest of this package from host modules).
 """
 
-from repro.devcache.cache import DevCacheConfig, DeviceCache
+from repro.devcache.cache import DevCacheConfig, DeviceCache, StridePrefetcher
 from repro.devcache.policy import (
     ClockPolicy,
     EvictionPolicy,
@@ -16,7 +16,6 @@ from repro.devcache.policy import (
     LRUPolicy,
     make_policy,
 )
-from repro.devcache.prefetch import StridePrefetcher
 
 __all__ = [
     "DevCacheConfig",

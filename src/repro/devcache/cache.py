@@ -42,6 +42,7 @@ byte-identical.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
@@ -53,7 +54,6 @@ from repro.sim.clock import VirtualClock
 from repro.stats.traffic import StructKind, TrafficStats
 
 from repro.devcache.policy import EvictionPolicy, make_policy
-from repro.devcache.prefetch import StridePrefetcher
 
 _OTHER = StructKind.OTHER
 
@@ -85,6 +85,43 @@ class DevCacheConfig:
             "policy": self.policy,
             "prefetch": self.prefetch,
         }
+
+
+class _Stream:
+    """One address region's stride-detector state."""
+
+    __slots__ = ("last_lpa", "stride", "confidence")
+
+    def __init__(self, lpa: int) -> None:
+        self.last_lpa = lpa
+        self.stride = 0
+        self.confidence = 0
+
+
+class StridePrefetcher:
+    """The stride prefetcher's parameters and its table of streams
+    (Snippet 3's prefetch-on-predicted-access, scoped to this simulator).
+
+    Each stream covers one address region (``lpa >> stream_shift``); in
+    the multi-tenant cluster every tenant's namespace occupies its own
+    LPA range, so regions approximate per-tenant access streams without
+    the device knowing about tenants.  The table is LRU-bounded to
+    ``max_streams`` entries.  The detector that reads and updates it runs
+    in :meth:`DeviceCache._maybe_prefetch`.
+    """
+
+    def __init__(
+        self,
+        degree: int = 2,
+        min_confidence: int = 2,
+        max_streams: int = 8,
+        stream_shift: int = 8,
+    ) -> None:
+        self.degree = degree
+        self.min_confidence = min_confidence
+        self.max_streams = max_streams
+        self.stream_shift = stream_shift
+        self.streams: "OrderedDict[int, _Stream]" = OrderedDict()
 
 
 class DeviceCache:
@@ -192,35 +229,65 @@ class DeviceCache:
                 lpa, self._frames[lpa], _OTHER, background=True)
 
     def _maybe_prefetch(self, lpa: int, kind: StructKind) -> None:
-        """Feed the demand read of ``lpa`` to the prefetcher and fetch
-        what it predicts, as far as that is mapped and not resident.
+        """Feed the demand read of ``lpa`` to the stride detector and
+        fetch what it predicts, as far as that is mapped and not
+        resident.  The caller checks that the prefetcher is on.
+
+        The detector: ``lpa``'s region's stream tracks the last LPA and
+        the last inter-access stride; when the same non-zero stride
+        repeats ``min_confidence`` times (sequential scans are stride 1,
+        strided scans stride k), the next ``degree`` LPAs on that stride
+        are predicted.  A re-read of the same page keeps the stride.
 
         Non-blocking: the flash reads occupy channels (later demand
         reads queue behind them — mispredictions have a real cost) but
-        the demand op does not wait for them.
+        the demand op does not wait for them.  The installs below are
+        :meth:`_install`'s, in this frame.
         """
         prefetcher = self._prefetcher
-        if prefetcher is None:
+        streams = prefetcher.streams
+        region = lpa >> prefetcher.stream_shift
+        stream = streams.get(region)
+        if stream is None:
+            if len(streams) >= prefetcher.max_streams:
+                streams.popitem(last=False)
+            streams[region] = _Stream(lpa)
             return
-        predicted = prefetcher.observe(lpa)
-        if not predicted:
+        streams.move_to_end(region)
+        stride = lpa - stream.last_lpa
+        stream.last_lpa = lpa
+        if stride == 0:
+            return
+        if stride == stream.stride:
+            stream.confidence += 1
+        else:
+            stream.stride = stride
+            stream.confidence = 1
+        if stream.confidence < prefetcher.min_confidence:
             return
         frames = self._frames
         ftl = self.ftl
         wanted = []
-        for p in predicted:
+        p = lpa
+        for _ in range(prefetcher.degree):
+            p += stride
             if p >= 0 and p not in frames and ftl.is_mapped(p):
                 wanted.append(p)
         if not wanted:
             return
         if len(wanted) == 1:
-            datas = [ftl.read_page(wanted[0], kind, True, True)]
+            datas = (ftl.read_page(wanted[0], kind, True, True),)
         else:
             datas = ftl.read_pages(wanted, kind, background=True)
         self.prefetch_issued += len(wanted)
         self._prefetched.update(wanted)
+        capacity = self.capacity_frames
+        admit = self._policy.admit
         for p, data in zip(wanted, datas):
-            self._install(p, data)
+            while len(frames) >= capacity:
+                self._evict_one()
+            frames[p] = bytes(data)
+            admit(p)
 
     # ------------------------------------------------------------------ #
     # the FTL surface the firmware consumes
@@ -233,16 +300,30 @@ class DeviceCache:
         background: bool = False,
         as_run: bool = False,
     ) -> bytes:
-        data = self._frames.get(lpa)
+        """One page, in one frame: a hit is :meth:`_hit` and
+        :meth:`_dram`, a miss the FTL read and :meth:`_install`, both
+        written out here."""
+        frames = self._frames
+        data = frames.get(lpa)
         if data is not None:
-            self._hit(lpa)
+            self.hits += 1
+            prefetched = self._prefetched
+            if lpa in prefetched:
+                prefetched.remove(lpa)
+                self.prefetch_hits += 1
+            self._policy.touch(lpa)
             if not background:
-                self._dram()
+                clock = self.clock
+                clock.advance_to(clock.now + self._dram_ns)
         else:
             self.misses += 1
             data = self.ftl.read_page(lpa, kind, background, as_run)
-            self._install(lpa, data)
-        self._maybe_prefetch(lpa, kind)
+            while len(frames) >= self.capacity_frames:
+                self._evict_one()
+            frames[lpa] = bytes(data)
+            self._policy.admit(lpa)
+        if self._prefetcher is not None:
+            self._maybe_prefetch(lpa, kind)
         return data
 
     def read_pages(
@@ -274,8 +355,9 @@ class DeviceCache:
                 self._install(lpa, data)
         elif lpas and not background:
             self._dram()
-        for lpa in lpas:
-            self._maybe_prefetch(lpa, kind)
+        if self._prefetcher is not None:
+            for lpa in lpas:
+                self._maybe_prefetch(lpa, kind)
         return out  # type: ignore[return-value]
 
     def write_page(

@@ -596,8 +596,9 @@ class ExtFS(BaseFileSystem):
 
     def _block_of(self, inode: Inode, page_idx: int) -> Optional[int]:
         for ext in inode.extents:
-            if ext.logical <= page_idx < ext.logical_end:
-                return ext.start + (page_idx - ext.logical)
+            into = page_idx - ext.logical
+            if 0 <= into < ext.length:
+                return ext.start + into
         return None
 
     def _max_mapped_page(self, inode: Inode) -> int:
@@ -921,12 +922,16 @@ class ExtFS(BaseFileSystem):
 
     def _fill_page(self, inode: Inode, pidx: int) -> CachedPage:
         """The page-cache miss of every buffered path and of the mmap
-        fault: read the page from the device and cache it."""
+        fault: read the page from the device (what
+        :meth:`_read_page_from_device` does, in this frame) and cache
+        it."""
+        blk = self._block_of(inode, pidx)
+        if blk is None:
+            data = filled(0, self.P)
+        else:
+            data = self.device.read_blocks(blk, 1, StructKind.DATA)
         return self.page_cache.install(
-            inode.ino,
-            pidx,
-            self._read_page_from_device(inode, pidx),
-            self._evict_writeback,
+            inode.ino, pidx, data, self._evict_writeback
         )
 
     def _read_direct(self, inode: Inode, offset: int, length: int) -> bytes:

@@ -52,18 +52,25 @@ class MappedRegion:
 
     def load(self, off: int, n: int) -> bytes:
         """Read ``n`` bytes at mapping offset ``off`` (plain loads)."""
-        self._check(off, n)
         fs = self.fs
         P = fs.P
-        fault = self._fault_page
         pos = self.offset + off
-        end = pos + n
         poff = pos % P
-        if 0 < n <= P - poff:
-            # The load stays inside one page: one copy out of it.
-            data = fault(pos // P).data
+        if (0 < n <= P - poff and off >= 0 and off + n <= self.length
+                and not self.closed):
+            # The load stays inside one page: :meth:`_fault_page` written
+            # out here, then one copy out of the page.
+            pidx = pos // P
+            page = fs.page_cache.lookup(self.ino, pidx)
+            if page is None:
+                page = fs._fill_page(fs._get_inode(self.ino), pidx)
+                fs.stats.bump("mmap_page_faults")
+            data = page.data
             out = bytes(data) if n == P else bytes(data[poff : poff + n])
         else:
+            self._check(off, n)
+            fault = self._fault_page
+            end = pos + n
             pieces = []
             while pos < end:
                 poff = pos % P

@@ -284,13 +284,14 @@ class ByteFSFirmware:
 
         An unlogged page is handed back as the object the FTL returned.
         """
-        self._fw(self.timing.fw_op_ns)
+        clock = self.clock
+        clock.advance_to(self.fw_core.serve(clock.now, self.timing.fw_op_ns))
         base = self.ftl.read_page(lpa, _OTHER, False, True)
-        chunks = self._chunks_for(lpa)
-        if not chunks:
+        first, second = self._indexes
+        if first.lookup(lpa) is None and second.lookup(lpa) is None:
             return base
         self.stats.bump("fw_block_read_merges")
-        return self._merge(base, chunks)
+        return self._merge(base, self._chunks_for(lpa))
 
     def block_read_many(self, lpas: List[int]) -> List[bytes]:
         """NVMe multi-page read: flash reads stripe across channels."""

@@ -138,36 +138,47 @@ def test_make_policy_rejects_unknown_name():
 # stride prefetcher
 # ---------------------------------------------------------------------- #
 
+def predict(prefetcher, lpa):
+    """Demand-read ``lpa`` through a fresh cache running ``prefetcher``,
+    over mapped LPAs 0..127; return the LPAs the read prefetched."""
+    cache, ftl = make_cache(cache_pages=8, prefetch=True)
+    cache._prefetcher = prefetcher
+    for p in range(128):
+        ftl.write_page(p, page(p), StructKind.OTHER)
+    cache.read_page(lpa)
+    return sorted(set(cache._frames) - {lpa})
+
+
 def test_prefetcher_detects_sequential_stream():
     pf = StridePrefetcher(degree=2, min_confidence=2)
-    assert pf.observe(100) == []
-    assert pf.observe(101) == []  # stride seen once
-    assert pf.observe(102) == [103, 104]
+    assert predict(pf, 100) == []
+    assert predict(pf, 101) == []  # stride seen once
+    assert predict(pf, 102) == [103, 104]
 
 
 def test_prefetcher_detects_strided_stream():
     pf = StridePrefetcher(degree=3, min_confidence=2, stream_shift=12)
-    assert pf.observe(100) == []
-    assert pf.observe(104) == []
-    assert pf.observe(108) == [112, 116, 120]
+    assert predict(pf, 100) == []
+    assert predict(pf, 104) == []
+    assert predict(pf, 108) == [112, 116, 120]
 
 
 def test_prefetcher_same_page_reread_keeps_stride():
     pf = StridePrefetcher(degree=1, min_confidence=2)
-    pf.observe(100)
-    pf.observe(101)
-    assert pf.observe(101) == []  # no direction signal
-    assert pf.observe(102) == [103]  # stride-1 stream still live
+    predict(pf, 100)
+    predict(pf, 101)
+    assert predict(pf, 101) == []  # no direction signal
+    assert predict(pf, 102) == [103]  # stride-1 stream still live
 
 
 def test_prefetcher_stream_table_is_lru_bounded():
     pf = StridePrefetcher(degree=1, min_confidence=1, max_streams=2,
                           stream_shift=8)
-    pf.observe(0)      # region 0
-    pf.observe(256)    # region 1
-    pf.observe(512)    # region 2 evicts region 0
-    assert pf.observe(1) == []  # region 0 restarts from scratch
-    assert pf.observe(2) == [3]
+    predict(pf, 0)      # region 0
+    predict(pf, 256)    # region 1
+    predict(pf, 512)    # region 2 evicts region 0
+    assert predict(pf, 1) == []  # region 0 restarts from scratch
+    assert predict(pf, 2) == [3]
 
 
 # ---------------------------------------------------------------------- #

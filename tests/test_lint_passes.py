@@ -589,7 +589,7 @@ def test_devcache_package_is_registered_with_every_pass():
     # the cache tier lives behind the firmware: it must never be
     # registered as host-side code
     for mod in ("repro.devcache", "repro.devcache.cache",
-                "repro.devcache.policy", "repro.devcache.prefetch"):
+                "repro.devcache.policy"):
         assert not _module_in(mod, HOST_PREFIXES)
 
 

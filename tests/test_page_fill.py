@@ -13,6 +13,8 @@ the fill are the ``page-fill/*`` rows of tests/test_pins.py.
 
 from __future__ import annotations
 
+import inspect
+import textwrap
 from contextlib import ExitStack
 from typing import Dict, List, Optional
 from unittest import mock
@@ -22,6 +24,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.bytefs import build_stack
 from repro.devcache import DevCacheConfig, DeviceCache
+from repro.devcache import cache as cache_module
+from repro.devcache.cache import _Stream
 from repro.fs.extfs import ExtFSConfig
 from repro.fs.vfs import O_CREAT, O_DIRECT, O_RDWR
 from repro.ftl.ftl import FTL, FTLConfig
@@ -117,7 +121,7 @@ class ReferenceCache(DeviceCache):
     def _maybe_prefetch(self, lpa, kind):
         if self._prefetcher is None:
             return
-        predicted = self._prefetcher.observe(lpa)
+        predicted = observe(self._prefetcher, lpa)
         if not predicted:
             return
         wanted = [
@@ -212,6 +216,32 @@ class ReferenceCache(DeviceCache):
             assert not frame.dirty & ~frame.valid
             assert bool(frame.dirty) == (lpa in self._dirty)
         assert len(self._policy) == len(self._frames)
+
+
+def observe(prefetcher, lpa):
+    """``StridePrefetcher.observe`` as it was: feed one demand read,
+    return the predicted LPAs (maybe [])."""
+    streams = prefetcher.streams
+    region = lpa >> prefetcher.stream_shift
+    stream = streams.get(region)
+    if stream is None:
+        if len(streams) >= prefetcher.max_streams:
+            streams.popitem(last=False)
+        streams[region] = _Stream(lpa)
+        return []
+    streams.move_to_end(region)
+    delta = lpa - stream.last_lpa
+    stream.last_lpa = lpa
+    if delta == 0:
+        return []
+    if delta == stream.stride:
+        stream.confidence += 1
+    else:
+        stream.stride = delta
+        stream.confidence = 1
+    if stream.confidence < prefetcher.min_confidence:
+        return []
+    return [lpa + stream.stride * i for i in range(1, prefetcher.degree + 1)]
 
 
 def reference_block_read(self, lpa):
@@ -480,16 +510,19 @@ def make_cache(cache_cls=DeviceCache, frames=4, **config_kw):
 
 def frames_are_private(cache_cls) -> bool:
     """Whether a frame survives its caller scribbling over the buffer it
-    was written from (install and overwrite, bytearray and memoryview)."""
-    cache, _ftl = make_cache(cache_cls)
+    was written from (install and overwrite, bytearray and memoryview),
+    and the FTL over a buffer a fill came back in."""
+    cache, ftl = make_cache(cache_cls)
     page = bytes(range(256)) * 2  # not one fill: that would be shared
     buf = bytearray(page)
     cache.write_page(1, buf)
     cache.write_page(2, memoryview(buf))
     cache.write_page(3, b"\x00" * 512)
     cache.write_page(3, buf)  # a hit overwriting the frame
+    with mock.patch.object(ftl, "read_page", return_value=buf):
+        cache.read_page(4)  # a fill
     buf[:] = b"\xff" * 512
-    return all(cache.read_page(lpa) == page for lpa in (1, 2, 3))
+    return all(cache.read_page(lpa) == page for lpa in (1, 2, 3, 4))
 
 
 def test_frame_does_not_alias_a_mutable_buffer():
@@ -797,28 +830,38 @@ def test_mmap_fault_fill_matches_parent_golden(pytestconfig):
 # (d) planted mutants
 # ---------------------------------------------------------------------- #
 
-class AliasingCache(DeviceCache):
-    """Mutant: a frame is whatever buffer it was handed, mutable or not."""
-
-    def _install(self, lpa, data):
-        while len(self._frames) >= self.capacity_frames:
-            self._evict_one()
-        self._frames[lpa] = data
-        self._policy.admit(lpa)
-
-
-class StickyPrefetchCache(DeviceCache):
-    """Mutant: a demand hit leaves the frame marked prefetched."""
-
-    def _hit(self, lpa):
-        self.hits += 1
-        if lpa in self._prefetched:
-            self.prefetch_hits += 1
-        self._policy.touch(lpa)
+def mutant(method: str, line: str, planted: str) -> type:
+    """``DeviceCache`` with ``line`` of ``method`` replaced by ``planted``:
+    the defect runs in the frame the real code runs in, and the mutant
+    stops building the day ``method`` loses the line."""
+    source = textwrap.dedent(inspect.getsource(getattr(DeviceCache, method)))
+    assert source.count(line) == 1, f"{method} has no one {line!r}"
+    namespace: Dict[str, object] = {}
+    exec(source.replace(line, planted), vars(cache_module), namespace)
+    return type(f"Mutant_{method}", (DeviceCache,),
+                {method: namespace[method]})
 
 
-def test_aliasing_mutant_is_caught():
-    assert not frames_are_private(AliasingCache)
+#: a frame is whatever buffer it was handed, mutable or not: on a write
+#: miss, and on a fill
+ALIASING = {
+    "write": mutant("_install", "self._frames[lpa] = bytes(data)",
+                    "self._frames[lpa] = data"),
+    "fill": mutant("read_page", "frames[lpa] = bytes(data)",
+                   "frames[lpa] = data"),
+}
+#: a demand hit leaves the frame marked prefetched
+STICKY_PREFETCH = mutant("read_page", "prefetched.remove(lpa)", "pass")
+#: a demand hit leaves the frame's recency where it was
+UNTOUCHED_HIT = mutant("read_page", "self._policy.touch(lpa)", "pass")
+#: a prefetch install never makes room
+UNBOUNDED_PREFETCH = mutant(
+    "_maybe_prefetch", "while len(frames) >= capacity:", "while False:")
+
+
+@pytest.mark.parametrize("where", sorted(ALIASING))
+def test_aliasing_mutant_is_caught(where):
+    assert not frames_are_private(ALIASING[where])
 
 
 def test_sticky_prefetch_mutant_is_caught():
@@ -827,4 +870,23 @@ def test_sticky_prefetch_mutant_is_caught():
     ops = [("scan", 0, 2, 6), ("scan", 0, 2, 6)]
     kw = {"frames": 8, "prefetch": True}
     assert cache_matches_reference(DeviceCache, ops, **kw)
-    assert not cache_matches_reference(StickyPrefetchCache, ops, **kw)
+    assert not cache_matches_reference(STICKY_PREFETCH, ops, **kw)
+
+
+def test_untouched_hit_mutant_is_caught():
+    # 0 is hit, so the LRU victim for 6 is 2 and 0 hits again; without
+    # the touch 0 goes instead and misses
+    ops = [("read", 0), ("read", 2), ("read", 0), ("read", 6), ("read", 0)]
+    kw = {"frames": 2, "policy": "lru"}
+    assert cache_matches_reference(DeviceCache, ops, **kw)
+    assert not cache_matches_reference(UNTOUCHED_HIT, ops, **kw)
+
+
+def test_unbounded_prefetch_mutant_is_caught():
+    # the third read of a stride-2 scan prefetches two pages into a
+    # full two-frame cache
+    ops = [("scan", 0, 2, 3)]
+    kw = {"frames": 2, "prefetch": True}
+    assert cache_matches_reference(DeviceCache, ops, **kw)
+    with pytest.raises(AssertionError, match="capacity"):
+        drive_cache(*make_cache(UNBOUNDED_PREFETCH, **kw), ops)
