@@ -28,6 +28,10 @@ Invariant classes (each check belongs to exactly one):
 * ``FSSAN-QUEUE`` — per-tenant serving-queue accounting balances:
   every submitted request is served, still pending, rejected by
   admission control, or dropped — nothing is double-counted or lost.
+* ``FSSAN-DEVCACHE`` — at every device-cache drain barrier (sync,
+  unmount, recovery): every dirty or prefetched frame is resident and
+  none is both, residency stays within capacity, and the eviction
+  policy tracks exactly the resident set.
 
 A violated invariant raises :class:`SanitizerError` (an
 ``AssertionError`` subclass) carrying the invariant class id.  Passing
@@ -48,8 +52,9 @@ FTL = "FSSAN-FTL"
 TX = "FSSAN-TX"
 CLOCK = "FSSAN-CLOCK"
 QUEUE = "FSSAN-QUEUE"
+DEVCACHE = "FSSAN-DEVCACHE"
 
-ALL_CLASSES = (LOG, INDEX, FTL, TX, CLOCK, QUEUE)
+ALL_CLASSES = (LOG, INDEX, FTL, TX, CLOCK, QUEUE, DEVCACHE)
 
 #: Master switch read by every instrumented call site.
 ENABLED = os.environ.get("REPRO_SANITIZE", "").lower() in ("1", "true", "yes", "on")
@@ -370,3 +375,31 @@ def check_clock_advance(old_now: float, new_now: float, max_seen: float) -> None
             f"elapsed watermark {max_seen} fell behind thread time {new_now}",
         )
     _ok(CLOCK)
+
+
+# ---------------------------------------------------------------------- #
+# FSSAN-DEVCACHE — device-DRAM page-frame cache
+# ---------------------------------------------------------------------- #
+
+def check_devcache(
+    frames: dict, dirty: dict, prefetched: set, capacity: int, n_tracked: int
+) -> None:
+    """The frame tables of a device cache agree: ``dirty`` and
+    ``prefetched`` are disjoint subsets of the resident ``frames``, at
+    most ``capacity`` frames are resident, and the eviction policy
+    tracks ``n_tracked`` LPAs, one per resident frame."""
+    for lpa in dirty:
+        if lpa not in frames:
+            _trip(DEVCACHE, f"dirty lpa {lpa} is not resident")
+        if lpa in prefetched:
+            _trip(DEVCACHE, f"frame {lpa}: dirty and prefetched")
+    for lpa in prefetched:
+        if lpa not in frames:
+            _trip(DEVCACHE, f"prefetched lpa {lpa} is not resident")
+    if len(frames) > capacity:
+        _trip(DEVCACHE,
+              f"{len(frames)} frames resident, capacity {capacity}")
+    if n_tracked != len(frames):
+        _trip(DEVCACHE, f"policy tracks {n_tracked} frames, "
+              f"{len(frames)} resident")
+    _ok(DEVCACHE)

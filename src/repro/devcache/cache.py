@@ -46,6 +46,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+from repro.analysis import fssan
 from repro.faults.injector import NULL_INJECTOR
 from repro.ftl.ftl import FTL
 from repro.nand.image import same_filled
@@ -423,6 +424,8 @@ class DeviceCache:
         crash mid-flush leaves already-programmed pages both on flash and
         dirty-in-DRAM; re-flushing them on recovery is idempotent.
         """
+        if fssan.ENABLED:
+            self.check_invariants()
         while self._dirty:
             lpa = next(iter(self._dirty))
             self.faults.point("devcache.flush")
@@ -455,23 +458,9 @@ class DeviceCache:
         }
 
     def check_invariants(self) -> None:
-        """Structural invariants (exercised by tests and FSSan-style
-        debugging): every dirty or prefetched LPA is resident and none is
-        both, residency stays within capacity, and the policy tracks
-        exactly the resident set."""
-        frames = self._frames
-        for lpa in self._dirty:
-            if lpa not in frames:
-                raise AssertionError(f"dirty lpa {lpa} is not resident")
-            if lpa in self._prefetched:
-                raise AssertionError(f"frame {lpa}: dirty and prefetched")
-        for lpa in self._prefetched:
-            if lpa not in frames:
-                raise AssertionError(f"prefetched lpa {lpa} is not resident")
-        if len(frames) > self.capacity_frames:
-            raise AssertionError(
-                f"{len(frames)} frames resident, capacity "
-                f"{self.capacity_frames}"
-            )
-        if len(self._policy) != len(frames):
-            raise AssertionError("policy tracks a different resident set")
+        """Structural invariants (FSSan's ``FSSAN-DEVCACHE``, checked at
+        every drain barrier under ``REPRO_SANITIZE=1``): every dirty or
+        prefetched LPA is resident and none is both, residency stays
+        within capacity, and the policy tracks exactly the resident set."""
+        fssan.check_devcache(self._frames, self._dirty, self._prefetched,
+                             self.capacity_frames, len(self._policy))

@@ -11,6 +11,9 @@ import pytest
 
 from repro.analysis import fssan
 from repro.bench.harness import run_workload
+from repro.core.bytefs import build_stack
+from repro.devcache import DevCacheConfig
+from repro.fs.vfs import O_CREAT, O_RDWR
 from repro.ftl.mapping import PageMap
 from repro.sim.clock import VirtualClock
 from repro.sim.resources import Resource
@@ -148,6 +151,30 @@ def test_trip_clock_advance_to_nan():
     assert exc.value.invariant == fssan.CLOCK
 
 
+@pytest.mark.parametrize("barrier", ["flush_all", "recover"])
+def test_trip_devcache_at_the_drain_barrier(barrier):
+    """A prefetched frame that is not resident passes silently without
+    the sanitizer and trips it at the next drain (unmount or recovery)."""
+    _clock, _stats, device, fs = build_stack(
+        "bytefs", geometry=SMALL_GEOMETRY,
+        devcache=DevCacheConfig(cache_bytes=1 << 16, prefetch=True),
+    )
+    fd = fs.open("/f", O_CREAT | O_RDWR)
+    fs.write(fd, b"x" * 40960)
+    fs.fsync(fd)
+    device.devcache.check_invariants()
+    device.devcache._prefetched.add(1 << 20)
+    fssan.reset_counts()
+    fssan.disable()
+    getattr(device, barrier)()
+    assert fssan.COUNTS == {}
+    with fssan.sanitized():
+        with pytest.raises(fssan.SanitizerError, match="not resident") \
+                as exc:
+            getattr(device, barrier)()
+    assert exc.value.invariant == fssan.DEVCACHE
+
+
 # ---------------------------------------------------------------------- #
 # the contracts are exercised by a real run
 # ---------------------------------------------------------------------- #
@@ -157,7 +184,8 @@ def test_bytefs_workload_exercises_all_invariant_classes():
     once — otherwise the sanitizer silently stopped covering a layer.
 
     FSSAN-QUEUE lives in the serving layer, so a small cluster run rides
-    along with the single-tenant workload."""
+    along with the single-tenant workload, which runs on a device cache
+    for FSSAN-DEVCACHE."""
     from repro.cluster import default_tenants, serve_cluster
 
     with fssan.sanitized():
@@ -165,6 +193,7 @@ def test_bytefs_workload_exercises_all_invariant_classes():
             "bytefs",
             MicroCreate(n_files=32, n_threads=2),
             geometry=SMALL_GEOMETRY,
+            devcache=DevCacheConfig(),
             unmount=True,
         )
         serve_cluster(
