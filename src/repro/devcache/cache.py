@@ -53,6 +53,7 @@ from repro.nand.image import same_filled
 from repro.nand.timing import TimingModel
 from repro.sim.clock import VirtualClock
 from repro.stats.traffic import StructKind, TrafficStats
+from repro.trace import tracer as trace
 
 from repro.devcache.policy import EvictionPolicy, make_policy
 
@@ -377,25 +378,36 @@ class DeviceCache:
         background: bool = True,
     ) -> None:
         """Absorb a run of page writes as dirty frames, pulling ``pages``
-        one at a time like :meth:`FTL.write_pages` does."""
+        one at a time like :meth:`FTL.write_pages` does.
+
+        The layers above open their spans for a page inside the pull, so
+        each page gets a ``devcache`` span of its own here, nested in
+        theirs, rather than one span around the run."""
         frames = self._frames
         dirty = self._dirty
         for lpa, data in pages:
-            # A same-filled page is the one shared image of its fill.  (A
-            # fill needs no such step: the FTL hands out the flash
-            # array's own objects, which programming already shared.)
-            data = same_filled(data)
-            if lpa in frames:
-                self._hit(lpa)
-                frames[lpa] = bytes(data)
-            else:
-                self.misses += 1
-                self._install(lpa, data)
-            # An already-dirty frame keeps its place in write-back order.
-            dirty[lpa] = None
-            if not background:
-                self._dram()
-            self._writeback_if_needed()
+            _sp = trace.begin("devcache", "write_page", lpa=lpa) \
+                if trace.ENABLED else None
+            try:
+                # A same-filled page is the one shared image of its fill.
+                # (A fill needs no such step: the FTL hands out the flash
+                # array's own objects, which programming already shared.)
+                data = same_filled(data)
+                if lpa in frames:
+                    self._hit(lpa)
+                    frames[lpa] = bytes(data)
+                else:
+                    self.misses += 1
+                    self._install(lpa, data)
+                # An already-dirty frame keeps its place in write-back
+                # order.
+                dirty[lpa] = None
+                if not background:
+                    self._dram()
+                self._writeback_if_needed()
+            finally:
+                if _sp is not None:
+                    trace.end(_sp)
 
     def trim(self, lpa: int) -> None:
         self._discard(lpa)

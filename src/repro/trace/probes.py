@@ -43,6 +43,7 @@ _LINK = ("repro.interconnect.link", "HostLink")
 _MSSD = ("repro.ssd.device", "MSSD")
 _BYTEFS_FW = ("repro.ssd.firmware.bytefs_fw", "ByteFSFirmware")
 _BASELINE_FW = ("repro.ssd.firmware.baseline_fw", "BaselineFirmware")
+_DEVCACHE = ("repro.devcache.cache", "DeviceCache")
 _FTL = ("repro.ftl.ftl", "FTL")
 _JBD2 = ("repro.fs.jbd2", "JBD2")
 
@@ -112,6 +113,17 @@ PROBES: Tuple[Probe, ...] = (
     Probe(*_BASELINE_FW, "byte_write", "firmware", "byte_write",
           lambda self, lpa, offset, data, txid=None:
           {"lpa": lpa, "nbytes": len(data)}),
+    # a device-DRAM hit is a devcache span with no ftl child; a miss and
+    # the prefetches it triggers nest their flash reads under it.  Writes
+    # are pulled page by page through the layers above, so each page is
+    # spanned inside the pull loop of ``write_pages``
+    Probe(*_DEVCACHE, "read_page", "devcache", "read_page",
+          lambda self, lpa, kind=None, background=False, as_run=False:
+          {"lpa": lpa}),
+    Probe(*_DEVCACHE, "read_pages", "devcache", "read_pages",
+          lambda self, lpas, kind=None, background=False:
+          {"n_pages": len(lpas)}),
+    Probe(*_DEVCACHE, "drain_write_buffer", "devcache", "drain", None),
     # a one-page read command (NVMe read, prefetch) is the run of one it
     # is, so one histogram holds every command read: two probes, one
     # span per call

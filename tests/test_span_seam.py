@@ -18,8 +18,12 @@ import pytest
 
 from repro.bench.harness import run_workload
 from repro.core.bytefs import build_stack
+from repro.devcache import DevCacheConfig
 from repro.fs.vfs import O_CREAT, O_RDWR
 from repro.interconnect.link import HostLink
+from repro.sim.clock import VirtualClock
+from repro.ssd.device import MSSD, MSSDConfig
+from repro.stats.traffic import StructKind, TrafficStats
 from repro.trace import tracer as trace
 from repro.trace.probes import PROBES, bound
 from repro.trace.tracer import Tracer
@@ -124,3 +128,35 @@ def test_a_stack_is_traced_only_when_built_and_run_inside_bound():
     assert ("vfs", "fsync") in late and ("device", "store") in late
     assert hoisted not in late
     assert boundary <= fsync_spans(True, True)
+
+
+def test_a_devcache_hit_has_no_ftl_child():
+    """A device-DRAM hit is billed to the cache, not to the flash: its
+    span has no ``ftl`` child, where a miss nests the flash read.  A
+    page written through the cache is spanned inside the firmware's
+    span for it."""
+    clock, stats = VirtualClock(1), TrafficStats()
+    with bound():
+        device = MSSD(MSSDConfig(
+            geometry=SMALL_GEOMETRY, firmware="bytefs",
+            devcache=DevCacheConfig(cache_bytes=2 * 4096),
+        ), clock, stats)
+    tracer = Tracer(clock)
+    with bound(), trace.activated(tracer):
+        for lba in range(10, 14):
+            device.write_blocks(lba, bytes([lba]) * 4096, StructKind.DATA)
+        device.read_blocks(10, 1, StructKind.DATA)  # 10 was evicted
+        device.read_blocks(10, 1, StructKind.DATA)
+    spans = {s.span_id: s for s in tracer.spans}
+
+    def under(span):
+        return {s.layer for s in spans.values() if s.parent_id == span.span_id}
+
+    reads = [s for s in spans.values()
+             if (s.layer, s.op) == ("devcache", "read_page")]
+    assert [under(read) for read in reads] == [{"ftl"}, set()]
+    assert device.devcache.hits == 1
+    writes = [s for s in spans.values()
+              if (s.layer, s.op) == ("devcache", "write_page")]
+    assert [(spans[s.parent_id].layer, spans[s.parent_id].op)
+            for s in writes] == [("firmware", "block_write")] * 4
