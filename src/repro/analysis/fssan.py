@@ -28,10 +28,11 @@ Invariant classes (each check belongs to exactly one):
 * ``FSSAN-QUEUE`` — per-tenant serving-queue accounting balances:
   every submitted request is served, still pending, rejected by
   admission control, or dropped — nothing is double-counted or lost.
-* ``FSSAN-DEVCACHE`` — at every device-cache drain barrier (sync,
-  unmount, recovery): every dirty or prefetched frame is resident and
-  none is both, residency stays within capacity, and the eviction
-  policy tracks exactly the resident set.
+* ``FSSAN-DEVCACHE`` — at every device-cache drain barrier (the
+  device's ``flush_all`` at unmount, recovery): every dirty or
+  prefetched frame is resident and none is both, residency stays
+  within capacity, and the eviction policy tracks exactly the resident
+  set.
 
 A violated invariant raises :class:`SanitizerError` (an
 ``AssertionError`` subclass) carrying the invariant class id.  Passing

@@ -283,6 +283,9 @@ class ByteFSFirmware:
         """NVMe read: flash page merged with any logged dirty chunks.
 
         An unlogged page is handed back as the object the FTL returned.
+        The ``fw_core`` charge is :meth:`_fw`'s and the index probes are
+        :meth:`_chunks_for`'s, inline: most pages read have nothing in
+        the log, and only a logged page builds its chunk list.
         """
         clock = self.clock
         clock.advance_to(self.fw_core.serve(clock.now, self.timing.fw_op_ns))
