@@ -43,7 +43,7 @@ from repro.cluster import TenantSpec, serve_cluster
 from repro.core.bytefs import build_stack
 from repro.devcache import DevCacheConfig
 from repro.faults import DeviceCrash
-from repro.faults.injector import FaultInjector
+from repro.faults.injector import CrashPoint, FaultInjector, FaultPlan
 from repro.fs.vfs import O_CREAT, O_RDWR
 from repro.host.mmap import MappedRegion
 from repro.nand.geometry import FlashGeometry
@@ -121,6 +121,17 @@ def counting_run(fs_name: str, workload, *, log_bytes: int = 1 << 20,
     )
     before = dict(stats.counters)
     faults.start_count()
+    drive(clock, fs, workload)
+    added = {
+        key: value - before.get(key, 0)
+        for key, value in stats.counters.items()
+    }
+    return faults.trace, added
+
+
+def drive(clock, fs, workload) -> None:
+    """Set ``workload`` up on ``fs``, run its threads round-robin, one op
+    at a time, to the end, and unmount."""
     workload.setup(fs)
     threads = list(enumerate(workload.make_threads(fs)))
     while threads:
@@ -129,11 +140,6 @@ def counting_run(fs_name: str, workload, *, log_bytes: int = 1 << 20,
             if next(gen, None) is None:
                 threads.remove((tid, gen))
     fs.unmount()
-    added = {
-        key: value - before.get(key, 0)
-        for key, value in stats.counters.items()
-    }
-    return faults.trace, added
 
 
 def crash_sites(fs_name: str, workload, **kw) -> str:
@@ -303,6 +309,64 @@ def small_fileserver(fs_name) -> Callable[[], Tracer]:
         lambda: Fileserver(n_files=6, n_threads=2, ops_per_thread=3, seed=7),
         geometry=SMALL_GEOMETRY, page_cache_pages=16,
     )
+
+
+#: the write-back shapes: eviction runs, fsync batches, journal
+#: checkpoints (each is run with a 48-page host cache)
+WRITEBACK_SHAPES = {
+    "bytefs-fileserver": ("bytefs", lambda: Fileserver(
+        n_files=6, n_threads=2, ops_per_thread=3, seed=7)),
+    "bytefs-varmail": ("bytefs", lambda: Varmail(
+        n_files=8, n_threads=2, ops_per_thread=2, seed=7)),
+    "ext4-oltp": ("ext4", lambda: OLTP(
+        n_threads=2, ops_per_thread=6, seed=7)),
+}
+
+
+def crash_stats(n_crashes: int = 9) -> Dict[str, str]:
+    """The traffic a power loss in the middle of a block write-back run
+    leaves filed: on two write-back shapes, ``n_crashes`` crashes at
+    ``mssd.write_block`` sites that are not the first page of their run,
+    spread over the run of the workload.
+
+    Each artefact is read inside the ``except CrashPoint`` handler, while
+    the traceback still holds the suspended frames of the run: whatever
+    a layer files in a generator's ``finally`` is not in it yet, and
+    whatever it files in a plain function's ``finally`` is."""
+    texts = {}
+    for name in ("bytefs-fileserver", "ext4-oltp"):
+        fs_name, make = WRITEBACK_SHAPES[name]
+        sites, _added = counting_run(fs_name, make(), page_cache_pages=48)
+        mid_run = [
+            site.index for prev, site in zip(sites, sites[1:])
+            if site.label == prev.label == "mssd.write_block"
+        ]
+        assert len(mid_run) > 4 * n_crashes
+        seen = []
+        for k in range(n_crashes):
+            site = mid_run[(2 * k + 1) * len(mid_run) // (2 * n_crashes)]
+            faults = FaultInjector()
+            clock, stats, _device, fs = build_stack(
+                fs_name, geometry=SMALL_GEOMETRY, faults=faults,
+                n_threads=make().n_threads, log_bytes=1 << 20,
+                device_cache_bytes=1 << 20, page_cache_pages=48,
+            )
+            faults.arm(FaultPlan(site))
+            try:
+                drive(clock, fs, make())
+            except CrashPoint:
+                seen.append({
+                    "site": site,
+                    "stats": stats.to_json(),
+                    "flash": [
+                        [f"{kind.value}:{direction.value}", n]
+                        for (kind, direction), n in stats.flash.items()
+                    ],
+                })
+            else:
+                raise AssertionError(f"{name}: site {site} never fired")
+        texts[name] = json.dumps(seen, sort_keys=True)
+    return texts
 
 
 def cluster_tenants():
@@ -491,19 +555,15 @@ PINS: Dict[str, Callable[..., Dict[str, str]]] = {
     ),
     # write-back: eviction runs, fsync batches, journal checkpoints
     **{
-        f"writeback/{fs}-{make().name}": (
+        f"writeback/{name}": (
             lambda fs=fs, make=make: {"trace": trace_jsonl(
                 fs, make(), geometry=SMALL_GEOMETRY, page_cache_pages=48,
             )}
         )
-        for fs, make in (
-            ("bytefs", lambda: Fileserver(n_files=6, n_threads=2,
-                                          ops_per_thread=3, seed=7)),
-            ("bytefs", lambda: Varmail(n_files=8, n_threads=2,
-                                       ops_per_thread=2, seed=7)),
-            ("ext4", lambda: OLTP(n_threads=2, ops_per_thread=6, seed=7)),
-        )
+        for name, (fs, make) in WRITEBACK_SHAPES.items()
     },
+    # the traffic filed when power fails in the middle of a run
+    "writeback/crash-stats": crash_stats,
     # the command line: documents, traces and reports as written
     "cli/trace-create-bytefs": partial(
         cli, "trace create --fs bytefs --out trace.json --report breakdown"),
