@@ -65,6 +65,8 @@ DIRECT_BYTE_MAX = 512
 #: updates after which an open per-inode transaction is committed
 #: (bounds TxLog growth for never-fsynced files)
 INODE_TX_MAX_UPDATES = 64
+#: bits of one 64 B bitmap group, the unit a bitmap change persists (§4.5)
+_GROUP_BITS = 64 * 8
 
 
 @lru_cache(maxsize=8)
@@ -502,21 +504,14 @@ class ExtFS(BaseFileSystem):
     # block allocation (extent-based, §4.5)
     # ------------------------------------------------------------------ #
 
-    def _block_used(self, b: int) -> bool:
-        return bool(self._bbmap[b // 8] & (1 << (b % 8)))
-
-    def _set_block(self, b: int, used: bool) -> None:
-        if used:
-            self._bbmap[b // 8] |= 1 << (b % 8)
-        else:
-            self._bbmap[b // 8] &= ~(1 << (b % 8))
-
     def _alloc_blocks(self, n: int) -> List[Extent]:
         """Allocate ``n`` blocks as few contiguous extents as possible,
         first-fit from a rotating cursor (the per-CPU free lists of the
         paper collapse to one allocator in this single-address-space
-        simulation)."""
+        simulation).  The bitmap is read and written here, extent by
+        extent."""
         sb = self._sb
+        bbmap = self._bbmap
         out: List[Extent] = []
         remaining = n
 
@@ -524,15 +519,12 @@ class ExtFS(BaseFileSystem):
             nonlocal remaining
             b = start
             while b < stop and remaining > 0:
-                if self._block_used(b):
+                if bbmap[b >> 3] & (1 << (b & 7)):
                     b += 1
                     continue
                 run = b
-                while (
-                    b < stop
-                    and not self._block_used(b)
-                    and (b - run) < remaining
-                ):
+                end = min(stop, b + remaining)
+                while b < end and not bbmap[b >> 3] & (1 << (b & 7)):
                     b += 1
                 out.append(Extent(0, run, b - run))
                 remaining -= b - run
@@ -543,15 +535,19 @@ class ExtFS(BaseFileSystem):
         if remaining > 0:
             raise NoSpace(f"cannot allocate {n} blocks")
         groups_touched: Set[int] = set()
+        queues = self._pending_trims.values()
         for ext in out:
-            for b in range(ext.start, ext.start + ext.length):
-                self._set_block(b, True)
-                groups_touched.add(b // (64 * 8))
-                # A reused block must not be trimmed by an older free.
-                for queue in self._pending_trims.values():
-                    queue.discard(b)
+            lo = ext.start
+            hi = lo + ext.length
+            for b in range(lo, hi):
+                bbmap[b >> 3] |= 1 << (b & 7)
+            groups_touched.update(range(lo // _GROUP_BITS,
+                                        (hi - 1) // _GROUP_BITS + 1))
+            # A reused block must not be trimmed by an older free.
+            for queue in queues:
+                queue.difference_update(range(lo, hi))
         for g in sorted(groups_touched):
-            self._persist_bitmap_bit(False, g * 64 * 8)
+            self._persist_bitmap_bit(False, g * _GROUP_BITS)
         last = out[-1]
         self._alloc_cursor = last.start + last.length
         if self._alloc_cursor >= sb.total_blocks:
@@ -559,19 +555,23 @@ class ExtFS(BaseFileSystem):
         return out
 
     def _free_extent(self, ext: Extent) -> None:
-        groups: Set[int] = set()
         trim_key = self._cur_tx if self.cfg.fw_tx else None
         queue = self._pending_trims.setdefault(trim_key, set())
-        for b in range(ext.start, ext.start + ext.length):
-            self._set_block(b, False)
-            groups.add(b // (64 * 8))
-            queue.add(b)
-            if self.jbd2 is not None:
+        lo = ext.start
+        hi = lo + ext.length
+        if hi <= lo:
+            return
+        bbmap = self._bbmap
+        for b in range(lo, hi):
+            bbmap[b >> 3] &= ~(1 << (b & 7))
+        queue.update(range(lo, hi))
+        if self.jbd2 is not None:
+            for b in range(lo, hi):
                 self.jbd2.forget(b)
-        # Sorted so bitmap persists hit the device in a replayable order
-        # regardless of hash seed (lint DET003).
-        for g in sorted(groups):
-            self._persist_bitmap_bit(False, g * 64 * 8)
+        # In ascending order, so bitmap persists hit the device in a
+        # replayable order regardless of hash seed (lint DET003).
+        for g in range(lo // _GROUP_BITS, (hi - 1) // _GROUP_BITS + 1):
+            self._persist_bitmap_bit(False, g * _GROUP_BITS)
 
     def _flush_trims(self, trim_key: Optional[int]) -> None:
         """Issue the TRIMs deferred behind ``trim_key``'s commit
@@ -1091,15 +1091,24 @@ class ExtFS(BaseFileSystem):
         its modified ratio selects.  Consecutive block-interface pages
         share one scatter write; simulated time is charged page by page,
         exactly as if every page were written back on its own.
+
+        A block run counts its first page in ``block_writebacks`` as it
+        is written and the others in ``more``, which this frame's
+        ``finally`` files (not the generator's: see
+        :meth:`MSSD.write_pages`).
         """
         if not batch:
             return
         journal = (
             self.cfg.data_journal and self.jbd2 is not None and journal_ok
         )
-        get_inode = self._get_inode
         block_of = self._block_of
-        blks = [block_of(get_inode(ino), pidx) for ino, pidx, _page in batch]
+        blks = []
+        inode = None
+        for ino, pidx, _page in batch:
+            if inode is None or inode.ino != ino:
+                inode = self._get_inode(ino)
+            blks.append(block_of(inode, pidx))
         byte_chunks = (
             self._byte_policy_chunks(batch, blks)
             if self.cfg.data_byte_policy else {}
@@ -1112,9 +1121,15 @@ class ExtFS(BaseFileSystem):
                 while j < n and blks[j] is not None and j not in byte_chunks:
                     j += 1
             if j > i:
-                self.device.write_pages(
-                    self._block_writebacks(batch, blks, i, j), StructKind.DATA
-                )
+                more = [0]
+                try:
+                    self.device.write_pages(
+                        self._block_writebacks(batch, blks, i, j, more),
+                        StructKind.DATA,
+                    )
+                finally:
+                    if more[0]:
+                        self.stats.bump("block_writebacks", more[0])
                 i = j
                 continue
             ino, pidx, page = batch[i]
@@ -1158,13 +1173,15 @@ class ExtFS(BaseFileSystem):
         blks: List[Optional[int]],
         start: int,
         stop: int,
+        more: List[int],
     ) -> Iterator[Tuple[int, bytes]]:
         """``batch[start:stop]`` as the page stream of one scatter write:
-        each page's host-side work happens as the device pulls it."""
+        each page's host-side work happens as the device pulls it.  The
+        first page is counted in ``block_writebacks``, every later one
+        in ``more[0]``."""
         advance = self.clock.advance
         xor_page_ns = self.timing.xor_page_ns
         cow = self.cfg.data_byte_policy
-        bump = self.stats.bump
         for i in range(start, stop):
             ino, pidx, page = batch[i]
             _sp = trace.begin("pagecache", "writeback", ino=ino, pidx=pidx) \
@@ -1176,7 +1193,10 @@ class ExtFS(BaseFileSystem):
             image = page.data = bytes(same_filled(page.data))
             yield blks[i], image
             page.clean()
-            bump("block_writebacks")
+            if i == start:
+                self.stats.bump("block_writebacks")
+            else:
+                more[0] += 1
             if _sp is not None:
                 _sp.attrs = dict(_sp.attrs or {}, policy="block")
                 trace.end(_sp)

@@ -212,6 +212,11 @@ class FTL:
         ``pages`` is pulled one page at a time, after the previous page
         is bound, so a generator may do the caller's per-page work (and
         charge its simulated time) between two programs.
+
+        The first page files its flash bytes where it is bound; the
+        bytes of every later page are filed once, in this frame's
+        ``finally``, so a run cut short by an exception has filed exactly
+        the pages it bound.
         """
         clock = self.clock
         inflight = self._inflight
@@ -229,47 +234,66 @@ class FTL:
         blocks = self._blocks
         invalidate_page = self._invalidate_page
         record_flash = self._record_flash
-        for lpa, data in pages:
-            _sp = trace.begin("ftl", "write_page", lpa=lpa) \
-                if trace.ENABLED else None
-            try:
-                if len(inflight) >= capacity:
-                    self._reserve_buffer_slot()
-                # _allocate's common case, inline: the open block of
-                # the channel whose turn it is has room; opening a block
-                # (and GC) happens once per block.
-                ch = self._next_channel
-                block = actives[ch]
-                if block is not None and block.next_page < pages_per_block:
-                    self._next_channel = (ch + 1) % n_channels
-                    ppa = block.base + block.next_page
-                    block.next_page += 1
-                else:
-                    ppa, ch, block = self._allocate()
-                end = serves[ch](clock.now, write_ns)
-                if trace.ENABLED:
-                    trace.span_at(
-                        "nand", "flash_program", end - write_ns, end,
-                        background=background, ch=ch,
-                    )
-                heappush(inflight, end)
-                if end > self._inflight_max:
-                    self._inflight_max = end
-                if not background:
-                    clock.advance_to(end)
-                # One program per page is what a run of pages is.
-                program_page(ppa, data)
-                old = bind(lpa, ppa)
-                if old is not None:
-                    state = blocks[old // pages_per_block]
-                    if state is not None and state.valid > 0:
-                        state.valid -= 1
-                    invalidate_page(old)
-                block.valid += 1
-                record_flash(kind, Direction.WRITE, page_size)
-            finally:
-                if _sp is not None:
-                    trace.end(_sp)
+        filed = False
+        more = 0
+        try:
+            for lpa, data in pages:
+                _sp = trace.begin("ftl", "write_page", lpa=lpa) \
+                    if trace.ENABLED else None
+                try:
+                    if len(inflight) >= capacity:
+                        # Retire the programs drained by now; stall only
+                        # while the buffer is still full.
+                        now = clock.now
+                        while inflight and inflight[0] <= now:
+                            heappop(inflight)
+                        if not inflight:
+                            self._inflight_max = 0.0
+                        if len(inflight) >= capacity:
+                            self._reserve_buffer_slot()
+                    # _allocate's common case, inline: the open block of
+                    # the channel whose turn it is has room; opening a
+                    # block (and GC) happens once per block.
+                    ch = self._next_channel
+                    block = actives[ch]
+                    if (block is not None
+                            and block.next_page < pages_per_block):
+                        self._next_channel = (ch + 1) % n_channels
+                        ppa = block.base + block.next_page
+                        block.next_page += 1
+                    else:
+                        ppa, ch, block = self._allocate()
+                    end = serves[ch](clock.now, write_ns)
+                    if trace.ENABLED:
+                        trace.span_at(
+                            "nand", "flash_program", end - write_ns, end,
+                            background=background, ch=ch,
+                        )
+                    heappush(inflight, end)
+                    if end > self._inflight_max:
+                        self._inflight_max = end
+                    if not background:
+                        clock.advance_to(end)
+                    # One program per page is what a run of pages is.
+                    program_page(ppa, data)
+                    old = bind(lpa, ppa)
+                    if old is not None:
+                        state = blocks[old // pages_per_block]
+                        if state is not None and state.valid > 0:
+                            state.valid -= 1
+                        invalidate_page(old)
+                    block.valid += 1
+                    if filed:
+                        more += page_size
+                    else:
+                        record_flash(kind, Direction.WRITE, page_size)
+                        filed = True
+                finally:
+                    if _sp is not None:
+                        trace.end(_sp)
+        finally:
+            if more:
+                record_flash(kind, Direction.WRITE, more)
 
     def trim(self, lpa: int) -> None:
         """Drop the mapping for ``lpa`` (file system freed the block)."""

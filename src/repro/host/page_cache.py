@@ -50,7 +50,7 @@ from itertools import compress
 from operator import ne
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from repro.nand.image import filled, same_filled
+from repro.nand.image import filled, same_filled_at
 
 CACHELINE = 64
 
@@ -453,7 +453,12 @@ class PageCache:
         dirty_index = space.dirty
         lru = self._lru
         for index in range(start, start + n):
-            page = CachedPage(same_filled(data[offset : offset + P]), P)
+            # (``__init__``'s work, inline; a same-filled page's image is
+            # the shared one, any other's is its slice of ``data``)
+            page = object.__new__(CachedPage)
+            page.data = same_filled_at(data, offset, P) or bytes(
+                data[offset : offset + P]
+            )
             page.dirty = True
             page.original = original
             page._key = key = (ino, index)

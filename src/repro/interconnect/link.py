@@ -43,7 +43,9 @@ class HostLink:
         self._posted_serve_many = self._posted.serve_many
         self._persist_flush_ns = timing.persist_flush_ns
         self._nvme_cmd_ns = timing.nvme_cmd_ns
-        self._dma_transfer_ns = timing.dma_transfer_ns
+        # ns per byte each way: the one formula, evaluated once
+        self._dma_write_ns_per_byte = timing.dma_transfer_ns(1, write=True)
+        self._dma_read_ns_per_byte = timing.dma_transfer_ns(1, write=False)
         self._dma_serve = self._dma.serve
         self._barrier_serve = self._barrier.serve
 
@@ -90,7 +92,10 @@ class HostLink:
 
     def dma(self, nbytes: int, write: bool) -> None:
         """An NVMe data transfer: command overhead plus bytes/bandwidth."""
-        duration = self._nvme_cmd_ns + self._dma_transfer_ns(nbytes, write)
+        duration = self._nvme_cmd_ns + nbytes * (
+            self._dma_write_ns_per_byte if write
+            else self._dma_read_ns_per_byte
+        )
         clock = self.clock
         end = self._dma_serve(clock.now, duration)
         self.dma_transfers += 1

@@ -15,7 +15,7 @@ both call it.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Union
+from typing import Optional, Union
 
 Buffer = Union[bytes, bytearray, memoryview]
 
@@ -40,3 +40,16 @@ def same_filled(data: Buffer) -> Buffer:
         return data
     image = filled(first, len(data))
     return image if data == image else data
+
+
+def same_filled_at(data: Buffer, offset: int, size: int) -> Optional[bytes]:
+    """The shared image equal to ``data[offset:offset + size]`` if every
+    byte of that slice is the same value, else ``None`` — the test of
+    :func:`same_filled` without taking the slice first."""
+    if size <= 0:
+        return None
+    first = data[offset]
+    if first != data[offset + size - 1]:
+        return None
+    image = filled(first, size)
+    return image if data[offset:offset + size] == image else None

@@ -355,19 +355,32 @@ class MSSD:
         ``pages`` may be a generator that charges host-side time between
         pages.  Every page passes its ``mssd.write_block`` crash site in
         :meth:`_page_commands` on its way to the firmware.
+
+        The host<->SSD bytes of the pages after the first are filed once,
+        in this frame's ``finally``: a generator's ``finally`` would run
+        only when the generator is collected, after whoever caught a
+        crash has read the stats.
         """
         block_write_many = self._fw_block_write_many
-        block_write_many(self._page_commands(pages, kind), kind)
+        more = [0]
+        try:
+            block_write_many(self._page_commands(pages, kind, more), kind)
+        finally:
+            if more[0]:
+                self._record_host_ssd(kind, _WRITE, _BLOCK, more[0])
 
     def _page_commands(
-        self, pages: Iterable[Tuple[int, bytes]], kind: StructKind
+        self, pages: Iterable[Tuple[int, bytes]], kind: StructKind,
+        more: List[int],
     ) -> Iterator[Tuple[int, bytes]]:
-        """The host-side half of each single-page write of a run."""
+        """The host-side half of each single-page write of a run.  The
+        first page files its host<->SSD bytes; every later page adds its
+        bytes to ``more[0]``, which :meth:`write_pages` files."""
         page_size = self.page_size
         capacity = self._capacity_blocks
-        record_host_ssd = self._record_host_ssd
         dma = self._dma_xfer
         faults = self.faults
+        first = True
         for lba, page in pages:
             if len(page) != page_size:
                 raise ValueError("block writes must be page aligned")
@@ -375,7 +388,11 @@ class MSSD:
                 self._check_range(lba * page_size, page_size)  # raises
             _sp = trace.begin("device", "write_blocks", nbytes=page_size,
                               kind=kind.value) if trace.ENABLED else None
-            record_host_ssd(kind, _WRITE, _BLOCK, page_size)
+            if first:
+                self._record_host_ssd(kind, _WRITE, _BLOCK, page_size)
+                first = False
+            else:
+                more[0] += page_size
             dma(page_size, write=True)
             if faults is NULL_INJECTOR:
                 yield lba, page

@@ -1,12 +1,13 @@
 """`repro.nand.image.same_filled`: a page that is one byte repeated is
-one shared image; every other page comes back as itself."""
+one shared image; every other page comes back as itself.
+`same_filled_at` is the same test of a slice, made in place."""
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro.nand.image import filled, same_filled
+from repro.nand.image import filled, same_filled, same_filled_at
 
 PAGE_SIZES = [1, 2, 64, 512, 4096]
 
@@ -87,3 +88,34 @@ def trusting_first_and_last(data):
 def test_mutant_trusting_first_and_last_byte_is_caught():
     with pytest.raises(AssertionError):
         check(trusting_first_and_last)
+
+
+#: what may lie either side of the slice: nothing, the slice's own fill
+#: byte (a fill that runs on past either end) or anything
+surroundings = st.one_of(
+    st.just(b""), st.binary(min_size=1, max_size=3).map(lambda b: b * 20),
+    st.binary(max_size=70),
+)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(page=pages(), before=surroundings, after=surroundings,
+       wrap=st.sampled_from([bytes, bytearray, memoryview]))
+@example(page=b"\x07" * 4096, before=b"", after=b"\x01" * 4096, wrap=bytes)
+@example(page=b"\x07" * 4096, before=b"\x01" * 4096, after=b"", wrap=bytes)
+@example(page=b"\x07" * 64, before=b"\x07", after=b"\x07", wrap=bytearray)
+@example(page=b"", before=b"\x07", after=b"", wrap=bytes)
+def test_same_filled_at_is_same_filled_of_the_slice(page, before, after,
+                                                    wrap):
+    """``same_filled_at(data, o, n)`` is ``same_filled(data[o:o + n])``,
+    the one shared object, when that slice is one fill, else ``None`` —
+    for slices at the start of ``data``, at its end and in between."""
+    data = wrap(before + bytes(page) + after)
+    offset, size = len(before), len(page)
+    got = same_filled_at(data, offset, size)
+    piece = data[offset:offset + size]
+    if is_one_fill(piece):
+        assert got is same_filled(piece)
+        assert got is filled(piece[0], size)
+    else:
+        assert got is None
