@@ -23,8 +23,7 @@ from repro.nand.geometry import FlashGeometry
 from repro.trace import tracer as trace
 from repro.workloads import Fileserver
 
-#: calls in the measured region (CPython 3.11; 3.12 inlines list
-#: comprehensions and counts fewer)
+#: calls in the measured region, as counted under CPython 3.11
 CALL_BUDGET = 92_991
 
 #: perfbench's ``fileserver_bulk`` device
