@@ -559,8 +559,6 @@ class ExtFS(BaseFileSystem):
         queue = self._pending_trims.setdefault(trim_key, set())
         lo = ext.start
         hi = lo + ext.length
-        if hi <= lo:
-            return
         bbmap = self._bbmap
         for b in range(lo, hi):
             bbmap[b >> 3] &= ~(1 << (b & 7))

@@ -346,14 +346,15 @@ def crash_stats(n_crashes: int = 9) -> Dict[str, str]:
         for k in range(n_crashes):
             site = mid_run[(2 * k + 1) * len(mid_run) // (2 * n_crashes)]
             faults = FaultInjector()
+            workload = make()
             clock, stats, _device, fs = build_stack(
                 fs_name, geometry=SMALL_GEOMETRY, faults=faults,
-                n_threads=make().n_threads, log_bytes=1 << 20,
+                n_threads=workload.n_threads, log_bytes=1 << 20,
                 device_cache_bytes=1 << 20, page_cache_pages=48,
             )
             faults.arm(FaultPlan(site))
             try:
-                drive(clock, fs, make())
+                drive(clock, fs, workload)
             except CrashPoint:
                 seen.append({
                     "site": site,
