@@ -179,7 +179,6 @@ class ExtFS(BaseFileSystem):
         self._ordered: Set[int] = set()
         self._ino_tx: Dict[int, int] = {}
         self._cur_tx: Optional[int] = None
-        self._barrier_pending = False
         self._ops_since_commit = 0
         self._ino_tx_updates: Dict[int, int] = {}
         self._ns_tx: Optional[int] = None
@@ -281,7 +280,6 @@ class ExtFS(BaseFileSystem):
             if self._ns_ops >= self.cfg.commit_interval_ops:
                 self._commit_ns_tx()
         else:
-            self._op_barrier()
             self._periodic_commit()
 
     def _commit_ns_tx(self) -> None:
@@ -341,25 +339,15 @@ class ExtFS(BaseFileSystem):
         barrier itself, since ordering between dependent metadata updates
         has nothing else to ride on.
         """
-        if self.cfg.metadata_byte:
-            txid = self._txid()
-            self.device.store(
-                blkno * self.P + offset,
-                data,
-                kind,
-                txid=txid,
-                persist=txid is None and not self.cfg.fw_tx,
-            )
-            if txid is not None:
-                self._barrier_pending = True
-        else:
+        cfg = self.cfg
+        if not cfg.metadata_byte:
             self.jbd2.mark_dirty(blkno, kind)
-
-    def _op_barrier(self) -> None:
-        """Drain posted stores that are not covered by a pending commit."""
-        if self._barrier_pending and not self.cfg.fw_tx:
-            self.device.link.persist_barrier(1)
-        self._barrier_pending = False
+        elif cfg.fw_tx:
+            self.device.store(
+                blkno * self.P + offset, data, kind, self._cur_tx, False
+            )
+        else:
+            self.device.store(blkno * self.P + offset, data, kind, None, True)
 
     def _snapshot_block(self, blkno: int) -> bytes:
         """Current image of a managed metadata block (for JBD2)."""
@@ -456,8 +444,10 @@ class ExtFS(BaseFileSystem):
         before anything reads the image (``_snapshot_block`` for jbd2);
         all other fields live in the lower half.
         """
-        blkno = self._inode_blkno(inode.ino)
-        off = self._inode_offset(inode.ino)
+        # _inode_blkno and _inode_offset, inline
+        index, slot = divmod(inode.ino, self.P // INODE_SIZE)
+        blkno = self._sb.itable_start + index
+        off = slot * INODE_SIZE
         raw = self._itable.get(blkno)
         if raw is None:
             if self._itable_zeroed:
@@ -610,18 +600,13 @@ class ExtFS(BaseFileSystem):
                 inode.extent_block = ext.start
             image = layout.encode_extent_block(inode.extents, self.P)
             self._extent_raw[inode.extent_block] = bytearray(image)
-            if self.cfg.metadata_byte:
-                # Persist only the spilled leaves (16 B each).
-                start = INLINE_EXTENTS * layout.EXTENT_SIZE
-                end = len(inode.extents) * layout.EXTENT_SIZE
-                self.device.store(
-                    inode.extent_block * self.P + start,
-                    image[start:end],
-                    StructKind.DATA_PTR,
-                    txid=self._txid(),
-                )
-            else:
-                self.jbd2.mark_dirty(inode.extent_block, StructKind.DATA_PTR)
+            # Persist only the spilled leaves (16 B each).
+            start = INLINE_EXTENTS * layout.EXTENT_SIZE
+            end = len(inode.extents) * layout.EXTENT_SIZE
+            self._persist_meta(
+                inode.extent_block, start, image[start:end],
+                StructKind.DATA_PTR,
+            )
         self._persist_inode(inode, lower=False, upper=True)
 
     def _ensure_blocks(self, inode: Inode, up_to_page: int) -> None:
@@ -979,7 +964,6 @@ class ExtFS(BaseFileSystem):
             if self._ino_tx_updates[ino] >= INODE_TX_MAX_UPDATES:
                 self._commit_inode_tx(ino)
         else:
-            self._op_barrier()
             self._periodic_commit()
         return written
 
@@ -1286,7 +1270,6 @@ class ExtFS(BaseFileSystem):
             # running transaction in this implementation.
             self.jbd2.commit()
             self._flush_trims(None)
-        self._op_barrier()
 
     def _sync(self) -> None:
         if self.cfg.fw_tx:
@@ -1311,7 +1294,6 @@ class ExtFS(BaseFileSystem):
         elif self.jbd2 is not None:
             self.jbd2.commit()
             self._flush_trims(None)
-        self._op_barrier()
 
     def _truncate(self, ino: int, size: int) -> None:
         inode = self._get_inode(ino)
@@ -1342,8 +1324,6 @@ class ExtFS(BaseFileSystem):
         self._persist_inode(inode, lower=True)
         if self.cfg.fw_tx:
             self._cur_tx = None
-        else:
-            self._op_barrier()
 
     def _zero_truncated_tail(self, inode: Inode, size: int) -> None:
         """Zero the partial tail page after a shrinking truncate, so a

@@ -40,6 +40,7 @@ class HostLink:
         self._mmio_read_ns = timing.mmio_read_ns
         self._mmio_write_ns = timing.mmio_write_ns
         self._nonposted_serve_many = self._nonposted.serve_many
+        self._posted_serve = self._posted.serve
         self._posted_serve_many = self._posted.serve_many
         self._persist_flush_ns = timing.persist_flush_ns
         self._nvme_cmd_ns = timing.nvme_cmd_ns
@@ -71,7 +72,13 @@ class HostLink:
         # Posted writes retire in issue order: completion time is the
         # *last* lane finish; the whole burst issues from the same `now`.
         clock = self.clock
-        end = self._posted_serve_many(clock.now, self._mmio_write_ns, lines)
+        if lines == 1:
+            # serve_many's own first step, without its frame
+            end = self._posted_serve(clock.now, self._mmio_write_ns)
+        else:
+            end = self._posted_serve_many(
+                clock.now, self._mmio_write_ns, lines
+            )
         self.mmio_writes += lines
         clock.advance_to(end)
 

@@ -207,9 +207,12 @@ class MSSD:
             persist = txid is None
         if not data:
             return
-        self._check_range(addr, len(data))
-        self._record_host_ssd(kind, _WRITE, _BYTE, len(data))
-        self._mmio_write(len(data))
+        length = len(data)
+        if addr < 0 or addr + length > self._capacity_bytes:
+            self._check_range(addr, length)  # raises
+        # record_host_ssd's update, inline (length is positive)
+        self.stats.host_ssd[(kind, _WRITE, _BYTE)] += length
+        self._mmio_write(length)
         pos = 0
         if self.faults is NULL_INJECTOR:
             # No injector armed: skip the per-piece closure and site
@@ -217,15 +220,15 @@ class MSSD:
             byte_write = self._fw_byte_write
             page_size = self.page_size
             off = addr % page_size
-            if off + len(data) <= page_size:
+            if off + length <= page_size:
                 # Single-page store: no split bookkeeping needed.
                 byte_write(addr // page_size, off, data, txid)
             else:
-                for lpa, off, n in self._split(addr, len(data)):
+                for lpa, off, n in self._split(addr, length):
                     byte_write(lpa, off, data[pos : pos + n], txid)
                     pos += n
         else:
-            for lpa, off, n in self._split(addr, len(data)):
+            for lpa, off, n in self._split(addr, length):
                 piece = data[pos : pos + n]
 
                 def _apply(k: int, lpa=lpa, off=off, piece=piece) -> None:
@@ -243,7 +246,7 @@ class MSSD:
         if persist:
             # Integer ceiling; data is non-empty here so the result is
             # always >= 1 (identical to max(1, ceil(n / 64))).
-            self._persist_barrier((len(data) + 63) // 64)
+            self._persist_barrier((length + 63) // 64)
 
     def _split(self, addr: int, length: int):
         """Split a byte range into (lpa, in-page offset, length) pieces."""
@@ -429,10 +432,14 @@ class MSSD:
 
         The barrier drains the transaction's outstanding posted writes
         (ordering before the commit entry, Fig 4), then the 4 B commit
-        entry is appended to the TxLog.
+        entry is appended to the TxLog.  With no injector armed the
+        firmware is called directly, as :meth:`store` does.
         """
         self.link.persist_barrier(1)
         self.link.dma(4, write=True)
+        if self.faults is NULL_INJECTOR:
+            self.firmware.commit(txid)
+            return
 
         def _apply(k: int) -> None:
             if k:

@@ -36,13 +36,13 @@ from repro.ssd.firmware.write_log import (
     LogFullError,
     LogRegion,
     aligned_entry_size,
-    entry_complete,
 )
 from repro.stats.traffic import Direction, StructKind, TrafficStats
 from repro.trace import tracer as trace
 
 _OTHER = StructKind.OTHER
 _by_seq = attrgetter("seq")
+_new_chunk = object.__new__
 
 
 @dataclass(frozen=True)
@@ -173,7 +173,7 @@ class ByteFSFirmware:
         """Whether the union of chunk ranges covers [offset, offset+length)."""
         if not chunks:
             return False
-        intervals = sorted((c.offset, c.end) for c in chunks)
+        intervals = sorted([(c.offset, c.end) for c in chunks])
         covered_to = offset
         for lo, hi in intervals:
             if lo > covered_to:
@@ -217,18 +217,20 @@ class ByteFSFirmware:
     ) -> None:
         """Append an MMIO store to the write log and index it.
 
-        One frame on the common path: the space rule is tested and the
-        firmware core charged inline, and with no injector armed the
-        entry is appended without a crash-site call.
+        One frame on the common path: the entry's aligned size is
+        computed once, the space rule is tested and the firmware core
+        charged inline, and with no injector armed the entry is appended
+        without a crash-site call.
         """
         if not data:
             return
         length = len(data)
         if offset + length > self.page_size:
             raise ValueError("byte write crosses a page boundary")
+        size = aligned_entry_size(length)
         region = self.regions[self.active]
         if not (
-            aligned_entry_size(length) <= region.capacity - region.used
+            size <= region.capacity - region.used
             and region.used / region.capacity < self.config.clean_threshold
         ):
             self._switch_and_clean(length)
@@ -237,13 +239,13 @@ class ByteFSFirmware:
             self.fw_core.serve(clock.now, self.timing.fw_append_ns)
         )
         if self.faults is NULL_INJECTOR:
-            self._append(lpa, offset, data, txid, length)
+            self._append(lpa, offset, data, txid, size, length)
         else:
             # 8 B words: the log lives in SSD DRAM behind the controller's
             # memory bus, so a power cut can tear an entry mid-word-stream.
             self.faults.site(
                 "fw.log_append",
-                partial(self._append, lpa, offset, data, txid),
+                partial(self._append, lpa, offset, data, txid, size),
                 length,
                 atom=8,
             )
@@ -254,26 +256,44 @@ class ByteFSFirmware:
         offset: int,
         data: bytes,
         txid: Optional[int],
+        size: int,
         persisted: int,
     ) -> None:
-        """Log and index a store whose first ``persisted`` bytes landed."""
+        """Log and index a store whose first ``persisted`` bytes landed.
+
+        ``size`` is the entry's aligned size, which ``byte_write`` made
+        room for in the active region.  The region's space is consumed
+        (:meth:`LogRegion.consume`'s bookkeeping) and the chunk built
+        here, in this frame.
+        """
         length = len(data)
-        if not entry_complete(persisted, length):
-            # The entry's trailing TxID word never made it to DRAM; the
-            # §4.7 recovery scan would detect and skip it, so a torn
-            # append is as if it had never happened.
+        if persisted < length:
+            # The entry's TxID sits in its trailing word (Fig 3), after
+            # the payload, and doubles as its validity marker: torn
+            # anywhere before the payload's end, the entry is detected
+            # and skipped by the §4.7 recovery scan, as if the append
+            # had never happened.
             self.stats.bump("fw_torn_appends_discarded")
             return
         region = self.regions[self.active]
-        log_off = region.consume(length)
+        log_off = region.tail
+        region.tail = (log_off + size) % region.capacity
+        region.used += size
+        if fssan.ENABLED:
+            fssan.check_log_append(log_off, size, region.used, region.capacity)
         self._seq += 1
-        region.index.insert(
-            lpa, ChunkEntry(offset, length, log_off, txid, self._seq,
-                            bytes(data))
-        )
+        entry = _new_chunk(ChunkEntry)
+        entry.offset = offset
+        entry.length = length
+        entry.log_off = log_off
+        entry.txid = txid
+        entry.seq = self._seq
+        entry.data = bytes(data)
+        entry.end = offset + length
+        region.index.insert(lpa, entry)
         if txid is not None:
             self._tx_refs[txid] = self._tx_refs.get(txid, 0) + 1
-        self.stats.bump("fw_log_appends")
+        self.stats.counters["fw_log_appends"] += 1
 
     # ------------------------------------------------------------------ #
     # block interface
@@ -378,10 +398,16 @@ class ByteFSFirmware:
     # ------------------------------------------------------------------ #
 
     def commit(self, txid: int) -> None:
-        """Handle COMMIT(TxID): append a 4 B entry to the TxLog (§4.3)."""
-        self._fw(self.timing.fw_append_ns)
+        """Handle COMMIT(TxID): append a 4 B entry to the TxLog (§4.3).
+
+        The ``fw_core`` charge is :meth:`_fw`'s, inline.
+        """
+        clock = self.clock
+        clock.advance_to(
+            self.fw_core.serve(clock.now, self.timing.fw_append_ns)
+        )
         self.txlog.commit(txid)
-        self.stats.bump("fw_commits")
+        self.stats.counters["fw_commits"] += 1
 
     def is_committed(self, entry: ChunkEntry) -> bool:
         return entry.txid is None or self.txlog.is_committed(entry.txid)
@@ -445,16 +471,36 @@ class ByteFSFirmware:
         self._prune_txlog()
 
     def _flush_page_node(self, node: PageNode) -> None:
-        """Algorithm 1 body for one modified page."""
-        committed = [c for c in node.chunks if self.is_committed(c)]
-        uncommitted = [c for c in node.chunks if not self.is_committed(c)]
-        # Uncommitted entries migrate to the (new) active log region.
+        """Algorithm 1 body for one modified page.
+
+        Each chunk is classified once against the TxLog's position map:
+        a committed one is keyed by (commit position, seq), -1 standing
+        for non-transactional, and an uncommitted one migrates.
+        """
+        positions = self.txlog.positions
+        keyed = []
+        uncommitted = []
+        for c in node.chunks:
+            txid = c.txid
+            if txid is None:
+                keyed.append((-1, c.seq, c))
+                continue
+            pos = positions.get(txid)
+            if pos is None:
+                uncommitted.append(c)
+            else:
+                keyed.append((pos, c.seq, c))
+        # Uncommitted entries migrate to the (new) active log region,
+        # which is this node's own when force_clean cleans in place.
         for c in uncommitted:
             active = self.regions[self.active]
             c.log_off = active.consume(c.length)
             active.index.insert(node.lpa, c)
-        if not committed:
+        if not keyed:
             return
+        # seq is unique, so the sort never compares two chunks
+        keyed.sort()
+        committed = [k[2] for k in keyed]
         # Partial update: the old flash page must be loaded first.
         if not self._covers(committed, 0, self.page_size):
             base = self.ftl.read_page(
@@ -463,8 +509,6 @@ class ByteFSFirmware:
             self.stats.bump("fw_clean_partial_reads")
         else:
             base = filled(0, self.page_size)
-        committed.sort(key=lambda c: (self.txlog.commit_position(c.txid)
-                                      if c.txid is not None else -1, c.seq))
         if fssan.ENABLED:
             fssan.check_commit_ordered(
                 [

@@ -39,6 +39,8 @@ class ChunkEntry:
 
     A plain ``__slots__`` class: the firmware allocates one per logged
     store, so instance dicts would dominate allocation churn.
+    ``ByteFSFirmware._append`` builds it without calling ``__init__``,
+    so a slot added here is set there too.
     """
 
     __slots__ = ("offset", "length", "log_off", "txid", "seq", "data", "end")
@@ -68,15 +70,10 @@ class PageNode:
 
     __slots__ = ("lpa", "chunks")
 
-    def __init__(
-        self, lpa: int, chunks: Optional[List[ChunkEntry]] = None
-    ) -> None:
+    def __init__(self, lpa: int, chunks: List[ChunkEntry]) -> None:
         self.lpa = lpa
-        self.chunks: List[ChunkEntry] = chunks if chunks is not None else []
-
-    def add(self, entry: ChunkEntry) -> None:
-        """Insert keeping the list ordered by (offset, seq)."""
-        insort(self.chunks, entry, key=_offset_seq)
+        #: ordered by (offset, seq)
+        self.chunks = chunks
 
 
 class LogIndex:
@@ -117,8 +114,9 @@ class LogIndex:
             pages = self._partitions[part] = {}
         node = pages.get(lpa)
         if node is None:
-            node = pages[lpa] = PageNode(lpa)
-        node.add(entry)
+            pages[lpa] = PageNode(lpa, [entry])
+        else:
+            insort(node.chunks, entry, key=_offset_seq)
         self._n_chunks += 1
         if fssan.ENABLED:
             self._check()

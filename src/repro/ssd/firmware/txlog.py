@@ -25,24 +25,26 @@ class TxLog:
     def __init__(self, capacity_bytes: int = 2 << 20) -> None:
         self.capacity_entries = capacity_bytes // ENTRY_BYTES
         self._order: List[int] = []
-        self._positions: Dict[int, int] = {}
+        #: txid -> rank in commit order; :meth:`replace` swaps in a new
+        #: dict, so read it afresh rather than keep a reference
+        self.positions: Dict[int, int] = {}
 
     def commit(self, txid: int) -> None:
         if len(self._order) >= self.capacity_entries:
             raise TxLogFullError("TxLog full; log cleaning must run first")
-        if txid in self._positions:
+        if txid in self.positions:
             return  # idempotent commit
-        self._positions[txid] = len(self._order)
+        self.positions[txid] = len(self._order)
         self._order.append(txid)
         if fssan.ENABLED:
-            fssan.check_txlog_entry(self._order, self._positions, txid)
+            fssan.check_txlog_entry(self._order, self.positions, txid)
 
     def is_committed(self, txid: int) -> bool:
-        return txid in self._positions
+        return txid in self.positions
 
     def commit_position(self, txid: int) -> int:
         """Rank of ``txid`` in commit order (for ordered flushing)."""
-        return self._positions[txid]
+        return self.positions[txid]
 
     def committed_in_order(self) -> List[int]:
         return list(self._order)
@@ -63,11 +65,11 @@ class TxLog:
         if len(positions) != len(order):
             raise ValueError("duplicate txid in replacement")
         self._order = order
-        self._positions = positions
+        self.positions = positions
 
     def __len__(self) -> int:
         return len(self._order)
 
     def clear(self) -> None:
         self._order.clear()
-        self._positions.clear()
+        self.positions.clear()

@@ -30,18 +30,6 @@ def aligned_entry_size(length: int) -> int:
     return ((length + ENTRY_ALIGN - 1) // ENTRY_ALIGN) * ENTRY_ALIGN
 
 
-def entry_complete(persisted_bytes: int, length: int) -> bool:
-    """Whether a (possibly torn) append left a *valid* log entry.
-
-    Each data entry carries its TxID in the trailing word (Fig 3), which
-    doubles as the entry's validity marker: the recovery scan checks it
-    (§4.7), so an append torn anywhere before the payload's end — the
-    trailer lands after the payload — is detected and skipped as if it
-    had never happened.
-    """
-    return persisted_bytes >= length
-
-
 class LogRegion:
     """One half of the double-buffered log: space accounting plus index."""
 

@@ -1,14 +1,19 @@
-"""A budget for the Python calls the simulator makes on the bulk
-write-back path.
+"""Budgets for the Python calls the simulator makes on two hot paths.
 
 Wall time is measured by ``perfbench/`` and by nothing in tier-1: it is
 too noisy for a gate.  The number of Python calls a deterministic run
-makes is not noisy at all, and on ``fileserver_bulk`` it is most of the
-simulator's host time.  This test counts the ``"call"`` events (a
-generator resumed counts too) of code under ``src/repro`` during the
-measured region of ``Fileserver(ops_per_thread=8, seed=42)`` on
-perfbench's 512 MB geometry, with tracing and the sanitizer off, and
-fails when the count rises above :data:`CALL_BUDGET`.
+makes is not noisy at all, and it is most of the simulator's host time.
+Each test counts the ``"call"`` events (a generator resumed counts too)
+of code under ``src/repro`` during the measured region of one bytefs
+run, with tracing and the sanitizer off, and fails when the count rises
+above its budget:
+
+* :data:`CALL_BUDGET`, the bulk block write-back:
+  ``Fileserver(ops_per_thread=8, seed=42)`` on perfbench's 512 MB
+  geometry;
+* :data:`METADATA_CALL_BUDGET`, metadata stores, commits and log
+  cleaning: ``Varmail(ops_per_thread=10, seed=42)`` with a 64 KB write
+  log, which it cleans four times.
 """
 
 from __future__ import annotations
@@ -21,10 +26,12 @@ from repro.analysis import fssan
 from repro.bench.harness import run_workload
 from repro.nand.geometry import FlashGeometry
 from repro.trace import tracer as trace
-from repro.workloads import Fileserver
+from repro.workloads import Fileserver, Varmail
 
 #: calls in the measured region, as counted under CPython 3.11
-CALL_BUDGET = 92_991
+CALL_BUDGET = 82_804
+#: likewise, for the Varmail run
+METADATA_CALL_BUDGET = 66_153
 
 #: perfbench's ``fileserver_bulk`` device
 GEOMETRY = FlashGeometry(
@@ -35,7 +42,9 @@ GEOMETRY = FlashGeometry(
 SRC = os.path.dirname(repro.__file__) + os.sep
 
 
-def count_calls() -> int:
+def count_calls(workload, **kw):
+    """The calls under ``src/repro`` in the measured region of a bytefs
+    run of ``workload``, and the run's result."""
     calls = 0
 
     def profile(frame, event, _arg):
@@ -47,24 +56,38 @@ def count_calls() -> int:
         sys.setprofile(profile if phase == "measure-start" else None)
 
     try:
-        result = run_workload(
-            "bytefs", Fileserver(ops_per_thread=8, seed=42),
-            geometry=GEOMETRY, stack_probe=probe,
-        )
+        result = run_workload("bytefs", workload, stack_probe=probe, **kw)
     finally:
         sys.setprofile(None)
-    assert result.counters["block_writebacks"] > 2000
-    return calls
+    return calls, result
+
+
+def check_budget(monkeypatch, budget, workload, **kw):
+    monkeypatch.setattr(trace, "AUTO", False)
+    monkeypatch.setattr(fssan, "ENABLED", False)
+    calls, result = count_calls(workload, **kw)
+    assert calls <= budget, (
+        f"the measured region of {workload.name} made {calls} Python "
+        f"calls under src/repro, over its budget of {budget}.  If a "
+        f"change adds calls on purpose, raise the budget in {__name__} "
+        f"to the new count and say why in CHANGES.md"
+    )
+    return result.counters
 
 
 def test_bulk_writeback_stays_within_its_call_budget(monkeypatch):
-    monkeypatch.setattr(trace, "AUTO", False)
-    monkeypatch.setattr(fssan, "ENABLED", False)
-    calls = count_calls()
-    assert calls <= CALL_BUDGET, (
-        f"the measured region of Fileserver(ops_per_thread=8, seed=42) "
-        f"made {calls} Python calls under src/repro, over the budget of "
-        f"{CALL_BUDGET}.  If a change adds calls on purpose, raise "
-        f"CALL_BUDGET in {__name__} to the new count and say why in "
-        f"CHANGES.md"
+    counters = check_budget(
+        monkeypatch, CALL_BUDGET, Fileserver(ops_per_thread=8, seed=42),
+        geometry=GEOMETRY,
     )
+    assert counters["block_writebacks"] > 2000
+
+
+def test_metadata_updates_stay_within_their_call_budget(monkeypatch):
+    counters = check_budget(
+        monkeypatch, METADATA_CALL_BUDGET,
+        Varmail(ops_per_thread=10, seed=42), log_bytes=64 << 10,
+    )
+    assert counters["fw_log_appends"] > 1000
+    assert counters["fw_commits"] > 300
+    assert counters["fw_log_cleanings"] >= 2

@@ -42,9 +42,9 @@ def test_chunk_list_ordered_by_offset():
     assert offsets == [0, 64, 128]
 
 
-def test_pages_in_same_partition_share_skiplist():
-    """One layer-2 map per partition (the paper's per-partition skip
-    list)."""
+def test_pages_in_same_partition_share_one_page_map():
+    """One layer-2 map per partition (a skip list in the paper, a dict
+    here)."""
     idx = make_index()
     idx.insert(0, entry(0, 64, 1))
     idx.insert(15, entry(0, 64, 2))   # same 16-page partition
