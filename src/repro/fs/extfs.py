@@ -157,6 +157,9 @@ class ExtFS(BaseFileSystem):
             self.mkfs()
         else:
             self.mount()
+            if self._journal_in_use():
+                # after a crash, remount's replay reads the header
+                self.jbd2.load()
 
     # ------------------------------------------------------------------ #
     # state and mount
@@ -237,6 +240,10 @@ class ExtFS(BaseFileSystem):
         self._read_bitmaps()
         self._alloc_cursor = sb.data_start
         self.jbd2 = JBD2(self, sb.journal_start, sb.journal_blocks)
+
+    def _journal_in_use(self) -> bool:
+        """JBD2 journals this mount's metadata or data blocks."""
+        return not self.cfg.metadata_byte or self.cfg.data_journal
 
     def _read_bitmaps(self) -> None:
         sb = self._sb
@@ -454,16 +461,25 @@ class ExtFS(BaseFileSystem):
                 raw = self._itable[blkno] = bytearray(self.P)
             else:  # the inode's 31 neighbours live in this block
                 raw = self._load_itable_block(blkno)
+        # Journaled, the block is filed in the running transaction
+        # here (_persist_meta's mark_dirty, inline).
+        journaled = not self.cfg.metadata_byte
         if lower:
             half = inode.encode_lower()
             raw[off : off + INODE_HALF] = half
-            self._persist_meta(blkno, off, half, StructKind.INODE)
+            if journaled:
+                self.jbd2.running[blkno] = StructKind.INODE
+            else:
+                self._persist_meta(blkno, off, half, StructKind.INODE)
         if upper:
             half = inode.encode_upper()
             raw[off + INODE_HALF : off + INODE_SIZE] = half
-            self._persist_meta(
-                blkno, off + INODE_HALF, half, StructKind.INODE
-            )
+            if journaled:
+                self.jbd2.running[blkno] = StructKind.INODE
+            else:
+                self._persist_meta(
+                    blkno, off + INODE_HALF, half, StructKind.INODE
+                )
 
     def _alloc_ino(self) -> int:
         """Allocate the lowest free inode number."""
@@ -735,10 +751,15 @@ class ExtFS(BaseFileSystem):
         return 1
 
     def _is_dir(self, ino: int) -> bool:
-        return self._get_inode(ino).is_dir
+        inode = self._inodes.get(ino)
+        if inode is None:
+            inode = self._get_inode(ino)
+        return inode.mode == FT_DIR
 
     def _dir_lookup(self, dir_ino: int, name: str) -> Optional[int]:
-        cache = self._load_dir(dir_ino)
+        cache = self._dirs.get(dir_ino)
+        if cache is None:
+            cache = self._load_dir(dir_ino)
         entry = cache.entries.get(name)
         return entry.ino if entry is not None else None
 
@@ -870,7 +891,9 @@ class ExtFS(BaseFileSystem):
     # ------------------------------------------------------------------ #
 
     def _read(self, ino: int, offset: int, length: int, direct: bool) -> bytes:
-        inode = self._get_inode(ino)
+        inode = self._inodes.get(ino)
+        if inode is None:
+            inode = self._get_inode(ino)
         if offset >= inode.size:
             return b""
         length = min(length, inode.size - offset)
@@ -942,11 +965,19 @@ class ExtFS(BaseFileSystem):
         return bytes(out)
 
     def _write(self, ino: int, offset: int, data: bytes, direct: bool) -> int:
-        inode = self._get_inode(ino)
+        inode = self._inodes.get(ino)
+        if inode is None:
+            inode = self._get_inode(ino)
         if self.cfg.fw_tx:
             self._cur_tx = self._inode_tx(ino)
         end = offset + len(data)
-        self._ensure_blocks(inode, -(-end // self.P))
+        pages = -(-end // self.P)
+        # _ensure_blocks allocates only when no extent reaches ``pages``
+        for ext in inode.extents:
+            if ext.logical + ext.length >= pages:
+                break
+        else:
+            self._ensure_blocks(inode, pages)
         if direct:
             written = self._write_direct(inode, offset, data)
         else:
@@ -1224,13 +1255,6 @@ class ExtFS(BaseFileSystem):
         # the device before the next commit, so it must be in place now.
         self._writeback_pages(batch, txid=None, journal_ok=False)
 
-    def _flush_inode_pages(self, ino: int, txid: Optional[int]) -> None:
-        self._writeback_pages(
-            [(ino, pidx, page)
-             for pidx, page in self.page_cache.dirty_pages(ino)],
-            txid,
-        )
-
     def _flush_ordered(self) -> None:
         """Ordered mode: write all transaction-ordered data before the
         journal commit."""
@@ -1249,27 +1273,36 @@ class ExtFS(BaseFileSystem):
     # ------------------------------------------------------------------ #
 
     def _fsync(self, ino: int, data_only: bool) -> None:
-        txid = self._ino_tx.get(ino) if self.cfg.fw_tx else None
-        self._flush_inode_pages(ino, txid)
+        cfg = self.cfg
+        txid = self._ino_tx.get(ino) if cfg.fw_tx else None
+        # the inode's dirty pages leave first
+        batch = [
+            (ino, pidx, page)
+            for pidx, page in self.page_cache.dirty_pages(ino)
+        ]
+        if batch:
+            self._writeback_pages(batch, txid)
         self._ordered.discard(ino)
-        if self.cfg.fw_tx:
+        jbd2 = self.jbd2
+        if cfg.fw_tx:
             if (
-                self.cfg.data_journal
-                and self.jbd2 is not None
-                and self.jbd2.has_running()
+                cfg.data_journal
+                and jbd2 is not None
+                and (jbd2.running or jbd2.running_data)
             ):
                 # §4.6: JBD2 journals the large data blocks; the ByteFS
                 # transaction commit marks the record committed.
-                self.jbd2.commit()
+                jbd2.commit()
             # fsync durability covers the file's creation too: commit the
             # running namespace transaction before the inode's.
             self._commit_ns_tx()
             self._commit_inode_tx(ino)
-        elif self.jbd2 is not None and self.jbd2.has_running():
+        elif jbd2 is not None and (jbd2.running or jbd2.running_data):
             # fdatasync commits too: size/mtime updates ride the same
             # running transaction in this implementation.
-            self.jbd2.commit()
-            self._flush_trims(None)
+            jbd2.commit()
+            if None in self._pending_trims:
+                self._flush_trims(None)
 
     def _sync(self) -> None:
         if self.cfg.fw_tx:
@@ -1389,7 +1422,7 @@ class ExtFS(BaseFileSystem):
         fw_stats = self.device.recover()
         self.mount()
         replayed = 0
-        if not self.cfg.metadata_byte or self.cfg.data_journal:
+        if self._journal_in_use():
             replayed = self.jbd2.replay()
             # The bitmaps may have been rewritten by replay; reload them.
             self._read_bitmaps()

@@ -15,7 +15,7 @@ Journal record format (all little-endian):
 * commit block: magic, type 2, seq.
 
 Journal block 0 is a header holding the sequence number up to which
-transactions have been checkpointed.
+transactions have been checkpointed; a mount numbers on from it.
 """
 
 from __future__ import annotations
@@ -43,7 +43,8 @@ class JournalFullError(Exception):
 class JBD2:
     """The journaling layer.  ``fs`` must provide:
 
-    * ``device`` with ``read_blocks``/``write_blocks``/``write_pages``;
+    * ``device`` with ``read_blocks``, ``write_blocks``,
+      ``write_block_run`` and ``write_pages``;
     * ``_snapshot_block(blkno) -> bytes`` returning the current image of a
       managed metadata block;
     * ``_flush_ordered()`` writing back dirty data pages of inodes touched
@@ -121,9 +122,11 @@ class JBD2:
         commit = struct.pack(
             _COMMIT_FMT, JMAGIC, TYPE_COMMIT, self.seq
         ).ljust(page_size, b"\0")
-        record = desc + b"".join([images[b] for b in blknos]) + commit
-        self.fs.device.write_blocks(
-            self.start + self.head, record, StructKind.JOURNAL
+        # The record goes to the device as its page images, unjoined.
+        self.fs.device.write_block_run(
+            self.start + self.head,
+            [desc, *map(images.__getitem__, blknos), commit],
+            StructKind.JOURNAL,
         )
         self.head += needed
         for b in blknos:
@@ -150,6 +153,17 @@ class JBD2:
         self._write_header()
         self.checkpoints += 1
 
+    def load(self) -> None:
+        """Learn from the header how far transactions were checkpointed,
+        once per mount (:meth:`replay` begins with it).  Sequence numbers
+        go on from there, so a record this mount commits is never one a
+        later replay skips."""
+        header = self.fs.device.read_blocks(self.start, 1, StructKind.JOURNAL)
+        magic, btype, seq = struct.unpack_from(_HEADER_FMT, header)
+        valid = magic == JMAGIC and btype == TYPE_HEADER
+        self.checkpoint_seq = seq if valid else 0
+        self.seq = self.checkpoint_seq + 1
+
     def _write_header(self) -> None:
         hdr = struct.pack(_HEADER_FMT, JMAGIC, TYPE_HEADER, self.checkpoint_seq)
         hdr += bytes(self.page_size - len(hdr))
@@ -165,13 +179,12 @@ class JBD2:
         Returns the number of transactions replayed.  Incomplete records
         (descriptor without a matching commit block) are discarded, which
         is what makes un-fsynced Ext4 operations vanish after a crash.
+        Records at or below the header's ``checkpoint_seq`` are already
+        in place and are skipped.
         """
+        self.load()
         device = self.fs.device
-        header = device.read_blocks(self.start, 1, StructKind.JOURNAL)
-        checkpoint_seq = 0
-        magic, btype, seq = struct.unpack_from(_HEADER_FMT, header)
-        if magic == JMAGIC and btype == TYPE_HEADER:
-            checkpoint_seq = seq
+        checkpoint_seq = self.checkpoint_seq
         txs: List[Tuple[int, Dict[int, bytes], Dict[int, StructKind]]] = []
         off = 1
         while off < self.nblocks:
@@ -213,7 +226,10 @@ class JBD2:
                 StructKind.JOURNAL,
             )
             replayed += 1
-        self.seq = max([t[0] for t in txs], default=0) + 1
+        # The header bounds the sequence from below: the newest record
+        # found may be older than the last checkpoint (none found, or
+        # the first record after a wrap torn).
+        self.seq = max([checkpoint_seq] + [t[0] for t in txs]) + 1
         self.checkpoint_seq = self.seq - 1
         self.head = 1
         self.pending.clear()

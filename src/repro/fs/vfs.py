@@ -77,18 +77,6 @@ class FileHandle:
         self.flags = flags
         self.pos = 0
 
-    @property
-    def readable(self) -> bool:
-        return (self.flags & _ACCMODE) in (O_RDONLY, O_RDWR)
-
-    @property
-    def writable(self) -> bool:
-        return (self.flags & _ACCMODE) in (O_WRONLY, O_RDWR)
-
-    @property
-    def direct(self) -> bool:
-        return bool(self.flags & O_DIRECT)
-
 
 def split_path(path: str) -> List[str]:
     """Normalize an absolute path into components."""
@@ -233,12 +221,24 @@ class BaseFileSystem(abc.ABC):
     # public POSIX-like API
     # ------------------------------------------------------------------ #
 
+    # The syscalls a workload makes per op (open, close, pread, pwrite,
+    # fsync, fdatasync) charge ``syscall_ns`` and look up their fd in
+    # their own frame; the others go through these two.
+
     def _syscall(self) -> None:
         self.clock.advance(self.timing.syscall_ns)
 
+    def _handle(self, fd: int) -> FileHandle:
+        handle = self._handles.get(fd)
+        if handle is None:
+            raise BadFileDescriptor(f"fd {fd}")
+        return handle
+
     def open(self, path: str, flags: int = O_RDONLY) -> int:
-        self._syscall()
-        parent, name = self._resolve_parent(path)
+        self.clock.advance(self.timing.syscall_ns)
+        parent, name = self._walk(path)
+        if name is None:
+            raise InvalidArgument(f"cannot operate on root: {path!r}")
         ino = self._dir_lookup(parent, name)
         if ino is None:
             if not flags & O_CREAT:
@@ -260,15 +260,9 @@ class BaseFileSystem(abc.ABC):
         return fd
 
     def close(self, fd: int) -> None:
-        self._syscall()
-        self._handle(fd)
-        del self._handles[fd]
-
-    def _handle(self, fd: int) -> FileHandle:
-        handle = self._handles.get(fd)
-        if handle is None:
+        self.clock.advance(self.timing.syscall_ns)
+        if self._handles.pop(fd, None) is None:
             raise BadFileDescriptor(f"fd {fd}")
-        return handle
 
     def read(self, fd: int, length: int) -> bytes:
         handle = self._handle(fd)
@@ -277,13 +271,18 @@ class BaseFileSystem(abc.ABC):
         return data
 
     def pread(self, fd: int, offset: int, length: int) -> bytes:
-        self._syscall()
-        handle = self._handle(fd)
-        if not handle.readable:
+        self.clock.advance(self.timing.syscall_ns)
+        handle = self._handles.get(fd)
+        if handle is None:
+            raise BadFileDescriptor(f"fd {fd}")
+        flags = handle.flags
+        if (flags & _ACCMODE) not in (O_RDONLY, O_RDWR):
             raise ReadOnly(f"fd {fd} not readable")
         if length < 0 or offset < 0:
             raise InvalidArgument("negative offset/length")
-        data = self._read(handle.ino, offset, length, handle.direct)
+        data = self._read(
+            handle.ino, offset, length, bool(flags & O_DIRECT)
+        )
         self.stats.record_app(Direction.READ, len(data))
         return data
 
@@ -296,13 +295,18 @@ class BaseFileSystem(abc.ABC):
         return n
 
     def pwrite(self, fd: int, offset: int, data: bytes) -> int:
-        self._syscall()
-        handle = self._handle(fd)
-        if not handle.writable:
+        self.clock.advance(self.timing.syscall_ns)
+        handle = self._handles.get(fd)
+        if handle is None:
+            raise BadFileDescriptor(f"fd {fd}")
+        flags = handle.flags
+        if (flags & _ACCMODE) not in (O_WRONLY, O_RDWR):
             raise ReadOnly(f"fd {fd} not writable")
         if offset < 0:
             raise InvalidArgument("negative offset")
-        n = self._write(handle.ino, offset, bytes(data), handle.direct)
+        n = self._write(
+            handle.ino, offset, bytes(data), bool(flags & O_DIRECT)
+        )
         self.stats.record_app(Direction.WRITE, n)
         return n
 
@@ -314,13 +318,17 @@ class BaseFileSystem(abc.ABC):
         return pos
 
     def fsync(self, fd: int) -> None:
-        self._syscall()
-        handle = self._handle(fd)
+        self.clock.advance(self.timing.syscall_ns)
+        handle = self._handles.get(fd)
+        if handle is None:
+            raise BadFileDescriptor(f"fd {fd}")
         self._fsync(handle.ino, data_only=False)
 
     def fdatasync(self, fd: int) -> None:
-        self._syscall()
-        handle = self._handle(fd)
+        self.clock.advance(self.timing.syscall_ns)
+        handle = self._handles.get(fd)
+        if handle is None:
+            raise BadFileDescriptor(f"fd {fd}")
         self._fsync(handle.ino, data_only=True)
 
     def sync(self) -> None:

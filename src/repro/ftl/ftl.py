@@ -19,6 +19,7 @@ from repro.trace import tracer as trace
 
 _OTHER = StructKind.OTHER
 _READ = Direction.READ
+_WRITE = Direction.WRITE
 
 
 @dataclass(frozen=True)
@@ -286,14 +287,14 @@ class FTL:
                     if filed:
                         more += page_size
                     else:
-                        record_flash(kind, Direction.WRITE, page_size)
+                        record_flash(kind, _WRITE, page_size)
                         filed = True
                 finally:
                     if _sp is not None:
                         trace.end(_sp)
         finally:
             if more:
-                record_flash(kind, Direction.WRITE, more)
+                record_flash(kind, _WRITE, more)
 
     def trim(self, lpa: int) -> None:
         """Drop the mapping for ``lpa`` (file system freed the block)."""
@@ -416,43 +417,62 @@ class FTL:
         bump = self.stats.bump
         # Migrate still-valid pages (background reads + writes).  The
         # owners are read up front: a migration rebinds only the page
-        # it moves, to a PPA outside the victim.
+        # it moves, to a PPA outside the victim.  The first migration
+        # files its reads, writes and counter where it does them; the
+        # others are counted in ``more_reads``/``more_writes`` and filed
+        # once, in this frame's ``finally``.
         owners = self.page_map.reverse_range(base, base + pages_per_block)
-        for ppa, lpa in enumerate(owners, base):
-            if lpa is None:
-                continue
-            end = serve_victim(clock.now, read_ns)
-            if trace.ENABLED:
-                trace.span_at(
-                    "nand", "flash_read", end - read_ns, end,
-                    background=True, ch=ch,
-                )
-            data = flash_read_page(ppa)
-            record_flash(_OTHER, _READ, page_size)
-            bump("gc_page_migrations")
-            self.gc_migrated_pages += 1
-            # Re-write through normal allocation (as in write_pages) on
-            # any channel but the victim's being-erased block.
-            new_ch = self._next_channel
-            block = actives[new_ch]
-            if block is not None and block.next_page < pages_per_block:
-                self._next_channel = (new_ch + 1) % n_channels
-                new_ppa = block.base + block.next_page
-                block.next_page += 1
-            else:
-                new_ppa, new_ch, block = self._allocate()
-            end = serves[new_ch](clock.now, write_ns)
-            if trace.ENABLED:
-                trace.span_at(
-                    "nand", "flash_program", end - write_ns, end,
-                    background=True, ch=new_ch,
-                )
-            # GC migration rebinds each page to a fresh ppa chosen one
-            # step at a time; relocation has no batched form.
-            program_page(new_ppa, data)
-            bind(lpa, new_ppa)
-            block.valid += 1
-            record_flash(_OTHER, Direction.WRITE, page_size)
+        first = True
+        more_reads = more_writes = 0
+        try:
+            for ppa, lpa in enumerate(owners, base):
+                if lpa is None:
+                    continue
+                end = serve_victim(clock.now, read_ns)
+                if trace.ENABLED:
+                    trace.span_at(
+                        "nand", "flash_read", end - read_ns, end,
+                        background=True, ch=ch,
+                    )
+                data = flash_read_page(ppa)
+                if first:
+                    record_flash(_OTHER, _READ, page_size)
+                    bump("gc_page_migrations")
+                else:
+                    more_reads += 1
+                self.gc_migrated_pages += 1
+                # Re-write through normal allocation (as in write_pages)
+                # on any channel but the victim's being-erased block.
+                new_ch = self._next_channel
+                block = actives[new_ch]
+                if block is not None and block.next_page < pages_per_block:
+                    self._next_channel = (new_ch + 1) % n_channels
+                    new_ppa = block.base + block.next_page
+                    block.next_page += 1
+                else:
+                    new_ppa, new_ch, block = self._allocate()
+                end = serves[new_ch](clock.now, write_ns)
+                if trace.ENABLED:
+                    trace.span_at(
+                        "nand", "flash_program", end - write_ns, end,
+                        background=True, ch=new_ch,
+                    )
+                # GC migration rebinds each page to a fresh ppa chosen one
+                # step at a time; relocation has no batched form.
+                program_page(new_ppa, data)
+                bind(lpa, new_ppa)
+                block.valid += 1
+                if first:
+                    record_flash(_OTHER, _WRITE, page_size)
+                    first = False
+                else:
+                    more_writes += 1
+        finally:
+            if more_reads:
+                record_flash(_OTHER, _READ, more_reads * page_size)
+                bump("gc_page_migrations", more_reads)
+            if more_writes:
+                record_flash(_OTHER, _WRITE, more_writes * page_size)
         if fssan.ENABLED:
             fssan.check_gc_victim_clear(
                 self.page_map.reverse_range(base, base + pages_per_block),

@@ -86,10 +86,12 @@ class FlashArray:
                     f"data ({n} B) exceeds page size ({page_size} B)"
                 )
             data = data + bytes(page_size - n)
-        # A same-filled page is the one shared image; any other skips the
+        # A same-filled page is the one shared image (only a page whose
+        # first and last bytes agree can be one); any other skips the
         # defensive copy when the caller already handed over an immutable
         # image (the common case on the write path).
-        data = same_filled(data)
+        if data[0] == data[-1]:
+            data = same_filled(data)
         pages[ppa] = data if type(data) is bytes else bytes(data)
         self.writes += 1
 

@@ -292,23 +292,47 @@ class MSSD:
 
     def write_blocks(self, lba: int, data: bytes, kind: StructKind) -> None:
         """NVMe write of page-aligned ``data`` starting at ``lba``."""
-        if len(data) % self.page_size != 0:
-            raise ValueError("block writes must be page aligned")
-        self._check_range(lba * self.page_size, len(data))
-        n_blocks = len(data) // self.page_size
-        self._record_host_ssd(kind, _WRITE, _BLOCK, len(data))
-        self._dma_xfer(len(data), write=True)
         page_size = self.page_size
+        n_blocks, tail = divmod(len(data), page_size)
+        if tail:
+            raise ValueError("block writes must be page aligned")
+        if n_blocks == 1:
+            pages = [data]
+        else:
+            pages = [
+                data[i * page_size : (i + 1) * page_size]
+                for i in range(n_blocks)
+            ]
+        self._write_run(lba, pages, kind)
+
+    def write_block_run(
+        self, lba: int, pages: List[bytes], kind: StructKind
+    ) -> None:
+        """One multi-page NVMe write of the page images ``pages``
+        starting at ``lba``: ``write_blocks(lba, b"".join(pages), kind)``
+        without joining the pages only to slice them apart again."""
+        page_size = self.page_size
+        for page in pages:
+            if len(page) != page_size:
+                raise ValueError("block writes must be page aligned")
+        self._write_run(lba, pages, kind)
+
+    def _write_run(
+        self, lba: int, pages: List[bytes], kind: StructKind
+    ) -> None:
+        """The NVMe write command behind both block-write entries."""
+        page_size = self.page_size
+        n_blocks = len(pages)
+        nbytes = n_blocks * page_size
+        addr = lba * page_size
+        if addr < 0 or addr + nbytes > self._capacity_bytes:
+            self._check_range(addr, nbytes)  # raises
+        self._record_host_ssd(kind, _WRITE, _BLOCK, nbytes)
+        self._dma_xfer(nbytes, write=True)
         # Local binding keeps the call spelled by its real name (the
         # crash-site lint resolves callers by bare name).
         block_write_many = self._fw_block_write_many
-        if n_blocks == 1:
-            pending = [(lba, data)]
-        else:
-            pending = [
-                (lba + i, data[i * page_size : (i + 1) * page_size])
-                for i in range(n_blocks)
-            ]
+        pending = list(enumerate(pages, lba))
         if self.faults is NULL_INJECTOR:
             block_write_many(pending, kind, n_blocks)
             return

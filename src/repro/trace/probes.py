@@ -99,6 +99,10 @@ PROBES: Tuple[Probe, ...] = (
     Probe(*_MSSD, "write_blocks", "device", "write_blocks",
           lambda self, lba, data, kind:
           {"nbytes": len(data), "kind": kind.value}),
+    # the same command handed its pages unjoined: the same span
+    Probe(*_MSSD, "write_block_run", "device", "write_blocks",
+          lambda self, lba, pages, kind:
+          {"nbytes": len(pages) * self.page_size, "kind": kind.value}),
     Probe(*_MSSD, "commit", "device", "commit",
           lambda self, txid: {"txid": txid}),
     *_firmware(_BYTEFS_FW),

@@ -1,11 +1,11 @@
-"""Budgets for the Python calls the simulator makes on two hot paths.
+"""Budgets for the Python calls the simulator makes on three hot paths.
 
 Wall time is measured by ``perfbench/`` and by nothing in tier-1: it is
 too noisy for a gate.  The number of Python calls a deterministic run
 makes is not noisy at all, and it is most of the simulator's host time.
 Each test counts the ``"call"`` events (a generator resumed counts too)
-of code under ``src/repro`` during the measured region of one bytefs
-run, with tracing and the sanitizer off, and fails when the count rises
+of code under ``src/repro`` during the measured region of one run,
+with tracing and the sanitizer off, and fails when the count rises
 above its budget:
 
 * :data:`CALL_BUDGET`, the bulk block write-back:
@@ -13,7 +13,12 @@ above its budget:
   geometry;
 * :data:`METADATA_CALL_BUDGET`, metadata stores, commits and log
   cleaning: ``Varmail(ops_per_thread=10, seed=42)`` with a 64 KB write
-  log, which it cleans four times.
+  log, which it cleans four times;
+* :data:`EXT4_CALL_BUDGET`, the Ext4 ``pwrite`` + ``fsync`` path (JBD2
+  commits on the baseline firmware, FTL GC with migrations):
+  ``OLTP(ops_per_thread=120, seed=42)`` on perfbench's 32 MB geometry.
+
+The first two run bytefs, the third ext4.
 """
 
 from __future__ import annotations
@@ -26,25 +31,32 @@ from repro.analysis import fssan
 from repro.bench.harness import run_workload
 from repro.nand.geometry import FlashGeometry
 from repro.trace import tracer as trace
-from repro.workloads import Fileserver, Varmail
+from repro.workloads import OLTP, Fileserver, Varmail
 
 #: calls in the measured region, as counted under CPython 3.11
 CALL_BUDGET = 82_804
 #: likewise, for the Varmail run
 METADATA_CALL_BUDGET = 66_153
+#: likewise, for the ext4 OLTP run
+EXT4_CALL_BUDGET = 570_104
 
 #: perfbench's ``fileserver_bulk`` device
 GEOMETRY = FlashGeometry(
     n_channels=8, ways_per_channel=1, blocks_per_way=256,
     pages_per_block=64, page_size=4096,
 )
+#: perfbench's ``oltp_gc`` device (32 MB: OLTP wraps it, GC runs)
+SMALL_GEOMETRY = FlashGeometry(
+    n_channels=4, ways_per_channel=1, blocks_per_way=32,
+    pages_per_block=64, page_size=4096,
+)
 
 SRC = os.path.dirname(repro.__file__) + os.sep
 
 
-def count_calls(workload, **kw):
-    """The calls under ``src/repro`` in the measured region of a bytefs
-    run of ``workload``, and the run's result."""
+def count_calls(fs_name, workload, **kw):
+    """The calls under ``src/repro`` in the measured region of an
+    ``fs_name`` run of ``workload``, and the run's result."""
     calls = 0
 
     def profile(frame, event, _arg):
@@ -56,19 +68,19 @@ def count_calls(workload, **kw):
         sys.setprofile(profile if phase == "measure-start" else None)
 
     try:
-        result = run_workload("bytefs", workload, stack_probe=probe, **kw)
+        result = run_workload(fs_name, workload, stack_probe=probe, **kw)
     finally:
         sys.setprofile(None)
     return calls, result
 
 
-def check_budget(monkeypatch, budget, workload, **kw):
+def check_budget(monkeypatch, budget, workload, fs_name="bytefs", **kw):
     monkeypatch.setattr(trace, "AUTO", False)
     monkeypatch.setattr(fssan, "ENABLED", False)
-    calls, result = count_calls(workload, **kw)
+    calls, result = count_calls(fs_name, workload, **kw)
     assert calls <= budget, (
-        f"the measured region of {workload.name} made {calls} Python "
-        f"calls under src/repro, over its budget of {budget}.  If a "
+        f"the measured region of {fs_name} {workload.name} made {calls} "
+        f"Python calls under src/repro, over its budget of {budget}.  If a "
         f"change adds calls on purpose, raise the budget in {__name__} "
         f"to the new count and say why in CHANGES.md"
     )
@@ -91,3 +103,12 @@ def test_metadata_updates_stay_within_their_call_budget(monkeypatch):
     assert counters["fw_log_appends"] > 1000
     assert counters["fw_commits"] > 300
     assert counters["fw_log_cleanings"] >= 2
+
+
+def test_ext4_fsync_stays_within_its_call_budget(monkeypatch):
+    counters = check_budget(
+        monkeypatch, EXT4_CALL_BUDGET, OLTP(ops_per_thread=120, seed=42),
+        fs_name="ext4", geometry=SMALL_GEOMETRY,
+    )
+    assert counters["gc_runs"] == 214
+    assert counters["gc_page_migrations"] == 424

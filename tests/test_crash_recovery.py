@@ -274,3 +274,34 @@ def test_clean_unmount_then_mount_preserves_everything():
     fd = fs2.open("/data/file", O_RDONLY)
     assert fs2.pread(fd, 0, 10) == b"persistent"
     fs2.close(fd)
+
+
+def test_ext4_journal_numbers_on_after_a_clean_mount():
+    """A clean unmount checkpoints the journal and leaves its header at
+    the last sequence number; the next mount must go on numbering after
+    it, or replay skips the new records as already checkpointed and an
+    fsynced create is lost."""
+    from repro.core.bytefs import build_stack
+    from repro.fs.extfs import ExtFS
+    from repro.nand.geometry import FlashGeometry
+
+    geometry = FlashGeometry(  # perfbench's 32 MB device
+        n_channels=4, ways_per_channel=1, blocks_per_way=32,
+        pages_per_block=64, page_size=4096,
+    )
+    _clk, _st, device, fs = build_stack("ext4", geometry=geometry)
+    for i in range(20):
+        fd = fs.open(f"/f{i}", O_CREAT | O_RDWR)
+        fs.fsync(fd)
+        fs.close(fd)
+    fs.unmount()
+    fs = ExtFS(device, fs.cfg, format_device=False)
+    assert fs.jbd2.checkpoint_seq == 20
+    assert fs.jbd2.seq == 21
+    fd = fs.open("/after_mount", O_CREAT | O_RDWR)
+    fs.fsync(fd)
+    fs.close(fd)
+    assert crash_and_remount(device, fs)["journal_txs_replayed"] == 1
+    assert fs.exists("/after_mount")
+    assert all(fs.exists(f"/f{i}") for i in range(20))
+    assert fs.jbd2.seq == 22

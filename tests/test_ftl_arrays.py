@@ -950,6 +950,10 @@ class _JournalDevice:
                 i * self.page_size : (i + 1) * self.page_size
             ]
 
+    def write_block_run(self, lba, pages, kind):
+        assert all(len(page) == self.page_size for page in pages)
+        self.write_blocks(lba, b"".join(pages), kind)
+
     def write_pages(self, pages, kind):
         for lba, data in pages:
             self.blocks[lba] = data
@@ -1017,3 +1021,27 @@ def test_jbd2_descriptor_overflow_is_refused_not_misaligned():
     with pytest.raises(JournalFullError):
         journal.commit()
     assert fs.device.records == []
+
+
+def test_jbd2_replay_numbers_on_past_the_checkpoint_header():
+    """A torn first record after a wrap leaves replay no record at all:
+    the next sequence number comes from the header, so what the next
+    mount commits is not skipped by the replay after it."""
+    fs = _JournalFS()
+    journal = JBD2(fs, 100, 64)
+    for b in (7, 8):
+        journal.mark_dirty(b, StructKind.INODE)
+        journal.commit()
+    journal.checkpoint()
+    assert journal.checkpoint_seq == 2
+    fs.device.blocks[101] = bytes(fs.device.page_size)  # torn descriptor
+
+    mounted = JBD2(fs, 100, 64)
+    assert mounted.replay() == 0
+    assert mounted.seq == 3
+    mounted.mark_dirty(9, StructKind.INODE)
+    mounted.commit()
+
+    again = JBD2(fs, 100, 64)
+    assert again.replay() == 1
+    assert again.seq == 4

@@ -224,6 +224,43 @@ def test_errors(any_fs):
         fs.open("relative/path", O_RDONLY)
 
 
+#: the fd syscalls, each with whether it charges ``syscall_ns`` before
+#: it finds its descriptor unknown (``write`` looks it up first)
+FD_CALLS = {
+    "close": (lambda fs, fd: fs.close(fd), True),
+    "pread": (lambda fs, fd: fs.pread(fd, 0, 1), True),
+    "pwrite": (lambda fs, fd: fs.pwrite(fd, 0, b"x"), True),
+    "fsync": (lambda fs, fd: fs.fsync(fd), True),
+    "fdatasync": (lambda fs, fd: fs.fdatasync(fd), True),
+    "write": (lambda fs, fd: fs.write(fd, b"x"), False),
+}
+
+
+@pytest.mark.parametrize("call", sorted(FD_CALLS))
+def test_an_unknown_fd_raises_and_charges_the_syscall(any_fs, call):
+    fs = any_fs
+    run, charged = FD_CALLS[call]
+    closed = fs.open("/f", O_CREAT | O_RDWR)
+    fs.close(closed)
+    for fd in (closed, 999):
+        before = fs.clock.now
+        with pytest.raises(BadFileDescriptor) as raised:
+            run(fs, fd)
+        assert str(raised.value) == f"fd {fd}"
+        assert fs.clock.now - before == (
+            fs.timing.syscall_ns if charged else 0
+        )
+
+
+def test_open_of_the_root_is_an_invalid_argument(any_fs):
+    fs = any_fs
+    before = fs.clock.now
+    with pytest.raises(InvalidArgument) as raised:
+        fs.open("/", O_RDONLY)
+    assert str(raised.value) == "cannot operate on root: '/'"
+    assert fs.clock.now - before == fs.timing.syscall_ns
+
+
 def test_write_to_readonly_fd_fails(any_fs):
     fs = any_fs
     fd = fs.open("/f", O_CREAT | O_RDWR)
