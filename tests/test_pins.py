@@ -39,7 +39,7 @@ import pytest
 
 from repro.bench.harness import run_workload
 from repro.cli import main
-from repro.cluster import TenantSpec, serve_cluster
+from repro.cluster import TenantSpec, default_tenants, serve_cluster
 from repro.core.bytefs import build_stack
 from repro.devcache import DevCacheConfig
 from repro.faults import DeviceCrash
@@ -400,7 +400,7 @@ FAULTS = [DeviceCrash(device=0, after_ops=9),
 #: name -> serve_cluster keywords on top of :func:`serve_shape`'s base;
 #: ``auto_trace`` is not a keyword but the value ``trace.AUTO`` is
 #: pinned to (the bytes must not depend on REPRO_TRACE in the
-#: environment)
+#: environment); ``tenants`` replaces the four synthetic tenants
 SHAPES = {
     "plain": {},
     "faulted": dict(n_devices=3, faults=FAULTS, keep_dispatch_log=True),
@@ -412,13 +412,19 @@ SHAPES = {
     "unmount": dict(unmount=True),
     "auto-trace": dict(auto_trace=True),
     "traced": dict(n_devices=3, faults=FAULTS, traced=True),
+    # the built-in profiles on a 64-page host cache: the heavy tenants'
+    # 64 KB writes overwrite whole cached pages while reads and other
+    # writes evict around them
+    "overwrite-evict": dict(
+        tenants=default_tenants(8, n_ops=60), page_cache_pages=64,
+    ),
 }
 
 
 def serve_shape(name: str, workers: int):
     kw = dict(SHAPES[name])
     auto_trace = kw.pop("auto_trace", False)
-    tenants = [
+    tenants = kw.pop("tenants", None) or [
         TenantSpec(
             name=f"t{i}", workload="synthetic", n_ops=40,
             rate_ops_s=200_000.0, device=i % 2,
