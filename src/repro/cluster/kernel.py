@@ -7,6 +7,22 @@ process for ``--workers 0`` and in one OS process per shard group for
 ``--workers N``.  The dispatch semantics are documented on
 :mod:`repro.cluster.serve`; this module is the mechanism.
 
+**One frame per decision.**  One pass of :func:`serve_device`'s loop
+makes a whole decision in the loop's own frame, with no helper call of
+its own: (1) peek at the ready heap for the earliest dispatchable
+request and take the admission queue's earliest-free slot, which gives
+the decision instant ``t_dec``; (2) pump every arrival up to ``t_dec``
+through admission control; (3) ask the scheduler — only through
+``Scheduler.pick``/``release`` — which backlogged tenant goes next, and
+when it may start; (4) grant it the slot; (5) run its next op on its own
+clock thread; (6) bill it: the slot's busy time, the traffic its op
+moved, its latency (one ``LatencyRecorder.record_pair`` for the op and
+``ALL_OPS``), its SLO, and ``Scheduler.on_dispatch``/``charge``.  The
+earliest-free slot is chosen once and kept until a completion or an
+outage moves a slot's timeline.  A non-work-conserving hold (step 3
+sees a release time past the start) pumps the earliest arrival before
+the hold ends and decides again.
+
 **O(1) idle-time skip.**  The kernel never scans tenants to find the
 next decision instant.  Two lazy min-heaps bound the next event:
 
@@ -14,8 +30,7 @@ next decision instant.  Two lazy min-heaps bound the next event:
   or next-unpumped-arrival, client-thread time)`` — the earliest
   instant the tenant could dispatch;
 * an *arrivals heap* of ``(next_arrival, tenant_index)`` driving
-  targeted arrival pumping (and the token-bucket hold-vs-next-arrival
-  race).
+  targeted arrival pumping (and the hold-vs-next-arrival race).
 
 Both follow the :meth:`repro.sim.clock.VirtualClock.next_thread`
 discipline: every per-tenant quantity above is non-decreasing over the
@@ -113,24 +128,6 @@ class TenantRT:
             return {}
         return dict(zip(_TRAFFIC_KEYS, self.moved))
 
-    def pump(self, t: float, max_queue: int) -> None:
-        """Move arrivals up to ``t`` into the queue (admission control)."""
-        arrivals = self.arrivals
-        i = self.next_i
-        n = len(arrivals)
-        while i < n and arrivals[i] <= t:
-            a = arrivals[i]
-            if self.reject_from <= a < self.reject_to:
-                # Arrived while the shard was down (policy "reject").
-                self.rejected += 1
-                self.outage_rejected += 1
-            elif len(self.queue) >= max_queue:
-                self.rejected += 1
-            else:
-                self.queue.append(a)
-            i += 1
-        self.next_i = i
-
     def finish(self) -> None:
         """Workload exhausted: abandon backlog and future arrivals."""
         self.done = True
@@ -157,16 +154,6 @@ def _traffic_totals(stats: TrafficStats) -> Tuple[float, ...]:
         stats.app.get(Direction.WRITE, 0),
         stats.app.get(Direction.READ, 0),
     )
-
-
-def _attribute(tn: TenantRT, before: Tuple, after: Tuple) -> None:
-    moved = tn.moved
-    moved[0] += after[0] - before[0]
-    moved[1] += after[1] - before[1]
-    moved[2] += after[2] - before[2]
-    moved[3] += after[3] - before[3]
-    moved[4] += after[4] - before[4]
-    moved[5] += after[5] - before[5]
 
 
 def sanity(tn: TenantRT) -> None:
@@ -312,11 +299,12 @@ def serve_device(
     fault_seed: int = 0,
 ) -> None:
     """Drain one device's tenants to completion (see module docstring)."""
-    time_of = clock.time_of
+    times = clock.timelines
     heapreplace = heapq.heapreplace
     heappop = heapq.heappop
     smp = telem.active() if telem.ENABLED else None
     by_index = {tn.index: tn for tn in tenants}
+    slots = queue.slots
     #: tenants with a non-empty queue, keyed by global index
     backlog: Dict[int, TenantRT] = {
         tn.index: tn for tn in tenants if tn.queue
@@ -333,92 +321,104 @@ def serve_device(
     heapq.heapify(ready)
     heapq.heapify(arrivals_heap)
 
-    def _peek_ready() -> float:
-        """Exact ``min(live r)`` over candidate tenants, or inf.
-
-        A tenant's live ``r`` is the later of its head-of-queue (or next
-        unpumped) arrival and its client thread's time; a tenant with
-        neither will never dispatch again and leaves the heap.  Lazy
-        revalidation: a top entry matching its tenant's live value is
-        the true minimum because every other entry underestimates.
-        """
-        while ready:
-            r, idx = ready[0]
-            tn = by_index[idx]
-            if tn.queue:
-                live = tn.queue[0]
-            elif tn.next_i < len(tn.arrivals):
-                live = tn.arrivals[tn.next_i]
+    totals = _traffic_totals(stats)
+    #: the earliest-free admission slot (the lowest-numbered on a tie),
+    #: until a slot's timeline next moves
+    slot = None
+    #: step 3 held the pick: pump arrivals up to ``t_pump`` and re-decide
+    held = False
+    while True:
+        if not held:
+            # 1. The earliest dispatchable request across tenants: arrived
+            # AND the tenant's (single-threaded) client is free again.  One
+            # peek at the ready heap — idle virtual time costs O(1), not a
+            # tenant scan.  Lazy revalidation: a top entry matching its
+            # tenant's live value is the true minimum, because every other
+            # entry underestimates; a tenant with neither a queued nor an
+            # unpumped arrival never dispatches again and leaves the heap.
+            while ready:
+                t_req, idx = ready[0]
+                tn = by_index[idx]
+                if tn.queue:
+                    live = tn.queue[0]
+                elif tn.next_i < len(tn.arrivals):
+                    live = tn.arrivals[tn.next_i]
+                else:
+                    heappop(ready)
+                    continue
+                avail = times[idx]
+                if avail > live:
+                    live = avail
+                if live == t_req:
+                    break
+                heapreplace(ready, (live, idx))
             else:
-                heappop(ready)
-                continue
-            avail = time_of(idx)
-            if avail > live:
-                live = avail
-            if live == r:
-                return r
-            heapreplace(ready, (live, idx))
-        return _INF
-
-    def _next_arrival() -> float:
-        """Exact earliest unpumped arrival across tenants, or inf."""
+                break  # the heap ran dry: the drain is over
+            if slot is None:
+                slot = slots[0]
+                for cand in slots:
+                    if cand.busy_until < slot.busy_until:
+                        slot = cand
+            t_free = slot.busy_until
+            t_dec = t_req if t_req > t_free else t_free
+            if smp is not None:
+                # Pull-based sampling: emit every boundary crossed since
+                # the last decision, stamped with the boundary's virtual
+                # time.
+                smp.advance(device, t_dec)
+            # Fault trigger check at the decision instant: the next
+            # dispatch is the one in flight when power drops.
+            if fault is not None and not fault.done and not fault.armed:
+                if fault.due(t_dec):
+                    fault.injector.arm_next(
+                        torn=fault.spec.torn, seed=fault_seed
+                    )
+                    fault.armed = True
+            t_pump = t_dec
+        # 2. Pump arrivals (admission control) up to ``t_pump``, tenant by
+        # tenant in global arrival order: admission reads only the
+        # tenant's own queue and reject window, so this leaves the state
+        # a pump-every-tenant scan would.  The arrivals heap revalidates
+        # lazily, like the ready heap.
+        if t_pump > pumped_to:
+            pumped_to = t_pump
         while arrivals_heap:
             a, idx = arrivals_heap[0]
             tn = by_index[idx]
-            if tn.next_i >= len(tn.arrivals):
+            arrivals = tn.arrivals
+            i = tn.next_i
+            n = len(arrivals)
+            if i >= n:
                 heappop(arrivals_heap)
                 continue
-            live = tn.arrivals[tn.next_i]
-            if live == a:
-                return a
-            heapreplace(arrivals_heap, (live, idx))
-        return _INF
-
-    def _pump_until(t: float) -> None:
-        """Pump exactly the tenants whose next arrival is <= ``t``.
-
-        Per-tenant pumping is independent (admission control reads only
-        the tenant's own queue and reject window), so pumping in global
-        arrival order leaves the same state as a pump-every-tenant scan.
-        """
-        nonlocal pumped_to
-        if t > pumped_to:
-            pumped_to = t
-        while _next_arrival() <= t:
-            idx = arrivals_heap[0][1]
-            tn = by_index[idx]
-            tn.pump(t, max_queue)
-            if tn.queue:
+            live = arrivals[i]
+            if live != a:
+                heapreplace(arrivals_heap, (live, idx))
+                continue
+            if a > t_pump:
+                break
+            tq = tn.queue
+            while i < n and arrivals[i] <= t_pump:
+                a = arrivals[i]
+                if tn.reject_from <= a < tn.reject_to:
+                    # Arrived while the shard was down (policy "reject").
+                    tn.rejected += 1
+                    tn.outage_rejected += 1
+                elif len(tq) >= max_queue:
+                    tn.rejected += 1
+                else:
+                    tq.append(a)
+                i += 1
+            tn.next_i = i
+            if tq:
                 backlog[idx] = tn
-            if tn.next_i < len(tn.arrivals):
-                heapreplace(arrivals_heap, (tn.arrivals[tn.next_i], idx))
+            if i < n:
+                heapreplace(arrivals_heap, (arrivals[i], idx))
             else:
                 heappop(arrivals_heap)
-
-    totals = _traffic_totals(stats)
-    while True:
-        # 1. The earliest dispatchable request across tenants: arrived
-        # AND the tenant's (single-threaded) client is free again.  One
-        # heap peek — idle virtual time costs O(1), not a tenant scan.
-        t_req = _peek_ready()
-        if t_req == _INF:
-            break
-        t_free = queue.earliest_free()
-        t_dec = t_req if t_req > t_free else t_free
-        if smp is not None:
-            # Pull-based sampling: emit every boundary crossed since the
-            # last decision, stamped with the boundary's virtual time.
-            smp.advance(device, t_dec)
-        # Fault trigger check at the decision instant: the next dispatch
-        # is the one in flight when power drops.
-        if fault is not None and not fault.done and not fault.armed:
-            if fault.due(t_dec):
-                fault.injector.arm_next(
-                    torn=fault.spec.torn, seed=fault_seed
-                )
-                fault.armed = True
-        # 2. Pump arrivals (admission control) up to the decision instant.
-        _pump_until(t_dec)
+        if held:
+            held = False
+            continue
         eligible = backlog if pumped_to <= t_dec else {
             i: tn for i, tn in backlog.items() if tn.queue[0] <= t_dec
         }
@@ -435,7 +435,7 @@ def serve_device(
         tn = sched.pick(eligible, t_dec)
         index = tn.index
         start = t_dec
-        avail = time_of(index)
+        avail = times[index]
         if avail > start:
             start = avail
         rel = sched.release(tn, t_dec)
@@ -443,17 +443,33 @@ def serve_device(
             # Non-work-conserving hold: if any arrival lands before the
             # hold ends, it may belong to an unthrottled tenant — pump to
             # it and re-decide.
-            nxt = _next_arrival()
-            if nxt < rel:
-                _pump_until(nxt)
+            while arrivals_heap:
+                a, idx = arrivals_heap[0]
+                other = by_index[idx]
+                if other.next_i >= len(other.arrivals):
+                    heappop(arrivals_heap)
+                    continue
+                live = other.arrivals[other.next_i]
+                if live == a:
+                    break
+                heapreplace(arrivals_heap, (live, idx))
+            if arrivals_heap and arrivals_heap[0][0] < rel:
+                t_pump = arrivals_heap[0][0]
+                held = True
                 continue
             start = rel
         arrival = tn.queue.popleft()
         if not tn.queue:
             del backlog[index]
-        slot, grant = queue.admit(start)
+        # 4. Admission: the earliest-free slot, waiting for it if busy.
+        grant = slot.busy_until
+        if start > grant:
+            grant = start
+        elif trace.ENABLED and grant > start:
+            trace.note_wait(queue.group, grant - start, 0.0)
         if fault is not None:
             fault.dispatched += 1
+        # 5. Dispatch: the tenant's client runs its next op from ``grant``.
         clock.switch(index)
         clock.advance_to(grant)
         root = (
@@ -480,9 +496,19 @@ def serve_device(
         if root is not None:
             root.op = op_name
             trace.end(root)
-        queue.complete(slot, grant, end)
+        # 6. Billing: the slot is busy for the op's whole [grant, end),
+        # and the tenant is billed the traffic its op moved.
+        slot.busy_until = end
+        slot.total_busy_ns += end - grant
+        slot = None
         before, totals = totals, _traffic_totals(stats)
-        _attribute(tn, before, totals)
+        moved = tn.moved
+        moved[0] += totals[0] - before[0]
+        moved[1] += totals[1] - before[1]
+        moved[2] += totals[2] - before[2]
+        moved[3] += totals[3] - before[3]
+        moved[4] += totals[4] - before[4]
+        moved[5] += totals[5] - before[5]
         if dispatch_log is not None:
             dispatch_log.append({
                 "device": device,
@@ -501,8 +527,7 @@ def serve_device(
             sched.charge(tn, end - grant)
             lat = end - arrival
             tn.served += 1
-            tn.latency.record(op_name, lat)
-            tn.latency.record(ALL_OPS, lat)
+            tn.latency.record_pair(op_name, ALL_OPS, lat)
             if lat > tn.spec.slo_ms * MSEC:
                 tn.slo_violations += 1
                 if (
@@ -523,14 +548,15 @@ def serve_device(
                 clock, device, device_obj, fs, tenants, queue, sched,
                 stats, fault, outage_policy, tracer,
             )
-            # Recovery traffic is nobody's op either.
+            # Recovery traffic is nobody's op either.  (Its outage moved
+            # the slots' timelines: ``slot`` was dropped above already.)
             totals = _traffic_totals(stats)
     if fault is not None and not fault.done:
         # The drain finished before the trigger was reached (or the
         # armed crash never saw another dispatch): the planned fault
         # still executes, as a between-ops power-off at drain end, so a
         # matrix cell always exercises the recovery path.
-        tmax = max(time_of(tn.index) for tn in tenants)
+        tmax = max(times[tn.index] for tn in tenants)
         clock.switch(tenants[0].index)
         clock.advance_to(tmax)
         crash_and_recover(

@@ -29,21 +29,23 @@ contention, under a per-device contention group.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Type
+from typing import Dict, List, Optional, Type
 
 # The admission queue is boundary infrastructure (it *is* the modelled
 # host→device submission queue), so it shares the device's resource
 # primitive for busy-until bookkeeping and wait attribution.
 from repro.sim.resources import Resource  # repro: allow[LAY001]
-from repro.trace import tracer as trace
 
 
 class AdmissionQueue:
     """Per-device submission-queue model with ``depth`` slots.
 
-    A request granted at time ``t`` takes the earliest-free slot; if all
+    A request granted at time ``t`` takes the earliest-free slot (the
+    lowest-numbered on a tie) and holds it for its whole service; if all
     slots are busy the grant waits, and the wait is attributed to the
-    queue's contention group on the open (tenant-root) span.
+    queue's contention group.  The serve kernel
+    (:func:`repro.cluster.kernel.serve_device`) picks, grants and
+    occupies the slot in its own frame.
     """
 
     def __init__(self, device: int, depth: int) -> None:
@@ -55,45 +57,10 @@ class AdmissionQueue:
             Resource(f"dev{device}.nvmeq{i}", group=self.group)
             for i in range(depth)
         ]
-        #: the earliest-free slot, until a slot's timeline next moves
-        self._earliest: Optional[Resource] = None
 
     @property
     def depth(self) -> int:
         return len(self.slots)
-
-    def _earliest_slot(self) -> Resource:
-        """The slot that frees up first (the lowest-numbered on a tie):
-        one scan serves a decision's :meth:`earliest_free` and the
-        :meth:`admit` that follows it."""
-        slot = self._earliest
-        if slot is None:
-            slot = self.slots[0]
-            for cand in self.slots:
-                if cand.busy_until < slot.busy_until:
-                    slot = cand
-            self._earliest = slot
-        return slot
-
-    def earliest_free(self) -> float:
-        """The earliest virtual time a slot frees up."""
-        return self._earliest_slot().busy_until
-
-    def admit(self, t_request: float) -> Tuple[Resource, float]:
-        """Pick the earliest-free slot for a request available at
-        ``t_request``; returns (slot, grant time)."""
-        slot = self._earliest_slot()
-        best = slot.busy_until
-        begin = t_request if t_request > best else best
-        if trace.ENABLED and begin > t_request:
-            trace.note_wait(self.group, begin - t_request, 0.0)
-        return slot, begin
-
-    def complete(self, slot: Resource, begin: float, end: float) -> None:
-        """Occupy ``slot`` for the request's whole [begin, end) service."""
-        slot.busy_until = end
-        slot.total_busy_ns += end - begin
-        self._earliest = None
 
     def outage_until(self, t_up: float) -> None:
         """The submission queue did not survive a power cycle: no grant
@@ -103,12 +70,10 @@ class AdmissionQueue:
         for slot in self.slots:
             if slot.busy_until < t_up:
                 slot.busy_until = t_up
-        self._earliest = None
 
     def reset(self) -> None:
         for slot in self.slots:
             slot.reset()
-        self._earliest = None
 
 
 class Scheduler:

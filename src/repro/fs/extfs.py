@@ -884,7 +884,10 @@ class ExtFS(BaseFileSystem):
         )
 
     def _file_size(self, ino: int) -> int:
-        return self._get_inode(ino).size
+        inode = self._inodes.get(ino)
+        if inode is None:
+            inode = self._get_inode(ino)
+        return inode.size
 
     # ------------------------------------------------------------------ #
     # data path
@@ -1012,10 +1015,11 @@ class ExtFS(BaseFileSystem):
             n = min(P - poff, nbytes - i)
             if n == P:
                 # The whole-page middle of a write enters the cache a
-                # run at a time; 0 means this page is cached already.
+                # run at a time: the pages not cached yet, else the
+                # cached ones.
                 took = cache.install_dirty_run(
                     ino, pidx, data, i, cow, self._evict_writeback
-                )
+                ) or cache.overwrite_run(ino, pidx, data, i, cow)
                 if took:
                     i += took * P
                     pos += took * P
@@ -1116,11 +1120,14 @@ class ExtFS(BaseFileSystem):
             self.cfg.data_journal and self.jbd2 is not None and journal_ok
         )
         block_of = self._block_of
+        inodes = self._inodes
         blks = []
         inode = None
         for ino, pidx, _page in batch:
             if inode is None or inode.ino != ino:
-                inode = self._get_inode(ino)
+                inode = inodes.get(ino)
+                if inode is None:
+                    inode = self._get_inode(ino)
             blks.append(block_of(inode, pidx))
         byte_chunks = (
             self._byte_policy_chunks(batch, blks)

@@ -19,8 +19,9 @@ pages over the block interface).
 
 A page image is held once.  ``CachedPage.data`` is the immutable
 ``bytes`` the page was installed with — on a read miss the flash array's
-(or device-cache frame's) own object, on a whole-page write the slice of
-the application buffer — until the first store into it:
+(or device-cache frame's) own object, on a whole-page write (of a page
+cached already or not) the slice of the application buffer — until the
+first store into it:
 :meth:`PageCache.mark_page_dirty` takes the one private ``bytearray``
 copy, the CoW duplicate is the old image itself, and write-back leaves
 the ``bytes`` it handed the device as ``page.data``.  A clean page
@@ -425,14 +426,16 @@ class PageCache:
         made in one go, its dirty victims reach ``writeback`` as one
         ordered batch, and a page's image is its slice of ``data``, not
         a copy of one.  The run stops at the first page that is cached
-        (``lookup`` it instead: 0 is returned when that is page
-        ``start``) or whose key still holds an LRU slot, and at
+        (:meth:`overwrite_run` takes those: 0 is returned when that is
+        page ``start``) or whose key still holds an LRU slot, and at
         ``capacity_pages``, so that no page of the run is its victim.
         """
+        pos = self._pos
+        if (ino, start) in pos:
+            return 0  # cached, or a stale key that holds its slot
         P = self.page_size
         space = self.space(ino)
         present = space.pages
-        pos = self._pos
         limit = min((len(data) - offset) // P, self.capacity_pages)
         n = 0
         while (
@@ -471,6 +474,59 @@ class PageCache:
             offset += P
         if cow:
             self.cow_copies += n
+        return n
+
+    def overwrite_run(
+        self, ino: int, start: int, data: bytes, offset: int, cow: bool
+    ) -> int:
+        """Overwrite the consecutive cached pages ``start``.. with the
+        whole-page writes ``data[offset:]`` holds; returns how many pages
+        it took (0 when page ``start`` is not cached).
+
+        Page for page this is a ``lookup`` hit, a ``mark_page_dirty`` and
+        a whole-page store — the LRU move, the stamp, the hit, the dirty
+        index and the CoW duplicate — but a page's new image is its
+        slice of ``data`` (or the shared same-filled one), as in
+        :meth:`install_dirty_run`, not a private copy stored over.  The
+        run stops at the first page that is not cached.
+        """
+        space = self._spaces.get(ino)
+        if space is None:
+            return 0
+        P = self.page_size
+        present = space.pages
+        dirty_index = space.dirty
+        lru = self._lru
+        pos = self._pos
+        clean = self._clean
+        ctr = self._ctr
+        copies = 0
+        index = start
+        end = start + (len(data) - offset) // P
+        while index < end:
+            page = present.get(index)
+            if page is None:
+                break
+            key = page._key
+            lru.move_to_end(key)
+            pos[key] = ctr
+            ctr += 1
+            if not page.dirty:
+                page.dirty = True
+                dirty_index[index] = page
+                clean.pop(key, None)
+            if cow and page.original is None:
+                page.original = bytes(page.data)
+                copies += 1
+            page.data = same_filled_at(data, offset, P) or bytes(
+                data[offset : offset + P]
+            )
+            offset += P
+            index += 1
+        n = index - start
+        self._ctr = ctr
+        self.hits += n
+        self.cow_copies += copies
         return n
 
     def mark_dirty(self, ino: int, index: int, cow: bool) -> None:

@@ -115,6 +115,13 @@ class VirtualClock:
     def time_of(self, tid: int) -> float:
         return self._times[tid]
 
+    @property
+    def timelines(self) -> List[float]:
+        """Every thread's time by thread id: the live list, for a loop
+        that reads them many times over (the serve kernel).  Treat it as
+        read-only, like ``now``."""
+        return self._times
+
     def next_thread(self) -> int:
         """Return the id of the thread with the smallest timeline.
 

@@ -219,6 +219,15 @@ class LatencyRecorder:
         self._samples[op].append(latency_ns)
         self._sorted_cache.pop(op, None)
 
+    def record_pair(self, op: str, also: str, latency_ns: float) -> None:
+        """:meth:`record` under ``op``, then under ``also``."""
+        samples = self._samples
+        samples[op].append(latency_ns)
+        samples[also].append(latency_ns)
+        cache = self._sorted_cache
+        cache.pop(op, None)
+        cache.pop(also, None)
+
     def count(self, op: str) -> int:
         return len(self._samples.get(op, ()))
 

@@ -1,4 +1,4 @@
-"""Budgets for the Python calls the simulator makes on three hot paths.
+"""Budgets for the Python calls the simulator makes on four hot paths.
 
 Wall time is measured by ``perfbench/`` and by nothing in tier-1: it is
 too noisy for a gate.  The number of Python calls a deterministic run
@@ -16,9 +16,14 @@ above its budget:
   log, which it cleans four times;
 * :data:`EXT4_CALL_BUDGET`, the Ext4 ``pwrite`` + ``fsync`` path (JBD2
   commits on the baseline firmware, FTL GC with migrations):
-  ``OLTP(ops_per_thread=120, seed=42)`` on perfbench's 32 MB geometry.
+  ``OLTP(ops_per_thread=120, seed=42)`` on perfbench's 32 MB geometry;
+* :data:`SERVE_CALL_BUDGET`, the multi-tenant request (the serve
+  kernel's decision, admission, dispatch and billing, and the tenants'
+  whole-page overwrites of cached pages): the drain of
+  ``serve_cluster(default_tenants(32, 100), n_devices=4, sched="drr",
+  fs_name="bytefs", seed=42)``, in this process.
 
-The first two run bytefs, the third ext4.
+The first two and the fourth run bytefs, the third ext4.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import sys
 import repro
 from repro.analysis import fssan
 from repro.bench.harness import run_workload
+from repro.cluster import default_tenants, serve_cluster, worker
 from repro.nand.geometry import FlashGeometry
 from repro.trace import tracer as trace
 from repro.workloads import OLTP, Fileserver, Varmail
@@ -39,6 +45,8 @@ CALL_BUDGET = 82_804
 METADATA_CALL_BUDGET = 66_153
 #: likewise, for the ext4 OLTP run
 EXT4_CALL_BUDGET = 570_104
+#: likewise, for the drains of the serve run
+SERVE_CALL_BUDGET = 328_519
 
 #: perfbench's ``fileserver_bulk`` device
 GEOMETRY = FlashGeometry(
@@ -54,15 +62,23 @@ SMALL_GEOMETRY = FlashGeometry(
 SRC = os.path.dirname(repro.__file__) + os.sep
 
 
-def count_calls(fs_name, workload, **kw):
-    """The calls under ``src/repro`` in the measured region of an
-    ``fs_name`` run of ``workload``, and the run's result."""
+def call_counter():
+    """A profile function counting calls under ``src/repro``, and a
+    reader of its count."""
     calls = 0
 
     def profile(frame, event, _arg):
         nonlocal calls
         if event == "call" and frame.f_code.co_filename.startswith(SRC):
             calls += 1
+
+    return profile, lambda: calls
+
+
+def count_calls(fs_name, workload, **kw):
+    """The calls under ``src/repro`` in the measured region of an
+    ``fs_name`` run of ``workload``, and the run's result."""
+    profile, calls = call_counter()
 
     def probe(phase, *_stack):
         sys.setprofile(profile if phase == "measure-start" else None)
@@ -71,7 +87,7 @@ def count_calls(fs_name, workload, **kw):
         result = run_workload(fs_name, workload, stack_probe=probe, **kw)
     finally:
         sys.setprofile(None)
-    return calls, result
+    return calls(), result
 
 
 def check_budget(monkeypatch, budget, workload, fs_name="bytefs", **kw):
@@ -112,3 +128,32 @@ def test_ext4_fsync_stays_within_its_call_budget(monkeypatch):
     )
     assert counters["gc_runs"] == 214
     assert counters["gc_page_migrations"] == 424
+
+
+def test_serve_drain_stays_within_its_call_budget(monkeypatch):
+    monkeypatch.setattr(trace, "AUTO", False)
+    monkeypatch.setattr(fssan, "ENABLED", False)
+    profile, calls = call_counter()
+    drain = worker.run_device_drain
+
+    def counted_drain(*args, **kw):
+        sys.setprofile(profile)
+        try:
+            return drain(*args, **kw)
+        finally:
+            sys.setprofile(None)
+
+    monkeypatch.setattr(worker, "run_device_drain", counted_drain)
+    result = serve_cluster(
+        default_tenants(32, 100), n_devices=4, sched="drr",
+        fs_name="bytefs", seed=42,
+    )
+    assert calls() <= SERVE_CALL_BUDGET, (
+        f"the drains of a 32-tenant, 4-device serve run made {calls()} "
+        f"Python calls under src/repro, over their budget of "
+        f"{SERVE_CALL_BUDGET}.  If a change adds calls on purpose, raise "
+        f"the budget in {__name__} to the new count and say why in "
+        f"CHANGES.md"
+    )
+    assert result.ops > 2000
+    assert sum(t.rejected for t in result.tenants) > 0

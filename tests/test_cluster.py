@@ -403,4 +403,4 @@ def test_admission_queue_validates_depth():
         AdmissionQueue(0, 0)
     q = AdmissionQueue(1, 3)
     assert q.depth == 3
-    assert q.earliest_free() == 0.0
+    assert [slot.busy_until for slot in q.slots] == [0.0, 0.0, 0.0]

@@ -12,6 +12,7 @@ from hypothesis.stateful import (
 
 from repro.host import page_cache as page_cache_module
 from repro.host.page_cache import CachedPage, PageCache
+from repro.nand.image import filled
 
 
 def test_cached_page_pads_short_data():
@@ -148,6 +149,102 @@ def test_xor_diff_exactly_covers_modifications(writes):
     for off, length in page.dirty_chunks():
         rebuilt[off : off + length] = page.data[off : off + length]
     assert bytes(rebuilt) == bytes(page.data)
+
+
+# ---------------------------------------------------------------------- #
+# a whole-page overwrite of cached pages: one run, or page by page
+# ---------------------------------------------------------------------- #
+
+#: the history both twins replay: (step, ino, index, flag)
+HISTORY = st.lists(
+    st.tuples(
+        st.sampled_from(("install", "dirty", "clean", "drop", "patch",
+                         "run")),
+        st.integers(1, 2), st.integers(0, 7), st.booleans(),
+    ),
+    max_size=30,
+)
+
+
+def _replay(history, P):
+    """A 10-page cache after ``history``: clean fills, CoW and plain
+    dirtying, write-back cleaning (late heap entries), drops behind the
+    cache's back (stale keys), O_DIRECT patches of clean pages and
+    uncached whole-page runs, evicting as it goes."""
+    pc = PageCache(10, P)
+    for step, ino, index, flag in history:
+        page = pc._spaces[ino].pages.get(index) if ino in pc._spaces \
+            else None
+        if step == "install":
+            pc.install(ino, index, bytes([index]) * (P // 2), _clean_all)
+        elif step == "run":
+            data = bytes(i % 256 for i in range(index, index + 2 * P))
+            pc.install_dirty_run(ino, index, data, 0, flag, _clean_all)
+        elif page is None:
+            continue
+        elif step == "dirty":
+            pc.mark_page_dirty(page, flag)
+            page.data[index] ^= 0xFF
+        elif step == "clean":
+            page.clean()
+        elif step == "drop":
+            pc.space(ino).drop(index)
+        else:
+            page.writable()[0] = index
+    return pc
+
+
+def _state(pc):
+    return dict(
+        lru=list(pc._lru), pos=dict(pc._pos), clean=list(pc._clean),
+        late=list(pc._late), late_keys=set(pc._late_keys),
+        stale=set(pc._stale_keys), hits=pc.hits, misses=pc.misses,
+        cow_copies=pc.cow_copies, ctr=pc._ctr,
+        dirty={ino: sorted(space.dirty) for ino, space in pc._spaces.items()},
+        pages={
+            (ino, index): (
+                bytes(page.data), page.dirty,
+                None if page.original is None else bytes(page.original),
+            )
+            for ino, space in pc._spaces.items()
+            for index, page in space.pages.items()
+        },
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    history=HISTORY, ino=st.integers(1, 2), start=st.integers(0, 7),
+    n=st.integers(1, 5), cow=st.booleans(), same_filled=st.booleans(),
+)
+def test_overwrite_run_is_the_per_page_overwrite(
+    history, ino, start, n, cow, same_filled
+):
+    """``overwrite_run`` leaves the cache as the per-page ``lookup`` +
+    ``mark_page_dirty`` + whole-page store leaves its twin: the same LRU
+    order, stamps, victim index, dirty index, counters, page images and
+    CoW duplicates, and it stops at the same uncached (or stale) page."""
+    P = 256
+    data = b"w" * (n * P) if same_filled else bytes(
+        (7 * i) % 251 for i in range(n * P)
+    )
+    run, twin = _replay(history, P), _replay(history, P)
+    assert _state(run) == _state(twin)
+    took = run.overwrite_run(ino, start, data, 0, cow)
+    expected = 0
+    space = twin._spaces.get(ino)
+    while expected < n and space is not None \
+            and start + expected in space.pages:
+        page = twin.lookup(ino, start + expected)
+        twin.mark_page_dirty(page, cow)
+        page.data[0:P] = data[expected * P : (expected + 1) * P]
+        expected += 1
+    assert took == expected
+    assert _state(run) == _state(twin)
+    for index in range(start, start + took):
+        image = run._spaces[ino].pages[index].data
+        assert type(image) is bytes
+        assert (image is filled(ord("w"), P)) == same_filled
 
 
 # ---------------------------------------------------------------------- #
