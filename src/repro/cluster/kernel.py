@@ -84,6 +84,11 @@ from repro.cluster.tenant import CRASHED, TenantSpec, make_tenant_workload
 
 _INF = float("inf")
 
+# (Module constants: an enum member read off its class costs more than
+# a global, and the totals read one per traffic key, once per op.)
+_WRITE = Direction.WRITE
+_READ = Direction.READ
+
 _TRAFFIC_KEYS = (
     "host_write", "host_read", "flash_write", "flash_read",
     "app_write", "app_read",
@@ -139,21 +144,18 @@ class TenantRT:
 def _traffic_totals(stats: TrafficStats) -> Tuple[float, ...]:
     hw = hr = 0
     for (_k, d, _i), n in stats.host_ssd.items():
-        if d is Direction.WRITE:
+        if d is _WRITE:
             hw += n
         else:
             hr += n
     fw = fr = 0
     for (_k, d), n in stats.flash.items():
-        if d is Direction.WRITE:
+        if d is _WRITE:
             fw += n
         else:
             fr += n
-    return (
-        hw, hr, fw, fr,
-        stats.app.get(Direction.WRITE, 0),
-        stats.app.get(Direction.READ, 0),
-    )
+    app = stats.app
+    return hw, hr, fw, fr, app.get(_WRITE, 0), app.get(_READ, 0)
 
 
 def sanity(tn: TenantRT) -> None:
