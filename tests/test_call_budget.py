@@ -44,7 +44,7 @@ CALL_BUDGET = 82_804
 #: likewise, for the Varmail run
 METADATA_CALL_BUDGET = 66_153
 #: likewise, for the ext4 OLTP run
-EXT4_CALL_BUDGET = 570_104
+EXT4_CALL_BUDGET = 560_504
 #: likewise, for the drains of the serve run
 SERVE_CALL_BUDGET = 328_519
 
