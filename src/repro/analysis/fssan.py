@@ -20,9 +20,9 @@ Invariant classes (each check belongs to exactly one):
 * ``FSSAN-FTL``   — L2P/P2L maps stay mutually consistent, a physical
   page is never owned by two logical pages, and GC never erases a block
   that still holds a live (mapped) page.
-* ``FSSAN-TX``    — the TxLog's order/position views agree, flushes
-  apply committed chunks in commit order, and pruning never drops a
-  committed transaction that still has live log entries.
+* ``FSSAN-TX``    — the TxLog's order/position views agree, and
+  pruning never drops a committed transaction that still has live log
+  entries.
 * ``FSSAN-CLOCK`` — virtual-clock and resource timelines only move
   forward: no negative or NaN durations, busy-until never rewinds.
 * ``FSSAN-QUEUE`` — per-tenant serving-queue accounting balances:
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List
 
 #: Invariant class ids.
 LOG = "FSSAN-LOG"
@@ -259,17 +259,6 @@ def check_txlog_entry(order: List[int], positions: Dict[int, int], txid: int) ->
     pos = positions.get(txid)
     if pos is None or pos >= len(order) or order[pos] != txid:
         _trip(TX, f"TxID {txid} committed at position {pos} but order disagrees")
-    _ok(TX)
-
-
-def check_commit_ordered(keys: Sequence[Tuple[int, int]]) -> None:
-    """Chunks about to be merged are in (commit position, seq) order."""
-    for a, b in zip(keys, keys[1:]):
-        if b < a:
-            _trip(
-                TX,
-                f"flush applies chunks out of commit order: {b} after {a}",
-            )
     _ok(TX)
 
 

@@ -1,37 +1,53 @@
-"""A trivially-correct in-memory oracle for crash-consistency checks.
+"""The one model of what a file system promises.
 
-The oracle mirrors the workload at the syscall level and tracks, per
-path, two images:
+:class:`OracleFS` mirrors a workload at the syscall level.  Its visible
+state (:attr:`files`, :attr:`dirs`, :meth:`content`) is the POSIX view a
+running file system must show after every op; its durable state decides
+whether a file system recovered from a crash is admissible
+(:meth:`check`).  ``tests/test_fs_refinement.py`` checks every stack as
+a refinement of it, through remounts and crashes.
 
-* the **durable** image — the state guaranteed to survive a crash,
-  promoted at completed durability barriers (``fsync``/``fdatasync``
-  promote one file plus its ancestor directories; ``sync`` promotes
-  everything);
-* the **pending** op list — every data mutation since the file's last
-  durable point.  Pending state *may* survive a crash (journal timers,
-  writeback, DAX file systems persist eagerly) but is never required to.
+Files are tracked per **incarnation** — the file a name points to — not
+per path.  A rename moves the incarnation, with its pending ops, to the
+new name; an unlink followed by a create under the same name makes a
+second incarnation that shares nothing with the first.  An incarnation
+has
 
-After a crash + remount, :meth:`OracleFS.check` decides admissibility:
+* a **durable** image — its bytes at its last completed barrier
+  (``fsync``/``fdatasync`` of its name, or ``sync``); empty for a file
+  created since;
+* the **pending** ops since then — writes and truncates that *may*
+  survive a crash (journal timers, write-back, DAX file systems persist
+  eagerly) but never must.
 
-* every durably-existing file must exist, with its durable bytes intact
-  wherever no pending write overlaps them;
-* a file may only exist if it existed durably or was pending-created;
-* recovered sizes must be reachable by applying some subsequence of the
-  pending size-changing ops to the durable size;
-* every recovered byte must come from the durable image (zero beyond
-  it) or from a pending write covering that offset — garbage fails;
+A path has a durable binding (the incarnation it named at the last
+barrier that covered it, or none) and, once an op touches it, the list
+of every binding it has had since: a crash may leave it bound to any of
+them.  ``fsync`` makes its path's binding durable, and the path's
+ancestor directories; ``sync`` makes everything durable.
+
+After a crash and remount, :meth:`check` decides admissibility:
+
+* a path whose every possible binding names a file must exist; a path
+  that is bound to nothing in every case must not (no resurrection, no
+  unknown names);
+* a recovered file must be admissible as one of its path's possible
+  incarnations: its size reachable by applying a subsequence of the
+  incarnation's pending size-changing ops to the durable size, and every
+  byte from the durable image (zero beyond it) or from a pending write
+  covering that offset — garbage fails;
 * pending writes are atomic at 64 B *fragment* granularity: within each
   64 B-aligned fragment of a pending write (excluding bytes overwritten
   by later pending writes), the bytes are either all from that write or
   none of them — a half-applied fragment is a torn write.  Workloads
   that keep unsynced writes inside one 64 B cacheline therefore get
   whole-op atomicity: unsynced data is absent or fully present, never
-  torn.
-* a pending rename must not lose both names, nor duplicate the file
-  under both when the destination never existed.
-
-The same class doubles as the reference model for differential testing:
-:attr:`files`/:attr:`dirs` expose the current (volatile) visible state.
+  torn;
+* a file a barrier made durable under some name, that no pending
+  unlink or rename-over may have dropped, survives under one of the
+  names it may have (a rename must not lose both names);
+* no two paths name the same inode (a rename must not duplicate the
+  file under both names).
 """
 
 from __future__ import annotations
@@ -54,25 +70,20 @@ class _Trunc:
     size: int
 
 
-@dataclass
-class _SetImage:
-    """Full-image pending op (rename destination)."""
+@dataclass(eq=False)
+class _Incarnation:
+    """One file, whatever names it has had."""
 
-    data: bytes
-
-
-@dataclass
-class _FileRec:
-    #: durable image; None = not durably existing
-    durable: Optional[bytes] = None
-    #: current visible image; None = currently unlinked
-    volatile: Optional[bytes] = None
-    #: data ops since the durable snapshot (may or may not persist)
+    #: image at the last barrier that covered it
+    durable: bytes = b""
+    #: current visible image
+    volatile: bytes = b""
+    #: data ops since the durable image (may or may not persist)
     pending: List[object] = field(default_factory=list)
-    pending_create: bool = False
-    pending_unlink: bool = False
-    #: multiple incarnations between barriers: content checks skipped
-    ambiguous: bool = False
+    #: a barrier made one of its names durable
+    linked: bool = False
+    #: a pending unlink or rename-over may have dropped its last name
+    may_vanish: bool = False
 
 
 @dataclass
@@ -80,46 +91,39 @@ class _DirRec:
     durable: bool = False
     volatile: bool = False
     pending_create: bool = False
-    pending_unlink: bool = False
-
-
-@dataclass
-class _RenamePair:
-    src: str
-    dst: str
-    image: bytes
-    dst_existed: bool
 
 
 class OracleFS:
     """In-memory reference file system with durable-prefix tracking."""
 
     def __init__(self) -> None:
-        self._files: Dict[str, _FileRec] = {}
+        #: visible bindings
+        self._names: Dict[str, _Incarnation] = {}
+        #: bindings at the last barrier that covered each path
+        self._durable: Dict[str, _Incarnation] = {}
+        #: every binding (None = no file) a path has had since then
+        self._since: Dict[str, List[Optional[_Incarnation]]] = {}
+        #: every file path ever named, in first-seen order
+        self._paths: Dict[str, None] = {}
         self._dirs: Dict[str, _DirRec] = {
             "/": _DirRec(durable=True, volatile=True)
         }
-        self._renames: List[_RenamePair] = []
 
     # ------------------------------------------------------------------ #
-    # visible (volatile) state — the differential-test reference model
+    # visible (volatile) state — the reference a live fs must equal
     # ------------------------------------------------------------------ #
 
     @property
     def files(self) -> Dict[str, bytes]:
-        return {
-            p: r.volatile
-            for p, r in self._files.items()
-            if r.volatile is not None
-        }
+        return {p: f.volatile for p, f in self._names.items()}
 
     @property
     def dirs(self) -> Set[str]:
         return {p for p, r in self._dirs.items() if r.volatile}
 
     def content(self, path: str) -> Optional[bytes]:
-        rec = self._files.get(path)
-        return rec.volatile if rec is not None else None
+        f = self._names.get(path)
+        return f.volatile if f is not None else None
 
     # ------------------------------------------------------------------ #
     # op observation
@@ -136,23 +140,25 @@ class OracleFS:
         handler = getattr(self, f"_op_{kind}")
         handler(op, completed)
 
-    def _rec(self, path: str) -> _FileRec:
-        return self._files.setdefault(path, _FileRec())
+    def _candidates(self, path: str) -> List[Optional[_Incarnation]]:
+        since = self._since.get(path)
+        return since if since is not None else [self._durable.get(path)]
+
+    def _bind(self, path: str, f: Optional[_Incarnation]) -> None:
+        """A crash may now leave ``path`` bound to ``f``."""
+        self._paths.setdefault(path, None)
+        since = self._since.setdefault(path, [self._durable.get(path)])
+        if f not in since:
+            since.append(f)
 
     def _op_create(self, op: Tuple, completed: bool) -> None:
         _, path = op
-        rec = self._rec(path)
-        if rec.volatile is not None:
+        if path in self._names:
             return  # open(O_CREAT) on an existing file: no-op
-        if rec.pending_unlink or rec.pending:
-            # delete-then-recreate (or rename churn) between barriers:
-            # more than one incarnation could surface after the crash.
-            rec.ambiguous = True
+        f = _Incarnation()
+        self._bind(path, f)
         if completed:
-            rec.volatile = b""
-        if rec.durable is None:
-            rec.pending_create = True
-        rec.pending = []
+            self._names[path] = f
 
     def _op_mkdir(self, op: Tuple, completed: bool) -> None:
         _, path = op
@@ -164,101 +170,78 @@ class OracleFS:
 
     def _op_write(self, op: Tuple, completed: bool) -> None:
         _, path, offset, data = op
-        rec = self._rec(path)
-        rec.pending.append(_Write(offset, bytes(data)))
-        if completed and rec.volatile is not None:
-            cur = rec.volatile
+        f = self._names[path]
+        f.pending.append(_Write(offset, bytes(data)))
+        if completed:
+            cur = f.volatile
             if len(cur) < offset:
                 cur = cur + bytes(offset - len(cur))
-            rec.volatile = cur[:offset] + data + cur[offset + len(data):]
+            f.volatile = cur[:offset] + data + cur[offset + len(data):]
 
     def _op_trunc(self, op: Tuple, completed: bool) -> None:
         _, path, size = op
-        rec = self._rec(path)
-        rec.pending.append(_Trunc(size))
-        if completed and rec.volatile is not None:
-            cur = rec.volatile
-            rec.volatile = (
+        f = self._names[path]
+        f.pending.append(_Trunc(size))
+        if completed:
+            cur = f.volatile
+            f.volatile = (
                 cur[:size] if size <= len(cur) else cur + bytes(size - len(cur))
             )
 
     def _op_unlink(self, op: Tuple, completed: bool) -> None:
         _, path = op
-        rec = self._rec(path)
+        self._names[path].may_vanish = True
+        self._bind(path, None)
         if completed:
-            rec.volatile = None
-        if rec.durable is not None:
-            rec.pending_unlink = True
+            del self._names[path]
 
     def _op_rename(self, op: Tuple, completed: bool) -> None:
         _, src, dst = op
-        src_rec = self._rec(src)
-        dst_rec = self._rec(dst)
-        image = src_rec.volatile if src_rec.volatile is not None else b""
-        if src_rec.pending or src_rec.ambiguous:
-            # Renaming a file with unsynced data: its image is not a
-            # single value, so the destination's content is ambiguous.
-            dst_rec.ambiguous = True
-        self._renames.append(
-            _RenamePair(
-                src,
-                dst,
-                image,
-                dst_existed=dst_rec.durable is not None,
-            )
-        )
-        if dst_rec.volatile is not None or dst_rec.pending:
-            dst_rec.ambiguous = True
-        if dst_rec.durable is None:
-            dst_rec.pending_create = True
-        dst_rec.pending = [_SetImage(image)]
-        if src_rec.durable is not None:
-            src_rec.pending_unlink = True
+        if src == dst:
+            return  # POSIX: renaming a file onto itself does nothing
+        f = self._names[src]
+        replaced = self._names.get(dst)
+        if replaced is not None:
+            replaced.may_vanish = True
+        self._bind(src, None)
+        self._bind(dst, f)
         if completed:
-            dst_rec.volatile = image
-            src_rec.volatile = None
-        src_rec.pending = []
-        src_rec.pending_create = False
+            self._names[dst] = self._names.pop(src)
 
     def _op_fsync(self, op: Tuple, completed: bool) -> None:
         _, path = op
         if not completed:
             return  # durability not guaranteed: everything stays pending
-        rec = self._rec(path)
-        if rec.volatile is None:
+        f = self._names.get(path)
+        if f is None:
             raise ValueError(f"fsync of unlinked path {path!r}")
-        rec.durable = rec.volatile
-        rec.pending = []
-        rec.pending_create = False
-        rec.pending_unlink = False
-        rec.ambiguous = False
-        self._promote_ancestors(path)
-        self._renames = [r for r in self._renames if path not in (r.src, r.dst)]
-
-    _op_fdatasync = _op_fsync
-
-    def _op_sync(self, op: Tuple, completed: bool) -> None:
-        if not completed:
-            return
-        for rec in self._files.values():
-            rec.durable = rec.volatile
-            rec.pending = []
-            rec.pending_create = False
-            rec.pending_unlink = False
-            rec.ambiguous = False
-        for rec in self._dirs.values():
-            rec.durable = rec.volatile
-            rec.pending_create = False
-            rec.pending_unlink = False
-        self._renames = []
-
-    def _promote_ancestors(self, path: str) -> None:
+        f.durable = f.volatile
+        f.pending = []
+        f.linked = True
+        self._durable[path] = f
+        self._since.pop(path, None)
         parts = [p for p in path.split("/") if p]
         cur = ""
         for name in parts[:-1]:
             cur = f"{cur}/{name}"
             rec = self._dirs.setdefault(cur, _DirRec(volatile=True))
             rec.durable = True
+            rec.pending_create = False
+
+    _op_fdatasync = _op_fsync
+
+    def _op_sync(self, op: Tuple, completed: bool) -> None:
+        if not completed:
+            return
+        for f in self._names.values():
+            f.durable = f.volatile
+            f.pending = []
+            f.linked = True
+            f.may_vanish = False
+        self._durable = dict(self._names)
+        self._since = {}
+        for rec in self._dirs.values():
+            rec.durable = rec.volatile
             rec.pending_create = False
 
     # ------------------------------------------------------------------ #
@@ -270,8 +253,8 @@ class OracleFS:
         errors: List[str] = []
         try:
             self._check_dirs(fs, errors)
-            self._check_files(fs, errors)
-            self._check_renames(fs, errors)
+            found = self._check_files(fs, errors)
+            self._check_renames(found, errors)
             self._check_unknown(fs, errors)
         except Exception as exc:  # recovered FS must at least be readable
             errors.append(f"recovered fs raised while checking: {exc!r}")
@@ -282,55 +265,65 @@ class OracleFS:
             if path == "/":
                 continue
             exists = fs.exists(path)
-            must = rec.durable and not rec.pending_unlink
-            may = rec.durable or rec.pending_create
-            if must and not exists:
+            if rec.durable and not exists:
                 errors.append(f"durable directory {path} lost")
-            elif exists and not may:
+            elif exists and not (rec.durable or rec.pending_create):
                 errors.append(f"directory {path} resurrected")
 
-    def _check_files(self, fs, errors: List[str]) -> None:
+    def _check_files(
+        self, fs, errors: List[str]
+    ) -> Dict[str, Optional[Tuple[int, List[_Incarnation]]]]:
+        """Judge every path ever named.  Returns, per path, None if it
+        was missing when it had to exist, else — when it exists — its
+        inode number and the incarnations its bytes are admissible as."""
         from repro.fs.vfs import O_RDONLY
 
-        for path, rec in self._files.items():
-            exists = fs.exists(path)
-            must = rec.durable is not None and not rec.pending_unlink
-            may = rec.durable is not None or rec.pending_create
-            if must and not exists:
-                errors.append(f"durable file {path} lost")
+        found: Dict[str, Optional[Tuple[int, List[_Incarnation]]]] = {}
+        for path in self._paths:
+            cands = self._candidates(path)
+            if not fs.exists(path):
+                if None not in cands:
+                    errors.append(f"durable file {path} lost")
+                    found[path] = None
                 continue
-            if exists and not may:
+            if cands == [None]:
                 errors.append(f"file {path} resurrected")
                 continue
-            if not exists:
-                continue
-            size = fs.stat(path).size
+            st = fs.stat(path)
             fd = fs.open(path, O_RDONLY)
-            content = fs.pread(fd, 0, size + 1)
+            content = fs.pread(fd, 0, st.size + 1)
             fs.close(fd)
-            if len(content) != size:
+            if len(content) != st.size:
                 errors.append(
-                    f"{path}: stat size {size} != readable bytes "
+                    f"{path}: stat size {st.size} != readable bytes "
                     f"{len(content)}"
                 )
-            if rec.ambiguous:
-                continue  # incarnation churn: existence checks only
-            self._check_content(path, rec, content, errors)
+            verdicts = [
+                (f, self._content_errors(path, f, content))
+                for f in cands
+                if f is not None
+            ]
+            admits = [f for f, bad in verdicts if not bad]
+            if not admits:
+                errors.extend(verdicts[-1][1])
+            found[path] = (st.ino, admits)
+        return found
 
     # ---- content admissibility ---------------------------------------- #
 
-    def _check_content(
-        self, path: str, rec: _FileRec, content: bytes, errors: List[str]
-    ) -> None:
-        durable = rec.durable if rec.durable is not None else b""
-        sizes = self._achievable_sizes(len(durable), rec.pending)
+    def _content_errors(
+        self, path: str, f: _Incarnation, content: bytes
+    ) -> List[str]:
+        errors: List[str] = []
+        durable = f.durable
+        sizes = self._achievable_sizes(len(durable), f.pending)
         if len(content) not in sizes:
             errors.append(
                 f"{path}: recovered size {len(content)} not reachable "
                 f"from durable size {len(durable)} via pending ops "
                 f"(admissible: {sorted(sizes)})"
             )
-        writes = self._pending_writes(rec.pending)
+        writes = [op for op in f.pending if isinstance(op, _Write)]
         n = len(content)
         base = durable[:n] + bytes(max(0, n - len(durable)))
         # A pending shrink zeroes the file's tail in the page cache, and
@@ -338,7 +331,7 @@ class OracleFS:
         # commits — zeros past the smallest pending truncate size are
         # therefore admissible whatever the recovered size says.
         trunc_floor = min(
-            (op.size for op in rec.pending if isinstance(op, _Trunc)),
+            (op.size for op in f.pending if isinstance(op, _Trunc)),
             default=None,
         )
         # 1. every byte must have a source: durable image or a pending
@@ -371,16 +364,7 @@ class OracleFS:
                     f"{path}: pending write @{w.offset}+{len(w.data)} "
                     f"torn inside 64 B fragment(s) {torn[:4]}"
                 )
-
-    @staticmethod
-    def _pending_writes(pending: List[object]) -> List[_Write]:
-        out: List[_Write] = []
-        for op in pending:
-            if isinstance(op, _Write):
-                out.append(op)
-            elif isinstance(op, _SetImage):
-                out.append(_Write(0, op.data))
-        return out
+        return errors
 
     @staticmethod
     def _achievable_sizes(base: int, pending: List[object]) -> Set[int]:
@@ -391,10 +375,8 @@ class OracleFS:
             for s in sorted(frontier):
                 if isinstance(op, _Write):
                     nxt.add(max(s, op.offset + len(op.data)))
-                elif isinstance(op, _Trunc):
+                else:
                     nxt.add(op.size)
-                elif isinstance(op, _SetImage):
-                    nxt.add(len(op.data))
             frontier = nxt
         return frontier
 
@@ -449,39 +431,48 @@ class OracleFS:
 
     # ---- namespace cross-checks --------------------------------------- #
 
-    def _check_renames(self, fs, errors: List[str]) -> None:
-        for pair in self._renames:
-            src_there = fs.exists(pair.src)
-            dst_there = fs.exists(pair.dst)
-            src_rec = self._files.get(pair.src)
-            if (
-                not src_there
-                and not dst_there
-                and src_rec is not None
-                and src_rec.durable is not None
-            ):
+    def _check_renames(
+        self,
+        found: Dict[str, Optional[Tuple[int, List[_Incarnation]]]],
+        errors: List[str],
+    ) -> None:
+        by_ino: Dict[int, str] = {}
+        for path, seen in found.items():
+            if seen is None:
+                continue
+            other = by_ino.setdefault(seen[0], path)
+            if other != path:
                 errors.append(
-                    f"rename {pair.src} -> {pair.dst}: both names lost"
+                    f"rename: file duplicated under both names {other} "
+                    f"and {path} (inode {seen[0]})"
                 )
-            if src_there and dst_there and not pair.dst_existed:
-                errors.append(
-                    f"rename {pair.src} -> {pair.dst}: file duplicated "
-                    f"under both names"
-                )
+        names: Dict[_Incarnation, List[str]] = {}
+        for path in self._paths:
+            for f in self._candidates(path):
+                if f is not None:
+                    names.setdefault(f, []).append(path)
+        for f, paths in names.items():
+            if not f.linked or f.may_vanish:
+                continue
+            seen = [found.get(p, (0, [])) for p in paths]
+            if None in seen or any(f in s[1] for s in seen if s):
+                continue  # found, or reported lost under its durable name
+            errors.append(
+                f"rename {paths[0]} -> {paths[-1]}: file lost under every "
+                f"name"
+            )
 
     def _check_unknown(self, fs, errors: List[str]) -> None:
         """No paths the workload never created may appear."""
-        known_files = set(self._files)
-        known_dirs = set(self._dirs)
         stack = ["/"]
         while stack:
             d = stack.pop()
             for name in fs.listdir(d):
                 child = f"{d.rstrip('/')}/{name}"
                 if fs.stat(child).is_dir:
-                    if child not in known_dirs:
+                    if child not in self._dirs:
                         errors.append(f"unknown directory {child} appeared")
                     else:
                         stack.append(child)
-                elif child not in known_files:
+                elif child not in self._paths:
                     errors.append(f"unknown file {child} appeared")

@@ -156,6 +156,11 @@ class ExtFS(BaseFileSystem):
         if format_device:
             self.mkfs()
         else:
+            if self.cfg.fw_tx:
+                # This mount numbers transactions from 1: the firmware
+                # must forget the TxIDs the last mount committed, or an
+                # uncommitted transaction here would pass for committed.
+                device.recover()
             self.mount()
             if self._journal_in_use():
                 # after a crash, remount's replay reads the header
@@ -191,6 +196,13 @@ class ExtFS(BaseFileSystem):
         #: Issuing TRIM before that commit would destroy data that the
         #: still-durable metadata references if we crash in between.
         self._pending_trims: Dict[Optional[int], Set[int]] = {}
+        #: every block in those queues: not reusable until its trim, as
+        #: ext4 reuses no block its running transaction freed — a crash
+        #: before the commit gives the block back to its old owner, and
+        #: until the trim it still holds that owner's bytes
+        self._prefree: Set[int] = set()
+        #: the bitmap groups (of _GROUP_BITS blocks) those blocks are in
+        self._prefree_groups: Set[int] = set()
         self._txtable = TxTable()
         self._alloc_cursor = 0
         self.jbd2: Optional[JBD2] = None
@@ -393,9 +405,26 @@ class ExtFS(BaseFileSystem):
         group = (byte_off // 64) * 64
         blkno = start + group // self.P
         in_block = group % self.P
-        self._persist_meta(
-            blkno, in_block, bytes(bmap[group : group + 64]), StructKind.BITMAP
-        )
+        data = bytes(bmap[group : group + 64])
+        if (
+            group // 64 in self._prefree_groups
+            and self.cfg.fw_tx
+            and not is_inode_bitmap
+        ):
+            # A block another open transaction freed stays allocated in
+            # this transaction's image: recovery applies the images in
+            # write order, and the block must not come back free while
+            # its old owner, uncommitted, may come back too.
+            lo = group * 8
+            mine = self._pending_trims.get(self._cur_tx, ())
+            image = None
+            for b in self._prefree.intersection(range(lo, lo + _GROUP_BITS)):
+                if b not in mine:
+                    image = image or bytearray(data)
+                    image[(b - lo) >> 3] |= 1 << (b & 7)
+            if image is not None:
+                data = bytes(image)
+        self._persist_meta(blkno, in_block, data, StructKind.BITMAP)
 
     # ------------------------------------------------------------------ #
     # inode management
@@ -518,6 +547,8 @@ class ExtFS(BaseFileSystem):
         extent."""
         sb = self._sb
         bbmap = self._bbmap
+        prefree = self._prefree
+        groups = self._prefree_groups
         out: List[Extent] = []
         remaining = n
 
@@ -532,6 +563,20 @@ class ExtFS(BaseFileSystem):
                 end = min(stop, b + remaining)
                 while b < end and not bbmap[b >> 3] & (1 << (b & 7)):
                     b += 1
+                if (
+                    groups
+                    and not groups.isdisjoint(range(
+                        run // _GROUP_BITS, (b - 1) // _GROUP_BITS + 1
+                    ))
+                    and not prefree.isdisjoint(range(run, b))
+                ):
+                    b = run
+                    while (b < end and b not in prefree
+                           and not bbmap[b >> 3] & (1 << (b & 7))):
+                        b += 1
+                    if b == run:
+                        b += 1
+                        continue
                 out.append(Extent(0, run, b - run))
                 remaining -= b - run
 
@@ -541,7 +586,6 @@ class ExtFS(BaseFileSystem):
         if remaining > 0:
             raise NoSpace(f"cannot allocate {n} blocks")
         groups_touched: Set[int] = set()
-        queues = self._pending_trims.values()
         for ext in out:
             lo = ext.start
             hi = lo + ext.length
@@ -549,9 +593,6 @@ class ExtFS(BaseFileSystem):
                 bbmap[b >> 3] |= 1 << (b & 7)
             groups_touched.update(range(lo // _GROUP_BITS,
                                         (hi - 1) // _GROUP_BITS + 1))
-            # A reused block must not be trimmed by an older free.
-            for queue in queues:
-                queue.difference_update(range(lo, hi))
         for g in sorted(groups_touched):
             self._persist_bitmap_bit(False, g * _GROUP_BITS)
         last = out[-1]
@@ -569,6 +610,10 @@ class ExtFS(BaseFileSystem):
         for b in range(lo, hi):
             bbmap[b >> 3] &= ~(1 << (b & 7))
         queue.update(range(lo, hi))
+        self._prefree.update(range(lo, hi))
+        self._prefree_groups.update(
+            range(lo // _GROUP_BITS, (hi - 1) // _GROUP_BITS + 1)
+        )
         if self.jbd2 is not None:
             for b in range(lo, hi):
                 self.jbd2.forget(b)
@@ -576,12 +621,21 @@ class ExtFS(BaseFileSystem):
         # replayable order regardless of hash seed (lint DET003).
         for g in range(lo // _GROUP_BITS, (hi - 1) // _GROUP_BITS + 1):
             self._persist_bitmap_bit(False, g * _GROUP_BITS)
+        if self.cfg.metadata_byte and not self.cfg.fw_tx:
+            # No journal and no transaction (ByteFS-Dual): the bitmap
+            # store is the commit, so the trim follows at once, before a
+            # crash can leave a free block holding its old owner's bytes.
+            self._flush_trims(None)
 
     def _flush_trims(self, trim_key: Optional[int]) -> None:
         """Issue the TRIMs deferred behind ``trim_key``'s commit
         (discard-after-commit, like Ext4's ``-o discard``)."""
         blocks = self._pending_trims.pop(trim_key, None)
         if blocks:
+            self._prefree -= blocks
+            self._prefree_groups = {
+                b // _GROUP_BITS for b in self._prefree
+            }
             # Contiguous runs collapse into one ranged TRIM each; the
             # device processes a range in ascending order, so this is
             # identical to trimming block by block in sorted order.
@@ -1379,6 +1433,11 @@ class ExtFS(BaseFileSystem):
             page = self._fill_page(inode, pidx)
         self.page_cache.mark_page_dirty(page, cow=self.cfg.data_byte_policy)
         page.data[poff:] = bytes(self.P - poff)
+        if self.cfg.metadata_byte and not self.cfg.fw_tx:
+            # ByteFS-Dual persists the new size at once: the zeroed tail
+            # goes first, or a crash keeps the size with the old bytes
+            # past it, and an extension brings them back.
+            self._writeback_pages([(inode.ino, pidx, page)], None)
 
     # ------------------------------------------------------------------ #
     # memory-mapped I/O (§4.6)

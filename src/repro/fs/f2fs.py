@@ -143,6 +143,12 @@ class F2FS(BaseFileSystem):
         # roll-forward without another checkpoint).
         self._cp_nids: Set[int] = set()
         self._fsynced_since_cp: Set[int] = set()
+        #: nodes last written without the fsync mark since then: neither
+        #: the checkpoint nor roll-forward has their latest image
+        self._unmarked_since_cp: Set[int] = set()
+        #: nodes renamed since then: roll-forward would add the new name
+        #: and keep the checkpoint's old one
+        self._renamed_since_cp: Set[int] = set()
         self._writing_fsync_node = False
         self._cleaning = False
 
@@ -265,6 +271,8 @@ class F2FS(BaseFileSystem):
         self._dirty_since_cp = 0
         self._cp_nids = set(self._nat)
         self._fsynced_since_cp.clear()
+        self._unmarked_since_cp.clear()
+        self._renamed_since_cp.clear()
 
     def _load_checkpoint(self) -> None:
         best_version = 0
@@ -307,6 +315,8 @@ class F2FS(BaseFileSystem):
         self._node_block_of = {blk: nid for nid, blk in self._nat.items()}
         self._cp_nids = set(self._nat)
         self._fsynced_since_cp = set()
+        self._unmarked_since_cp = set()
+        self._renamed_since_cp = set()
         self._active_node_seg = None
         self._active_data_seg = None
 
@@ -495,6 +505,10 @@ class F2FS(BaseFileSystem):
         self._nat[node.ino] = blk
         self._node_block_of[blk] = node.ino
         node.dirty = False
+        if fsync:
+            self._unmarked_since_cp.discard(node.ino)
+        else:
+            self._unmarked_since_cp.add(node.ino)
         self._maybe_checkpoint()
 
     def _get_node(self, ino: int) -> _Node:
@@ -687,6 +701,7 @@ class F2FS(BaseFileSystem):
         moved.parent = dst_dir
         moved.name = dst_name
         moved.dirty = True
+        self._renamed_since_cp.add(ino)
         self._flush_dir(src_dir)
         if dst_dir != src_dir:
             self._flush_dir(dst_dir)
@@ -851,18 +866,17 @@ class F2FS(BaseFileSystem):
             or node.parent in self._cp_nids
             or node.parent in self._fsynced_since_cp
         )
-        if not parent_cp:
+        # A renamed node needs one too (need_do_checkpoint(): the
+        # inode's parent changed).
+        if not parent_cp or ino in self._renamed_since_cp:
             if node.dirty:
                 self._write_node(node)
             self.checkpoint()
             return
         # A clean node can still be unrecoverable: its latest image may
-        # have been written without the fsync mark and its NAT entry not
-        # yet checkpointed, so roll-forward would skip it.
-        recoverable = (
-            ino in self._cp_nids or ino in self._fsynced_since_cp
-        )
-        if node.dirty or not recoverable:
+        # have been written without the fsync mark after the checkpoint
+        # (a truncate, a create), so roll-forward would skip it.
+        if node.dirty or ino in self._unmarked_since_cp:
             self._write_node(node, fsync=True)
             self._fsynced_since_cp.add(ino)
 
@@ -971,8 +985,10 @@ class F2FS(BaseFileSystem):
                     mark_used(ptr)
             recovered += 1
         # Reattach dentries for recovered nodes whose parent rolled back
-        # (F2FS stores parent + name in the node for exactly this).
-        for nid in sorted(found_nodes):
+        # (F2FS stores parent + name in the node for exactly this), in
+        # the order the nodes were written: as recover_dentry() does, a
+        # name another file holds goes to the node fsynced under it.
+        for nid in sorted(found_nodes, key=lambda n: found_nodes[n][0]):
             node = self._get_node(nid)
             if not node.parent or not node.name:
                 continue
@@ -980,7 +996,8 @@ class F2FS(BaseFileSystem):
                 entries = self._load_dir(node.parent)
             except FSError:
                 continue  # parent unrecoverable: orphan node
-            if node.name not in entries:
+            held = entries.get(node.name)
+            if held is None or (held[0] != nid and held[1] != FT_DIR):
                 entries[node.name] = (nid, node.mode)
                 self._flush_dir(node.parent)
         # Persist the recovered state so a second crash keeps it.

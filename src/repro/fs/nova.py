@@ -170,8 +170,21 @@ class NovaFS(BaseFileSystem):
             self._inodes[ino] = entry
             self._replay_log(entry)
             self._next_ino = max(self._next_ino, ino + 1)
-        if self._used_pages:
-            self._free_cursor = max(self._used_pages) + 1
+        # A page one log superseded may since belong to another inode:
+        # only pages no inode holds are free, and those past the last
+        # held one are the cursor's to hand out.
+        self._used_pages = {
+            page
+            for inode in self._inodes.values()
+            for page in (*inode.log_pages, *inode.pages.values())
+        }
+        self._free_cursor = 1 + max(
+            self._used_pages, default=self._data_start - 1
+        )
+        self._free_pages = [
+            page for page in dict.fromkeys(self._free_pages)
+            if page not in self._used_pages and page < self._free_cursor
+        ]
 
     # ------------------------------------------------------------------ #
     # inode table entries (64 B each, byte interface)
@@ -399,10 +412,14 @@ class NovaFS(BaseFileSystem):
                 for i in range(count):
                     old = inode.pages.get(pidx + i)
                     if old:
-                        self._used_pages.discard(old)
                         self._free_pages.append(old)
                     inode.pages[pidx + i] = pages[i]
                     self._used_pages.add(pages[i])
+            elif etype == _E_ATTR:
+                _t, _l, size = struct.unpack_from("<HH4xQ", payload)
+                keep = -(-size // self.P)
+                for pidx in [p for p in inode.pages if p >= keep]:
+                    self._free_pages.append(inode.pages.pop(pidx))
             elif etype == _E_DADD:
                 _t, _l, ino, ftype, nlen = struct.unpack_from(
                     "<HHIHH", payload
@@ -687,6 +704,14 @@ class NovaFS(BaseFileSystem):
             payload += bytes(elen - len(payload))
             self._append_entry(inode, payload, StructKind.DATA_PTR)
             inode.pages[keep - 1] = new_page
+        if any(pidx >= keep for pidx in inode.pages):
+            # A setattr entry, so that replay unmaps the pages freed
+            # below, which the write entries still name; the tail store
+            # below makes it and the new size durable together.
+            payload = struct.pack("<HH4xQ", _E_ATTR, 16, size)
+            self._append_entry(
+                inode, payload, StructKind.INODE, persist_tail=False
+            )
         # New size durable first; only then drop (and trim) the tail
         # pages, or a crash in between zeroes data the old size still
         # covers.

@@ -28,7 +28,6 @@ class FTLConfig:
 
     write_buffer_pages: int = 16          # 16 MB in the paper, scaled down
     gc_free_block_low: int = 2            # per-channel GC trigger watermark
-    gc_reserved_blocks: int = 1           # blocks GC always keeps in reserve
 
 
 class _BlockState:

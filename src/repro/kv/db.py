@@ -2,7 +2,7 @@
 
 Mirrors the RocksDB behaviours that matter to the file system:
 
-* every write batch appends to the WAL and (by default) fsyncs it —
+* every write batch appends to the WAL and fdatasyncs it —
   small synchronous appends, ByteFS's sweet spot;
 * memtable flushes and compactions produce large sequential writes;
 * gets hit the memtable, then L0 newest-first, then L1 by key range,
@@ -21,6 +21,8 @@ from repro.kv.memtable import Memtable
 from repro.kv.sstable import SSTableReader, SSTableWriter
 
 _WAL_REC = "<HBI"
+#: compaction cuts L1 tables at this size
+TARGET_SST_BYTES = 512 << 10
 
 
 @dataclass
@@ -29,8 +31,6 @@ class KVConfig:
 
     memtable_bytes: int = 256 << 10
     l0_compaction_trigger: int = 4
-    target_sst_bytes: int = 512 << 10
-    wal_sync: bool = True
 
 
 class KVStore:
@@ -74,8 +74,7 @@ class KVStore:
         body = value or b""
         rec = struct.pack(_WAL_REC, len(key), flag, len(body)) + key + body
         self.fs.write(self._wal_fd, rec)
-        if self.cfg.wal_sync:
-            self.fs.fdatasync(self._wal_fd)
+        self.fs.fdatasync(self._wal_fd)
 
     def replay_wal(self) -> int:
         """Re-apply WAL records into the memtable (crash recovery)."""
@@ -229,7 +228,7 @@ class KVStore:
         for key, value in live:
             batch.append((key, value))
             batch_bytes += len(key) + len(value)
-            if batch_bytes >= self.cfg.target_sst_bytes:
+            if batch_bytes >= TARGET_SST_BYTES:
                 new_tables.append(self._write_l1(batch))
                 batch, batch_bytes = [], 0
         if batch:

@@ -39,6 +39,9 @@ _WRITE = Direction.WRITE
 _BYTE = Interface.BYTE
 _BLOCK = Interface.BLOCK
 
+#: fraction of raw flash reserved for the FTL (not host-visible)
+OVERPROVISION = 0.125
+
 
 @dataclass
 class MSSDConfig:
@@ -48,8 +51,6 @@ class MSSDConfig:
     timing: TimingModel = field(default_factory=TimingModel)
     ftl: FTLConfig = field(default_factory=FTLConfig)
     firmware: str = "bytefs"  # "bytefs" or "baseline"
-    #: fraction of raw flash reserved for the FTL (not host-visible)
-    overprovision: float = 0.125
     #: resource-name prefix for multi-device stacks (repro.cluster): a
     #: non-empty instance name keeps each device's channel/link/firmware
     #: contention groups distinct in traces.  Empty = legacy names.
@@ -87,7 +88,7 @@ class MSSD:
         # Host-visible capacity is fixed at build time; memoized because
         # _check_range consults it on every access.
         self._capacity_blocks = int(
-            config.geometry.total_pages * (1 - config.overprovision)
+            config.geometry.total_pages * (1 - OVERPROVISION)
         )
         self._capacity_bytes = self._capacity_blocks * self.page_size
         prefix = f"{config.instance}." if config.instance else ""

@@ -11,8 +11,14 @@ Responsibilities:
   foreground stalls only when both halves are exhausted);
 * coordinated caching: no page-granular device cache — flash pages read
   on a byte-interface miss are returned to the host and cached *there*;
-* ``RECOVER()``: discard uncommitted entries, flush committed ones in
-  TxLog commit order, then reset the log.
+* ``RECOVER()``: discard uncommitted entries, flush committed ones,
+  then reset the log.
+
+A flush (cleaning or recovery) applies a page's committed chunks in
+write (seq) order, the order a load merges them in.  Two transactions
+open at once can write the same bytes (the file system's bitmap group
+rides whichever transaction allocates); the later write wins whichever
+of them commits last, so a flush never changes what a load returned.
 """
 
 from __future__ import annotations
@@ -42,6 +48,8 @@ from repro.trace import tracer as trace
 
 _OTHER = StructKind.OTHER
 _by_seq = attrgetter("seq")
+#: TxLog capacity (the paper's 2 MB, scaled down)
+TXLOG_BYTES = 64 << 10
 _new_chunk = object.__new__
 
 
@@ -53,7 +61,6 @@ class ByteFSFirmwareConfig:
     log_bytes: int = 4 << 20
     clean_threshold: float = 0.85
     partition_bytes: int = 1 << 20
-    txlog_bytes: int = 64 << 10
 
     #: the smallest ``log_bytes``: the log is two regions (double
     #: buffering) and a region holds at least one entry
@@ -98,7 +105,7 @@ class ByteFSFirmware:
         # are probed on every read.
         self._indexes = tuple(region.index for region in self.regions)
         self.active = 0
-        self.txlog = TxLog(self.config.txlog_bytes)
+        self.txlog = TxLog(TXLOG_BYTES)
         self.fw_core = Resource("fw-core")
         # Crash-site hooks; MSSD overwrites this with its own injector.
         self.faults = NULL_INJECTOR
@@ -474,33 +481,27 @@ class ByteFSFirmware:
         """Algorithm 1 body for one modified page.
 
         Each chunk is classified once against the TxLog's position map:
-        a committed one is keyed by (commit position, seq), -1 standing
-        for non-transactional, and an uncommitted one migrates.
+        a committed (or non-transactional) one is flushed and an
+        uncommitted one migrates.
         """
         positions = self.txlog.positions
-        keyed = []
+        committed = []
         uncommitted = []
         for c in node.chunks:
             txid = c.txid
-            if txid is None:
-                keyed.append((-1, c.seq, c))
-                continue
-            pos = positions.get(txid)
-            if pos is None:
-                uncommitted.append(c)
+            if txid is None or txid in positions:
+                committed.append(c)
             else:
-                keyed.append((pos, c.seq, c))
+                uncommitted.append(c)
         # Uncommitted entries migrate to the (new) active log region,
         # which is this node's own when force_clean cleans in place.
         for c in uncommitted:
             active = self.regions[self.active]
             c.log_off = active.consume(c.length)
             active.index.insert(node.lpa, c)
-        if not keyed:
+        if not committed:
             return
-        # seq is unique, so the sort never compares two chunks
-        keyed.sort()
-        committed = [k[2] for k in keyed]
+        committed.sort(key=_by_seq)  # write order: see the module notes
         # Partial update: the old flash page must be loaded first.
         if not self._covers(committed, 0, self.page_size):
             base = self.ftl.read_page(
@@ -509,18 +510,6 @@ class ByteFSFirmware:
             self.stats.bump("fw_clean_partial_reads")
         else:
             base = filled(0, self.page_size)
-        if fssan.ENABLED:
-            fssan.check_commit_ordered(
-                [
-                    (
-                        self.txlog.commit_position(c.txid)
-                        if c.txid is not None
-                        else -1,
-                        c.seq,
-                    )
-                    for c in committed
-                ]
-            )
         merged = self._merge(base, committed)
 
         def _flush(k: int) -> None:
@@ -580,7 +569,7 @@ class ByteFSFirmware:
 
     def recover(self) -> Dict[str, float]:  # repro: allow[CS001]
         """Handle RECOVER(): scan the log, discard uncommitted entries,
-        flush committed ones in commit order, reset log and TxLog (§4.7).
+        flush committed ones in write order, reset log and TxLog (§4.7).
 
         Returns recovery statistics including the simulated duration.
         Recovery runs after the sweep driver disarms the injector, so its
@@ -595,7 +584,7 @@ class ByteFSFirmware:
             for node in region.index.pages():
                 scanned += len(node.chunks)
         self._fw(self.timing.fw_op_ns * max(1, scanned))
-        # Flush committed entries page by page, honouring commit order.
+        # Flush committed entries page by page, in write order.
         all_nodes: Dict[int, List[ChunkEntry]] = {}
         for region in self.regions:
             for node in region.index.pages():
@@ -605,26 +594,7 @@ class ByteFSFirmware:
                     else:
                         discarded += 1
         for lpa, chunks in sorted(all_nodes.items()):
-            chunks.sort(
-                key=lambda c: (
-                    self.txlog.commit_position(c.txid)
-                    if c.txid is not None
-                    else -1,
-                    c.seq,
-                )
-            )
-            if fssan.ENABLED:
-                fssan.check_commit_ordered(
-                    [
-                        (
-                            self.txlog.commit_position(c.txid)
-                            if c.txid is not None
-                            else -1,
-                            c.seq,
-                        )
-                        for c in chunks
-                    ]
-                )
+            chunks.sort(key=_by_seq)
             if not self._covers(chunks, 0, self.page_size):
                 base = self.ftl.read_page(lpa, StructKind.OTHER, background=False)
             else:

@@ -42,10 +42,6 @@ class TxLog:
     def is_committed(self, txid: int) -> bool:
         return txid in self.positions
 
-    def commit_position(self, txid: int) -> int:
-        """Rank of ``txid`` in commit order (for ordered flushing)."""
-        return self.positions[txid]
-
     def committed_in_order(self) -> List[int]:
         return list(self._order)
 

@@ -56,7 +56,7 @@ def test_txlog_commit_and_membership():
     assert tx.is_committed(5)
     assert not tx.is_committed(6)
     assert tx.committed_in_order() == [5, 9]
-    assert tx.commit_position(9) == 1
+    assert tx.positions[9] == 1
     assert len(tx) == 2
 
 
