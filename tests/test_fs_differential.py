@@ -1,4 +1,4 @@
-"""Differential testing: every file system vs. the fault oracle.
+"""Fixed-seed replays: every file system vs. the fault oracle.
 
 Random operation sequences (seeded through :func:`repro.sim.rng.make_rng`,
 so a failure reproduces from its seed alone) run against each simulated
@@ -7,10 +7,8 @@ The oracle's *volatile* view (``files``/``dirs``/``content``) is the
 reference model; the visible state of the real file system must match it
 exactly at checkpoints, and again after ``sync`` + remount.
 
-This complements ``test_fs_model_based.py`` (hypothesis vs. a flat dict):
-here the reference is the same oracle that judges crash sweeps — if the
-oracle mis-models normal operation, this test fails before a sweep can
-mis-judge a crash — and the sequences include directory operations.
+``test_fs_refinement.py`` draws its sequences from hypothesis against the
+same oracle and adds crashes; the runs here are fixed and longer.
 """
 
 from __future__ import annotations
@@ -19,12 +17,9 @@ import pytest
 
 from repro.faults import OracleFS
 from repro.faults.sweep import apply_op
-from repro.fs.vfs import O_RDONLY
 from repro.sim.rng import make_rng
 from tests.conftest import ALL_FS_AND_VARIANTS, make_stack
-
-DIRS = ["/da", "/db", "/da/sub"]
-FILES = [f"{d}/f{i}" for d in ("", "/da", "/db", "/da/sub") for i in range(2)]
+from tests.test_fs_refinement import DIRS, FILES, read_tree
 
 N_OPS = 110
 CHECK_EVERY = 20
@@ -90,28 +85,8 @@ def generate_ops(seed: int, n_ops: int = N_OPS):
     return ops
 
 
-def read_back(fs):
-    """Walk the FS and return (files: path->bytes, dirs: set of paths)."""
-    got_files = {}
-    got_dirs = set()
-    stack = ["/"]
-    while stack:
-        d = stack.pop()
-        for name in fs.listdir(d):
-            child = f"{d.rstrip('/')}/{name}"
-            if fs.stat(child).is_dir:
-                got_dirs.add(child)
-                stack.append(child)
-            else:
-                size = fs.stat(child).size
-                fd = fs.open(child, O_RDONLY)
-                got_files[child] = fs.pread(fd, 0, size + 1)
-                fs.close(fd)
-    return got_files, got_dirs
-
-
 def assert_same_state(fs, oracle: OracleFS, where: str) -> None:
-    got_files, got_dirs = read_back(fs)
+    got_files, got_dirs = read_tree(fs)
     want_dirs = oracle.dirs - {"/"}  # the walk starts below the root
     assert got_dirs == want_dirs, (
         f"{where}: directory sets differ "

@@ -1,19 +1,23 @@
-"""Stateful model-based testing: every file system vs. a dict model.
+"""Stateful model-based testing: every file system vs. the fault oracle.
 
 Hypothesis drives random sequences of create/write/read/truncate/
-unlink/mkdir/rename/fsync operations against a simulated file system and
-an in-memory reference model, asserting identical observable behaviour
-after every step.  This is the strongest correctness net in the suite:
-it exercises extent growth/spill, dentry slot reuse, page-cache
-coherence, out-of-place updates, and CoW tracking together.
+unlink/rename/fsync operations against a simulated file system and
+:class:`repro.faults.OracleFS`, the one model of what a file system
+promises, and requires identical observable behaviour: every read
+returns the oracle's bytes, and the final tree is the oracle's.  Writes
+and truncates reach far enough to exercise extent growth/spill, dentry
+slot reuse, page-cache coherence, out-of-place updates and CoW tracking
+together.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.fs.errors import FSError
-from repro.fs.vfs import O_CREAT, O_RDWR
+from repro.faults import OracleFS
+from repro.faults.sweep import apply_op
+from repro.fs.vfs import O_RDONLY
 from tests.conftest import make_stack
+from tests.test_fs_refinement import read_tree
 
 FILES = [f"/f{i}" for i in range(4)]
 
@@ -45,68 +49,31 @@ ops_strategy = st.lists(
 )
 
 
-def _apply(fs, model, op):
-    kind = op[0]
-    if kind == "write":
-        _, path, offset, data = op
-        fd = fs.open(path, O_CREAT | O_RDWR)
-        fs.pwrite(fd, offset, data)
-        fs.close(fd)
-        cur = model.get(path, b"")
-        if len(cur) < offset:
-            cur = cur + bytes(offset - len(cur))
-        model[path] = cur[:offset] + data + cur[offset + len(data):]
+def _apply(fs, oracle, op):
+    """Run ``op`` on both sides; a write to a missing file creates it."""
+    kind, path = op[0], op[1]
+    expect = oracle.content(path)
+    if kind == "write" and expect is None:
+        _apply(fs, oracle, ("create", path))
     elif kind == "read":
-        _, path, offset, length = op
-        if path not in model:
+        if expect is None:
             return
-        fd = fs.open(path, O_RDWR)
+        _, _, offset, length = op
+        fd = fs.open(path, O_RDONLY)
         got = fs.pread(fd, offset, length)
         fs.close(fd)
-        expect = model[path][offset : offset + length]
-        assert got == expect, (op, len(got), len(expect))
-    elif kind == "trunc":
-        _, path, size = op
-        if path not in model:
-            return
-        fd = fs.open(path, O_RDWR)
-        fs.ftruncate(fd, size)
-        fs.close(fd)
-        cur = model[path]
-        model[path] = (
-            cur[:size] if size <= len(cur) else cur + bytes(size - len(cur))
-        )
-    elif kind == "unlink":
-        _, path = op
-        if path not in model:
-            return
-        fs.unlink(path)
-        del model[path]
-    elif kind == "fsync":
-        _, path = op
-        if path not in model:
-            return
-        fd = fs.open(path, O_RDWR)
-        fs.fsync(fd)
-        fs.close(fd)
-    elif kind == "rename":
-        _, src, dst = op
-        if src not in model:
-            return
-        fs.rename(src, dst)
-        model[dst] = model.pop(src)
+        assert got == expect[offset:offset + length], (op, len(got))
+        return
+    elif expect is None and kind != "create":
+        return
+    apply_op(fs, op)
+    oracle.observe(op)
 
 
-def _verify_all(fs, model):
-    for path, expect in model.items():
-        assert fs.exists(path)
-        assert fs.stat(path).size == len(expect)
-        fd = fs.open(path, O_RDWR)
-        assert fs.pread(fd, 0, len(expect) + 1) == expect
-        fs.close(fd)
-    for path in FILES:
-        if path not in model:
-            assert not fs.exists(path)
+def _verify_all(fs, oracle):
+    files, dirs = read_tree(fs)
+    assert dirs == set()
+    assert files == oracle.files
 
 
 @pytest.mark.parametrize("fs_name", ["ext4", "bytefs", "f2fs", "nova", "pmfs"])
@@ -118,10 +85,10 @@ def _verify_all(fs, model):
 @given(ops=ops_strategy)
 def test_fs_matches_model(fs_name, ops):
     _clk, _st, _dev, fs = make_stack(fs_name)
-    model = {}
+    oracle = OracleFS()
     for op in ops:
-        _apply(fs, model, op)
-    _verify_all(fs, model)
+        _apply(fs, oracle, op)
+    _verify_all(fs, oracle)
 
 
 @settings(
@@ -133,11 +100,13 @@ def test_fs_matches_model(fs_name, ops):
 def test_bytefs_model_survives_crash_after_sync(ops):
     """After a sync, a crash + recovery must reproduce the full model."""
     _clk, _st, device, fs = make_stack("bytefs")
-    model = {}
+    oracle = OracleFS()
     for op in ops:
-        _apply(fs, model, op)
-    fs.sync()
+        _apply(fs, oracle, op)
+    apply_op(fs, ("sync",))
+    oracle.observe(("sync",))
     device.power_fail()
     fs.crash()
     fs.remount()
-    _verify_all(fs, model)
+    assert oracle.check(fs) == []
+    _verify_all(fs, oracle)
