@@ -20,9 +20,8 @@ Invariant classes (each check belongs to exactly one):
 * ``FSSAN-FTL``   — L2P/P2L maps stay mutually consistent, a physical
   page is never owned by two logical pages, and GC never erases a block
   that still holds a live (mapped) page.
-* ``FSSAN-TX``    — the TxLog's order/position views agree, and
-  pruning never drops a committed transaction that still has live log
-  entries.
+* ``FSSAN-TX``    — pruning never drops a committed transaction that
+  still has entries in the write log.
 * ``FSSAN-CLOCK`` — virtual-clock and resource timelines only move
   forward: no negative or NaN durations, busy-until never rewinds.
 * ``FSSAN-QUEUE`` — per-tenant serving-queue accounting balances:
@@ -44,7 +43,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable
 
 #: Invariant class ids.
 LOG = "FSSAN-LOG"
@@ -163,9 +162,9 @@ def check_log_index(page_maps: dict, pages_per_partition: int,
     pages_per_partition``, each chunk list is strictly (offset, seq)-
     increasing, and ``n_chunks`` is the sum of the chunk-list lengths.
 
-    One entry may be listed twice in a row: cleaning the *active* region
-    (``force_clean``) migrates its uncommitted entries into the region
-    being cleaned, which the reset that ends the cleaning then drops.
+    One entry listed twice in a row is tolerated.  No firmware path
+    produces it since ``force_clean`` cleans each half with the other
+    one active.
 
     ``page_maps`` maps partition -> LPA -> page node.  Full validation
     is O(chunks); a larger index is checked every
@@ -245,25 +244,11 @@ def check_gc_victim_clear(owners: list, base_ppa: int, block_id: int) -> None:
 
 
 # ---------------------------------------------------------------------- #
-# FSSAN-TX — transaction-log consistency and flush ordering
+# FSSAN-TX — TxLog pruning
 # ---------------------------------------------------------------------- #
 
-def check_txlog_entry(order: List[int], positions: Dict[int, int], txid: int) -> None:
-    """After a commit, the order list and position map agree."""
-    if len(order) != len(positions):
-        _trip(
-            TX,
-            f"TxLog order ({len(order)} entries) and position map "
-            f"({len(positions)}) diverged at commit({txid})",
-        )
-    pos = positions.get(txid)
-    if pos is None or pos >= len(order) or order[pos] != txid:
-        _trip(TX, f"TxID {txid} committed at position {pos} but order disagrees")
-    _ok(TX)
-
-
 def check_txlog_prune(live_committed: Iterable[int], remaining: Iterable[int]) -> None:
-    """Pruning kept every committed transaction with live log entries."""
+    """Pruning kept every committed transaction with entries in the log."""
     kept = set(remaining)
     for txid in live_committed:
         if txid not in kept:

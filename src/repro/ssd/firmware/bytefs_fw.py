@@ -110,8 +110,6 @@ class ByteFSFirmware:
         # Crash-site hooks; MSSD overwrites this with its own injector.
         self.faults = NULL_INJECTOR
         self._seq = 0
-        # Live log entries per transaction id (for safe TxLog pruning).
-        self._tx_refs: Dict[int, int] = {}
         self.cleanings = 0
 
     # ------------------------------------------------------------------ #
@@ -240,7 +238,7 @@ class ByteFSFirmware:
             size <= region.capacity - region.used
             and region.used / region.capacity < self.config.clean_threshold
         ):
-            self._switch_and_clean(length)
+            self._switch_and_clean(size)
         clock = self.clock
         clock.advance_to(
             self.fw_core.serve(clock.now, self.timing.fw_append_ns)
@@ -298,8 +296,6 @@ class ByteFSFirmware:
         entry.data = bytes(data)
         entry.end = offset + length
         region.index.insert(lpa, entry)
-        if txid is not None:
-            self._tx_refs[txid] = self._tx_refs.get(txid, 0) + 1
         self.stats.counters["fw_log_appends"] += 1
 
     # ------------------------------------------------------------------ #
@@ -371,7 +367,6 @@ class ByteFSFirmware:
             for index in indexes:
                 node = index.remove_page(lpa)
                 if node is not None:
-                    self._drop_refs(node.chunks)
                     self.stats.bump(
                         "fw_log_invalidations", len(node.chunks)
                     )
@@ -380,24 +375,15 @@ class ByteFSFirmware:
                 trace.end(_sp)
 
     def trim(self, lpa: int) -> None:
-        for region in self.regions:
-            node = region.index.remove_page(lpa)
-            if node is not None:
-                self._drop_refs(node.chunks)
+        for index in self._indexes:
+            index.remove_page(lpa)
         self.ftl.trim(lpa)
 
     def trim_many(self, lpa: int, n_pages: int) -> None:
-        """Batched trim: one firmware entry, one FTL map crossing.
-
-        Pages are invalidated in ascending order (matching n calls to
-        :meth:`trim`) because ``_drop_refs`` can prune the TxLog and
-        pruning decisions depend on cumulative state.
-        """
+        """Batched trim: one firmware entry, one FTL map crossing."""
         for p in range(lpa, lpa + n_pages):
-            for region in self.regions:
-                node = region.index.remove_page(p)
-                if node is not None:
-                    self._drop_refs(node.chunks)
+            for index in self._indexes:
+                index.remove_page(p)
         self.ftl.trim_many(lpa, n_pages)
 
     # ------------------------------------------------------------------ #
@@ -407,33 +393,33 @@ class ByteFSFirmware:
     def commit(self, txid: int) -> None:
         """Handle COMMIT(TxID): append a 4 B entry to the TxLog (§4.3).
 
-        The ``fw_core`` charge is :meth:`_fw`'s, inline.
+        The ``fw_core`` charge is :meth:`_fw`'s, inline.  A full TxLog
+        starts the switch-and-clean a full log half starts: the cleaning
+        prunes the TxLog to the transactions that still have entries in
+        the log, so a commit is never refused.
         """
         clock = self.clock
         clock.advance_to(
             self.fw_core.serve(clock.now, self.timing.fw_append_ns)
         )
-        self.txlog.commit(txid)
+        txlog = self.txlog
+        if len(txlog.positions) >= txlog.capacity_entries:
+            self._switch_and_clean(0)
+        txlog.commit(txid)
         self.stats.counters["fw_commits"] += 1
 
     def is_committed(self, entry: ChunkEntry) -> bool:
         return entry.txid is None or self.txlog.is_committed(entry.txid)
 
-    def _drop_refs(self, chunks: List[ChunkEntry]) -> None:
-        for c in chunks:
-            if c.txid is not None and c.txid in self._tx_refs:
-                self._tx_refs[c.txid] -= 1
-                if self._tx_refs[c.txid] <= 0:
-                    del self._tx_refs[c.txid]
-
     # ------------------------------------------------------------------ #
     # log cleaning (Algorithm 1) with double buffering
     # ------------------------------------------------------------------ #
 
-    def _switch_and_clean(self, length: int) -> None:
-        """Make room for an entry the active region has no space for
-        (``byte_write`` tested the space rule): switch halves and clean
-        the full one in the background."""
+    def _switch_and_clean(self, size: int) -> None:
+        """Make room for an entry of aligned ``size`` the active region
+        has no space for (``byte_write`` tested the space rule), or for a
+        commit entry in a full TxLog (``size`` 0): switch halves and
+        clean the full one in the background."""
         other = self.regions[1 - self.active]
         if other.is_cleaning:
             # Both halves exhausted: the foreground must wait for the
@@ -452,9 +438,9 @@ class ByteFSFirmware:
         self.active = 1 - self.active
         self._clean_region(old_idx)
         new_active = self.regions[self.active]
-        if aligned_entry_size(length) > new_active.free:
+        if size > new_active.free:
             raise LogFullError(
-                f"entry of {length} B cannot fit in a "
+                f"entry of {size} B cannot fit in a "
                 f"{new_active.capacity} B log region"
             )
 
@@ -482,23 +468,19 @@ class ByteFSFirmware:
 
         Each chunk is classified once against the TxLog's position map:
         a committed (or non-transactional) one is flushed and an
-        uncommitted one migrates.
+        uncommitted one migrates to the active log region, which is
+        never the one being cleaned.
         """
         positions = self.txlog.positions
+        active = self.regions[self.active]
         committed = []
-        uncommitted = []
         for c in node.chunks:
             txid = c.txid
             if txid is None or txid in positions:
                 committed.append(c)
             else:
-                uncommitted.append(c)
-        # Uncommitted entries migrate to the (new) active log region,
-        # which is this node's own when force_clean cleans in place.
-        for c in uncommitted:
-            active = self.regions[self.active]
-            c.log_off = active.consume(c.length)
-            active.index.insert(node.lpa, c)
+                c.log_off = active.consume(c.length)
+                active.index.insert(node.lpa, c)
         if not committed:
             return
         committed.sort(key=_by_seq)  # write order: see the module notes
@@ -531,26 +513,41 @@ class ByteFSFirmware:
         self.faults.site("fw.clean_flush", _flush, len(merged), atom=512)
 
     def _prune_txlog(self) -> None:
-        """Drop TxLog entries whose transactions have no live log entries.
+        """Keep only the committed TxIDs that still have an entry in
+        either half, read off the two indexes.
 
         Uses the shadow-buffer swap (:meth:`TxLog.replace`) so a crash
         mid-prune can't surface a TxLog with some committed entries
         already gone — that would silently uncommit their data.
         """
-        live = set(self._tx_refs)
-        remaining = [t for t in self.txlog.committed_in_order() if t in live]
+        txlog = self.txlog
+        positions = txlog.positions
+        logged = {
+            c.txid
+            for index in self._indexes
+            for node in index.pages()
+            for c in node.chunks
+        }
+        txlog.replace([t for t in positions if t in logged])
         if fssan.ENABLED:
             fssan.check_txlog_prune(
-                (t for t in sorted(live) if self.txlog.is_committed(t)),
-                remaining,
+                (t for t in positions if t in logged), txlog.positions
             )
-        self.txlog.replace(remaining)
 
     def force_clean(self) -> None:
-        """Flush both halves now (used by unmount/sync)."""
-        for idx in (self.active, 1 - self.active):
-            if self.regions[idx].used or self.regions[idx].index.n_chunks:
-                self._clean_region(idx)
+        """Flush both halves now (used by unmount/sync).
+
+        Each half that holds entries is cleaned with the other one
+        active, so its uncommitted entries migrate there rather than
+        into the half being reset, and are not cleaned a second time.
+        """
+        held = [
+            idx for idx in (self.active, 1 - self.active)
+            if self.regions[idx].used or self.regions[idx].index.n_chunks
+        ]
+        for idx in held:
+            self.active = 1 - idx
+            self._clean_region(idx)
         for region in self.regions:
             if region.is_cleaning:
                 self.clock.advance_to(
@@ -608,7 +605,6 @@ class ByteFSFirmware:
         for region in self.regions:
             region.reset()
         self.txlog.clear()
-        self._tx_refs.clear()
         return {
             "scanned_entries": scanned,
             "discarded_entries": discarded,

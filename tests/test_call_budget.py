@@ -40,9 +40,9 @@ from repro.trace import tracer as trace
 from repro.workloads import OLTP, Fileserver, Varmail
 
 #: calls in the measured region, as counted under CPython 3.11
-CALL_BUDGET = 82_804
+CALL_BUDGET = 81_120
 #: likewise, for the Varmail run
-METADATA_CALL_BUDGET = 66_153
+METADATA_CALL_BUDGET = 59_021
 #: likewise, for the ext4 OLTP run
 EXT4_CALL_BUDGET = 560_504
 #: likewise, for the drains of the serve run

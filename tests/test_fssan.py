@@ -18,9 +18,9 @@ from repro.ftl.mapping import PageMap
 from repro.sim.clock import VirtualClock
 from repro.sim.resources import Resource
 from repro.ssd.firmware.log_index import ChunkEntry, LogIndex
-from repro.ssd.firmware.txlog import TxLog
+from repro.stats.traffic import StructKind
 from repro.workloads import MicroCreate
-from tests.conftest import SMALL_GEOMETRY
+from tests.conftest import SMALL_GEOMETRY, make_device
 
 
 @pytest.fixture(autouse=True)
@@ -49,10 +49,8 @@ def test_checks_are_noops_when_disabled():
     pm = PageMap(256)
     pm.bind(1, 50)
     pm.bind(2, 50)          # steals PPA 50: would trip when enabled
-    log = TxLog()
-    log.commit(1)
-    log._order.append(99)   # corrupt: order/positions diverge
-    log.commit(2)
+    index = LogIndex(capacity_bytes=1 << 20, page_size=4096)
+    index.insert(3, _chunk(offset=4000, length=200))  # crosses the page
     Resource("r").serve(0.0, -5.0)
     assert fssan.COUNTS == {}
 
@@ -101,9 +99,9 @@ def test_trip_index_chunk_list_out_of_order():
 
 
 def test_index_entry_listed_twice_is_not_a_second_entry():
-    """Cleaning the active region in place re-inserts its uncommitted
-    entries into their own nodes; a distinct entry with the same
-    (offset, seq) is still a violation."""
+    """The index check tolerates one entry listed twice in a row (which
+    cleaning the active region in place once produced); a distinct entry
+    with the same (offset, seq) is still a violation."""
     index = LogIndex(capacity_bytes=1 << 20, page_size=4096)
     entry = _chunk(offset=64, length=64, seq=5)
     with fssan.sanitized():
@@ -123,13 +121,19 @@ def test_trip_ftl_double_bind_steals_live_page():
     assert exc.value.invariant == fssan.FTL
 
 
-def test_trip_txlog_order_positions_diverge():
-    log = TxLog()
+def test_trip_txlog_prune_drops_a_logged_txid(monkeypatch):
+    """A prune that drops a committed TxID whose entry is still in the
+    write log would uncommit it: FSSAN-TX trips."""
+    device = make_device("bytefs")
+    device.store(0, b"a" * 64, StructKind.INODE, txid=1)
+    device.commit(1)
+    txlog = device.firmware.txlog
+    monkeypatch.setattr(  # a swap that keeps nothing
+        txlog, "replace", lambda _txids: setattr(txlog, "positions", {})
+    )
     with fssan.sanitized():
-        log.commit(1)
-        log._order.append(99)  # corrupt behind the position map's back
         with pytest.raises(fssan.SanitizerError) as exc:
-            log.commit(2)
+            device.firmware._prune_txlog()
     assert exc.value.invariant == fssan.TX
 
 
