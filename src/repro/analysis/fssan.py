@@ -161,10 +161,7 @@ def check_log_index(page_maps: dict, pages_per_partition: int,
     """Each node sits under its own LPA in partition ``lpa //
     pages_per_partition``, each chunk list is strictly (offset, seq)-
     increasing, and ``n_chunks`` is the sum of the chunk-list lengths.
-
-    One entry listed twice in a row is tolerated.  No firmware path
-    produces it since ``force_clean`` cleans each half with the other
-    one active.
+    An entry listed twice is a violation like any other repeated key.
 
     ``page_maps`` maps partition -> LPA -> page node.  Full validation
     is O(chunks); a larger index is checked every
@@ -186,7 +183,7 @@ def check_log_index(page_maps: dict, pages_per_partition: int,
             chunks = node.chunks
             for a, b in zip(chunks, chunks[1:]):
                 ka, kb = (a.offset, a.seq), (b.offset, b.seq)
-                if kb < ka or (kb == ka and b is not a):
+                if kb <= ka:
                     _trip(
                         INDEX,
                         f"LPA {lpa} chunk list not (offset, seq)-ordered: "

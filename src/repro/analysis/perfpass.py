@@ -33,10 +33,14 @@ function body of a stack-layer module (:data:`STACK_PREFIXES`: every
 module a simulated operation passes through).  The statement runs on
 every call — a ``sys.modules`` probe, an attribute fetch and a local
 bind per name — and ``BaseFileSystem.open`` paid it 50 000 times per
-serve run before this rule existed.  Import at module level; an import
-that must stay local (a genuine cycle, an optional dependency) takes
-``# repro: allow[PERF002]``.  ``if TYPE_CHECKING:`` blocks never run
-and are not flagged.
+serve run before this rule existed.  Import at module level.  A
+component that only some stacks build (the device-DRAM cache, one
+firmware variant) is deferred through its package's lazy export
+(:func:`repro._lazy.lazy_exports`): import the package at module level
+and name the class through it in the constructor, as ``MSSD`` does with
+``devcache.DeviceCache``.  An import that must stay local (a genuine
+cycle, an optional dependency) takes ``# repro: allow[PERF002]``.
+``if TYPE_CHECKING:`` blocks never run and are not flagged.
 """
 
 from __future__ import annotations
@@ -136,8 +140,11 @@ def check_function_imports(module) -> List[Finding]:
                         child.col_offset,
                         "import statement inside a function body of a "
                         "stack-layer module runs on every call; import at "
-                        "module level or annotate with `# repro: "
-                        "allow[PERF002]` if it must stay local",
+                        "module level, defer a component through its "
+                        "package's lazy export (`import repro.devcache as "
+                        "devcache` at module level, then "
+                        "`devcache.DeviceCache(...)`), or annotate with "
+                        "`# repro: allow[PERF002]` if it must stay local",
                     ))
             elif not (
                 isinstance(child, ast.If)

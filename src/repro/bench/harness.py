@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
 from repro.core.bytefs import build_stack
-from repro.devcache import DevCacheConfig
+from repro.devcache.config import DevCacheConfig
 from repro.fs.extfs import ExtFSConfig
 from repro.nand.geometry import FlashGeometry
 from repro.nand.timing import TimingModel

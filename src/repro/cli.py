@@ -24,14 +24,17 @@ import argparse
 import json
 import os
 import sys
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
-from repro.bench.harness import run_workload
-from repro.bench.report import format_table, normalize
 from repro.core.bytefs import FIRMWARE_FOR, check_firmware
-from repro.devcache import DevCacheConfig
-from repro.workloads import MACRO_WORKLOADS, MICRO_WORKLOADS, YCSB
-from repro.workloads.base import Workload
+from repro.devcache.config import DevCacheConfig
+
+if TYPE_CHECKING:
+    from repro.workloads.base import Workload
+
+# Each command imports what it runs (the harness, the workloads, the
+# serving layer, the sweep driver, the lint passes) when it starts; the
+# file-system table above is what the argument parser itself needs.
 
 #: --evict choices (hardcoded: the CLI is host code and may only import
 #: *Config names from the device-internal repro.devcache package)
@@ -87,12 +90,16 @@ def _devcache_config(args) -> Optional[DevCacheConfig]:
 
 
 def _make_workload(name: str) -> Workload:
+    from repro.workloads import MACRO_WORKLOADS, MICRO_WORKLOADS
+
     name = name.lower()
     if name in MICRO_WORKLOADS:
         return MICRO_WORKLOADS[name]()
     if name in MACRO_WORKLOADS:
         return MACRO_WORKLOADS[name]()
     if name.startswith("ycsb-"):
+        from repro.workloads.ycsb import YCSB
+
         return YCSB(name.split("-", 1)[1].upper(), n_records=600,
                     n_ops=600, n_threads=4, value_size=400)
     raise _UsageError(f"unknown workload {name!r}; try `repro list`")
@@ -115,6 +122,8 @@ def _refuse(what: str, problems) -> bool:
 
 
 def _cmd_list(_args) -> int:
+    from repro.workloads import MACRO_WORKLOADS, MICRO_WORKLOADS
+
     print("file systems :", ", ".join(sorted(FIRMWARE_FOR)))
     print("micro        :", ", ".join(sorted(MICRO_WORKLOADS)))
     print("macro        :", ", ".join(sorted(MACRO_WORKLOADS)))
@@ -123,6 +132,9 @@ def _cmd_list(_args) -> int:
 
 
 def _cmd_run(args) -> int:
+    from repro.bench.harness import run_workload
+    from repro.bench.report import format_table
+
     wl = _make_workload(args.workload)
     _check_firmware(args)
     devcache = _devcache_config(args)
@@ -254,6 +266,7 @@ def _serve(args, srv) -> int:
 
 
 def _print_serve_report(args, doc: Dict, result) -> None:
+    from repro.bench.report import format_table
     from repro.cluster import ALL_OPS
 
     rows = []
@@ -334,6 +347,9 @@ def _cmd_top(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from repro.bench.harness import run_workload
+    from repro.bench.report import format_table, normalize
+
     systems = args.systems.split(",")
     for fs in systems:
         if fs not in FIRMWARE_FOR:
@@ -392,6 +408,7 @@ def _cmd_crashsweep(args) -> int:
 
 
 def _cmd_trace(args) -> int:
+    from repro.bench.harness import run_workload
     from repro.trace.export import (
         to_chrome_json,
         to_jsonl,

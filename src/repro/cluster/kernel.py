@@ -65,12 +65,11 @@ import heapq
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
+import repro.faults as faults
 from repro.analysis import fssan
 from repro.faults.injector import FaultInjector
-from repro.faults.oracle import OracleFS
-from repro.faults.plan import DeviceCrash
 from repro.sim.clock import MSEC, SEC, VirtualClock
 from repro.sim.rng import make_rng
 from repro.stats.traffic import Direction, LatencyRecorder, TrafficStats
@@ -81,6 +80,10 @@ from repro.trace.tracer import Tracer
 from repro.cluster.result import ALL_OPS
 from repro.cluster.sched import AdmissionQueue, Scheduler
 from repro.cluster.tenant import CRASHED, TenantSpec, make_tenant_workload
+
+if TYPE_CHECKING:
+    from repro.faults.oracle import OracleFS
+    from repro.faults.plan import DeviceCrash
 
 _INF = float("inf")
 
@@ -597,7 +600,8 @@ def setup_tenant(
     workload = make_tenant_workload(spec, seed)
     oracle: Optional[OracleFS] = None
     if faulted:
-        oracle = OracleFS()
+        # the oracle module loads here, at setup, on a faulted device only
+        oracle = faults.OracleFS()
         workload.attach_oracle(oracle)
     workload.setup(ns)
     gen = workload.make_threads(ns)[0]

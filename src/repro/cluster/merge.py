@@ -27,7 +27,7 @@ Why byte identity is achievable at all:
 Completion order never enters: the reducer iterates shards by id and
 devices by index, never by arrival of their pipe messages.  Everything
 the document echoes of the configuration is derived from the one
-:class:`~repro.cluster.serve.ServeConfig`.
+:class:`~repro.cluster.config.ServeConfig`.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from repro.trace.metrics import MetricsRegistry
 from repro.cluster.result import ClusterRunResult, TenantResult
 
 if TYPE_CHECKING:
-    from repro.cluster.serve import ServeConfig
+    from repro.cluster.config import ServeConfig
 
 
 def merge_shard_results(

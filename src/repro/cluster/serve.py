@@ -35,19 +35,20 @@ scans, so idle virtual time is skipped in O(1).
 
 **One path, two transports** (``workers=N`` / ``repro serve
 --workers``): :func:`serve_cluster` validates once, freezes the
-parameters into a :class:`ServeConfig`, plans which shard owns which
-device, runs the shards and reduces their fragments.  Device shards are
-causally independent between two sync points (the post-setup epoch
-``t0`` and the run end ``t_end``), so it does not matter where a shard
-runs: ``workers=0`` (the default) is one shard owning every device,
-called directly in this process; ``workers=K`` is ``min(K, n_devices)``
-spawned processes.  Both execute :func:`repro.cluster.worker.run_shard`
-and both are reduced by :func:`repro.cluster.merge.merge_shard_results`,
-so the result and telemetry documents are byte-identical for every K —
-pinned against the parent-commit digests in
-``tests/test_serve_one_path.py``.  ``traced=True`` (span-keeping) keeps
-one span tree on one tracer and therefore runs as the one in-process
-shard; metrics-only auto tracing (``REPRO_TRACE=1``) works for every K.
+parameters into a :class:`~repro.cluster.config.ServeConfig`, plans
+which shard owns which device, runs the shards and reduces their
+fragments.  Device shards are causally independent between two sync
+points (the post-setup epoch ``t0`` and the run end ``t_end``), so it
+does not matter where a shard runs: ``workers=0`` (the default) is one
+shard owning every device, called directly in this process;
+``workers=K`` is ``min(K, n_devices)`` spawned processes.  Both execute
+:func:`repro.cluster.worker.run_shard` and both are reduced by
+:func:`repro.cluster.merge.merge_shard_results`, so the result and
+telemetry documents are byte-identical for every K — pinned against the
+parent-commit digests in ``tests/test_serve_one_path.py``.
+``traced=True`` (span-keeping) keeps one span tree on one tracer and
+therefore runs as the one in-process shard; metrics-only auto tracing
+(``REPRO_TRACE=1``) works for every K.
 
 **Faults under load** (``faults=`` / ``repro serve --fault``): a
 :class:`~repro.faults.plan.DeviceCrash` powers one shard off mid-run —
@@ -76,90 +77,18 @@ former serializes as ``null``, the latter not at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.core.bytefs import FIRMWARE_FOR, check_firmware
-from repro.devcache import DevCacheConfig
-from repro.faults.plan import DeviceCrash, check_fault_plan
-from repro.nand.geometry import FlashGeometry
-from repro.nand.timing import TimingModel
+from repro.faults.plan import check_fault_plan
 from repro.trace import tracer as trace
 
+from repro.cluster.config import OUTAGE_POLICIES, ServeConfig
 from repro.cluster.merge import merge_shard_results
 from repro.cluster.result import ClusterRunResult
-from repro.cluster.sched import make_scheduler
 from repro.cluster.shard import place_tenant
 from repro.cluster.tenant import TenantSpec, make_tenant_workload
 from repro.cluster.worker import ShardTask, run_shard, run_shard_workers
-
-#: outage policies for arrivals landing inside [t_down, t_up)
-OUTAGE_POLICIES = ("requeue", "reject")
-
-
-@dataclass(frozen=True)
-class ServeConfig:
-    """Every parameter of a serving run, declared once.
-
-    This is the keyword API of :func:`serve_cluster`, the payload
-    pickled to shard workers, and what the result document's config
-    echo and the telemetry header are derived from.
-    """
-
-    tenants: Sequence[TenantSpec]
-    fs_name: str = "bytefs"
-    n_devices: int = 1
-    sched: str = "drr"
-    seed: int = 42
-    queue_depth: int = 4
-    max_queue: int = 64
-    quantum_ns: Optional[float] = None
-    geometry: Optional[FlashGeometry] = None
-    timing: Optional[TimingModel] = None
-    log_bytes: int = 1 << 20
-    device_cache_bytes: int = 1 << 20
-    page_cache_pages: int = 512
-    #: optional device-DRAM cache tier (repro.devcache)
-    devcache: Optional[DevCacheConfig] = None
-    #: keep the span tree of the measured phase on ``result.trace``
-    traced: bool = False
-    keep_dispatch_log: bool = False
-    #: unmount every shard after the drain; the device summaries then
-    #: include the final flush
-    unmount: bool = False
-    #: crash and recover devices mid-run (see the module docstring);
-    #: every tenant placed on a faulted device must run a profile /
-    #: ``synthetic`` workload, the only ones the durability oracle can
-    #: mirror across a crash
-    faults: Optional[Sequence[DeviceCrash]] = None
-    outage_policy: str = "requeue"
-    #: live telemetry: sample every shard at this virtual-time interval
-    #: onto the live-only ``result.telemetry`` (serialize it with
-    #: :func:`repro.telemetry.series.write_series`); ``None`` leaves the
-    #: serve loop's telemetry hooks dormant
-    sample_every_ns: Optional[float] = None
-    #: 0 = one in-process shard; N > 0 = ``min(N, n_devices)`` shard
-    #: worker processes (byte-identical documents either way)
-    workers: int = 0
-
-    def __post_init__(self) -> None:
-        # Frozen *and* picklable: sequences become tuples.
-        object.__setattr__(self, "tenants", tuple(self.tenants))
-        object.__setattr__(self, "faults", tuple(self.faults or ()))
-
-    def scheduler_echo(self) -> Dict:
-        return make_scheduler(self.sched, [], self.quantum_ns).config_json()
-
-    def sampler_meta(self) -> Dict:
-        return {
-            "fs": self.fs_name,
-            "scheduler": self.sched,
-            "n_devices": self.n_devices,
-            "queue_depth": self.queue_depth,
-            "max_queue": self.max_queue,
-            "seed": self.seed,
-        }
-
 
 def validate(cfg: ServeConfig) -> List[int]:
     """Reject a bad configuration; returns the tenants' placement.

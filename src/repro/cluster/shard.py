@@ -22,7 +22,7 @@ import hashlib
 from typing import Collection, Dict, List, Optional
 
 from repro.core.bytefs import build_stack
-from repro.devcache import DevCacheConfig
+from repro.devcache.config import DevCacheConfig
 from repro.faults.injector import FaultInjector
 from repro.nand.geometry import FlashGeometry
 from repro.nand.timing import TimingModel

@@ -24,15 +24,17 @@ cluster run is a pure function of its seed and config.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional
+from typing import TYPE_CHECKING, Dict, Iterator, Optional
 
 from repro.faults.injector import CrashPoint
-from repro.faults.oracle import OracleFS
 from repro.fs.vfs import O_CREAT, O_RDWR, BaseFileSystem
 from repro.sim.rng import make_rng
 from repro.workloads import MACRO_WORKLOADS, MICRO_WORKLOADS
 from repro.workloads.base import Workload
 from repro.workloads.zipfian import ZipfianGenerator
+
+if TYPE_CHECKING:
+    from repro.faults.oracle import OracleFS
 
 #: Op name yielded by a crash-aware tenant generator when a
 #: :class:`~repro.faults.injector.CrashPoint` unwound the op in flight.

@@ -65,7 +65,7 @@ from repro.cluster.sched import make_scheduler
 from repro.cluster.shard import ShardedBackend
 
 if TYPE_CHECKING:
-    from repro.cluster.serve import ServeConfig
+    from repro.cluster.config import ServeConfig
 
 
 @dataclass(frozen=True)

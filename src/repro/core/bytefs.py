@@ -6,14 +6,16 @@ import enum
 from dataclasses import replace
 from typing import Optional, Tuple
 
-from repro.devcache import DevCacheConfig
+from repro.devcache.config import DevCacheConfig
 from repro.fs.extfs import ExtFS, ExtFSConfig
 from repro.nand.geometry import FlashGeometry
 from repro.nand.timing import TimingModel
 from repro.sim.clock import VirtualClock
 from repro.ssd.device import MSSD, MSSDConfig
-from repro.ssd.firmware.baseline_fw import BaselineFirmwareConfig
-from repro.ssd.firmware.bytefs_fw import ByteFSFirmwareConfig
+from repro.ssd.firmware.config import (
+    BaselineFirmwareConfig,
+    ByteFSFirmwareConfig,
+)
 from repro.stats.traffic import TrafficStats
 
 
@@ -112,11 +114,10 @@ def build_stack(
     virtual clock across several devices while keeping per-device traffic
     accounting; ``instance`` prefixes the device's resource names so
     contention groups stay distinct in traces.
-    """
-    from repro.fs.f2fs import F2FS
-    from repro.fs.nova import NovaFS
-    from repro.fs.pmfs import PMFS
 
+    Each baseline file system's module is imported by the branch that
+    builds it, so a stack compiles only its own file system.
+    """
     if fs_name not in FIRMWARE_FOR:
         raise ValueError(f"unknown file system {fs_name!r}")
     clock = clock if clock is not None else VirtualClock(n_threads)
@@ -152,9 +153,15 @@ def build_stack(
     elif fs_name == "ext4":
         fs = ExtFS(device, fs_config)
     elif fs_name == "f2fs":
+        from repro.fs.f2fs import F2FS
+
         fs = F2FS(device, page_cache_pages=page_cache_pages or 2048)
     elif fs_name == "nova":
+        from repro.fs.nova import NovaFS
+
         fs = NovaFS(device)
     else:
+        from repro.fs.pmfs import PMFS
+
         fs = PMFS(device)
     return clock, stats, device, fs

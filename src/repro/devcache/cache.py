@@ -36,14 +36,13 @@ Determinism: no RNG, no wall clock; every dict iterates in insertion
 order; eviction/prefetch decisions are pure functions of the op stream.
 A run with the cache enabled is byte-identical across repeats and
 worker counts, and with the cache disabled (``MSSDConfig.devcache is
-None``) this module is never constructed, keeping golden fixtures
-byte-identical.
+None``) this module is never imported, keeping golden fixtures
+byte-identical.  Its tunables live in :mod:`repro.devcache.config`.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis import fssan
@@ -55,38 +54,10 @@ from repro.sim.clock import VirtualClock
 from repro.stats.traffic import StructKind, TrafficStats
 from repro.trace import tracer as trace
 
+from repro.devcache.config import DevCacheConfig
 from repro.devcache.policy import EvictionPolicy, make_policy
 
 _OTHER = StructKind.OTHER
-
-
-@dataclass(frozen=True)
-class DevCacheConfig:
-    """Device-DRAM cache tunables (CLI: ``--devcache/--evict/--prefetch``).
-
-    Frozen and picklable: the config crosses the process boundary inside
-    :class:`~repro.cluster.serve.ServeConfig` for ``repro serve
-    --workers N``.
-    """
-
-    cache_bytes: int = 1 << 20
-    policy: str = "lru"
-    prefetch: bool = False
-    prefetch_degree: int = 2
-    #: write-back starts above ``high`` dirty fraction, stops at ``low``
-    dirty_high_watermark: float = 0.75
-    dirty_low_watermark: float = 0.50
-    #: hotcold policy: hot-queue share of frames / promotion reuse distance
-    hot_fraction: float = 0.5
-    hot_distance: int = 16
-
-    def echo(self) -> Dict:
-        """The CLI-settable fields, as result documents echo them."""
-        return {
-            "cache_bytes": self.cache_bytes,
-            "policy": self.policy,
-            "prefetch": self.prefetch,
-        }
 
 
 class _Stream:

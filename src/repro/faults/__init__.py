@@ -28,12 +28,13 @@ from repro.faults.injector import (
     FaultPlan,
     FiredCrash,
 )
-from repro.faults.plan import DeviceCrash, check_fault_plan, parse_fault
 
 # Resolved on first use: every device imports the injector; only a crash
-# sweep needs the oracle and the sweep driver.
+# sweep or a faulted serve device needs the oracle, only a crash sweep
+# the sweep driver, and only a serve run the cluster fault plans.
 __getattr__ = lazy_exports(globals(), {
     "repro.faults.oracle": ("OracleFS",),
+    "repro.faults.plan": ("DeviceCrash", "check_fault_plan", "parse_fault"),
     "repro.faults.sweep": (
         "CrashResult", "SweepConfig", "SweepReport", "enumerate_sites",
         "run_crash", "run_sweep", "standard_workload",

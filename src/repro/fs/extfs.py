@@ -68,6 +68,15 @@ INODE_TX_MAX_UPDATES = 64
 #: bits of one 64 B bitmap group, the unit a bitmap change persists (§4.5)
 _GROUP_BITS = 64 * 8
 
+# StructKind members bound once: a member read off the enum class costs
+# a global and an attribute load on every metadata and data access.
+_BITMAP = StructKind.BITMAP
+_DATA = StructKind.DATA
+_DATA_PTR = StructKind.DATA_PTR
+_DENTRY = StructKind.DENTRY
+_INODE = StructKind.INODE
+_SUPERBLOCK = StructKind.SUPERBLOCK
+
 
 @lru_cache(maxsize=8)
 def _block_interface_from(total: int, threshold: float) -> int:
@@ -237,16 +246,16 @@ class ExtFS(BaseFileSystem):
         self._dirs[1] = _DirCache()
         self._alloc_cursor = sb.data_start
         # Write the initial images to the device.
-        self.device.write_blocks(0, sb.encode(self.P), StructKind.SUPERBLOCK)
+        self.device.write_blocks(0, sb.encode(self.P), _SUPERBLOCK)
         self._write_bitmap_blocks()
-        self.device.write_blocks(blk, bytes(self._itable[blk]), StructKind.INODE)
+        self.device.write_blocks(blk, bytes(self._itable[blk]), _INODE)
         self.jbd2 = JBD2(self, sb.journal_start, sb.journal_blocks)
         self.jbd2._write_header()
 
     def mount(self) -> None:
         """Read the superblock and bitmaps from the device."""
         self._walk_cache.clear()
-        raw = self.device.read_blocks(0, 1, StructKind.SUPERBLOCK)
+        raw = self.device.read_blocks(0, 1, _SUPERBLOCK)
         sb = SuperblockLayout.decode(raw)
         self._sb = sb
         self._read_bitmaps()
@@ -261,12 +270,12 @@ class ExtFS(BaseFileSystem):
         sb = self._sb
         self._ibmap = bytearray(
             self.device.read_blocks(
-                sb.inode_bitmap_start, sb.inode_bitmap_blocks, StructKind.BITMAP
+                sb.inode_bitmap_start, sb.inode_bitmap_blocks, _BITMAP
             )
         )
         self._bbmap = bytearray(
             self.device.read_blocks(
-                sb.block_bitmap_start, sb.block_bitmap_blocks, StructKind.BITMAP
+                sb.block_bitmap_start, sb.block_bitmap_blocks, _BITMAP
             )
         )
         self._ino_hint = 2
@@ -390,10 +399,10 @@ class ExtFS(BaseFileSystem):
     def _write_bitmap_blocks(self) -> None:
         sb = self._sb
         self.device.write_blocks(
-            sb.inode_bitmap_start, bytes(self._ibmap), StructKind.BITMAP
+            sb.inode_bitmap_start, bytes(self._ibmap), _BITMAP
         )
         self.device.write_blocks(
-            sb.block_bitmap_start, bytes(self._bbmap), StructKind.BITMAP
+            sb.block_bitmap_start, bytes(self._bbmap), _BITMAP
         )
 
     def _persist_bitmap_bit(self, is_inode_bitmap: bool, bit: int) -> None:
@@ -424,7 +433,7 @@ class ExtFS(BaseFileSystem):
                     image[(b - lo) >> 3] |= 1 << (b & 7)
             if image is not None:
                 data = bytes(image)
-        self._persist_meta(blkno, in_block, data, StructKind.BITMAP)
+        self._persist_meta(blkno, in_block, data, _BITMAP)
 
     # ------------------------------------------------------------------ #
     # inode management
@@ -442,7 +451,7 @@ class ExtFS(BaseFileSystem):
         raw = self._itable.get(blkno)
         if raw is None:
             raw = bytearray(
-                self.device.read_blocks(blkno, 1, StructKind.INODE)
+                self.device.read_blocks(blkno, 1, _INODE)
             )
             self._itable[blkno] = raw
         return raw
@@ -458,7 +467,7 @@ class ExtFS(BaseFileSystem):
         if count > INLINE_EXTENTS and inode.extent_block:
             eraw = bytearray(
                 self.device.read_blocks(
-                    inode.extent_block, 1, StructKind.DATA_PTR
+                    inode.extent_block, 1, _DATA_PTR
                 )
             )
             self._extent_raw[inode.extent_block] = eraw
@@ -497,17 +506,17 @@ class ExtFS(BaseFileSystem):
             half = inode.encode_lower()
             raw[off : off + INODE_HALF] = half
             if journaled:
-                self.jbd2.running[blkno] = StructKind.INODE
+                self.jbd2.running[blkno] = _INODE
             else:
-                self._persist_meta(blkno, off, half, StructKind.INODE)
+                self._persist_meta(blkno, off, half, _INODE)
         if upper:
             half = inode.encode_upper()
             raw[off + INODE_HALF : off + INODE_SIZE] = half
             if journaled:
-                self.jbd2.running[blkno] = StructKind.INODE
+                self.jbd2.running[blkno] = _INODE
             else:
                 self._persist_meta(
-                    blkno, off + INODE_HALF, half, StructKind.INODE
+                    blkno, off + INODE_HALF, half, _INODE
                 )
 
     def _alloc_ino(self) -> int:
@@ -675,7 +684,7 @@ class ExtFS(BaseFileSystem):
             end = len(inode.extents) * layout.EXTENT_SIZE
             self._persist_meta(
                 inode.extent_block, start, image[start:end],
-                StructKind.DATA_PTR,
+                _DATA_PTR,
             )
         self._persist_inode(inode, lower=False, upper=True)
 
@@ -725,7 +734,7 @@ class ExtFS(BaseFileSystem):
         cache = _DirCache()
         for blkno in self._dir_blocks(inode):
             raw = bytearray(
-                self.device.read_blocks(blkno, 1, StructKind.DENTRY)
+                self.device.read_blocks(blkno, 1, _DENTRY)
             )
             self._dir_raw[blkno] = raw
             fill = 0
@@ -763,7 +772,7 @@ class ExtFS(BaseFileSystem):
         raw = self._dir_raw[blkno]
         raw[off : off + size] = record
         cache.entries[name] = _DEntry(ino, ftype, blkno, off, size)
-        self._persist_meta(blkno, off, bytes(record), StructKind.DENTRY)
+        self._persist_meta(blkno, off, bytes(record), _DENTRY)
 
     def _dir_append_slot(
         self, dir_ino: int, cache: _DirCache, size: int
@@ -793,7 +802,7 @@ class ExtFS(BaseFileSystem):
         raw[entry.offset : entry.offset + 4] = b"\x00\x00\x00\x00"
         cache.free.append((entry.blkno, entry.offset, entry.size))
         self._persist_meta(
-            entry.blkno, entry.offset, b"\x00\x00\x00\x00", StructKind.DENTRY
+            entry.blkno, entry.offset, b"\x00\x00\x00\x00", _DENTRY
         )
         return entry
 
@@ -981,7 +990,7 @@ class ExtFS(BaseFileSystem):
         blk = self._block_of(inode, pidx)
         if blk is None:
             return filled(0, self.P)
-        return self.device.read_blocks(blk, 1, StructKind.DATA)
+        return self.device.read_blocks(blk, 1, _DATA)
 
     def _fill_page(self, inode: Inode, pidx: int) -> CachedPage:
         """The page-cache miss of every buffered path and of the mmap
@@ -992,7 +1001,7 @@ class ExtFS(BaseFileSystem):
         if blk is None:
             data = filled(0, self.P)
         else:
-            data = self.device.read_blocks(blk, 1, StructKind.DATA)
+            data = self.device.read_blocks(blk, 1, _DATA)
         return self.page_cache.install(
             inode.ino, pidx, data, self._evict_writeback
         )
@@ -1008,7 +1017,7 @@ class ExtFS(BaseFileSystem):
             if blk is None:
                 return bytes(length)
             return self.device.load(
-                blk * self.P + offset % self.P, length, StructKind.DATA
+                blk * self.P + offset % self.P, length, _DATA
             )
         out = bytearray()
         pos = offset
@@ -1105,7 +1114,7 @@ class ExtFS(BaseFileSystem):
             self.device.store(
                 blk * self.P + offset % self.P,
                 data,
-                StructKind.DATA,
+                _DATA,
                 txid=self._txid(),
             )
             # Keep any cached copy coherent with the direct write.
@@ -1115,7 +1124,7 @@ class ExtFS(BaseFileSystem):
                 cached.writable()[poff : poff + len(data)] = data
             return len(data)
         self.device.write_pages(
-            self._direct_pages(inode, offset, data), StructKind.DATA
+            self._direct_pages(inode, offset, data), _DATA
         )
         return len(data)
 
@@ -1199,7 +1208,7 @@ class ExtFS(BaseFileSystem):
                 try:
                     self.device.write_pages(
                         self._block_writebacks(batch, blks, i, j, more),
-                        StructKind.DATA,
+                        _DATA,
                     )
                 finally:
                     if more[0]:
@@ -1295,7 +1304,7 @@ class ExtFS(BaseFileSystem):
                 self.device.store(
                     blk * self.P + off,
                     bytes(view[off : off + length]),
-                    StructKind.DATA,
+                    _DATA,
                     txid=txid,
                 )
             page.clean()
@@ -1471,7 +1480,7 @@ class ExtFS(BaseFileSystem):
         ):
             self.jbd2.checkpoint()
         self.device.write_blocks(
-            0, self._sb.encode(self.P), StructKind.SUPERBLOCK
+            0, self._sb.encode(self.P), _SUPERBLOCK
         )
         self.device.flush_all()
 

@@ -55,6 +55,10 @@ O_DIRECT = 0x4000
 
 _ACCMODE = 0x3
 
+# Direction members bound once (read on every pread / pwrite)
+_READ = Direction.READ
+_WRITE = Direction.WRITE
+
 
 @dataclass
 class Stat:
@@ -283,7 +287,7 @@ class BaseFileSystem(abc.ABC):
         data = self._read(
             handle.ino, offset, length, bool(flags & O_DIRECT)
         )
-        self.stats.record_app(Direction.READ, len(data))
+        self.stats.record_app(_READ, len(data))
         return data
 
     def write(self, fd: int, data: bytes) -> int:
@@ -307,7 +311,7 @@ class BaseFileSystem(abc.ABC):
         n = self._write(
             handle.ino, offset, bytes(data), bool(flags & O_DIRECT)
         )
-        self.stats.record_app(Direction.WRITE, n)
+        self.stats.record_app(_WRITE, n)
         return n
 
     def lseek(self, fd: int, pos: int) -> int:

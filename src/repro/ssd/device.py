@@ -18,7 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
-from repro.devcache.cache import DevCacheConfig, DeviceCache
+import repro.devcache as devcache
+import repro.ssd.firmware as firmwares
+from repro.devcache.config import DevCacheConfig
 from repro.faults.injector import NULL_INJECTOR, FaultInjector
 from repro.ftl.ftl import FTL, FTLConfig
 from repro.interconnect.link import HostLink
@@ -27,8 +29,10 @@ from repro.nand.geometry import FlashGeometry
 from repro.nand.timing import TimingModel
 from repro.sim.clock import VirtualClock
 from repro.sim.resources import ChannelArray
-from repro.ssd.firmware.baseline_fw import BaselineFirmware, BaselineFirmwareConfig
-from repro.ssd.firmware.bytefs_fw import ByteFSFirmware, ByteFSFirmwareConfig
+from repro.ssd.firmware.config import (
+    BaselineFirmwareConfig,
+    ByteFSFirmwareConfig,
+)
 from repro.stats.traffic import Direction, Interface, StructKind, TrafficStats
 from repro.trace import tracer as trace
 
@@ -108,21 +112,24 @@ class MSSD:
         )
         # Optional device-DRAM cache tier: the wrapper exposes the FTL
         # surface the firmwares consume, so either firmware runs on top
-        # of it unchanged.  ``self.ftl`` stays the real FTL.
-        self.devcache: Optional[DeviceCache] = None
+        # of it unchanged.  ``self.ftl`` stays the real FTL.  The cache
+        # and each firmware module load here, on first build.
+        self.devcache: Optional[devcache.DeviceCache] = None
         if config.devcache is not None and config.devcache.cache_bytes > 0:
-            self.devcache = DeviceCache(
+            self.devcache = devcache.DeviceCache(
                 self.ftl, config.devcache, config.timing, clock, stats
             )
             self.devcache.faults = self.faults
         ftl_for_fw = self.devcache if self.devcache is not None else self.ftl
-        self.firmware: Union[ByteFSFirmware, BaselineFirmware]
+        self.firmware: Union[
+            firmwares.ByteFSFirmware, firmwares.BaselineFirmware
+        ]
         if config.firmware == "bytefs":
-            self.firmware = ByteFSFirmware(
+            self.firmware = firmwares.ByteFSFirmware(
                 ftl_for_fw, config.timing, clock, stats, config.bytefs_fw
             )
         elif config.firmware == "baseline":
-            self.firmware = BaselineFirmware(
+            self.firmware = firmwares.BaselineFirmware(
                 ftl_for_fw, config.timing, clock, stats, config.baseline_fw
             )
         else:

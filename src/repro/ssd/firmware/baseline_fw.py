@@ -11,42 +11,16 @@ battery-backed so acknowledged writes are durable.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import (
-    ClassVar, Dict, Iterable, Iterator, List, Optional, Tuple, Union,
-)
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.faults.injector import NULL_INJECTOR
 from repro.ftl.ftl import FTL
 from repro.nand.timing import TimingModel
 from repro.sim.clock import VirtualClock
 from repro.sim.resources import Resource
+from repro.ssd.firmware.config import BaselineFirmwareConfig
 from repro.stats.traffic import StructKind, TrafficStats
 from repro.trace import tracer as trace
-
-
-@dataclass(frozen=True)
-class BaselineFirmwareConfig:
-    """Device cache tunables (256 MB in the paper, scaled down)."""
-
-    cache_bytes: int = 4 << 20
-    dirty_high_watermark: float = 0.50   # start background flush above this
-    dirty_low_watermark: float = 0.25    # flush down to this
-
-    #: the smallest cache the firmware runs with, in pages
-    MIN_CACHE_PAGES: ClassVar[int] = 4
-
-    def cache_pages(self, page_size: int) -> int:
-        """The cache's capacity in ``page_size`` pages; a ``ValueError``
-        below :attr:`MIN_CACHE_PAGES`."""
-        pages = self.cache_bytes // page_size
-        if pages < self.MIN_CACHE_PAGES:
-            raise ValueError(
-                "device_cache_bytes must be >= "
-                f"{self.MIN_CACHE_PAGES * page_size} "
-                f"({self.MIN_CACHE_PAGES} pages; got {self.cache_bytes})"
-            )
-        return pages
 
 
 class _CachedPage:

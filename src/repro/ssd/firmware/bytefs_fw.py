@@ -23,10 +23,9 @@ of them commits last, so a flush never changes what a load returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from operator import attrgetter
-from typing import ClassVar, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.analysis import fssan
 from repro.faults.injector import NULL_INJECTOR
@@ -35,10 +34,10 @@ from repro.nand.image import filled
 from repro.nand.timing import TimingModel
 from repro.sim.clock import VirtualClock
 from repro.sim.resources import Resource
+from repro.ssd.firmware.config import ByteFSFirmwareConfig
 from repro.ssd.firmware.log_index import ChunkEntry, PageNode
 from repro.ssd.firmware.txlog import TxLog
 from repro.ssd.firmware.write_log import (
-    ENTRY_ALIGN,
     LogFullError,
     LogRegion,
     aligned_entry_size,
@@ -51,27 +50,6 @@ _by_seq = attrgetter("seq")
 #: TxLog capacity (the paper's 2 MB, scaled down)
 TXLOG_BYTES = 64 << 10
 _new_chunk = object.__new__
-
-
-@dataclass(frozen=True)
-class ByteFSFirmwareConfig:
-    """Firmware tunables (paper defaults: 256 MB log, 85 % threshold,
-    16 MB partitions, 2 MB TxLog — scaled down in tests/benches)."""
-
-    log_bytes: int = 4 << 20
-    clean_threshold: float = 0.85
-    partition_bytes: int = 1 << 20
-
-    #: the smallest ``log_bytes``: the log is two regions (double
-    #: buffering) and a region holds at least one entry
-    MIN_LOG_BYTES: ClassVar[int] = 2 * ENTRY_ALIGN
-
-    def __post_init__(self) -> None:
-        if self.log_bytes < self.MIN_LOG_BYTES:
-            raise ValueError(
-                f"log_bytes must be >= {self.MIN_LOG_BYTES} "
-                f"(got {self.log_bytes})"
-            )
 
 
 class ByteFSFirmware:

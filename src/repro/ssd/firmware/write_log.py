@@ -14,9 +14,8 @@ maps pages to entries.
 from __future__ import annotations
 
 from repro.analysis import fssan
+from repro.ssd.firmware.config import ENTRY_ALIGN
 from repro.ssd.firmware.log_index import LogIndex
-
-ENTRY_ALIGN = 64
 
 
 class LogFullError(Exception):

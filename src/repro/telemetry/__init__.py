@@ -21,11 +21,6 @@ device-internal modules from here is a LAY001 finding.
 """
 
 from repro._lazy import lazy_exports
-from repro.telemetry.prom import (
-    CONTENT_TYPE,
-    parse_exposition,
-    render_prometheus,
-)
 from repro.telemetry.sampler import (
     ENABLED,
     SCOPES,
@@ -34,17 +29,19 @@ from repro.telemetry.sampler import (
     active,
     deactivate,
 )
-from repro.telemetry.series import (
-    SCHEMA,
-    load_series,
-    to_lines,
-    validate_series,
-    write_series,
-)
 
 # Resolved on first use: the sampler is imported by every serving
-# process; the HTTP stack and the terminal report are not needed there.
+# process (a shard worker included); the series document, the
+# Prometheus export, the HTTP stack and the terminal report are needed
+# only by the command that writes or reads them.
 __getattr__ = lazy_exports(globals(), {
+    "repro.telemetry.prom": (
+        "CONTENT_TYPE", "parse_exposition", "render_prometheus",
+    ),
+    "repro.telemetry.series": (
+        "SCHEMA", "load_series", "to_lines", "validate_series",
+        "write_series",
+    ),
     "repro.telemetry.server": ("make_server", "serve_in_thread"),
     "repro.telemetry.top": ("render_top", "sparkline"),
 })

@@ -7,8 +7,14 @@ modestly reduced) of:
 * Filebench personalities: Varmail, Fileserver, Webproxy, Webserver, OLTP;
 * YCSB A-F over the LSM KV store, with Zipfian/latest/uniform request
   distributions.
+
+The micro and Filebench workloads load with the package.  ``YCSB``,
+``YCSB_MIXES`` and ``ZipfianGenerator`` load on first use, so a run that
+builds no YCSB workload never compiles the KV store behind it
+(:mod:`repro.kv`).
 """
 
+from repro._lazy import lazy_exports
 from repro.workloads.base import Workload
 from repro.workloads.micro import (
     MicroCreate,
@@ -26,8 +32,11 @@ from repro.workloads.filebench import (
     OLTP,
     MACRO_WORKLOADS,
 )
-from repro.workloads.ycsb import YCSB, YCSB_MIXES
-from repro.workloads.zipfian import ZipfianGenerator
+
+__getattr__ = lazy_exports(globals(), {
+    "repro.workloads.ycsb": ("YCSB", "YCSB_MIXES"),
+    "repro.workloads.zipfian": ("ZipfianGenerator",),
+})
 
 __all__ = [
     "Workload",

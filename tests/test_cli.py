@@ -53,11 +53,11 @@ def test_unknown_workload(capsys):
 ], ids=["system", "baseline"])
 def test_compare_bad_systems_are_usage_errors(capsys, monkeypatch, argv,
                                               message):
-    import repro.cli
+    import repro.bench.harness
 
     def ran(*_a, **_k):
         raise AssertionError("a system ran before the arguments were checked")
-    monkeypatch.setattr(repro.cli, "run_workload", ran)
+    monkeypatch.setattr(repro.bench.harness, "run_workload", ran)
     assert main(["compare", *argv]) == 2
     assert capsys.readouterr().err == f"repro compare: {message}\n"
 

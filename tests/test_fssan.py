@@ -98,18 +98,18 @@ def test_trip_index_chunk_list_out_of_order():
     assert exc.value.invariant == fssan.INDEX
 
 
-def test_index_entry_listed_twice_is_not_a_second_entry():
-    """The index check tolerates one entry listed twice in a row (which
-    cleaning the active region in place once produced); a distinct entry
-    with the same (offset, seq) is still a violation."""
-    index = LogIndex(capacity_bytes=1 << 20, page_size=4096)
+def test_index_entry_listed_twice_is_a_violation():
+    """An entry listed twice in a chunk list trips the index check (no
+    firmware path lists one twice), and so does a distinct entry with
+    the same (offset, seq)."""
     entry = _chunk(offset=64, length=64, seq=5)
-    with fssan.sanitized():
-        index.insert(3, entry)
-        index.insert(3, entry)
-        with pytest.raises(fssan.SanitizerError) as exc:
-            index.insert(3, _chunk(offset=64, length=64, seq=5))
-    assert exc.value.invariant == fssan.INDEX
+    for second in (entry, _chunk(offset=64, length=64, seq=5)):
+        index = LogIndex(capacity_bytes=1 << 20, page_size=4096)
+        with fssan.sanitized():
+            index.insert(3, entry)
+            with pytest.raises(fssan.SanitizerError) as exc:
+                index.insert(3, second)
+        assert exc.value.invariant == fssan.INDEX
 
 
 def test_trip_ftl_double_bind_steals_live_page():

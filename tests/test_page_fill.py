@@ -23,6 +23,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.devcache
 from repro.core.bytefs import build_stack
 from repro.devcache import DevCacheConfig, DeviceCache
 from repro.devcache import cache as cache_module
@@ -37,7 +38,6 @@ from repro.nand.image import filled, same_filled
 from repro.nand.timing import TimingModel
 from repro.sim.clock import VirtualClock
 from repro.sim.resources import ChannelArray
-from repro.ssd import device as device_module
 from repro.ssd.device import MSSD, MSSDConfig
 from repro.ssd.firmware.bytefs_fw import ByteFSFirmware
 from repro.stats.traffic import StructKind, TrafficStats
@@ -272,8 +272,9 @@ def build(fs_name, devcache, reference, **stack_kw):
     """
     with ExitStack() as patches:
         if reference:
+            # MSSD reaches the cache through the package's lazy export
             patches.enter_context(mock.patch.object(
-                device_module, "DeviceCache", ReferenceCache
+                repro.devcache, "DeviceCache", ReferenceCache
             ))
             patches.enter_context(mock.patch.object(
                 ByteFSFirmware, "block_read", reference_block_read
