@@ -26,7 +26,7 @@ import os
 import sys
 from typing import TYPE_CHECKING, Dict, Optional
 
-from repro.core.bytefs import FIRMWARE_FOR, check_firmware
+from repro.core.config import FIRMWARE_FOR, check_firmware
 from repro.devcache.config import DevCacheConfig
 
 if TYPE_CHECKING:

@@ -79,7 +79,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.core.bytefs import FIRMWARE_FOR, check_firmware
+from repro.core.config import FIRMWARE_FOR, check_firmware
 from repro.faults.plan import check_fault_plan
 from repro.trace import tracer as trace
 

@@ -14,8 +14,16 @@ Ext4-derived file system (the paper modified Ext4, §4.9) that
 Use :func:`build_stack` to construct a matched device + file system pair
 for any of the evaluated systems ("bytefs", "bytefs-dual", "bytefs-log",
 "ext4", "f2fs", "nova", "pmfs").
+
+The stack loads on first use: host code that only names or checks a
+file system imports :mod:`repro.core.config`, and through this package
+that loads no file system.
 """
 
-from repro.core.bytefs import ByteFS, ByteFSVariant, build_stack
+from repro._lazy import lazy_exports
+
+__getattr__ = lazy_exports(globals(), {
+    "repro.core.bytefs": ("ByteFS", "ByteFSVariant", "build_stack"),
+})
 
 __all__ = ["ByteFS", "ByteFSVariant", "build_stack"]

@@ -6,16 +6,13 @@ import enum
 from dataclasses import replace
 from typing import Optional, Tuple
 
+from repro.core.config import FIRMWARE_FOR
 from repro.devcache.config import DevCacheConfig
 from repro.fs.extfs import ExtFS, ExtFSConfig
 from repro.nand.geometry import FlashGeometry
 from repro.nand.timing import TimingModel
 from repro.sim.clock import VirtualClock
 from repro.ssd.device import MSSD, MSSDConfig
-from repro.ssd.firmware.config import (
-    BaselineFirmwareConfig,
-    ByteFSFirmwareConfig,
-)
 from repro.stats.traffic import TrafficStats
 
 
@@ -57,36 +54,6 @@ class ByteFS(ExtFS):
         )
         if variant is not ByteFSVariant.FULL:
             self.name = f"bytefs-{variant.value}"
-
-
-#: Which firmware each evaluated file system runs on (§5.1: baselines run
-#: on the M-SSD without firmware changes but with device data caching).
-FIRMWARE_FOR = {
-    "bytefs": "bytefs",
-    "bytefs-log": "bytefs",
-    "bytefs-dual": "baseline",
-    "ext4": "baseline",
-    "f2fs": "baseline",
-    "nova": "baseline",
-    "pmfs": "baseline",
-}
-
-
-def check_firmware(
-    fs_name: str,
-    log_bytes: int,
-    device_cache_bytes: int,
-    geometry: Optional[FlashGeometry] = None,
-) -> None:
-    """Raise the ``ValueError`` that building the firmware of ``fs_name``
-    with these sizes raises, without building anything: callers report
-    it before a run starts."""
-    if FIRMWARE_FOR[fs_name] == "bytefs":
-        ByteFSFirmwareConfig(log_bytes=log_bytes)
-    else:
-        BaselineFirmwareConfig(cache_bytes=device_cache_bytes).cache_pages(
-            (geometry or MSSDConfig().geometry).page_size
-        )
 
 
 def build_stack(

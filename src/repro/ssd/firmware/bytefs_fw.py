@@ -417,9 +417,16 @@ class ByteFSFirmware:
         self._clean_region(old_idx)
         new_active = self.regions[self.active]
         if size > new_active.free:
+            # what fills it: entries the cleaning could not flush
+            uncommitted = [
+                c for node in new_active.index.pages() for c in node.chunks
+                if not self.is_committed(c)
+            ]
+            held = sum(aligned_entry_size(c.length) for c in uncommitted)
             raise LogFullError(
                 f"entry of {size} B cannot fit in a "
-                f"{new_active.capacity} B log region"
+                f"{new_active.capacity} B log region ({new_active.free} B "
+                f"free; uncommitted entries: {len(uncommitted)}, {held} B)"
             )
 
     def _clean_region(self, idx: int) -> None:

@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import enum
 from array import array
-from collections import defaultdict
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from bisect import bisect_right
+from collections import Counter, defaultdict
+from itertools import accumulate, chain, islice, repeat
+from operator import sub
+from typing import (
+    Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 
 class StructKind(enum.Enum):
@@ -202,31 +207,107 @@ def _doubles() -> array:
     return array("d")
 
 
+#: how many leading samples decide whether a series is counted or sorted
+PROBE_SAMPLES = 4096
+#: the probe counts this many at a time, and stops past a third distinct
+PROBE_STEP = 512
+
+
+class SortedRuns:
+    """A sorted sample series as runs of equal values: ``values`` holds
+    the distinct values ascending, ``ends[k]`` the number of samples up
+    to and including run ``k``.  ``len``, indexing and iteration read it
+    as the sorted series itself."""
+
+    __slots__ = ("values", "ends")
+
+    def __init__(self, counts: Dict[float, int]) -> None:
+        self.values = array("d", sorted(counts))
+        self.ends = array(
+            "q", accumulate(map(counts.__getitem__, self.values))
+        )
+
+    def __len__(self) -> int:
+        return self.ends[-1]
+
+    def __getitem__(self, i: int) -> float:
+        if i < 0:
+            i += self.ends[-1]
+        return self.values[bisect_right(self.ends, i)]
+
+    def __iter__(self) -> Iterator[float]:
+        ends = self.ends
+        return chain.from_iterable(
+            map(repeat, self.values, map(sub, ends, chain((0,), ends)))
+        )
+
+
+#: a series in ascending order: packed doubles, or runs of equal values
+Sorted = Union[array, SortedRuns]
+
+
+def _sort_series(samples: array) -> Sorted:
+    """``samples`` in ascending order, as a :class:`SortedRuns` table
+    when the series repeats its values (simulated latencies do), else
+    as packed doubles.
+
+    A counted series has one float object alive at a time instead of
+    one per sample in ``sorted``'s list.
+    """
+    counts = _probe(samples)
+    if counts is not None:
+        counts.update(islice(samples, PROBE_SAMPLES, None))
+        if _exact(counts):
+            return SortedRuns(counts)
+    del counts  # free the table before the sort's list peaks
+    return array("d", sorted(samples))
+
+
+def _probe(samples: array) -> Optional[Counter]:
+    """The value counts of the first :data:`PROBE_SAMPLES` samples, or
+    None when more than a third of them are distinct or they hold 0.0
+    or NaN.  Counting stops as soon as a third is passed, so a series
+    that is sorted never grows the table of a fully distinct probe."""
+    probe = min(len(samples), PROBE_SAMPLES)
+    counts: Counter = Counter()
+    for start in range(0, probe, PROBE_STEP):
+        counts.update(samples[start:start + PROBE_STEP])
+        if 3 * len(counts) > probe:
+            return None
+    return counts if _exact(counts) else None
+
+
+def _exact(counts: Dict[float, int]) -> bool:
+    """No key of ``counts`` stands for samples with other bits: ``==``
+    cannot tell -0.0 from 0.0 or one NaN's bits from another's, and a
+    table would report the first one seen for all of them."""
+    return 0.0 not in counts and all(v == v for v in counts)
+
+
 class LatencyRecorder:
     """Records per-operation latencies and reports mean / percentiles.
 
-    The sorted order is computed lazily and cached per op (invalidated by
-    :meth:`record`), so a burst of percentile queries — e.g. rendering a
-    report with p50/p95/p99 per op — sorts each sample series once
-    instead of once per query.
+    The sorted order is computed lazily and cached per op with the
+    sample count it was built from, so a burst of percentile queries —
+    e.g. rendering a report with p50/p95/p99 per op — sorts each sample
+    series once instead of once per query, and recording only appends.
+    Samples only grow (:meth:`record`, :meth:`merge`) until
+    :meth:`reset` clears both, so a count that differs is a stale cache.
     """
 
     def __init__(self) -> None:
         self._samples: Dict[str, array] = defaultdict(_doubles)
-        self._sorted_cache: Dict[str, array] = {}
+        # op -> (the sample count it was built from, the sorted series)
+        self._sorted_cache: Dict[str, Tuple[int, Sorted]] = {}
 
     def record(self, op: str, latency_ns: float) -> None:
         self._samples[op].append(latency_ns)
-        self._sorted_cache.pop(op, None)
 
     def record_pair(self, op: str, also: str, latency_ns: float) -> None:
         """:meth:`record` under ``op``, then under ``also``."""
         samples = self._samples
         samples[op].append(latency_ns)
         samples[also].append(latency_ns)
-        cache = self._sorted_cache
-        cache.pop(op, None)
-        cache.pop(also, None)
 
     def count(self, op: str) -> int:
         return len(self._samples.get(op, ()))
@@ -237,13 +318,17 @@ class LatencyRecorder:
             return float("nan")
         return sum(samples) / len(samples)
 
-    def _sorted(self, op: str) -> Optional[array]:
-        ordered = self._sorted_cache.get(op)
-        if ordered is None:
-            samples = self._samples.get(op)
-            if not samples:
-                return None
-            ordered = self._sorted_cache[op] = array("d", sorted(samples))
+    def _sorted(self, op: str) -> Optional[Sorted]:
+        samples = self._samples.get(op)
+        if not samples:
+            return None
+        cache = self._sorted_cache
+        if op in cache:
+            if cache[op][0] == len(samples):
+                return cache[op][1]
+            del cache[op]  # free the stale order before building the new one
+        ordered = _sort_series(samples)
+        cache[op] = (len(samples), ordered)
         return ordered
 
     @staticmethod
@@ -294,7 +379,6 @@ class LatencyRecorder:
             samples = other._samples[op]
             if samples:
                 self._samples[op].extend(samples)
-                self._sorted_cache.pop(op, None)
         return self
 
     def reset(self) -> None:

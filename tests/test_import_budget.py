@@ -23,8 +23,10 @@ import pytest
 
 import repro.bench
 import repro.cluster
+import repro.core
 import repro.devcache
 import repro.faults
+import repro.ssd
 import repro.ssd.firmware
 import repro.telemetry
 import repro.workloads
@@ -82,6 +84,13 @@ def _loaded_after(setup: str, modules) -> list:
     ))
 
 
+def test_the_cli_loads_no_stack_until_a_command_builds_one():
+    # the parser names and checks file systems from repro.core.config
+    assert _loaded_after(
+        "import repro.cli", ("repro.fs.extfs", "repro.ssd.device")
+    ) == []
+
+
 def test_a_bytefs_run_loads_only_what_it_builds():
     assert _loaded_after(
         "from repro.bench.harness import run_workload\n"
@@ -120,8 +129,8 @@ def test_a_shard_worker_loads_the_shard_routine_alone():
 
 @pytest.mark.parametrize(
     "package",
-    [repro.bench, repro.cluster, repro.devcache, repro.faults,
-     repro.ssd.firmware, repro.telemetry, repro.workloads],
+    [repro.bench, repro.cluster, repro.core, repro.devcache, repro.faults,
+     repro.ssd, repro.ssd.firmware, repro.telemetry, repro.workloads],
     ids=lambda package: package.__name__,
 )
 def test_lazy_package_exports_every_name_it_lists(package):

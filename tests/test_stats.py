@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import tracemalloc
 from array import array
 
 import pytest
@@ -157,9 +158,25 @@ def _report(rec):
 latency_floats = strategies.floats(
     min_value=0.0, max_value=1e15, allow_nan=False, allow_infinity=False
 )
-latency_samples = strategies.lists(
-    strategies.tuples(strategies.sampled_from(["read", "write", "all"]), latency_floats),
-    max_size=200,
+latency_ops = strategies.sampled_from(["read", "write", "all"])
+#: a few values repeated, some series past the 4 096-sample probe that
+#: picks a table of runs, and a signed 0.0 that keeps a series sorted
+pooled_samples = strategies.builds(
+    lambda pool, picks, times: [
+        (op, pool[k % len(pool)]) for op, k in picks
+    ] * times,
+    strategies.lists(
+        strategies.one_of(strategies.sampled_from([0.0, -0.0]), latency_floats),
+        min_size=1, max_size=8,
+    ),
+    strategies.lists(
+        strategies.tuples(latency_ops, strategies.integers(0, 7)), max_size=60
+    ),
+    strategies.integers(1, 100),
+)
+latency_samples = strategies.one_of(
+    strategies.lists(strategies.tuples(latency_ops, latency_floats), max_size=200),
+    pooled_samples,
 )
 
 
@@ -179,10 +196,10 @@ def test_packed_samples_report_what_a_list_of_floats_reports(shards):
     piped = [pickle.loads(pickle.dumps(rec)) for rec in packed]
     assert [_report(r) for r in piped] == [_report(r) for r in listed]
     merged, reference = LatencyRecorder(), ListRecorder()
-    for rec, ref in zip(piped, listed):
+    for rec, ref in zip(piped, listed):  # a report per merge: no stale sort
         merged.merge(rec)
         reference.merge(ref)
-    assert _report(merged) == _report(reference)
+        assert _report(merged) == _report(reference)
 
 
 def test_samples_are_packed_doubles_and_pickle_as_raw_bytes():
@@ -190,7 +207,7 @@ def test_samples_are_packed_doubles_and_pickle_as_raw_bytes():
     for i in range(10_000):
         rec.record("op", i * 1.5)
     rec.percentile("op", 99)  # the sort cache is packed too
-    for series in (rec._samples["op"], rec._sorted_cache["op"]):
+    for series in (rec._samples["op"], rec._sorted_cache["op"][1]):
         assert type(series) is array and series.typecode == "d"
         assert series.itemsize * len(series) == 80_000
     # 8 B a sample each for the series and its sorted cache, not a
@@ -199,6 +216,34 @@ def test_samples_are_packed_doubles_and_pickle_as_raw_bytes():
     clone = pickle.loads(pickle.dumps(rec))
     clone.record("other", 1.0)  # still a recorder: new ops still work
     assert clone.count("other") == 1 and clone.count("op") == 10_000
+
+
+def _summary_peak(rec):
+    tracemalloc.start()
+    try:
+        rec.summary("op")
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_summary_holds_no_float_object_per_sample():
+    repeating = LatencyRecorder()
+    for i in range(240_000):
+        repeating.record("op", 1000.0 + i % 100)
+    assert _summary_peak(repeating) < 1 << 20  # a sort's list: ~9.6 MB
+    # Distinct values are sorted, and the probe that chose the sort is
+    # freed before the sort's list peaks.
+    distinct = LatencyRecorder()
+    for i in range(50_000):
+        distinct.record("op", 1.0 + i * 1.5)
+    tracemalloc.start()
+    try:
+        array("d", sorted(distinct._samples["op"]))
+        sort_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _summary_peak(distinct) <= sort_peak
 
 
 # ---------------------------------------------------------------------- #

@@ -5,6 +5,8 @@ starts a cleaning, and ``flush_all`` keeps open transactions' entries."""
 import pytest
 
 from repro.bench.harness import run_workload
+from repro.cluster.serve import serve_cluster
+from repro.cluster.tenant import default_tenants
 from repro.faults.injector import CrashPoint, FaultInjector, FaultPlan
 from repro.sim.clock import VirtualClock
 from repro.ssd.device import MSSD, MSSDConfig
@@ -203,3 +205,18 @@ def test_crash_inside_a_txlog_triggered_cleaning():
         for txid in range(1, n + 1):
             assert device.load(64 * txid, 64, INODE) == _payload(txid), plan
         assert device.load(64 * (n + 1), 64, INODE) == bytes(64), plan
+
+
+def test_a_log_full_of_uncommitted_entries_says_so():
+    # Still open (ROADMAP "The write log's space contract" (b)): a
+    # cleaning migrates every uncommitted entry into the other half, and
+    # at 4 KB of log those fill it.  The error names what fills it.
+    with pytest.raises(LogFullError) as err:
+        serve_cluster(
+            default_tenants(4, 50), n_devices=1, sched="drr",
+            fs_name="bytefs", seed=42, log_bytes=4096,
+        )
+    assert str(err.value) == (
+        "entry of 64 B cannot fit in a 2048 B log region "
+        "(0 B free; uncommitted entries: 32, 2048 B)"
+    )
