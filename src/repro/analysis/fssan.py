@@ -200,22 +200,24 @@ def check_log_index(page_maps: dict, pages_per_partition: int,
 # FSSAN-FTL — mapping consistency and GC liveness
 # ---------------------------------------------------------------------- #
 
-def check_map_bind(l2p: dict, p2l: list, lpa: int, ppa: int) -> None:
-    """After a bind, the two maps agree on the bound pair (``p2l`` is
-    the PPA-indexed reverse list; the caller range-checked ``ppa``)."""
-    if l2p.get(lpa) != ppa or p2l[ppa] != lpa:
+def check_map_bind(l2p, p2l, lpa: int, ppa: int) -> None:
+    """After a bind, the two maps agree on the bound pair (both are
+    indexed arrays, -1 = unmapped; the caller range-checked ``lpa`` and
+    ``ppa``)."""
+    if l2p[lpa] != ppa or p2l[ppa] != lpa:
         _trip(
             FTL,
             f"L2P/P2L disagree after bind({lpa} -> {ppa}): "
-            f"l2p={l2p.get(lpa)} p2l={p2l[ppa]}",
+            f"l2p={l2p[lpa]} p2l={p2l[ppa]}",
         )
     _ok(FTL)
 
 
-def check_map_steal(p2l: list, lpa: int, ppa: int) -> None:
-    """A bind must never silently steal a PPA live under another LPA."""
+def check_map_steal(p2l, lpa: int, ppa: int) -> None:
+    """A bind must never silently steal a PPA live under another LPA
+    (``p2l`` is the PPA-indexed reverse array, -1 = no owner)."""
     owner = p2l[ppa]
-    if owner is not None and owner != lpa:
+    if owner >= 0 and owner != lpa:
         _trip(
             FTL,
             f"PPA {ppa} rebound to LPA {lpa} while still live under "
@@ -224,14 +226,14 @@ def check_map_steal(p2l: list, lpa: int, ppa: int) -> None:
     _ok(FTL)
 
 
-def check_gc_victim_clear(owners: list, base_ppa: int, block_id: int) -> None:
+def check_gc_victim_clear(owners, base_ppa: int, block_id: int) -> None:
     """Before erase, no page of the victim block may still be mapped.
 
-    ``owners`` is the victim's slice of the reverse map, one LPA or
-    ``None`` per page from ``base_ppa`` up.
+    ``owners`` is the victim's slice of the reverse map, one LPA or -1
+    (no owner) per page from ``base_ppa`` up.
     """
     for ppa, lpa in enumerate(owners, base_ppa):
-        if lpa is not None:
+        if lpa >= 0:
             _trip(
                 FTL,
                 f"GC erasing block {block_id} while PPA {ppa} is still "

@@ -21,7 +21,6 @@ from __future__ import annotations
 import hashlib
 from typing import Collection, Dict, List, Optional
 
-from repro.core.bytefs import build_stack
 from repro.devcache.config import DevCacheConfig
 from repro.faults.injector import FaultInjector
 from repro.nand.geometry import FlashGeometry
@@ -65,6 +64,10 @@ class ShardedBackend:
     ) -> None:
         if n_devices < 1:
             raise ValueError("need at least one device")
+        # Here, not at module level: a serve parent with workers imports
+        # this module and builds no stack.
+        from repro.core.bytefs import build_stack
+
         self.fs_name = fs_name
         self.clock = clock
         self.stats: List[TrafficStats] = []

@@ -103,7 +103,8 @@ class FTL:
         self._ch_serve = [res.serve for res in channels.channels]
         self._record_flash = stats.record_flash
         self._pm_bind = self.page_map.bind
-        self._pm_lookup = self.page_map.lookup
+        # The forward map's array itself: a read indexes it inline.
+        self._l2p = self.page_map._l2p
         self._program_page = flash.program_page
         self._flash_read_page = flash.read_page
         self._invalidate_page = flash.invalidate_page
@@ -129,9 +130,12 @@ class FTL:
         NVMe block read, a prefetch): it is traced as the ``read_pages``
         run of one it is, so one histogram holds every command read.
         """
-        ppa = self._pm_lookup(lpa)
+        try:
+            ppa = self._l2p[lpa] if lpa >= 0 else -1
+        except IndexError:  # past the last slot: never written
+            ppa = -1
         self._record_flash(kind, _READ, self._page_size)
-        if ppa is None:
+        if ppa < 0:
             # Unwritten logical page: no flash op needed, data is zeros.
             return filled(0, self._page_size)
         ch = self.geometry.channel_of(ppa)
@@ -161,7 +165,8 @@ class FTL:
         page_size = self._page_size
         read_ns = self._flash_read_ns
         record_flash = self._record_flash
-        lookup = self._pm_lookup
+        l2p = self._l2p
+        n_lpas = len(l2p)
         channel_of = self.geometry.channel_of
         serves = self._ch_serve
         flash_read_page = self._flash_read_page
@@ -169,8 +174,8 @@ class FTL:
         max_end = start
         for lpa in lpas:
             record_flash(kind, _READ, page_size)
-            ppa = lookup(lpa)
-            if ppa is None:
+            ppa = l2p[lpa] if 0 <= lpa < n_lpas else -1
+            if ppa < 0:
                 datas.append(filled(0, page_size))
                 continue
             ch = channel_of(ppa)
@@ -312,7 +317,10 @@ class FTL:
                 invalidate(ppa)
 
     def is_mapped(self, lpa: int) -> bool:
-        return lpa in self.page_map
+        try:
+            return lpa >= 0 and self._l2p[lpa] >= 0
+        except IndexError:  # past the last slot
+            return False
 
     def drain_write_buffer(self) -> None:
         """Barrier: wait for every in-flight flash program to complete."""
@@ -415,17 +423,17 @@ class FTL:
         record_flash = self._record_flash
         bump = self.stats.bump
         # Migrate still-valid pages (background reads + writes).  The
-        # owners are read up front: a migration rebinds only the page
-        # it moves, to a PPA outside the victim.  The first migration
-        # files its reads, writes and counter where it does them; the
-        # others are counted in ``more_reads``/``more_writes`` and filed
-        # once, in this frame's ``finally``.
+        # owners (-1 = none) are read up front: a migration rebinds
+        # only the page it moves, to a PPA outside the victim.  The
+        # first migration files its reads, writes and counter where it
+        # does them; the others are counted in ``more_reads``/
+        # ``more_writes`` and filed once, in this frame's ``finally``.
         owners = self.page_map.reverse_range(base, base + pages_per_block)
         first = True
         more_reads = more_writes = 0
         try:
             for ppa, lpa in enumerate(owners, base):
-                if lpa is None:
+                if lpa < 0:
                     continue
                 end = serve_victim(clock.now, read_ns)
                 if trace.ENABLED:

@@ -200,6 +200,12 @@ class AddressSpace:
     ``CachedPage.clean`` and eviction, and :meth:`drop` here — so that
     an fsync touches the pages it writes and not every cached page of
     the file.
+
+    A dict keeps the table of its largest size when entries are
+    deleted, so eviction ``clear()``s both dicts when it takes a
+    space's last page: an emptied space holds no table.  The space
+    itself stays, and so does its place in the cache's ``_spaces``,
+    whose order :meth:`PageCache.all_dirty` reports in.
     """
 
     def __init__(
@@ -378,7 +384,11 @@ class PageCache:
                 if victim in stale:
                     stale.discard(victim)
                 else:
-                    del self._spaces[victim[0]].pages[victim[1]]
+                    present = self._spaces[victim[0]].pages
+                    del present[victim[1]]
+                    if not present:  # its last page: free the tables
+                        present.clear()
+                        self._spaces[victim[0]].dirty.clear()
             else:
                 self._make_room(1, writeback)
         page = object.__new__(CachedPage)  # (``__init__``'s work, inline)
@@ -606,10 +616,14 @@ class PageCache:
                 stale.discard(victim)
             else:
                 space = spaces[ino]
-                del space.pages[index]
+                present = space.pages
+                del present[index]
                 if page.dirty:
                     dirty.append((ino, index, page))
                     del space.dirty[index]
+                if not present:  # its last page: free the tables
+                    present.clear()
+                    space.dirty.clear()
         if dirty:
             writeback(dirty)
 

@@ -40,13 +40,13 @@ from repro.trace import tracer as trace
 from repro.workloads import OLTP, Fileserver, Varmail
 
 #: calls in the measured region, as counted under CPython 3.11
-CALL_BUDGET = 81_120
+CALL_BUDGET = 80_896
 #: likewise, for the Varmail run
-METADATA_CALL_BUDGET = 59_021
+METADATA_CALL_BUDGET = 58_994
 #: likewise, for the ext4 OLTP run
-EXT4_CALL_BUDGET = 560_504
+EXT4_CALL_BUDGET = 559_148
 #: likewise, for the drains of the serve run
-SERVE_CALL_BUDGET = 328_519
+SERVE_CALL_BUDGET = 327_105
 
 #: perfbench's ``fileserver_bulk`` device
 GEOMETRY = FlashGeometry(

@@ -1,21 +1,22 @@
 """Physical device state in flat arrays: same behaviour as the dicts.
 
 ``FlashArray``, ``PageMap`` and ``FTL`` keep their physical state in
-lists indexed by PPA / block id, and ``write_pages`` / GC allocate and
-invalidate inline.  The dict-backed, one-call-per-step versions they
-replaced are kept *here* as the reference, and hypothesis op streams
-must leave both in the same state, down to the clock.  The reference
-array keeps every image it was ever handed; the real one holds exactly
-the images a mapped read can reach, which is pinned here too, slot by
-slot and without reading RSS.  The same goes for
-the host side of an fsync: ``AddressSpace``'s dirty index against the
-full scan it replaced, and JBD2's one-``struct.pack`` record against the
-piecewise packing.
+lists and arrays indexed by PPA / LPA / block id, and ``write_pages`` /
+GC allocate and invalidate inline.  The dict-backed, one-call-per-step
+versions they replaced are kept *here* as the reference, and hypothesis
+op streams must leave both in the same state, down to the clock.  The
+reference array keeps every image it was ever handed; the real one holds
+exactly the images a mapped read can reach, which is pinned here too,
+slot by slot and without reading RSS.  The same goes for the host side
+of an fsync: ``AddressSpace``'s dirty index against the full scan it
+replaced, and JBD2's one-``struct.pack`` record against the piecewise
+packing.
 """
 
 from __future__ import annotations
 
 import struct
+from array import array
 from heapq import heappop, heappush
 
 import pytest
@@ -136,6 +137,9 @@ class RefPageMap:
         if ppa is not None:
             self._p2l.pop(ppa, None)
         return ppa
+
+    def mapped_lpas(self):
+        return self._l2p.keys()
 
 
 class _RefBlock:
@@ -390,7 +394,7 @@ def build(ftl_cls, flash_cls, geometry, map_cls=None):
     if map_cls is not None:
         ftl.page_map = map_cls(geometry.total_pages)
         ftl._pm_bind = ftl.page_map.bind
-        ftl._pm_lookup = ftl.page_map.lookup
+        ftl._l2p = ftl.page_map._l2p
     return ftl
 
 
@@ -440,13 +444,16 @@ def state(ftl, seen):
     """Everything the device can observe: of the flash array, the image
     of every mapped PPA and the programmed-ness of every slot."""
     clock = ftl.clock
-    p2l = ftl.page_map._p2l
-    if isinstance(p2l, list):
-        p2l = {ppa: lpa for ppa, lpa in enumerate(p2l) if lpa is not None}
+    page_map = ftl.page_map
+    p2l = {}
+    for ppa in range(ftl.geometry.total_pages):
+        lpa = page_map.reverse(ppa)
+        if lpa is not None:
+            p2l[ppa] = lpa
     image = ftl.flash.image()
     return {
         "seen": seen,
-        "l2p": dict(ftl.page_map._l2p),
+        "l2p": {lpa: page_map.lookup(lpa) for lpa in page_map.mapped_lpas()},
         "p2l": p2l,
         "flash": {ppa: image[ppa] for ppa in p2l},
         "programmed": ftl.flash.programmed(),
@@ -473,12 +480,12 @@ def arrays_match_reference(geometry, ops, ftl_cls=FTL, map_cls=None):
 
 def op_streams(geometry):
     # Half the device live keeps GC migrating without (often) running
-    # out of space; a few far-out LPAs show the logical side is not
-    # bounded by the geometry.
+    # out of space; a few far-out LPAs reach the last slots of the
+    # forward map.
     n_lpas = geometry.total_pages // 2
     lpa = st.one_of(
         st.integers(0, n_lpas - 1),
-        st.sampled_from([geometry.total_pages + 5, 10**9]),
+        st.sampled_from([geometry.total_pages - 2, geometry.total_pages - 1]),
     )
     low = st.integers(0, n_lpas - 1)
     op = st.one_of(
@@ -535,7 +542,8 @@ def mapped_ppas_holding_the_only_images(ftl):
     """Asserts the slots holding an image are exactly the mapped PPAs
     (every other slot is erased or holds the marker) and returns them."""
     slots = ftl.flash._pages
-    mapped = set(ftl.page_map._l2p.values())
+    page_map = ftl.page_map
+    mapped = {page_map.lookup(lpa) for lpa in page_map.mapped_lpas()}
     assert all(type(slots[ppa]) is bytes for ppa in mapped)
     assert all(
         slot is None or slot is RELEASED
@@ -678,13 +686,13 @@ class LastMinimumFTL(FTL):
 
 class LeakyReverseMap(PageMap):
     """Mutant: a rebind leaves the old PPA's reverse entry behind, so an
-    erased block's slice of the reverse list still names owners."""
+    erased block's slice of the reverse map still names owners."""
 
     def bind(self, lpa, ppa):
-        old = self._l2p.get(lpa)
+        old = self._l2p[lpa]
         self._l2p[lpa] = ppa
         self._p2l[ppa] = lpa
-        return old
+        return old if old >= 0 else None
 
 
 def test_last_minimum_victim_mutant_is_caught():
@@ -754,8 +762,8 @@ def test_erase_is_confined_to_its_block():
 
 def test_page_map_rejects_out_of_range_ppas():
     pm = PageMap(16)
-    pm.bind(10**9, 15)          # any LPA, the last PPA
-    assert pm.reverse(15) == 10**9
+    pm.bind(9, 15)              # the last PPA
+    assert pm.reverse(15) == 9
     for ppa in (-1, -16, 16):
         with pytest.raises(FlashError):
             pm.reverse(ppa)
@@ -765,8 +773,33 @@ def test_page_map_rejects_out_of_range_ppas():
         with pytest.raises(FlashError):
             pm.reverse_range(lo, hi)
     assert 1 not in pm and len(pm) == 1
-    assert pm.reverse_range(12, 16) == [None, None, None, 10**9]
-    assert pm.reverse_range(16, 16) == []
+    assert list(pm.reverse_range(12, 16)) == [-1, -1, -1, 9]
+    assert list(pm.reverse_range(16, 16)) == []
+
+
+@pytest.mark.parametrize("sanitize", [False, True])
+def test_page_map_refuses_out_of_range_lpas_and_touches_nothing(sanitize):
+    geometry = GEOMETRIES["1ch"]
+    n = geometry.total_pages
+    fssan.ENABLED = sanitize
+    ftl = build(FTL, RecordingFlashArray, geometry)
+    apply(ftl, [("run", 0, 5, True), ("write", n - 1)])
+    before = state(ftl, [])
+    pm = ftl.page_map
+    slots = (pm._l2p.tobytes(), pm._p2l.tobytes())
+    for lpa in (-1, -n, n, 10**9):
+        with pytest.raises(FlashError, match=f"lpa {lpa} out of range"):
+            pm.bind(lpa, 7)
+        assert pm.lookup(lpa) is None
+        assert pm.unbind(lpa) is None
+        assert lpa not in pm and not ftl.is_mapped(lpa)
+        ftl.trim(lpa)
+        ftl.trim_many(lpa, 1)
+    assert (pm._l2p.tobytes(), pm._p2l.tobytes()) == slots
+    assert state(ftl, []) == before
+    # and a read of one is a read of an unwritten page
+    assert ftl.read_pages([-1, n]) == [bytes(PAGE)] * 2
+    assert ftl.read_page(-1) == ftl.read_page(10**9) == bytes(PAGE)
 
 
 def test_reverse_range_is_a_copy():
@@ -774,22 +807,24 @@ def test_reverse_range_is_a_copy():
     pm.bind(1, 2)
     owners = pm.reverse_range(0, 4)
     pm.bind(1, 3)
-    assert owners == [None, None, 1, None]
-    assert pm.reverse_range(0, 4) == [None, None, None, 1]
+    assert list(owners) == [-1, -1, 1, -1]
+    assert list(pm.reverse_range(0, 4)) == [-1, -1, -1, 1]
 
 
 def test_sanitizer_checks_read_the_reverse_list():
-    fssan.check_map_bind({1: 2}, [None, None, 1], 1, 2)
-    fssan.check_map_steal([None, None, 1], 1, 2)
-    fssan.check_gc_victim_clear([None] * 4, 8, 2)
-    fssan.check_gc_victim_clear([], 8, 2)
+    fssan.check_map_bind(array("i", [-1, 2]), array("i", [-1, -1, 1]), 1, 2)
+    fssan.check_map_steal(array("i", [-1, -1, 1]), 1, 2)
+    fssan.check_gc_victim_clear(array("i", [-1] * 4), 8, 2)
+    fssan.check_gc_victim_clear(array("i"), 8, 2)
     with pytest.raises(fssan.SanitizerError, match="L2P/P2L disagree"):
-        fssan.check_map_bind({1: 2}, [None, None, 7], 1, 2)
+        fssan.check_map_bind(
+            array("i", [-1, 2]), array("i", [-1, -1, 7]), 1, 2
+        )
     with pytest.raises(fssan.SanitizerError, match="still live under LPA 7"):
-        fssan.check_map_steal([None, None, 7], 1, 2)
+        fssan.check_map_steal(array("i", [-1, -1, 7]), 1, 2)
     with pytest.raises(fssan.SanitizerError, match="PPA 10 is still live") \
             as exc:
-        fssan.check_gc_victim_clear([None, None, 0, 5], 8, 2)
+        fssan.check_gc_victim_clear(array("i", [-1, -1, 0, 5]), 8, 2)
     assert exc.value.invariant == fssan.FTL
     assert "LPA 0" in str(exc.value)  # LPA 0 is an owner, not "no owner"
 

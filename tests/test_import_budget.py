@@ -127,6 +127,17 @@ def test_a_shard_worker_loads_the_shard_routine_alone():
     ) == []
 
 
+def test_a_serve_parent_loads_no_stack():
+    # With workers, the parent spawns, routes and merges; the stacks are
+    # built in the shards, which import them when they build one.
+    assert _loaded_after(
+        "import repro.cluster.serve, repro.cluster.worker,"
+        " repro.cluster.kernel, repro.cluster.merge",
+        ("repro.core.bytefs", "repro.fs.extfs", "repro.ssd.device",
+         "repro.ftl", "repro.host", "repro.interconnect"),
+    ) == []
+
+
 @pytest.mark.parametrize(
     "package",
     [repro.bench, repro.cluster, repro.core, repro.devcache, repro.faults,

@@ -110,6 +110,33 @@ def test_cache_writeback_on_dirty_eviction():
     assert len(written) == 1
 
 
+def test_all_dirty_keeps_the_place_of_a_space_emptied_and_filled_again():
+    # Write-back groups all_dirty() by file in the order the cache first
+    # saw each file; eviction of a file's last page frees its tables
+    # but keeps the file in that order.
+    pc = PageCache(4, 64)
+    written = []
+
+    def wb(batch):
+        for ino, idx, page in batch:
+            written.append((ino, idx))
+            page.clean()
+
+    def write(ino, start, n):
+        assert pc.install_dirty_run(ino, start, bytes(64 * n), 0, False,
+                                    wb) == n
+
+    write(1, 0, 2)
+    write(2, 0, 2)
+    write(3, 0, 2)              # evicts file 1's two pages
+    assert written == [(1, 0), (1, 1)] and len(pc.space(1)) == 0
+    write(1, 5, 1)              # evicts file 2's page 0
+    assert [(ino, idx) for ino, idx, _page in pc.all_dirty()] == [
+        (1, 5), (2, 1), (3, 0), (3, 1),
+    ]
+    assert list(pc._spaces) == [1, 2, 3]
+
+
 def test_duplicate_page_accounting():
     pc = PageCache(8, 4096)
     pc.install(1, 0, b"a", lambda *a: None)
